@@ -427,6 +427,9 @@ def _run_control(cfg: ExperimentConfig, run_dir: Path):
         "cg_relative_residual": sol.relative_residual,
         "J_value": sol.J_value,
         "eps": sol.eps,
+        "norm_estimate": system.norm_estimate,
+        "precond_half_bandwidth": system.band_shape[0] - 1,
+        "precond_band_mb": 8e-6 * system.band_shape[0] * system.band_shape[1],
     })
     assertions = {
         "control_supported_in_omega": report.support_ok,

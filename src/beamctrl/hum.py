@@ -13,10 +13,13 @@ steered to zero.  The control comes from minimizing
 over space-time fields psi.  Discretely, L is spectral in x and a 4th-order
 stencil in t (one-sided closures at the grid edges); the normal operator uses
 the exact stencil transpose, so the discrete system is symmetric positive
-definite up to the Tikhonov term and is solved by conjugate gradients.  The
-minimizer yields the weighted residual g_tilde = e^{-2 s phi} L psi_min and
-the control v = -s^7 lam^8 xi^7 chi_omega psi_min e^{-2 s phi}, which is then
-validated by forward simulation.
+definite up to the Tikhonov term.  In time-major order its matrix is banded
+(the time stencils reach 5 rows, the spectral x-blocks are dense), so it is
+factored exactly by banded Cholesky, and preconditioned conjugate gradients
+refine that direct solve in one or two iterations.  The minimizer yields
+the weighted residual g_tilde = e^{-2 s phi} L psi_min and the control
+v = -s^7 lam^8 xi^7 chi_omega psi_min e^{-2 s phi}, which is then validated
+by forward simulation.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
-import scipy.sparse.linalg
 from scipy.interpolate import CubicSpline
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from ._bumps import smoothstep
 from .dynamics import BeamTrajectory, Potential, solve_forward
@@ -41,6 +44,14 @@ class CGConvergenceError(RuntimeError):
     def __init__(self, message: str, history: list[float]):
         super().__init__(message)
         self.history = history
+
+
+class CurvatureError(RuntimeError):
+    """Conjugate gradients met a direction p with p . A p <= 0."""
+
+
+class FactorizationError(RuntimeError):
+    """The banded Cholesky factorization of the normal operator broke down."""
 
 
 # time cutoff ----------------------------------------------------------------
@@ -74,13 +85,6 @@ def build_theta1(T: float, r0: float = 0.3, r1: float = 0.7) -> Theta1Cutoff:
 
 
 # free evolution and commutator source ---------------------------------------
-
-def solve_free_q(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
-                 times: np.ndarray, a: Potential | None = None
-                 ) -> BeamTrajectory:
-    """Uncontrolled, unforced forward evolution of the data."""
-    return solve_forward(grid, beta0, beta1, times, a=a)
-
 
 @dataclass(frozen=True)
 class HumSource:
@@ -157,7 +161,7 @@ def time_stencil(n: int, dt: float, order: int) -> sparse.csr_matrix:
 
 @dataclass
 class QuadraticSystem:
-    """Matrix-free normal operator of the functional and its right-hand side.
+    """Normal operator of the functional and its right-hand side.
 
     apply(psi) computes  L^T M W1 L psi + M W2 psi + eps psi  with M the
     space-time quadrature weights; the transpose of L uses exact stencil
@@ -197,6 +201,67 @@ class QuadraticSystem:
         out += self.M * self.W2 * psi
         out += self.eps * psi
         return out
+
+    @property
+    def band_shape(self) -> tuple[int, int]:
+        """(half-bandwidth + 1, unknowns) of the time-major normal matrix.
+
+        Time blocks couple when one stencil row reaches both and the x-blocks
+        are dense, so the 6-point one-sided Dtt rows give 6 n_x - 1.
+        """
+        rows = abs(self.Dtt) + abs(self.Dt) + sparse.identity(self.t_grid.n)
+        reach = (rows.T @ rows).tocoo()
+        nx = self.grid.n
+        return ((int(np.max(reach.row - reach.col)) + 1) * nx,
+                self.t_grid.n * nx)
+
+    def normal_band(self) -> np.ndarray:
+        """The matrix of `apply` in LAPACK lower band storage, time-major.
+
+        Row block t of L is L_{t,k} = Dtt[t,k] I + Dt[t,k] Sxx + delta_tk B_t
+        with B_t = Sx4 + diag(a_t) and dense spectral Sxx, Sx4.  With
+        D_t = diag(M W1)_t, block (k, l) sums stencil-weighted D_t, D_t Sxx,
+        Sxx D_t and Sxx D_t Sxx over the rows t reaching both k and l, plus
+        the t = k and t = l terms in B_t D_t, B_t D_t Sxx and B_t D_t B_t.
+        Fortran order lets LAPACK factor the array in place.
+        """
+        n_t, nx = self.t_grid.n, self.grid.n
+        eye, diag = np.eye(nx), (slice(None), range(nx), range(nx))
+        Sxx = self.grid.deriv(eye, 2)
+        B = np.repeat(self.grid.deriv(eye, 4)[None], n_t, axis=0)
+        if self.a_vals is not None:
+            B[diag] += self.a_vals
+        m = self.M * self.W1
+        BD = B * m[:, None, :]
+        BDB, BDS = BD @ B, BD @ Sxx
+        del B
+        SDS = (Sxx * m[:, None, :]) @ Sxx
+        C, D, E = self.Dtt, self.Dt, sparse.identity(n_t, format="csr")
+        ab = np.zeros(self.band_shape, order="F")
+        for o in range(ab.shape[0] // nx):
+            n_o = n_t - o
+
+            def pair(X, Y, field):
+                # sum over t of X[t, l + o] Y[t, l] field[t], for each l
+                w = X[:, o:].multiply(Y[:, :n_o]).T
+                out = w @ field.reshape(n_t, -1)
+                return out.reshape(n_o, *field.shape[1:])
+
+            # E picks t = k (then t = l, transposed) for the terms in B_t
+            blk = pair(D, D, SDS) + pair(E, C, BD) + pair(E, D, BDS)
+            blk += (pair(C, E, BD) + pair(D, E, BDS)).transpose(0, 2, 1)
+            blk += Sxx * (pair(C, D, m)[:, :, None]
+                          + pair(D, C, m)[:, None, :])
+            blk[diag] += pair(C, C, m)
+            if o == 0:
+                blk += BDB
+                blk[diag] += self.M * self.W2 + self.eps
+            # entry (p, q) of block (l + o, l) is ab[o nx + p - q, l nx + q]
+            for q in range(nx):
+                p0 = q if o == 0 else 0
+                ab[o * nx + p0 - q:(o + 1) * nx - q, q:n_o * nx:nx] = \
+                    blk[:, p0:, q].T
+        return ab
 
     def quadratic_value(self, psi: np.ndarray) -> float:
         """The functional J at psi, without the Tikhonov term."""
@@ -263,43 +328,20 @@ def assemble_hum_system(grid: SpatialGrid, t_grid: TimeGrid, w: WeightField,
     return sys
 
 
-class FdSurrogatePreconditioner:
-    """Direct factorization of a finite-difference surrogate of the operator.
+def banded_preconditioner(sys: QuadraticSystem):
+    """r -> A^{-1} r by the exact banded Cholesky factor of the operator A.
 
-    The surrogate keeps the exact weights, quadrature, potential, indicator
-    and time stencils, and only replaces the spectral x-derivatives by
-    4th-order periodic differences (with the bilaplacian as the square of the
-    FD laplacian).  The two operators are spectrally equivalent with a
-    modest constant, so PCG converges in a few dozen iterations.  The sparse
-    space-time matrix is factorized once; being a preconditioner, it affects
-    iteration counts only, never the solution.
+    Raises FactorizationError when A is not numerically positive definite.
     """
-
-    def __init__(self, sys: QuadraticSystem):
-        grid, n_t = sys.grid, sys.t_grid.n
-        nx, h = grid.n, grid.h
-        data, rows, cols = [], [], []
-        for off, val in ((0, -2.5), (1, 4.0 / 3), (-1, 4.0 / 3),
-                         (2, -1.0 / 12), (-2, -1.0 / 12)):
-            rows.extend(range(nx))
-            cols.extend((np.arange(nx) + off) % nx)
-            data.extend([val / h**2] * nx)
-        Dxx = sparse.csr_matrix((data, (rows, cols)), shape=(nx, nx))
-        Dx4 = (Dxx @ Dxx).tocsr()
-
-        L = sparse.kron(sys.Dtt, sparse.identity(nx, format="csr")) \
-            + sparse.kron(sys.Dt, Dxx) \
-            + sparse.kron(sparse.identity(n_t, format="csr"), Dx4)
-        if sys.a_vals is not None:
-            L = L + sparse.diags(sys.a_vals.ravel())
-        W = sparse.diags((sys.M * sys.W1).ravel())
-        A = (L.T @ W @ L) + sparse.diags((sys.M * sys.W2).ravel()) \
-            + sys.eps * sparse.identity(n_t * nx)
-        self._lu = sparse.linalg.splu(A.tocsc())
-        self._shape = (n_t, nx)
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        return self._lu.solve(r.ravel()).reshape(self._shape)
+    try:
+        chol = cholesky_banded(sys.normal_band(), overwrite_ab=True,
+                               lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(
+            f"banded Cholesky of the {sys.band_shape[1]}-unknown normal "
+            f"operator broke down (eps = {sys.eps:.3e}): {exc}") from exc
+    return lambda r: cho_solve_banded(
+        (chol, True), r.ravel(), check_finite=False).reshape(r.shape)
 
 
 @dataclass(frozen=True)
@@ -321,9 +363,12 @@ def minimize_J(sys: QuadraticSystem, tol: float = 1e-10,
                ) -> HumSolution:
     """Conjugate-gradient solve of the normal equations to relative tol.
 
-    Raises CGConvergenceError (with the residual history attached) when the
-    tolerance is not reached; that signals ill-conditioning and the remedy is
-    a larger eps or smaller s.
+    The preconditioner is the exact banded Cholesky factor, so PCG only
+    refines the direct solve (2 iterations to 1e-10 at configs/control.ini).
+    FactorizationError or CurvatureError (p.Ap <= 0) mean the operator is not
+    positive definite.  CGConvergenceError (with the residual history
+    attached) signals ill-conditioning; the remedy is a larger eps or
+    smaller s.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -335,23 +380,28 @@ def minimize_J(sys: QuadraticSystem, tol: float = 1e-10,
                            residual_history=[0.0], iterations=0,
                            relative_residual=0.0, eps=sys.eps)
 
-    pre = FdSurrogatePreconditioner(sys) if precondition else None
+    precond = banded_preconditioner(sys) if precondition else (lambda r: r)
     x = np.zeros_like(b)
     r = b.copy()
-    z = pre.apply(r) if pre else r
+    z = precond(r)
     p = z.copy()
     rz = float(np.sum(r * z))
     history = [1.0]
     for it in range(1, max_iter + 1):
         Ap = sys.apply(p)
-        alpha = rz / float(np.sum(p * Ap))
+        curvature = float(np.sum(p * Ap))
+        if curvature <= 0.0:
+            raise CurvatureError(
+                f"CG met nonpositive curvature p.Ap = {curvature:.3e} at "
+                f"iteration {it} (eps = {sys.eps:.3e})")
+        alpha = rz / curvature
         x += alpha * p
         r -= alpha * Ap
         rel = float(np.sqrt(np.sum(r * r))) / b_norm
         history.append(rel)
         if rel <= tol:
             break
-        z = pre.apply(r) if pre else r
+        z = precond(r)
         rz_new = float(np.sum(r * z))
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -471,7 +521,7 @@ def verify_null_control(grid: SpatialGrid, domain: DomainSpec,
     chi = domain.in_omega(grid.nodes)
     support_ok = bool(np.all(v_vals[:, ~chi] == 0.0))
 
-    q_run = solve_free_q(grid, beta0, beta1, times, a=a)
+    q_run = solve_forward(grid, beta0, beta1, times, a=a)
     f_vals = assemble_source(theta1, q_run).values
 
     controlled = solve_forward(grid, beta0, beta1, times, a=a, forcing=v_vals)

@@ -162,6 +162,19 @@ class TestCli:
         assert main(["report", str(out_root / cfg.config_hash)]) == 0
         assert main(["report", str(tmp_path / "nowhere")]) == 1
 
+    def test_report_shows_solver_diagnostics(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "control")
+        out_root = tmp_path / "runs"
+        main(["run", str(path), "--out-root", str(out_root)])
+        capsys.readouterr()
+        main(["report", str(out_root / load_config(path).config_hash)])
+        out = capsys.readouterr().out
+        # n_modes = 16: half-bandwidth 6 * 16 - 1, band 96 x (48 * 16) doubles
+        assert "metrics.precond_half_bandwidth = 95\n" in out
+        assert f"metrics.precond_band_mb = {8e-6 * 96 * 48 * 16!r}\n" in out
+        for key in ("cg_iterations", "eps", "norm_estimate"):
+            assert f"metrics.{key} = " in out
+
 
 class TestSnapshot:
     def test_roundtrip(self, tmp_path):

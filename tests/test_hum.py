@@ -1,11 +1,15 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from beamctrl.dynamics import BeamTrajectory, solve_forward
-from beamctrl.hum import (CGConvergenceError, assemble_hum_system,
-                          assemble_source, build_theta1, control_on_times,
-                          minimize_J, solve_free_q, time_stencil,
-                          verify_null_control)
+from beamctrl.hum import (CGConvergenceError, CurvatureError,
+                          FactorizationError, HumSource, assemble_hum_system,
+                          assemble_source, banded_preconditioner,
+                          build_theta1, control_on_times, minimize_J,
+                          time_stencil, verify_null_control)
 from beamctrl.torus import SpatialGrid, uniform_interior
 from beamctrl.weights import eval_weights
 
@@ -179,6 +183,54 @@ class TestQuadraticSystem:
         assert np.max(np.abs(diff - expect)) <= 1e-12 * scale
 
 
+def dense_from_band(ab):
+    """Symmetric dense matrix from LAPACK lower band storage."""
+    n = ab.shape[1]
+    A = np.zeros((n, n))
+    for d in range(ab.shape[0]):
+        i = np.arange(n - d)
+        A[i + d, i] = A[i, i + d] = ab[d, :n - d]
+    return A
+
+
+class TestNormalBand:
+    @settings(max_examples=25, deadline=None)
+    @given(half_nx=st.integers(2, 8), n_time=st.integers(8, 24),
+           potential=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(half_nx=4, n_time=8, potential=True, seed=0)
+    @example(half_nx=2, n_time=8, potential=False, seed=1)
+    def test_band_is_the_operator(self, domain, eta, theta, params, half_nx,
+                                  n_time, potential, seed):
+        # n_time = 8 is the stencil minimum, where the one-sided end
+        # stencils of the two time edges overlap
+        nx = 2 * half_nx
+        grid = SpatialGrid(nx, domain.circumference, x0=-domain.L)
+        tg = uniform_interior(domain.T, n_time)
+        w = eval_weights(eta, theta, params, grid.nodes, tg)
+        rng = np.random.default_rng(seed)
+        source = HumSource(values=rng.standard_normal((n_time, nx)),
+                           t_nodes=tg.nodes, band=(0.0, domain.T))
+        a = rng.uniform(-1, 1, size=(n_time, nx)) if potential else None
+        system = assemble_hum_system(grid, tg, w, source, a_vals=a)
+
+        ab = system.normal_band()
+        assert ab.shape == system.band_shape == (6 * nx, n_time * nx)
+        A = dense_from_band(ab)
+        psi = rng.standard_normal((n_time, nx))
+        ref = system.apply(psi).ravel()
+        assert np.max(np.abs(A @ psi.ravel() - ref)) \
+            <= 1e-13 * np.max(np.abs(ref))
+        # every column of apply, upper triangle included, matches the
+        # symmetric expansion of the stored lower band, and nothing of the
+        # operator lies outside the band
+        cols = np.stack([system.apply(e.reshape(n_time, nx)).ravel()
+                         for e in np.eye(n_time * nx)], axis=1)
+        assert np.max(np.abs(cols - A)) <= 1e-13 * np.max(np.abs(cols))
+
+        assert system.eps > 0
+        assert np.all(np.isfinite(banded_preconditioner(system)(ref)))
+
+
 class TestMinimize:
     def test_zero_source_gives_zero(self, domain, grid8, tgrid16, weights8):
         theta1 = build_theta1(domain.T)
@@ -192,7 +244,6 @@ class TestMinimize:
     def test_rhs_scaling_scales_solution(self, small_system):
         _, _, _, system = small_system
         sol1 = minimize_J(system, tol=1e-12, max_iter=2000)
-        import copy
         scaled = copy.copy(system)
         scaled.rhs = 5.0 * system.rhs
         sol5 = minimize_J(scaled, tol=1e-12, max_iter=2000)
@@ -212,6 +263,8 @@ class TestMinimize:
         dense = np.linalg.solve(A, system.rhs.ravel())
         rel = np.linalg.norm(sol.psi_min.ravel() - dense) / np.linalg.norm(dense)
         assert rel < 1e-8
+        # the banded Cholesky preconditioner is exact; PCG only refines
+        assert sol.iterations <= 2
 
     def test_minimum_properties(self, small_system):
         _, _, _, system = small_system
@@ -229,6 +282,20 @@ class TestMinimize:
         with pytest.raises(CGConvergenceError) as err:
             minimize_J(system, tol=1e-14, max_iter=2, precondition=False)
         assert len(err.value.history) == 3
+
+    def test_factor_breakdown_raises_named_error(self, small_system):
+        _, _, _, system = small_system
+        broken = copy.copy(system)
+        broken.eps = -1e3 * system.norm_estimate
+        with pytest.raises(FactorizationError, match="eps"):
+            minimize_J(broken)
+
+    def test_nonpositive_curvature_raises(self, small_system):
+        _, _, _, system = small_system
+        indefinite = copy.copy(system)
+        indefinite.eps = -10.0 * system.norm_estimate
+        with pytest.raises(CurvatureError, match="curvature"):
+            minimize_J(indefinite, precondition=False)
 
 
 class TestVerification:
