@@ -6,6 +6,11 @@ modal pair (beta, beta_t).  The stiff linear blocks are propagated exactly by
 their matrix exponential; the potential term and forcing are explicit with
 second-order accuracy (Lawson two-stage scheme), so the integrator has no
 step-size restriction from the kappa^4 stiffness.
+
+The march keeps its state in rfft space: the forcing is transformed once up
+front, the only per-step transforms form a*beta at the two stage points (4
+FFTs per step with a potential, none without), and the recorded states go
+back to nodes in one batched inverse transform at the end.
 """
 
 from __future__ import annotations
@@ -41,9 +46,6 @@ class ModePair:
     @property
     def lam_minus(self) -> complex:
         return 0.5 * (-self.kappa**2 - np.sqrt(3.0) * 1j * self.kappa**2)
-
-    def eigenvector(self, lam: complex) -> np.ndarray:
-        return np.array([1.0, lam])
 
 
 def analytic_eigenpairs(k: int, circumference: float | None = None) -> ModePair:
@@ -87,15 +89,6 @@ def propagator(grid: SpatialGrid, dt: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BeamState:
-    """Displacement and velocity fields at one time."""
-
-    beta: np.ndarray
-    beta_t: np.ndarray
-    t: float
-
-
-@dataclass(frozen=True)
 class Potential:
     """A bounded potential sampled on a space-time grid (time-major)."""
 
@@ -110,21 +103,24 @@ class Potential:
 
 @dataclass(frozen=True)
 class BeamTrajectory:
-    """States recorded on a uniform time grid, with energy diagnostics."""
+    """States recorded on a uniform time grid, with energy diagnostics.
+
+    A batched march carries a leading batch axis on every array but `times`;
+    the norm helpers below take one member (see `member`).
+    """
 
     grid: SpatialGrid
     times: np.ndarray
-    beta: np.ndarray      # (n_times, n_x)
+    beta: np.ndarray      # ([batch,] n_times, n_x)
     beta_t: np.ndarray
-    energy: np.ndarray
+    energy: np.ndarray    # ([batch,] n_times)
     dissipation: np.ndarray
 
-    @property
-    def n_times(self) -> int:
-        return self.times.size
-
-    def state(self, i: int) -> BeamState:
-        return BeamState(self.beta[i], self.beta_t[i], float(self.times[i]))
+    def member(self, i: int) -> "BeamTrajectory":
+        """Member i of a batched trajectory."""
+        return BeamTrajectory(self.grid, self.times, self.beta[i],
+                              self.beta_t[i], self.energy[i],
+                              self.dissipation[i])
 
     def terminal_norm(self) -> float:
         """L2 x L2 norm of (beta, beta_t) at the final time."""
@@ -135,57 +131,17 @@ class BeamTrajectory:
         return float(np.max(np.sqrt(self.grid.l2_sq(self.beta))))
 
 
-def energy(grid: SpatialGrid, state: BeamState) -> tuple[float, float]:
-    """Energy (1/2)(|beta_t|^2 + |beta_xx|^2) and dissipation rate |beta_tx|^2.
+def trajectory_energy(grid: SpatialGrid, beta: np.ndarray, beta_t: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Energy (1/2)(|beta_t|^2 + |beta_xx|^2) and dissipation rate |beta_tx|^2
+    of nodal fields of any leading shape, one value per row.
 
     Along unforced zero-potential trajectories dE/dt = -dissipation, which the
     integrator reproduces to second order in dt.
     """
-    e = 0.5 * (grid.l2_sq(state.beta_t) + grid.l2_sq(grid.deriv(state.beta, 2)))
-    d = grid.l2_sq(grid.deriv(state.beta_t, 1))
-    return float(e), float(d)
-
-
-class BeamStepper:
-    """One-step integrator with cached modal propagators for a fixed dt."""
-
-    def __init__(self, grid: SpatialGrid, dt: float):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        self.grid = grid
-        self.dt = dt
-        self.E = propagator(grid, dt)
-
-    def _apply_E(self, U: np.ndarray) -> np.ndarray:
-        return np.einsum("kij,jk->ik", self.E, U)
-
-    def step(self, state: BeamState, a_pair=None, f_pair=None) -> BeamState:
-        """Advance one step; a_pair/f_pair hold samples at (t, t + dt)."""
-        g = self.grid
-        dt = self.dt
-        U = np.stack([g.to_modes(state.beta), g.to_modes(state.beta_t)])
-
-        if a_pair is None and f_pair is None:
-            U1 = self._apply_E(U)
-        else:
-            zero = np.zeros(g.n)
-            a0, a1 = (zero, zero) if a_pair is None else a_pair
-            f0, f1 = (zero, zero) if f_pair is None else f_pair
-            n0 = g.to_modes(f0 - a0 * state.beta)
-            N0 = np.stack([np.zeros_like(n0), n0])
-            EU = self._apply_E(U)
-            EN0 = self._apply_E(N0)
-            beta_pred = g.to_nodes(EU[0] + dt * EN0[0])
-            n1 = g.to_modes(f1 - a1 * beta_pred)
-            U1 = EU + 0.5 * dt * (EN0 + np.stack([np.zeros_like(n1), n1]))
-
-        return BeamState(g.to_nodes(U1[0]), g.to_nodes(U1[1]), state.t + dt)
-
-
-def step_forward(grid: SpatialGrid, state: BeamState, dt: float,
-                 a_pair=None, f_pair=None) -> BeamState:
-    """Single-step convenience wrapper around BeamStepper."""
-    return BeamStepper(grid, dt).step(state, a_pair, f_pair)
+    e = 0.5 * (grid.l2_sq(beta_t) + grid.l2_sq(grid.deriv(beta, 2)))
+    d = grid.l2_sq(grid.deriv(beta_t, 1))
+    return e, d
 
 
 def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
@@ -194,49 +150,103 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
                   divergence_factor: float = 1e6) -> BeamTrajectory:
     """March the beam over a uniform time grid, recording every state.
 
-    `a.values` and `forcing` are sampled at the trajectory's own time nodes
-    (shape (n_times, n_x)); each step uses the node values at its two ends.
-    Aborts with SolverDivergenceError if the state norm exceeds
-    divergence_factor times its initial size.
+    `a.values` (shape (n_times, n_x)) and `forcing` are sampled at the
+    trajectory's own time nodes; each step uses the node values at its two
+    ends.  `beta0`/`beta1` may carry a leading batch axis, which `forcing`
+    (shape ([batch,] n_times, n_x)) must then share; the potential is shared
+    by every member, and each member's march equals its unbatched march bit
+    for bit.
+
+    The state lives in rfft space.  A step applies the exact modal
+    propagator; with a potential it forms a*beta at nodes at both Lawson
+    stages (4 FFTs), without one it does no transform at all.  Energy and
+    dissipation are evaluated once, vectorized, on the nodal result.
+
+    Each member's divergence guard is divergence_factor times its data norm
+    plus the trapezoid integral of its forcing's L2 norm; a state whose norm
+    exceeds it, or is not finite, raises SolverDivergenceError.  A member
+    with zero data and zero forcing stays exactly zero, so its zero guard
+    never fires.  Non-finite inputs and mismatched shapes raise ValueError.
     """
+    g = grid
     times = np.asarray(times, dtype=float)
     steps = np.diff(times)
-    if times.size < 2 or not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
-        raise ValueError("times must be a uniform grid with at least two nodes")
-    a_vals = a.values if a is not None else None
-    for name, arr in (("a", a_vals), ("forcing", forcing)):
-        if arr is not None and arr.shape != (times.size, grid.n):
-            raise ValueError(f"{name} must have shape (n_times, n_x)")
-
-    stepper = BeamStepper(grid, float(steps[0]))
+    if (times.size < 2 or not steps[0] > 0
+            or not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0)):
+        raise ValueError("times must be an increasing uniform grid with at "
+                         "least two nodes")
+    data = np.stack([np.asarray(beta0, dtype=float),
+                     np.asarray(beta1, dtype=float)])
+    if np.shape(beta0) != np.shape(beta1) or data.ndim not in (2, 3) \
+            or data.shape[-1] != g.n:
+        raise ValueError("beta0 and beta1 must share the shape ([batch,] n_x)")
+    batch = data.shape[1:-1]
     n_t = times.size
-    beta = np.empty((n_t, grid.n))
-    beta_t = np.empty((n_t, grid.n))
-    E = np.empty(n_t)
-    D = np.empty(n_t)
+    a_vals = None if a is None else a.values
+    if a_vals is not None and a_vals.shape != (n_t, g.n):
+        raise ValueError("a must have shape (n_times, n_x)")
+    forcing = (np.zeros(batch + (n_t, g.n)) if forcing is None
+               else np.asarray(forcing, dtype=float))
+    if forcing.shape != batch + (n_t, g.n):
+        raise ValueError(f"forcing has shape {forcing.shape}, but the data "
+                         f"batch needs {batch + (n_t, g.n)}")
+    for name, arr in (("beta0", data[0]), ("beta1", data[1]),
+                      ("a.values", a_vals), ("forcing", forcing)):
+        if arr is not None and not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} is not finite")
 
-    state = BeamState(np.asarray(beta0, dtype=float),
-                      np.asarray(beta1, dtype=float), float(times[0]))
-    beta[0], beta_t[0] = state.beta, state.beta_t
-    E[0], D[0] = energy(grid, state)
-    norm0 = np.sqrt(grid.l2_sq(state.beta) + grid.l2_sq(state.beta_t))
-    guard = divergence_factor * (norm0 + 1e-300)
+    data = data.reshape(2, -1, g.n)                         # (2, B, n_x)
+    forcing = forcing.reshape(-1, n_t, g.n)                 # (B, n_t, n_x)
+    f_hat = g.to_modes(forcing.transpose(1, 0, 2))          # (n_t, B, n_m)
+    n_m = f_hat.shape[-1]
+    dt = float(steps[0])
+    trap = np.full(n_t, dt)
+    trap[0] = trap[-1] = 0.5 * dt
+    # the guard sees each member divided by its largest input, so that the
+    # squared norms neither underflow nor overflow
+    scale = np.maximum(np.abs(data).max(axis=(0, 2)),
+                       np.abs(forcing).max(axis=(1, 2)))[:, None]   # (B, 1)
+    scale[scale == 0] = 1.0            # an all-zero member stays exactly zero
+    d, f = data / scale, forcing / scale[:, :, None]
+    guard_sq = (divergence_factor * (np.sqrt(g.l2_sq(d[0]) + g.l2_sq(d[1]))
+                                     + g.l2(f) @ trap)) ** 2
+    # Parseval: |u|_L2^2 = circumference / n^2 * sum_k mult_k |u_hat_k|^2,
+    # on the float view of one member's modal pair (beta, beta_t)
+    mult = np.r_[1.0, np.full(n_m - 2, 2.0), 1.0]
+    mult = np.tile(np.repeat(mult, 2), 2) * g.circumference / g.n ** 2
 
+    E = propagator(g, dt).astype(complex)
+    e00, e01, e10, e11 = E[:, 0, 0], E[:, 0, 1], E[:, 1, 0], E[:, 1, 1]
+    dt_e01, hdt_e01, hdt_e11 = dt * e01, 0.5 * dt * e01, 0.5 * dt * e11
+    hdt = 0.5 * dt
+
+    n_b = data.shape[1]
+    U = np.empty((n_t, n_b, 2, n_m), dtype=complex)
+    U[0] = g.to_modes(data.transpose(1, 0, 2))
     for i in range(n_t - 1):
-        a_pair = None if a_vals is None else (a_vals[i], a_vals[i + 1])
-        f_pair = None if forcing is None else (forcing[i], forcing[i + 1])
-        state = stepper.step(state, a_pair, f_pair)
-        beta[i + 1], beta_t[i + 1] = state.beta, state.beta_t
-        E[i + 1], D[i + 1] = energy(grid, state)
-        norm = np.sqrt(grid.l2_sq(state.beta) + grid.l2_sq(state.beta_t))
-        if norm > guard and norm0 > 0:
+        b, bt = U[i, :, 0], U[i, :, 1]
+        Eb = e00 * b + e01 * bt
+        n0, n1 = f_hat[i], f_hat[i + 1]
+        if a_vals is not None:
+            n0 = n0 - g.to_modes(a_vals[i] * g.to_nodes(b))
+            n1 = n1 - g.to_modes(a_vals[i + 1] * g.to_nodes(Eb + dt_e01 * n0))
+        U[i + 1, :, 0] = Eb + hdt_e01 * n0
+        U[i + 1, :, 1] = e10 * b + e11 * bt + hdt_e11 * n0 + hdt * n1
+        v = U[i + 1].reshape(n_b, -1).view(float) / scale
+        norm_sq = (v * v) @ mult
+        if not (norm_sq <= guard_sq).all():
+            norm = np.max(np.sqrt(norm_sq) * scale[:, 0])
             raise SolverDivergenceError(
-                f"norm grew to {norm:.3e} (>{divergence_factor:.0e} x initial) "
-                f"at step {i + 1}, t = {state.t:.6g}"
+                f"norm grew to {norm:.3e} (>{divergence_factor:.0e} x "
+                f"(data norm + forcing integral)) at step {i + 1}, "
+                f"t = {times[i + 1]:.6g}"
             )
 
-    return BeamTrajectory(grid=grid, times=times, beta=beta, beta_t=beta_t,
-                          energy=E, dissipation=D)
+    nodes = g.to_nodes(U.transpose(2, 1, 0, 3))             # (2, B, n_t, n_x)
+    beta, beta_t = nodes.reshape((2,) + batch + (n_t, g.n))
+    energy, dissipation = trajectory_energy(g, beta, beta_t)
+    return BeamTrajectory(grid=g, times=times, beta=beta, beta_t=beta_t,
+                          energy=energy, dissipation=dissipation)
 
 
 # fixed-point treatment of the potential -------------------------------------
@@ -266,19 +276,16 @@ def calibrate_solver_constant(grid: SpatialGrid, T: float = 1.0,
     rng = np.random.default_rng(seed)
     times = np.linspace(0.0, T, n_steps + 1)
     dt = times[1] - times[0]
-    worst = 0.0
-    for _ in range(3):
-        coeffs = rng.standard_normal((4, grid.n))
-        profile = sum(
-            c[None, :] * np.sin((j + 1) * np.pi * times / T)[:, None]
-            for j, c in enumerate(coeffs)
-        )
-        traj = solve_forward(grid, np.zeros(grid.n), np.zeros(grid.n), times,
-                             forcing=profile)
-        resp = traj.sup_l2_beta()
-        src = np.sqrt(np.sum(grid.l2_sq(profile)) * dt)
-        worst = max(worst, resp / src)
-    return worst
+    coeffs = rng.standard_normal((3, 4, grid.n))   # = three (4, n) draws
+    profiles = sum(
+        coeffs[:, j, None, :] * np.sin((j + 1) * np.pi * times / T)[:, None]
+        for j in range(4)
+    )
+    zero = np.zeros((3, grid.n))
+    traj = solve_forward(grid, zero, zero, times, forcing=profiles)
+    resp = np.max(np.sqrt(grid.l2_sq(traj.beta)), axis=-1)
+    src = np.sqrt(np.sum(grid.l2_sq(profiles), axis=-1) * dt)
+    return float(np.max(resp / src))
 
 
 def fixed_point_solve(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
@@ -360,15 +367,11 @@ def fixed_point_solve(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
         keep = stop - start if stop == n_t - 1 else half
         beta[start:start + keep + 1] = traj.beta[:keep + 1]
         beta_t[start:start + keep + 1] = traj.beta_t[:keep + 1]
-        data = (traj.beta[keep] if stop == n_t - 1 else traj.beta[half],
-                traj.beta_t[keep] if stop == n_t - 1 else traj.beta_t[half])
+        data = (traj.beta[keep], traj.beta_t[keep])
         start += keep
         windows += 1
 
-    E = np.empty(n_t)
-    D = np.empty(n_t)
-    for i in range(n_t):
-        E[i], D[i] = energy(grid, BeamState(beta[i], beta_t[i], times[i]))
+    E, D = trajectory_energy(grid, beta, beta_t)
     full = BeamTrajectory(grid=grid, times=times, beta=beta, beta_t=beta_t,
                           energy=E, dissipation=D)
 

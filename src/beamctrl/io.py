@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import BeamTrajectory
+from .dynamics import BeamTrajectory, trajectory_energy
 from .torus import SpatialGrid
 
 SNAPSHOT_MAGIC = b"BEAMSNAP"
@@ -82,8 +82,6 @@ def write_snapshot(path: Path, traj: BeamTrajectory) -> Path:
 
 
 def read_snapshot(path: Path) -> BeamTrajectory:
-    from .dynamics import BeamState, energy
-
     with Path(path).open("rb") as fh:
         magic = fh.read(8)
         if magic != SNAPSHOT_MAGIC:
@@ -98,10 +96,7 @@ def read_snapshot(path: Path) -> BeamTrajectory:
         beta_t = np.frombuffer(fh.read(8 * n_t * n_x),
                                dtype="<f8").reshape(n_t, n_x).copy()
     grid = SpatialGrid(n_x, circumference, x0)
-    E = np.empty(n_t)
-    D = np.empty(n_t)
-    for i in range(n_t):
-        E[i], D[i] = energy(grid, BeamState(beta[i], beta_t[i], times[i]))
+    E, D = trajectory_energy(grid, beta, beta_t)
     return BeamTrajectory(grid=grid, times=times, beta=beta, beta_t=beta_t,
                           energy=E, dissipation=D)
 

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from beamctrl.dynamics import (BeamState, Potential, SolverDivergenceError,
+from beamctrl.dynamics import (Potential, SolverDivergenceError,
                                analytic_eigenpairs, assemble_operator,
-                               calibrate_solver_constant, energy,
-                               fixed_point_solve, propagator, solve_forward,
-                               step_forward)
+                               calibrate_solver_constant, fixed_point_solve,
+                               propagator, solve_forward, trajectory_energy)
+from beamctrl.io import read_snapshot, write_snapshot
 from beamctrl.torus import SpatialGrid
 
 
@@ -74,32 +74,33 @@ class TestPropagator:
                                    rtol=1e-12, atol=1e-13)
 
     def test_k0_jordan_block(self, grid):
-        state = BeamState(np.full(grid.n, 2.0), np.full(grid.n, 0.5), 0.0)
-        out = step_forward(grid, state, 0.25)
-        assert np.allclose(out.beta, 2.0 + 0.5 * 0.25, atol=1e-14)
-        assert np.allclose(out.beta_t, 0.5, atol=1e-14)
+        out = solve_forward(grid, np.full(grid.n, 2.0), np.full(grid.n, 0.5),
+                            np.array([0.0, 0.25]))
+        assert np.allclose(out.beta[-1], 2.0 + 0.5 * 0.25, atol=1e-14)
+        assert np.allclose(out.beta_t[-1], 0.5, atol=1e-14)
 
     def test_single_mode_one_step_exact(self, grid):
         k = 2
         kap = grid.kappa[k]
         lam = analytic_eigenpairs(k, circumference=grid.circumference).lam_plus
         mode = np.exp(1j * kap * grid.nodes)
-        state = BeamState(np.real(mode), np.real(lam * mode), 0.0)
         dt = 0.17
-        out = step_forward(grid, state, dt)
+        out = solve_forward(grid, np.real(mode), np.real(lam * mode),
+                            np.array([0.0, dt]))
         expect = np.real(np.exp(lam * dt) * mode)
-        assert np.max(np.abs(out.beta - expect)) < 1e-12 * np.max(np.abs(expect))
+        assert (np.max(np.abs(out.beta[-1] - expect))
+                < 1e-12 * np.max(np.abs(expect)))
 
     def test_zero_state_stays_zero(self, grid):
-        state = BeamState(np.zeros(grid.n), np.zeros(grid.n), 0.0)
-        a_pair = (np.ones(grid.n), np.ones(grid.n))
-        out = step_forward(grid, state, 0.1, a_pair=a_pair)
+        a = Potential.from_values(np.ones((2, grid.n)))
+        out = solve_forward(grid, np.zeros(grid.n), np.zeros(grid.n),
+                            np.array([0.0, 0.1]), a=a)
         assert np.all(out.beta == 0.0) and np.all(out.beta_t == 0.0)
 
     def test_rejects_nonpositive_dt(self, grid):
-        state = BeamState(np.zeros(grid.n), np.zeros(grid.n), 0.0)
         with pytest.raises(ValueError):
-            step_forward(grid, state, -0.1)
+            solve_forward(grid, np.zeros(grid.n), np.zeros(grid.n),
+                          np.array([0.0, -0.1]))
 
 
 class TestSolveForward:
@@ -131,6 +132,8 @@ class TestSolveForward:
 
     @given(alpha=st.floats(-4.0, 4.0))
     @settings(max_examples=10, deadline=None)
+    @example(alpha=1.8305252962998064e-163)   # squared norms underflow
+    @example(alpha=5e-324)
     def test_linearity_in_data(self, grid, alpha):
         b0, b1 = smooth_data(grid, seed=7)
         times = np.linspace(0, 0.5, 33)
@@ -187,6 +190,78 @@ class TestSolveForward:
         with pytest.raises(SolverDivergenceError):
             solve_forward(grid, b0, b1, times, a=bad)
 
+    def test_zero_data_forced_divergence_detected(self, grid):
+        # the guard scales with the forcing integral when the data are zero
+        times = np.linspace(0, 2.0, 257)
+        f = 1e-3 * np.sin(np.pi * times)[:, None] * np.cos(grid.nodes)[None, :]
+        bad = Potential.from_values(np.full((257, grid.n), -3.0e4))
+        with pytest.raises(SolverDivergenceError):
+            solve_forward(grid, np.zeros(grid.n), np.zeros(grid.n), times,
+                          a=bad, forcing=f)
+
+    def test_rejects_nan_potential(self, grid):
+        b0, b1 = smooth_data(grid, seed=6)
+        times = np.linspace(0, 0.5, 33)
+        values = np.zeros((33, grid.n))
+        values[5, 3] = np.nan
+        with pytest.raises(ValueError, match="a.values"):
+            solve_forward(grid, b0, b1, times, a=Potential.from_values(values))
+
+    def test_rejects_mismatched_batch(self, grid):
+        b0, b1 = smooth_data(grid, seed=6)
+        times = np.linspace(0, 0.5, 33)
+        with pytest.raises(ValueError, match="batch"):
+            solve_forward(grid, np.stack([b0, b0]), np.stack([b1, b1]), times,
+                          forcing=np.zeros((3, 33, grid.n)))
+
+    def test_batch_members_equal_unbatched_bit_for_bit(self, grid):
+        times = np.linspace(0, 1.0, 129)
+        rng = np.random.default_rng(11)
+        data = [smooth_data(grid, seed=s) for s in (1, 2, 3)]
+        b0 = np.stack([d[0] for d in data])
+        b1 = np.stack([d[1] for d in data])
+        f = rng.standard_normal((3, 129, grid.n))
+        a = Potential.from_values(
+            np.cos(grid.kappa[1] * grid.nodes)[None, :] * np.cos(times)[:, None])
+        batch = solve_forward(grid, b0, b1, times, a=a, forcing=f)
+        for i in range(3):
+            one = solve_forward(grid, b0[i], b1[i], times, a=a, forcing=f[i])
+            member = batch.member(i)
+            for name in ("beta", "beta_t", "energy", "dissipation"):
+                assert np.array_equal(getattr(member, name), getattr(one, name))
+
+    def test_matches_nodal_lawson_reference(self, grid):
+        # the same Lawson two-stage step, marched through nodes every step
+        b0, b1 = smooth_data(grid, seed=10)
+        times = np.linspace(0, 0.5, 65)
+        dt = times[1] - times[0]
+        rng = np.random.default_rng(12)
+        f = rng.standard_normal((65, grid.n))
+        a_vals = 2.0 + np.cos(grid.kappa[1] * grid.nodes)[None, :] \
+            * np.sin(3 * times)[:, None]
+        E = propagator(grid, dt)
+
+        def prop(U):
+            return np.einsum("kij,jk->ik", E, U)
+
+        beta, beta_t = b0, b1
+        for i in range(64):
+            U = np.stack([grid.to_modes(beta), grid.to_modes(beta_t)])
+            n0 = grid.to_modes(f[i] - a_vals[i] * beta)
+            EN0 = prop(np.stack([np.zeros_like(n0), n0]))
+            EU = prop(U)
+            pred = grid.to_nodes(EU[0] + dt * EN0[0])
+            n1 = grid.to_modes(f[i + 1] - a_vals[i + 1] * pred)
+            U1 = EU + 0.5 * dt * (EN0 + np.stack([np.zeros_like(n1), n1]))
+            beta, beta_t = grid.to_nodes(U1[0]), grid.to_nodes(U1[1])
+
+        traj = solve_forward(grid, b0, b1, times,
+                             a=Potential.from_values(a_vals), forcing=f)
+        assert np.allclose(traj.beta[-1], beta, rtol=0,
+                           atol=1e-12 * np.max(np.abs(beta)))
+        assert np.allclose(traj.beta_t[-1], beta_t, rtol=0,
+                           atol=1e-12 * np.max(np.abs(beta_t)))
+
     def test_rejects_nonuniform_times(self, grid):
         times = np.array([0.0, 0.1, 0.3])
         with pytest.raises(ValueError):
@@ -195,16 +270,31 @@ class TestSolveForward:
 
 class TestEnergy:
     def test_zero_state(self, grid):
-        e, d = energy(grid, BeamState(np.zeros(grid.n), np.zeros(grid.n), 0.0))
+        e, d = trajectory_energy(grid, np.zeros(grid.n), np.zeros(grid.n))
         assert e == 0.0 and d == 0.0
 
     def test_single_mode_value(self, grid):
         # beta = cos(kappa x), beta_t = 0: E = kappa^4 * circumference / 4
         kap = grid.kappa[1]
-        state = BeamState(np.cos(kap * grid.nodes), np.zeros(grid.n), 0.0)
-        e, d = energy(grid, state)
+        e, d = trajectory_energy(grid, np.cos(kap * grid.nodes),
+                                 np.zeros(grid.n))
         assert e == pytest.approx(kap**4 * grid.circumference / 4, rel=1e-12)
         assert d == 0.0
+
+    def test_rows_equal_single_state_calls(self, grid):
+        b0, b1 = smooth_data(grid, seed=2)
+        beta = np.stack([b0, 2 * b0, -b0])
+        beta_t = np.stack([b1, b1, 3 * b1])
+        e, d = trajectory_energy(grid, beta, beta_t)
+        for i in range(3):
+            assert (e[i], d[i]) == trajectory_energy(grid, beta[i], beta_t[i])
+
+    def test_snapshot_round_trip_energy_bit_for_bit(self, grid, tmp_path):
+        b0, b1 = smooth_data(grid, seed=2)
+        traj = solve_forward(grid, b0, b1, np.linspace(0, 0.5, 65))
+        back = read_snapshot(write_snapshot(tmp_path / "traj.bin", traj))
+        assert np.array_equal(back.energy, traj.energy)
+        assert np.array_equal(back.dissipation, traj.dissipation)
 
 
 class TestFixedPoint:

@@ -208,8 +208,7 @@ class TestNormalBand:
         tg = uniform_interior(domain.T, n_time)
         w = eval_weights(eta, theta, params, grid.nodes, tg)
         rng = np.random.default_rng(seed)
-        source = HumSource(values=rng.standard_normal((n_time, nx)),
-                           t_nodes=tg.nodes, band=(0.0, domain.T))
+        source = HumSource(values=rng.standard_normal((n_time, nx)))
         a = rng.uniform(-1, 1, size=(n_time, nx)) if potential else None
         system = assemble_hum_system(grid, tg, w, source, a_vals=a)
 
