@@ -3,34 +3,40 @@
 The standard bump g(u) = exp(-1/(1-u^2)) on (-1,1) underlies three
 constructions in this package: the mollifier that rounds the corners of the
 spatial weight profile, localized test functions supported in the control
-collar, and the smooth time cutoff used by the control synthesis.  Its
-derivatives are rational-function multiples of g itself; they are generated
-once at import time with sympy and evaluated with numpy afterwards.
+collar, and the smooth time cutoff used by the control synthesis.  With
+w = 1 - u^2 its derivatives are g^(j) = p_j(u) g / w^(2j), where p_0 = 1 and
+p_{j+1} = p_j' w^2 - 2 u p_j + 4 j u w p_j; the smoothstep and its first two
+derivatives are written in closed form.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import sympy as sp
+from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
+from scipy.special import expit
 
 _MAX_BUMP_ORDER = 4
 
-_u = sp.symbols("u")
-_g = sp.exp(-1 / (1 - _u**2))
-_BUMP_FUNCS = [
-    sp.lambdify(_u, sp.diff(_g, _u, j), "numpy") for j in range(_MAX_BUMP_ORDER + 1)
-]
 
-# unit-bump mass, used to normalize the mollifier to unit integral
-BUMP_MASS = quad(lambda y: float(np.exp(-1.0 / (1.0 - y * y))), -1.0, 1.0)[0]
+def _bump_numerators(max_order: int) -> list[Polynomial]:
+    """Q_j with p_j(u) = u^(j mod 2) Q_j(w): p_j has the parity of j, and
+    powers of w cancel far less than powers of u where g / w^(2j) peaks."""
+    u = Polynomial([0.0, 1.0])
+    w = 1.0 - u**2
+    p = Polynomial([1.0])
+    out = []
+    for j in range(max_order + 1):
+        out.append(Polynomial(p.coef[j % 2::2])(Polynomial([1.0, -1.0])))
+        p = p.deriv() * w**2 - 2.0 * u * p + 4.0 * j * u * w * p
+    return out
 
-# smoothstep s(u) = sigma(u) / (sigma(u) + sigma(1-u)), sigma(u) = exp(-1/u);
-# s rises from 0 to 1 on (0,1) with all derivatives vanishing at both ends.
-_sigma = sp.exp(-1 / _u)
-_step = _sigma / (_sigma + _sigma.subs(_u, 1 - _u))
-_STEP_FUNCS = [sp.lambdify(_u, sp.diff(_step, _u, j), "numpy") for j in range(3)]
+
+_BUMP_NUMERATORS = _bump_numerators(_MAX_BUMP_ORDER)
+
+# unit-bump mass int_{-1}^{1} g as scipy.integrate.quad returns it; it
+# normalizes the mollifier to unit integral
+BUMP_MASS = 0.44399381616807865
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(64)
 
@@ -43,7 +49,10 @@ def bump(u: np.ndarray, order: int = 0) -> np.ndarray:
     out = np.zeros_like(u)
     inside = np.abs(u) < 1.0 - 1e-12
     if np.any(inside):
-        out[inside] = _BUMP_FUNCS[order](u[inside])
+        ui = u[inside]
+        w = 1.0 - ui * ui
+        out[inside] = ui ** (order % 2) * _BUMP_NUMERATORS[order](w) \
+            * np.exp(-1.0 / w) / w ** (2 * order)
     return out
 
 
@@ -108,7 +117,12 @@ def corner_blend(z: np.ndarray, radius: float, order: int = 0) -> np.ndarray:
 
 
 def smoothstep(u: np.ndarray, order: int = 0) -> np.ndarray:
-    """C-infinity monotone step from 0 at u<=0 to 1 at u>=1 (derivatives to 2)."""
+    """C-infinity monotone step from 0 at u<=0 to 1 at u>=1 (derivatives to 2).
+
+    s = e^{-1/u} / (e^{-1/u} + e^{-1/(1-u)}) = expit(-h) with
+    h = (1-2u)/(u(1-u)), so s' = s(1-s) k and s'' = s(1-s)(k^2 (1-2s) + k')
+    with k = -h' = 1/u^2 + 1/(1-u)^2 and 1 - 2s = tanh(h/2).
+    """
     if order > 2:
         raise ValueError("smoothstep derivatives available up to order 2")
     u = np.asarray(u, dtype=float)
@@ -117,5 +131,14 @@ def smoothstep(u: np.ndarray, order: int = 0) -> np.ndarray:
         out[u >= 1.0] = 1.0
     inside = (u > 1e-12) & (u < 1.0 - 1e-12)
     if np.any(inside):
-        out[inside] = _STEP_FUNCS[order](u[inside])
+        ui = u[inside]
+        vi = 1.0 - ui
+        h = (1.0 - 2.0 * ui) / (ui * vi)
+        if order == 0:
+            out[inside] = expit(-h)
+        else:
+            k = 1.0 / ui**2 + 1.0 / vi**2
+            if order == 2:
+                k = k * k * np.tanh(0.5 * h) + (2.0 / vi**3 - 2.0 / ui**3)
+            out[inside] = expit(-h) * expit(h) * k
     return out

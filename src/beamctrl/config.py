@@ -27,15 +27,6 @@ class ConfigError(ValueError):
     """A configuration file failed validation; the message names the field."""
 
 
-def _parse_bool(raw: str) -> bool:
-    val = raw.strip().lower()
-    if val in ("true", "yes", "1"):
-        return True
-    if val in ("false", "no", "0"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 def _parse_floats(raw: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in raw.replace(";", ",").split(",") if tok.strip())
 

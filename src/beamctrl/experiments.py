@@ -20,13 +20,11 @@ import numpy as np
 from . import __version__
 from .audit import TestFunctionFamily, audit_inequality
 from .config import ExperimentConfig
-from .dynamics import (BeamTrajectory, Potential, analytic_eigenpairs,
-                       assemble_operator, fixed_point_solve, solve_forward)
-from .hum import (assemble_hum_system, assemble_source, build_theta1,
-                  minimize_J, verify_null_control)
-from .io import (write_control_csv, write_csv, write_field_csv,
-                 write_field_snapshot, write_flat_report, write_snapshot,
-                 write_trajectory_csv)
+from .dynamics import (Potential, analytic_eigenpairs, assemble_operator,
+                       fixed_point_solve, solve_forward)
+from .hum import build_theta1, synthesize_control
+from .io import (write_csv, write_field_csv, write_field_snapshot,
+                 write_flat_report, write_snapshot)
 from .torus import SpatialGrid, gauss_panels, uniform_interior
 from .weights import (audit_derivative_bounds, build_eta, build_theta,
                       eval_weights, sweep_lambda_bounds)
@@ -159,20 +157,6 @@ def make_potential_sampler(cfg: ExperimentConfig, grid: SpatialGrid):
     return sampler
 
 
-def _hum_time_grid_trajectory(cfg, grid, sampler, b0, b1, n_time):
-    """Free trajectory on the half-step grid whose odd nodes are the
-    midpoint nodes of the quadratic system's time grid."""
-    dom = cfg.domain()
-    times = np.linspace(0.0, dom.T, 2 * n_time + 1)
-    a = Potential.from_values(sampler(times)) if sampler else None
-    q = solve_forward(grid, b0, b1, times, a=a)
-    return BeamTrajectory(
-        grid=grid, times=times[1::2], beta=q.beta[1::2],
-        beta_t=q.beta_t[1::2], energy=q.energy[1::2],
-        dissipation=q.dissipation[1::2],
-    )
-
-
 # experiment kinds -------------------------------------------------------------
 
 def _run_spectrum(cfg: ExperimentConfig, run_dir: Path):
@@ -228,11 +212,12 @@ def _run_forward(cfg: ExperimentConfig, run_dir: Path):
 
     traj = solve_forward(grid, b0, b1, times, a=a)
     files = [
-        write_csv(run_dir / "energy.csv", ["t", "energy", "dissipation"],
-                  ((repr(float(t)), repr(float(e)), repr(float(d)))
-                   for t, e, d in zip(traj.times, traj.energy,
-                                      traj.dissipation))),
-        write_trajectory_csv(run_dir / "trajectory.csv", traj),
+        write_field_csv(run_dir / "energy.csv", {
+            "t": traj.times, "energy": traj.energy,
+            "dissipation": traj.dissipation}),
+        write_field_csv(run_dir / "trajectory.csv", {
+            "t": traj.times[:, None], "x": grid.nodes[None, :],
+            "beta": traj.beta, "beta_t": traj.beta_t}),
         write_snapshot(run_dir / "trajectory.bin", traj),
     ]
     dt = times[1] - times[0]
@@ -289,23 +274,17 @@ def _run_weights_audit(cfg: ExperimentConfig, run_dir: Path):
             ((name, repr(c), p, repr(xa), repr(ta))
              for name, c, p, xa, ta in report.rows())))
     ts = np.linspace(dom.T / 512, dom.T * (1 - 1 / 512), 512)
-    files.append(write_csv(
-        run_dir / "theta_profile.csv", ["t", "theta"],
-        ((repr(float(t)), repr(float(v)))
-         for t, v in zip(ts, theta.eval(ts)))))
+    files.append(write_field_csv(run_dir / "theta_profile.csv",
+                                 {"t": ts, "theta": theta.eval(ts)}))
     w = eval_weights(eta, theta, params, grid.nodes, t_grid)
-    field_map = {"phi": w.phi, "xi": w.xi}
+    field_map = {"x": grid.nodes[None, :], "t": t_grid.nodes[:, None],
+                 "phi": w.phi, "xi": w.xi}
     field_map.update({f"phi_x{i}": w.phi_x[i] for i in (1, 2, 3, 4)})
     field_map.update({f"xi_x{i}": w.xi_x[i] for i in (1, 2, 3, 4)})
-    field_map.update({
-        "phi_t": w.phi_t, "phi_tt": w.phi_tt, "phi_tx": w.phi_tx,
-        "phi_txx": w.phi_txx, "phi_txxx": w.phi_txxx, "phi_ttx": w.phi_ttx,
-        "phi_ttxx": w.phi_ttxx, "xi_t": w.xi_t, "xi_tt": w.xi_tt,
-        "xi_tx": w.xi_tx, "xi_txx": w.xi_txx, "xi_txxx": w.xi_txxx,
-        "xi_ttx": w.xi_ttx, "xi_ttxx": w.xi_ttxx,
-    })
-    files.append(write_field_csv(run_dir / "weights_field.csv", grid.nodes,
-                                 t_grid.nodes, field_map))
+    field_map.update({name: getattr(w, name) for name in (
+        f"{fam}_{d}" for fam in ("phi", "xi")
+        for d in ("t", "tt", "tx", "txx", "txxx", "ttx", "ttxx"))})
+    files.append(write_field_csv(run_dir / "weights_field.csv", field_map))
 
     base = audit_derivative_bounds(w)
     metrics = {
@@ -385,39 +364,27 @@ def _run_control(cfg: ExperimentConfig, run_dir: Path):
     params = cfg.carleman_params()
     theta = build_theta(params, dom.T)
     theta1 = build_theta1(dom.T, hum["r0"], hum["r1"])
-    n_time = cfg["grid"]["n_time"]
-    t_grid = uniform_interior(dom.T, n_time)
-    w = eval_weights(eta, theta, params, grid.nodes, t_grid)
-
+    t_grid = uniform_interior(dom.T, cfg["grid"]["n_time"])
     b0, b1 = make_data(cfg, grid)
-    sampler = make_potential_sampler(cfg, grid)
-    q_hum = _hum_time_grid_trajectory(cfg, grid, sampler, b0, b1, n_time)
-    source = assemble_source(theta1, q_hum)
-    a_vals = sampler(t_grid.nodes) if sampler else None
-    system = assemble_hum_system(grid, t_grid, w, source, a_vals=a_vals,
-                                 eps_scale=hum["eps_scale"])
-    sol = minimize_J(system, tol=hum["tol"], max_iter=hum["max_iter"])
-    report, runs = verify_null_control(grid, dom, b0, b1, theta1, sol,
-                                       system, eta, theta,
-                                       a_sampler=sampler,
-                                       n_steps=hum["verify_steps"])
+    system, sol, report, runs = synthesize_control(
+        grid, t_grid, eta, theta, params, theta1, b0, b1,
+        a_sampler=make_potential_sampler(cfg, grid),
+        eps_scale=hum["eps_scale"], tol=hum["tol"], max_iter=hum["max_iter"],
+        verify_steps=hum["verify_steps"])
 
+    norms = {name: np.sqrt(grid.l2_sq(runs[name].beta)
+                           + grid.l2_sq(runs[name].beta_t))
+             for name in ("controlled", "uncontrolled")}
     files = [
-        write_control_csv(run_dir / "control.csv", grid.nodes, t_grid.nodes,
-                          sol.v),
+        write_field_csv(run_dir / "control.csv", {
+            "t": t_grid.nodes[:, None], "x": grid.nodes[None, :],
+            "v": sol.v}),
         write_field_snapshot(run_dir / "control.bin", grid, t_grid.nodes,
                              sol.v),
         write_csv(run_dir / "cg_residuals.csv", ["iteration", "relative_residual"],
                   ((i, repr(r)) for i, r in enumerate(sol.residual_history))),
-        write_csv(run_dir / "state_norms.csv",
-                  ["t", "controlled", "uncontrolled"],
-                  ((repr(float(t)), repr(float(c)), repr(float(u)))
-                   for t, c, u in zip(
-                       runs["controlled"].times,
-                       np.sqrt(grid.l2_sq(runs["controlled"].beta)
-                               + grid.l2_sq(runs["controlled"].beta_t)),
-                       np.sqrt(grid.l2_sq(runs["uncontrolled"].beta)
-                               + grid.l2_sq(runs["uncontrolled"].beta_t))))),
+        write_field_csv(run_dir / "state_norms.csv",
+                        {"t": runs["controlled"].times, **norms}),
         write_flat_report(run_dir / "terminal_report.txt", report.rows()),
         write_snapshot(run_dir / "controlled.bin", runs["controlled"]),
     ]

@@ -20,6 +20,11 @@ refine that direct solve in one or two iterations.  The minimizer yields
 the weighted residual g_tilde = e^{-2 s phi} L psi_min and the control
 v = -s^7 lam^8 xi^7 chi_omega psi_min e^{-2 s phi}, which is then validated
 by forward simulation.
+
+`synthesize_control` is the entry point: it builds the weights, marches the
+free beam and assembles the source (`free_source`), assembles the normal
+equations (`assemble_hum_system`), minimizes (`minimize_J`) and verifies the
+control (`verify_null_control`).
 """
 
 from __future__ import annotations
@@ -34,8 +39,8 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 from ._bumps import smoothstep
 from .dynamics import BeamTrajectory, Potential, solve_forward
 from .torus import SpatialGrid, TimeGrid
-from .weights import CarlemanParams, DomainSpec, EtaProfile, ThetaProfile, \
-    WeightField
+from .weights import CarlemanParams, EtaProfile, ThetaProfile, WeightField, \
+    eval_weights, weight_formulas
 
 
 class CGConvergenceError(RuntimeError):
@@ -103,6 +108,26 @@ def assemble_source(theta1: Theta1Cutoff, q: BeamTrajectory) -> HumSource:
     q_xx = q.grid.deriv(q.beta, 2)
     vals = -th2 * q.beta - 2.0 * th1 * q.beta_t + th1 * q_xx
     return HumSource(values=vals)
+
+
+def free_source(grid: SpatialGrid, t_grid: TimeGrid, theta1: Theta1Cutoff,
+                beta0: np.ndarray, beta1: np.ndarray, a_sampler=None
+                ) -> HumSource:
+    """The cutoff source of the free beam on the nodes of a midpoint grid.
+
+    The free beam marches on the half-step grid, whose odd nodes are the
+    nodes of `uniform_interior(T, n)`; the source is assembled there.
+    """
+    times = np.linspace(0.0, t_grid.T, 2 * t_grid.n + 1)
+    mid = slice(1, None, 2)
+    if not np.allclose(times[mid], t_grid.nodes, rtol=0.0,
+                       atol=1e-12 * t_grid.T):
+        raise ValueError("free_source needs a uniform midpoint time grid")
+    a = Potential.from_values(a_sampler(times)) if a_sampler else None
+    q = solve_forward(grid, beta0, beta1, times, a=a)
+    return assemble_source(theta1, BeamTrajectory(
+        grid=grid, times=times[mid], beta=q.beta[mid], beta_t=q.beta_t[mid],
+        energy=q.energy[mid], dissipation=q.dissipation[mid]))
 
 
 # time stencils ---------------------------------------------------------------
@@ -299,10 +324,13 @@ def assemble_hum_system(grid: SpatialGrid, t_grid: TimeGrid, w: WeightField,
     eps_scale times a power-iteration estimate of the operator norm; it must
     stay tiny because the terminal residual of the verified control scales
     linearly with it (measured: eps_scale 1e-10 already caps the suppression
-    ratio near 3e-2).
+    ratio near 3e-2).  A non-finite source or potential raises ValueError.
     """
     if eps_scale < 0:
         raise ValueError("eps_scale must be nonnegative")
+    for name, vals in (("source", f.values), ("a_vals", a_vals)):
+        if vals is not None and not np.all(np.isfinite(vals)):
+            raise ValueError(f"{name} is not finite")
     n_t = t_grid.n
     dt = float(t_grid.nodes[1] - t_grid.nodes[0])
     Dt = time_stencil(n_t, dt, 1)
@@ -425,14 +453,12 @@ def minimize_J(sys: QuadraticSystem, tol: float = 1e-10,
 def control_weight_factor(eta: EtaProfile, theta: ThetaProfile,
                           params: CarlemanParams, x_nodes: np.ndarray,
                           t_interior: np.ndarray) -> np.ndarray:
-    """s^7 lam^8 chi_omega xi^7 e^{-2 s phi} at arbitrary interior times."""
-    ed = eta.derivs(x_nodes, max_order=0)[:, 0]
-    m = eta.eta_max
+    """s^7 lam^8 xi^7 e^{-2 s phi} at arbitrary interior times."""
     lam, s = params.lam, params.s
-    th = theta.eval(t_interior, 0)[:, None]
-    log_xi = np.log(th) + lam * (ed + 4.0 * m)[None, :]
-    phi = th * (np.exp(6.0 * lam * m) - np.exp(lam * (ed + 4.0 * m))[None, :])
-    return (s**7 * lam**8) * np.exp(7.0 * log_xi - 2.0 * s * phi)
+    _, _, log_xi, neg2s_phi = weight_formulas(
+        eta.derivs(x_nodes, max_order=0)[:, 0], eta.eta_max,
+        theta.eval(t_interior, 0)[:, None], lam, s)
+    return (s**7 * lam**8) * np.exp(7.0 * log_xi + neg2s_phi)
 
 
 def control_on_times(sol: HumSolution, sys: QuadraticSystem,
@@ -489,8 +515,7 @@ def _pair_sup_norm(grid: SpatialGrid, beta: np.ndarray, beta_t: np.ndarray
     return float(np.max(np.sqrt(grid.l2_sq(beta) + grid.l2_sq(beta_t))))
 
 
-def verify_null_control(grid: SpatialGrid, domain: DomainSpec,
-                        beta0: np.ndarray, beta1: np.ndarray,
+def verify_null_control(beta0: np.ndarray, beta1: np.ndarray,
                         theta1: Theta1Cutoff, sol: HumSolution,
                         sys: QuadraticSystem, eta: EtaProfile,
                         theta: ThetaProfile,
@@ -506,18 +531,14 @@ def verify_null_control(grid: SpatialGrid, domain: DomainSpec,
     superposition defect only measures floating-point noise.  The pointwise
     product theta1(t) q(t) differs from the cutoff run by the time-stepper's
     product-rule error and is reported separately as a consistency
-    diagnostic.
+    diagnostic.  The grid and the domain are those of the system.
     """
-    if domain.T != sys.t_grid.T:
-        raise ValueError("domain and system horizons disagree")
-    times = np.linspace(0.0, domain.T, n_steps + 1)
-    a = None
-    if a_sampler is not None:
-        a_vals = a_sampler(times)
-        a = Potential.from_values(a_vals)
+    grid = sys.grid
+    times = np.linspace(0.0, sys.t_grid.T, n_steps + 1)
+    a = Potential.from_values(a_sampler(times)) if a_sampler else None
 
     v_vals = control_on_times(sol, sys, eta, theta, times)
-    chi = domain.in_omega(grid.nodes)
+    chi = sys.weights.domain.in_omega(grid.nodes)
     support_ok = bool(np.all(v_vals[:, ~chi] == 0.0))
 
     q_run = solve_forward(grid, beta0, beta1, times, a=a)
@@ -571,3 +592,28 @@ def verify_null_control(grid: SpatialGrid, domain: DomainSpec,
     runs = {"controlled": controlled, "uncontrolled": q_run,
             "cutoff": cutoff_run, "g": g_run}
     return report, runs
+
+
+def synthesize_control(grid: SpatialGrid, t_grid: TimeGrid, eta: EtaProfile,
+                       theta: ThetaProfile, params: CarlemanParams,
+                       theta1: Theta1Cutoff, beta0: np.ndarray,
+                       beta1: np.ndarray, a_sampler=None,
+                       eps_scale: float = 1e-14, tol: float = 1e-10,
+                       max_iter: int = 5000, verify_steps: int = 2048):
+    """Synthesize the null control of (beta0, beta1) and verify it.
+
+    t_grid is the midpoint grid of the functional (`uniform_interior`);
+    a_sampler maps times to potential samples (None for a zero potential).
+    Returns (system, solution, report, runs): the normal equations, the
+    minimizer with the control on t_grid, and the forward verification.
+    """
+    w = eval_weights(eta, theta, params, grid.nodes, t_grid)
+    source = free_source(grid, t_grid, theta1, beta0, beta1, a_sampler)
+    a_vals = a_sampler(t_grid.nodes) if a_sampler else None
+    system = assemble_hum_system(grid, t_grid, w, source, a_vals=a_vals,
+                                 eps_scale=eps_scale)
+    sol = minimize_J(system, tol=tol, max_iter=max_iter)
+    report, runs = verify_null_control(beta0, beta1, theta1, sol, system,
+                                       eta, theta, a_sampler=a_sampler,
+                                       n_steps=verify_steps)
+    return system, sol, report, runs

@@ -20,45 +20,23 @@ def write_csv(path: Path, header: list[str], rows) -> Path:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     return path
 
 
-def write_trajectory_csv(path: Path, traj: BeamTrajectory) -> Path:
-    x = traj.grid.nodes
+def write_field_csv(path: Path, columns: dict[str, np.ndarray]) -> Path:
+    """Named columns broadcast to one shape, one row per entry, row-major.
 
-    def rows():
-        for i, t in enumerate(traj.times):
-            for j, xj in enumerate(x):
-                yield (repr(float(t)), repr(float(xj)),
-                       repr(float(traj.beta[i, j])),
-                       repr(float(traj.beta_t[i, j])))
-    return write_csv(path, ["t", "x", "beta", "beta_t"], rows())
-
-
-def write_field_csv(path: Path, x: np.ndarray, t: np.ndarray,
-                    fields: dict[str, np.ndarray]) -> Path:
-    """Space-time fields as one row per (t, x) node, time-major."""
-    names = list(fields)
-
-    def rows():
-        for i, ti in enumerate(t):
-            for j, xj in enumerate(x):
-                yield ((repr(float(xj)), repr(float(ti)))
-                       + tuple(repr(float(fields[n][i, j])) for n in names))
-    return write_csv(path, ["x", "t"] + names, rows())
-
-
-def write_control_csv(path: Path, x: np.ndarray, t: np.ndarray,
-                      v: np.ndarray) -> Path:
-    """Control field as one (t, x, v) row per space-time node, time-major."""
-
-    def rows():
-        for i, ti in enumerate(t):
-            for j, xj in enumerate(x):
-                yield (repr(float(ti)), repr(float(xj)), repr(float(v[i, j])))
-    return write_csv(path, ["t", "x", "v"], rows())
+    Space-time fields take shape (n_t, n_x) and give one row per (t, x)
+    node, time-major: pass the time nodes as t[:, None] and the space nodes
+    as x[None, :].  Values are written as repr(float), so reading them back
+    with float() is exact.
+    """
+    names = list(columns)
+    cols = np.broadcast_arrays(*(np.asarray(columns[n], dtype=float)
+                                 for n in names))
+    return write_csv(path, names,
+                     zip(*(map(repr, c.ravel().tolist()) for c in cols)))
 
 
 def write_snapshot(path: Path, traj: BeamTrajectory) -> Path:

@@ -314,16 +314,18 @@ def build_theta(params: CarlemanParams, T: float) -> ThetaProfile:
 
 # weight-field assembly ------------------------------------------------------
 
-def weights_from_values(eta_val, eta_max: float, theta_val, lam: float):
-    """Pointwise weight formulas (phi, xi) from profile values.
+def weight_formulas(eta_val, eta_max: float, theta_val, lam: float,
+                    s: float = 1.0):
+    """phi, xi, log(xi) and -2 s phi from profile values, broadcast together.
 
-    Exposed separately so the algebra can be spot-checked against hand
-    evaluations; `eval_weights` uses the same expressions on full grids.
+    The one place the weight formulas are written; at theta = 1 phi and xi
+    are the spatial profiles exp(6 lam M) - exp(lam (eta + 4M)) and
+    exp(lam (eta + 4M)).
     """
-    big = np.exp(6.0 * lam * eta_max)
-    xi = theta_val * np.exp(lam * (np.asarray(eta_val) + 4.0 * eta_max))
-    phi = theta_val * big - xi
-    return phi, xi
+    expo = lam * (np.asarray(eta_val) + 4.0 * eta_max)
+    G = np.exp(expo)
+    phi = theta_val * (math.exp(6.0 * lam * eta_max) - G)
+    return phi, theta_val * G, np.log(theta_val) + expo, -2.0 * s * phi
 
 
 @dataclass(frozen=True)
@@ -399,15 +401,13 @@ def eval_weights(eta: EtaProfile, theta: ThetaProfile, params: CarlemanParams,
         4: (lam * e4 + 4 * lam**2 * e1 * e3 + 3 * lam**2 * e2**2
             + 6 * lam**3 * e1**2 * e2 + lam**4 * e1**4),
     }
-    G = np.exp(lam * (ed[:, 0] + 4.0 * m))
-    big = math.exp(6.0 * lam * m)
+    profile, G, _, _ = weight_formulas(ed[:, 0], m, 1.0, lam)
 
     th = theta.eval(t_grid.nodes, 0)[:, None]
     th1 = theta.eval(t_grid.nodes, 1)[:, None]
     th2 = theta.eval(t_grid.nodes, 2)[:, None]
 
-    xi = th * G
-    phi = th * (big - G)
+    phi, xi, log_xi, neg2s_phi = weight_formulas(ed[:, 0], m, th, lam, s)
     xi_x = {i: th * (P[i] * G) for i in (1, 2, 3, 4)}
     phi_x = {i: -xi_x[i] for i in (1, 2, 3, 4)}
 
@@ -415,7 +415,7 @@ def eval_weights(eta: EtaProfile, theta: ThetaProfile, params: CarlemanParams,
         domain=eta.domain, params=params, eta_max=m,
         x_nodes=x_nodes, t_nodes=t_grid.nodes, t_weights=t_grid.weights, h=h,
         phi=phi, xi=xi, phi_x=phi_x, xi_x=xi_x,
-        phi_t=th1 * (big - G), phi_tt=th2 * (big - G),
+        phi_t=th1 * profile, phi_tt=th2 * profile,
         phi_tx=-th1 * (P[1] * G), phi_txx=-th1 * (P[2] * G),
         phi_txxx=-th1 * (P[3] * G),
         phi_ttx=-th2 * (P[1] * G), phi_ttxx=-th2 * (P[2] * G),
@@ -423,8 +423,7 @@ def eval_weights(eta: EtaProfile, theta: ThetaProfile, params: CarlemanParams,
         xi_tx=th1 * (P[1] * G), xi_txx=th1 * (P[2] * G),
         xi_txxx=th1 * (P[3] * G),
         xi_ttx=th2 * (P[1] * G), xi_ttxx=th2 * (P[2] * G),
-        log_xi=np.log(th) + lam * (ed[:, 0] + 4.0 * m),
-        neg2s_phi=-2.0 * s * phi,
+        log_xi=log_xi, neg2s_phi=neg2s_phi,
     )
     return field_
 
@@ -459,10 +458,6 @@ class BoundReport:
 
     def by_name(self) -> dict[str, float]:
         return {r.inequality: r.constant for r in self.records}
-
-    def all_passed(self) -> bool:
-        return (all(r.passed for r in self.records)
-                and all(p.passed for p in self.positivity))
 
     def rows(self):
         for r in self.records:

@@ -71,11 +71,6 @@ def _quotients(z: Fraction, a1: Fraction, a2: Fraction):
     )
 
 
-def _bisect_midpoint(lo: Fraction, hi: Fraction) -> Fraction:
-    """One bisection step on the (open) admissible interval."""
-    return (lo + hi) / 2
-
-
 def zeta_ledger(zeta) -> ZetaWitness:
     """Certify zeta exactly, searching rational alpha1, alpha2 witnesses.
 
@@ -112,8 +107,8 @@ def zeta_ledger(zeta) -> ZetaWitness:
     if not a2_lo < a2_hi:
         return reject(f"alpha2 window empty: 1/(2-z) = {a2_lo} >= 7/6")
 
-    a1 = _bisect_midpoint(a1_lo, a1_hi)
-    a2 = _bisect_midpoint(a2_lo, a2_hi)
+    a1 = (a1_lo + a1_hi) / 2
+    a2 = (a2_lo + a2_hi) / 2
     quots = _quotients(z, a1, a2)
     if not all(q < 1 for q in quots):
         # cannot happen for midpoints of nonempty windows; guard anyway

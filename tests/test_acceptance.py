@@ -14,13 +14,11 @@ from beamctrl.audit import TestFunctionFamily, audit_inequality
 from beamctrl.dynamics import (Potential, analytic_eigenpairs,
                                assemble_operator, fixed_point_solve,
                                solve_forward)
-from beamctrl.hum import (assemble_hum_system, assemble_source, build_theta1,
-                          minimize_J, verify_null_control)
+from beamctrl.hum import (assemble_hum_system, build_theta1, free_source,
+                          minimize_J, synthesize_control)
 from beamctrl.torus import SpatialGrid, gauss_panels, uniform_interior
-from beamctrl.weights import sweep_lambda_bounds
+from beamctrl.weights import eval_weights, sweep_lambda_bounds
 from beamctrl.zeta import zeta_ledger
-
-from beamctrl.dynamics import BeamTrajectory
 
 
 def report(idx, passed, detail):
@@ -50,29 +48,6 @@ def smooth_random_data(grid, seed, max_mode=4, sobolev_scale=None):
         b0 *= sobolev_scale / norm
         b1 *= sobolev_scale / norm
     return b0, b1
-
-
-def run_control_pipeline(domain, grid, eta, theta, params, theta1, b0, b1,
-                         n_time, tol, eps_scale, a_sampler, verify_steps=4096,
-                         max_iter=3000):
-    from beamctrl.weights import eval_weights
-    t_grid = uniform_interior(domain.T, n_time)
-    w = eval_weights(eta, theta, params, grid.nodes, t_grid)
-    times = np.linspace(0.0, domain.T, 2 * n_time + 1)
-    a = Potential.from_values(a_sampler(times)) if a_sampler else None
-    q = solve_forward(grid, b0, b1, times, a=a)
-    q_hum = BeamTrajectory(grid=grid, times=times[1::2], beta=q.beta[1::2],
-                           beta_t=q.beta_t[1::2], energy=q.energy[1::2],
-                           dissipation=q.dissipation[1::2])
-    source = assemble_source(theta1, q_hum)
-    a_vals = a_sampler(t_grid.nodes) if a_sampler else None
-    system = assemble_hum_system(grid, t_grid, w, source, a_vals=a_vals,
-                                 eps_scale=eps_scale)
-    sol = minimize_J(system, tol=tol, max_iter=max_iter)
-    rep, runs = verify_null_control(grid, domain, b0, b1, theta1, sol,
-                                    system, eta, theta, a_sampler=a_sampler,
-                                    n_steps=verify_steps)
-    return sol, rep, runs
 
 
 def test_01_spectrum(domain, grid64):
@@ -243,19 +218,13 @@ def test_08_small_instance_oracle(domain, eta, theta, params):
     start = time.perf_counter()
     grid = SpatialGrid(8, domain.circumference, x0=-domain.L)
     t_grid = uniform_interior(domain.T, 16)
-    from beamctrl.weights import eval_weights
     w = eval_weights(eta, theta, params, grid.nodes, t_grid)
     theta1 = build_theta1(domain.T)
     x = grid.nodes
     b0 = np.cos(grid.kappa[1] * x) + 0.2
     b1 = 0.5 * np.sin(grid.kappa[1] * x)
-    times = np.linspace(0.0, domain.T, 33)
-    q = solve_forward(grid, b0, b1, times)
-    q_hum = BeamTrajectory(grid=grid, times=times[1::2], beta=q.beta[1::2],
-                           beta_t=q.beta_t[1::2], energy=q.energy[1::2],
-                           dissipation=q.dissipation[1::2])
     system = assemble_hum_system(grid, t_grid, w,
-                                 assemble_source(theta1, q_hum))
+                                 free_source(grid, t_grid, theta1, b0, b1))
     sol = minimize_J(system, tol=1e-12, max_iter=2000)
     N = 16 * 8
     A = np.zeros((N, N))
@@ -282,22 +251,24 @@ def test_09_null_control(domain, eta, theta, params, grid64):
         return np.cos(grid64.kappa[1] * x)[None, :] \
             * np.cos(2 * np.pi * tt / domain.T)
 
+    def synthesize(b0, b1, n_time, tol, eps_scale, verify_steps=4096):
+        return synthesize_control(
+            grid64, uniform_interior(domain.T, n_time), eta, theta, params,
+            theta1, b0, b1, a_sampler=a_sampler, eps_scale=eps_scale, tol=tol,
+            max_iter=3000, verify_steps=verify_steps)
+
     b0, b1 = smooth_random_data(grid64, seed=11, sobolev_scale=1.0)
     ladder = [(128, 1e-6, 1e-10), (192, 1e-8, 1e-12), (256, 1e-10, 1e-14)]
     suppressions = []
     final = None
     for n_time, tol, eps in ladder:
-        _, rep, _ = run_control_pipeline(domain, grid64, eta, theta, params,
-                                         theta1, b0, b1, n_time, tol, eps,
-                                         a_sampler)
+        _, _, rep, _ = synthesize(b0, b1, n_time, tol, eps)
         suppressions.append(rep.suppression_ratio)
         final = rep
     monotone = all(b < a for a, b in zip(suppressions[:-1], suppressions[1:]))
 
     # scale invariance of the control-to-data ratio
-    _, rep_scaled, _ = run_control_pipeline(
-        domain, grid64, eta, theta, params, theta1, 2.0 * b0, 2.0 * b1,
-        256, 1e-10, 1e-14, a_sampler)
+    _, _, rep_scaled, _ = synthesize(2.0 * b0, 2.0 * b1, 256, 1e-10, 1e-14)
     scale_dev = abs(rep_scaled.bound_ratio - final.bound_ratio) \
         / final.bound_ratio
 
@@ -306,9 +277,8 @@ def test_09_null_control(domain, eta, theta, params, grid64):
     for member in range(10):
         fb0, fb1 = smooth_random_data(grid64, seed=100 + member,
                                       sobolev_scale=1.0)
-        _, fam_rep, _ = run_control_pipeline(
-            domain, grid64, eta, theta, params, theta1, fb0, fb1,
-            256, 1e-8, 1e-14, a_sampler, verify_steps=2048)
+        _, _, fam_rep, _ = synthesize(fb0, fb1, 256, 1e-8, 1e-14,
+                                      verify_steps=2048)
         ratios.append(fam_rep.bound_ratio)
     wall = time.perf_counter() - start
 
@@ -332,12 +302,13 @@ def test_10_pipeline_linearity(domain, eta, theta, params, grid64):
     theta1 = build_theta1(domain.T)
     b0, b1 = smooth_random_data(grid64, seed=21)
 
-    sol1, rep1, runs1 = run_control_pipeline(
-        domain, grid64, eta, theta, params, theta1, b0, b1,
-        128, 1e-10, 1e-14, None, verify_steps=1024)
-    sol3, rep3, runs3 = run_control_pipeline(
-        domain, grid64, eta, theta, params, theta1, 3.0 * b0, 3.0 * b1,
-        128, 1e-10, 1e-14, None, verify_steps=1024)
+    t_grid = uniform_interior(domain.T, 128)
+    _, sol1, rep1, runs1 = synthesize_control(
+        grid64, t_grid, eta, theta, params, theta1, b0, b1,
+        eps_scale=1e-14, tol=1e-10, max_iter=3000, verify_steps=1024)
+    _, sol3, rep3, runs3 = synthesize_control(
+        grid64, t_grid, eta, theta, params, theta1, 3.0 * b0, 3.0 * b1,
+        eps_scale=1e-14, tol=1e-10, max_iter=3000, verify_steps=1024)
 
     def rel_dev(a, b):
         return float(np.max(np.abs(a - 3.0 * b)) /

@@ -5,8 +5,8 @@ from beamctrl.cli import main
 from beamctrl.config import ConfigError, load_config
 from beamctrl.dynamics import BeamTrajectory, solve_forward
 from beamctrl.experiments import EXPECTED_FILES, emit_plot_data, run
-from beamctrl.io import (read_flat_report, read_snapshot, write_flat_report,
-                         write_snapshot)
+from beamctrl.io import (read_flat_report, read_snapshot, write_field_csv,
+                         write_flat_report, write_snapshot)
 from beamctrl.torus import SpatialGrid
 
 BASE = """
@@ -205,6 +205,25 @@ class TestSnapshot:
         g2, t2, v2 = read_field_snapshot(path)
         assert g2.n == 8 and g2.x0 == -1.0
         assert np.array_equal(t2, times) and np.array_equal(v2, vals)
+
+    def test_field_csv_roundtrip_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(2)
+        t = np.linspace(0.0, 1.0, 7)
+        x = rng.uniform(-1.0, 2.0, 5)
+        beta = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-300, 300,
+                                                                  (7, 5))
+        beta[0, :2] = (np.pi, -0.0)
+        path = write_field_csv(tmp_path / "f.csv", {
+            "t": t[:, None], "x": x[None, :], "beta": beta})
+        raw = path.read_bytes()
+        assert raw.count(b"\r\n") == 1 + 7 * 5
+        header, *rows = raw.decode().splitlines()
+        assert header == "t,x,beta"
+        back = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert np.array_equal(back[:, 0], np.repeat(t, 5))
+        assert np.array_equal(back[:, 1], np.tile(x, 7))
+        assert np.array_equal(back[:, 2], beta.ravel())
+        assert np.signbit(back[1, 2])
 
     def test_flat_report_roundtrip(self, tmp_path):
         path = write_flat_report(tmp_path / "r.txt",

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from beamctrl.dynamics import BeamTrajectory, solve_forward
+from beamctrl.dynamics import BeamTrajectory, Potential, solve_forward
 from beamctrl.hum import (CGConvergenceError, CurvatureError,
                           FactorizationError, HumSource, assemble_hum_system,
                           assemble_source, banded_preconditioner,
-                          build_theta1, control_on_times, minimize_J,
-                          time_stencil, verify_null_control)
-from beamctrl.torus import SpatialGrid, uniform_interior
+                          build_theta1, control_on_times,
+                          control_weight_factor, free_source,
+                          minimize_J, synthesize_control, time_stencil,
+                          verify_null_control)
+from beamctrl.torus import SpatialGrid, gauss_panels, uniform_interior
 from beamctrl.weights import eval_weights
 
 
@@ -29,22 +31,13 @@ def weights8(eta, theta, params, grid8, tgrid16):
     return eval_weights(eta, theta, params, grid8.nodes, tgrid16)
 
 
-def hum_grid_q(grid, domain, b0, b1, n_time):
-    times = np.linspace(0.0, domain.T, 2 * n_time + 1)
-    q = solve_forward(grid, b0, b1, times)
-    return BeamTrajectory(grid=grid, times=times[1::2], beta=q.beta[1::2],
-                          beta_t=q.beta_t[1::2], energy=q.energy[1::2],
-                          dissipation=q.dissipation[1::2])
-
-
 @pytest.fixture(scope="module")
 def small_system(domain, grid8, tgrid16, weights8):
     theta1 = build_theta1(domain.T)
     x = grid8.nodes
     b0 = np.cos(grid8.kappa[1] * x) + 0.2
     b1 = 0.5 * np.sin(grid8.kappa[1] * x)
-    q = hum_grid_q(grid8, domain, b0, b1, 16)
-    source = assemble_source(theta1, q)
+    source = free_source(grid8, tgrid16, theta1, b0, b1)
     system = assemble_hum_system(grid8, tgrid16, weights8, source)
     return theta1, b0, b1, system
 
@@ -88,18 +81,44 @@ class TestTheta1:
 
 
 class TestSource:
-    def test_zero_on_plateaus(self, domain, grid8):
+    def test_zero_on_plateaus(self, domain, grid8, tgrid16):
         theta1 = build_theta1(domain.T, 0.3, 0.7)
         b0 = np.cos(grid8.kappa[1] * grid8.nodes)
-        q = hum_grid_q(grid8, domain, b0, np.zeros(grid8.n), 16)
-        src = assemble_source(theta1, q)
-        outside = (q.times < 0.3 * domain.T) | (q.times > 0.7 * domain.T)
+        src = free_source(grid8, tgrid16, theta1, b0, np.zeros(grid8.n))
+        t = tgrid16.nodes
+        outside = (t < 0.3 * domain.T) | (t > 0.7 * domain.T)
         assert np.all(src.values[outside] == 0.0)
 
-    def test_zero_trajectory_gives_zero(self, domain, grid8):
+    def test_zero_trajectory_gives_zero(self, domain, grid8, tgrid16):
         theta1 = build_theta1(domain.T)
-        q = hum_grid_q(grid8, domain, np.zeros(grid8.n), np.zeros(grid8.n), 16)
-        assert np.all(assemble_source(theta1, q).values == 0.0)
+        zero = np.zeros(grid8.n)
+        assert np.all(free_source(grid8, tgrid16, theta1, zero, zero).values
+                      == 0.0)
+
+    def test_free_source_samples_the_half_step_march(self, domain, grid8,
+                                                     tgrid16):
+        theta1 = build_theta1(domain.T)
+        x = grid8.nodes
+        b0, b1 = np.cos(grid8.kappa[1] * x), np.sin(grid8.kappa[2] * x)
+
+        def a_sampler(times):
+            return np.cos(x)[None, :] * np.asarray(times)[:, None]
+
+        times = np.linspace(0.0, domain.T, 33)
+        q = solve_forward(grid8, b0, b1, times,
+                          a=Potential.from_values(a_sampler(times)))
+        odd = BeamTrajectory(grid8, times[1::2], q.beta[1::2],
+                             q.beta_t[1::2], q.energy[1::2],
+                             q.dissipation[1::2])
+        src = free_source(grid8, tgrid16, theta1, b0, b1, a_sampler)
+        assert np.array_equal(src.values,
+                              assemble_source(theta1, odd).values)
+
+    def test_rejects_non_midpoint_grid(self, domain, grid8, theta):
+        tg = gauss_panels(domain.T, np.array(theta.junctions), 16)
+        zero = np.zeros(grid8.n)
+        with pytest.raises(ValueError, match="midpoint"):
+            free_source(grid8, tg, build_theta1(domain.T), zero, zero)
 
     def test_manufactured_formula(self, domain, grid8):
         # q = sin(kappa x) * t: f = -th1'' q - 2 th1' sin + th1' q_xx
@@ -182,6 +201,24 @@ class TestQuadraticSystem:
         scale = np.max(np.abs(without.apply(psi)))
         assert np.max(np.abs(diff - expect)) <= 1e-12 * scale
 
+    def test_rejects_nonfinite_source(self, grid8, tgrid16, weights8,
+                                      small_system):
+        _, _, _, base = small_system
+        values = base.source.values.copy()
+        values[3, 2] = np.nan
+        with pytest.raises(ValueError, match="source"):
+            assemble_hum_system(grid8, tgrid16, weights8,
+                                HumSource(values=values))
+
+    def test_rejects_nonfinite_potential(self, grid8, tgrid16, weights8,
+                                         small_system):
+        _, _, _, base = small_system
+        a = np.zeros((16, 8))
+        a[5, 1] = np.nan
+        with pytest.raises(ValueError, match="a_vals"):
+            assemble_hum_system(grid8, tgrid16, weights8, base.source,
+                                a_vals=a)
+
 
 def dense_from_band(ab):
     """Symmetric dense matrix from LAPACK lower band storage."""
@@ -233,9 +270,10 @@ class TestNormalBand:
 class TestMinimize:
     def test_zero_source_gives_zero(self, domain, grid8, tgrid16, weights8):
         theta1 = build_theta1(domain.T)
-        q = hum_grid_q(grid8, domain, np.zeros(grid8.n), np.zeros(grid8.n), 16)
-        system = assemble_hum_system(grid8, tgrid16, weights8,
-                                     assemble_source(theta1, q))
+        zero = np.zeros(grid8.n)
+        system = assemble_hum_system(
+            grid8, tgrid16, weights8,
+            free_source(grid8, tgrid16, theta1, zero, zero))
         sol = minimize_J(system)
         assert np.all(sol.psi_min == 0.0) and np.all(sol.v == 0.0)
         assert sol.J_value == 0.0
@@ -302,9 +340,8 @@ class TestVerification:
                                    small_system):
         theta1, b0, b1, system = small_system
         sol = minimize_J(system, tol=1e-12, max_iter=2000)
-        report, runs = verify_null_control(grid8, domain, b0, b1, theta1,
-                                           sol, system, eta, theta,
-                                           n_steps=512)
+        report, runs = verify_null_control(b0, b1, theta1, sol, system, eta,
+                                           theta, n_steps=512)
         assert report.support_ok
         assert report.superposition_defect < 1e-10
         assert report.uncontrolled_terminal > 0
@@ -321,6 +358,38 @@ class TestVerification:
         assert np.all(v[:, ~chi] == 0.0)
         assert np.all(v[0] == 0.0) and np.all(v[-1] == 0.0)
 
+    def test_control_on_system_nodes_is_the_solution(self, eta, theta,
+                                                     params, small_system):
+        # control_weight_factor and the system's W2 share one weight formula
+        _, _, _, system = small_system
+        nodes = system.t_grid.nodes
+        chi = system.weights.domain.in_omega(system.grid.nodes)
+        factor = control_weight_factor(eta, theta, params, system.grid.nodes,
+                                       nodes)
+        assert np.array_equal(factor * chi, system.W2)
+        sol = minimize_J(system, tol=1e-10, max_iter=2000)
+        v = control_on_times(sol, system, eta, theta, nodes)
+        # the spline reproduces its knots exactly except the last one, which
+        # it reaches from the left end of the final piece
+        assert np.array_equal(v[:-1], sol.v[:-1])
+        assert np.max(np.abs(v[-1] - sol.v[-1])) \
+            <= 1e-14 * np.max(np.abs(sol.v[-1]))
+
+    def test_synthesize_control_chains_the_stages(self, grid8, eta, theta,
+                                                  params, tgrid16,
+                                                  small_system):
+        theta1, b0, b1, system = small_system
+        sol = minimize_J(system)
+        report, _ = verify_null_control(b0, b1, theta1, sol, system, eta,
+                                        theta, n_steps=256)
+        sys2, sol2, report2, runs2 = synthesize_control(
+            grid8, tgrid16, eta, theta, params, theta1, b0, b1,
+            verify_steps=256)
+        assert np.array_equal(sys2.rhs, system.rhs)
+        assert np.array_equal(sol2.v, sol.v)
+        assert report2 == report
+        assert runs2["controlled"].times.size == 257
+
     def test_weight_forced_decay_of_g_tilde(self, domain, grid64, eta, theta,
                                             params):
         # log |g_tilde(t)| tracks -2 s theta(t) times the phi-profile range
@@ -330,8 +399,8 @@ class TestVerification:
         x = grid64.nodes
         b0 = np.cos(grid64.kappa[1] * x) + 0.3
         b1 = 0.2 * np.sin(grid64.kappa[2] * x)
-        q = hum_grid_q(grid64, domain, b0, b1, 128)
-        system = assemble_hum_system(grid64, tg, w, assemble_source(theta1, q))
+        system = assemble_hum_system(grid64, tg, w,
+                                     free_source(grid64, tg, theta1, b0, b1))
         sol = minimize_J(system, tol=1e-10, max_iter=2000)
         norms = np.sqrt(grid64.l2_sq(sol.g_tilde))
         late = (tg.nodes > domain.T - theta.T1) & (norms > 1e-280)
@@ -352,9 +421,9 @@ class TestVerification:
         b1 = 0.5 * np.sin(grid8.kappa[1] * x)
 
         def solve(scale):
-            q = hum_grid_q(grid8, domain, scale * b0, scale * b1, 16)
-            system = assemble_hum_system(grid8, tgrid16, weights8,
-                                         assemble_source(theta1, q))
+            system = assemble_hum_system(
+                grid8, tgrid16, weights8,
+                free_source(grid8, tgrid16, theta1, scale * b0, scale * b1))
             return minimize_J(system, tol=1e-12, max_iter=2000)
 
         s1, s3 = solve(1.0), solve(3.0)

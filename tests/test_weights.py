@@ -8,7 +8,7 @@ from beamctrl.torus import SpatialGrid, gauss_panels, uniform_interior
 from beamctrl.weights import (CarlemanParams, ConstructionError, DomainSpec,
                               audit_derivative_bounds, build_eta, build_theta,
                               eval_weights, sweep_lambda_bounds,
-                              weights_from_values)
+                              weight_formulas)
 
 
 class TestTheta:
@@ -120,9 +120,12 @@ class TestEta:
 class TestWeightFormulas:
     def test_spot_values(self):
         # eta = 0.05, |eta| = 0.1, lam = 2, theta = 1
-        phi, xi = weights_from_values(0.05, 0.1, 1.0, 2.0)
+        phi, xi, log_xi, neg2s_phi = weight_formulas(0.05, 0.1, 1.0, 2.0,
+                                                     s=4.0)
         assert xi == pytest.approx(np.exp(0.9), rel=1e-14)
         assert phi == pytest.approx(np.exp(1.2) - np.exp(0.9), rel=1e-13)
+        assert log_xi == pytest.approx(0.9, rel=1e-15)
+        assert neg2s_phi == -8.0 * phi
 
     def test_sum_identity(self, weights64, theta, params, eta):
         # phi + xi = theta * exp(6 lam |eta|) pointwise
