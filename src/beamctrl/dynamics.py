@@ -7,10 +7,14 @@ their matrix exponential; the potential term and forcing are explicit with
 second-order accuracy (Lawson two-stage scheme), so the integrator has no
 step-size restriction from the kappa^4 stiffness.
 
-The march keeps its state in rfft space: the forcing is transformed once up
-front, the only per-step transforms form a*beta at the two stage points (4
-FFTs per step with a potential, none without), and the recorded states go
-back to nodes in one batched inverse transform at the end.
+The march keeps its state in rfft space, as the interleaved float view of
+the modes: the forcing is transformed once up front, a step applies the real
+propagator to the stacked pair (beta, beta_t), a*beta at the stage points
+goes through real DFT matrices (no FFT inside the loop), and the recorded
+states go back to nodes in one batched inverse transform at the end.  A
+4096-step march at n_x = 64 (one member, 2 vCPUs) costs 19-44 us per step
+with a potential, against 41-96 us with the earlier 4-FFT step, and 7-17 us
+without, against 16-37 us; the ranges span the machine's own speed drift.
 """
 
 from __future__ import annotations
@@ -24,6 +28,10 @@ from .torus import SpatialGrid
 
 class SolverDivergenceError(RuntimeError):
     """Trajectory norm exceeded the divergence guard."""
+
+
+# steps marched between two vectorized checks of the divergence guard
+_GUARD_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -144,6 +152,19 @@ def trajectory_energy(grid: SpatialGrid, beta: np.ndarray, beta_t: np.ndarray
     return e, d
 
 
+def dft_matrices(grid: SpatialGrid) -> tuple[np.ndarray, np.ndarray]:
+    """irfft and rfft as real matrices on the interleaved float view of the
+    modes: nodes = modes.view(float) @ syn and modes.view(float) = nodes @ ana,
+    with syn of shape (2 n_m, n_x) and ana of shape (n_x, 2 n_m).
+
+    The rows of syn for the imaginary parts of the mean and Nyquist modes are
+    zero, as irfft ignores those parts.
+    """
+    syn = grid.to_nodes(np.eye(2 * grid.kappa.size).view(complex))
+    ana = grid.to_modes(np.eye(grid.n)).view(float)
+    return syn, ana
+
+
 def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
                   times: np.ndarray, a: Potential | None = None,
                   forcing: np.ndarray | None = None,
@@ -157,16 +178,22 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
     by every member, and each member's march equals its unbatched march bit
     for bit.
 
-    The state lives in rfft space.  A step applies the exact modal
-    propagator; with a potential it forms a*beta at nodes at both Lawson
-    stages (4 FFTs), without one it does no transform at all.  Energy and
-    dissipation are evaluated once, vectorized, on the nodal result.
+    The state lives in rfft space, held as the interleaved float view of the
+    modes.  A step applies the real modal propagator to the stacked pair
+    (beta, beta_t) with one multiply and one add.  With a potential it forms
+    a*beta through the real matrices of irfft/rfft (`dft_matrices`), no FFT:
+    the second-stage point of step i and the beta it stores both meet
+    a_{i+1}, so one stacked synthesis and one analysis product per step
+    serve both.  Energy and dissipation are evaluated once, vectorized, on
+    the nodal result.
 
     Each member's divergence guard is divergence_factor times its data norm
     plus the trapezoid integral of its forcing's L2 norm; a state whose norm
-    exceeds it, or is not finite, raises SolverDivergenceError.  A member
-    with zero data and zero forcing stays exactly zero, so its zero guard
-    never fires.  Non-finite inputs and mismatched shapes raise ValueError.
+    exceeds it, or is not finite, raises SolverDivergenceError at the first
+    such step.  The guard is checked once per block of _GUARD_BLOCK steps.
+    A member with zero data and zero forcing stays exactly zero, so its zero
+    guard never fires.  Non-finite inputs and mismatched shapes raise
+    ValueError.
     """
     g = grid
     times = np.asarray(times, dtype=float)
@@ -197,8 +224,9 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
 
     data = data.reshape(2, -1, g.n)                         # (2, B, n_x)
     forcing = forcing.reshape(-1, n_t, g.n)                 # (B, n_t, n_x)
-    f_hat = g.to_modes(forcing.transpose(1, 0, 2))          # (n_t, B, n_m)
-    n_m = f_hat.shape[-1]
+    n_b = data.shape[1]
+    n_m = g.kappa.size
+    w = 2 * n_m                        # float width of one modal field
     dt = float(steps[0])
     trap = np.full(n_t, dt)
     trap[0] = trap[-1] = 0.5 * dt
@@ -215,34 +243,59 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
     mult = np.r_[1.0, np.full(n_m - 2, 2.0), 1.0]
     mult = np.tile(np.repeat(mult, 2), 2) * g.circumference / g.n ** 2
 
-    E = propagator(g, dt).astype(complex)
-    e00, e01, e10, e11 = E[:, 0, 0], E[:, 0, 1], E[:, 1, 0], E[:, 1, 1]
-    dt_e01, hdt_e01, hdt_e11 = dt * e01, 0.5 * dt * e01, 0.5 * dt * e11
+    # E[r, c] multiplies component c of the pair into component r; the
+    # lift adds the Lawson stage terms (hdt e01, hdt e11) * n0
+    E = np.repeat(propagator(g, dt), 2, axis=0).transpose(1, 2, 0)  # (2, 2, w)
     hdt = 0.5 * dt
+    lift = hdt * E[:, 1]
+    # (dt e01, hdt e01) * n0 + e^{dt L} beta: the second-stage point and,
+    # bit for bit, the beta the step stores; both are multiplied by a_{i+1}
+    ahead = np.stack([dt * E[0, 1], lift[0]])
+    syn, ana = dft_matrices(g)
 
-    n_b = data.shape[1]
-    U = np.empty((n_t, n_b, 2, n_m), dtype=complex)
-    U[0] = g.to_modes(data.transpose(1, 0, 2))
-    for i in range(n_t - 1):
-        b, bt = U[i, :, 0], U[i, :, 1]
-        Eb = e00 * b + e01 * bt
-        n0, n1 = f_hat[i], f_hat[i + 1]
-        if a_vals is not None:
-            n0 = n0 - g.to_modes(a_vals[i] * g.to_nodes(b))
-            n1 = n1 - g.to_modes(a_vals[i + 1] * g.to_nodes(Eb + dt_e01 * n0))
-        U[i + 1, :, 0] = Eb + hdt_e01 * n0
-        U[i + 1, :, 1] = e10 * b + e11 * bt + hdt_e11 * n0 + hdt * n1
-        v = U[i + 1].reshape(n_b, -1).view(float) / scale
-        norm_sq = (v * v) @ mult
-        if not (norm_sq <= guard_sq).all():
-            norm = np.max(np.sqrt(norm_sq) * scale[:, 0])
-            raise SolverDivergenceError(
-                f"norm grew to {norm:.3e} (>{divergence_factor:.0e} x "
-                f"(data norm + forcing integral)) at step {i + 1}, "
-                f"t = {times[i + 1]:.6g}"
-            )
+    U = np.empty((n_t, n_b, 2, w))
+    U.view(complex)[0] = g.to_modes(data.transpose(1, 0, 2))
+    f_hat = np.empty((n_t, n_b, 1, w))
+    f_hat.view(complex)[:, :, 0] = g.to_modes(forcing.transpose(1, 0, 2))
+    P = np.empty((n_b, 2, 2, w))
+    P0, P1 = P[:, :, 0], P[:, :, 1]
+    pair = U[:, :, None]               # (n_t, B, 1, 2, w) against E
+    b_rows, bt_rows = U[:, :, :1], U[:, :, 1:]              # (n_t, B, 1, w)
+    if a_vals is not None:
+        ab = (b_rows[0] @ syn * a_vals[0]) @ ana            # a*beta, modal
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0 in range(0, n_t - 1, _GUARD_BLOCK):
+            i1 = min(i0 + _GUARD_BLOCK, n_t - 1)
+            if a_vals is None:
+                F0 = lift * f_hat[i0:i1]
+                F1 = hdt * f_hat[i0 + 1:i1 + 1]
+            for i in range(i0, i1):
+                nxt, bt = U[i + 1], bt_rows[i + 1]
+                np.multiply(pair[i], E, out=P)
+                np.add(P0, P1, out=nxt)
+                if a_vals is None:
+                    nxt += F0[i - i0]
+                    bt += F1[i - i0]
+                    continue
+                n0 = f_hat[i] - ab
+                pts = ahead * n0 + b_rows[i + 1]
+                prod = (pts @ syn * a_vals[i + 1]) @ ana    # (B, 2, w)
+                n1, ab = f_hat[i + 1] - prod[:, :1], prod[:, 1:]
+                nxt += lift * n0
+                bt += hdt * n1
+            v = U[i0 + 1:i1 + 1].reshape(i1 - i0, n_b, -1) / scale
+            norm_sq = (v * v) @ mult                         # (steps, B)
+            bad = np.flatnonzero(~(norm_sq <= guard_sq).all(axis=1))
+            if bad.size:
+                step = i0 + 1 + bad[0]
+                norm = np.max(np.sqrt(norm_sq[bad[0]]) * scale[:, 0])
+                raise SolverDivergenceError(
+                    f"norm grew to {norm:.3e} (>{divergence_factor:.0e} x "
+                    f"(data norm + forcing integral)) at step {step}, "
+                    f"t = {times[step]:.6g}"
+                )
 
-    nodes = g.to_nodes(U.transpose(2, 1, 0, 3))             # (2, B, n_t, n_x)
+    nodes = g.to_nodes(U.view(complex).transpose(2, 1, 0, 3))  # (2, B, n_t, n_x)
     beta, beta_t = nodes.reshape((2,) + batch + (n_t, g.n))
     energy, dissipation = trajectory_energy(g, beta, beta_t)
     return BeamTrajectory(grid=g, times=times, beta=beta, beta_t=beta_t,

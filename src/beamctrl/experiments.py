@@ -388,6 +388,8 @@ def _run_control(cfg: ExperimentConfig, run_dir: Path):
         write_flat_report(run_dir / "terminal_report.txt", report.rows()),
         write_snapshot(run_dir / "controlled.bin", runs["controlled"]),
     ]
+    w = system.weights
+    in_omega = w.domain.in_omega(w.x_nodes)
     metrics = dict(report.rows())
     metrics.update({
         "cg_iterations": sol.iterations,
@@ -397,6 +399,9 @@ def _run_control(cfg: ExperimentConfig, run_dir: Path):
         "norm_estimate": system.norm_estimate,
         "precond_half_bandwidth": system.band_shape[0] - 1,
         "precond_band_mb": 8e-6 * system.band_shape[0] * system.band_shape[1],
+        # shares of the weight kernels that underflow to exactly 0
+        "w1_underflow_frac": float(np.mean(system.W1 == 0.0)),
+        "w2_underflow_frac": float(np.mean(system.W2[:, in_omega] == 0.0)),
     })
     assertions = {
         "control_supported_in_omega": report.support_ok,

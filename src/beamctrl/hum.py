@@ -324,7 +324,8 @@ def assemble_hum_system(grid: SpatialGrid, t_grid: TimeGrid, w: WeightField,
     eps_scale times a power-iteration estimate of the operator norm; it must
     stay tiny because the terminal residual of the verified control scales
     linearly with it (measured: eps_scale 1e-10 already caps the suppression
-    ratio near 3e-2).  A non-finite source or potential raises ValueError.
+    ratio near 3e-2).  A non-finite source, potential, kernel (W1, W2) or
+    right-hand side raises ValueError naming it.
     """
     if eps_scale < 0:
         raise ValueError("eps_scale must be nonnegative")
@@ -336,16 +337,21 @@ def assemble_hum_system(grid: SpatialGrid, t_grid: TimeGrid, w: WeightField,
     Dt = time_stencil(n_t, dt, 1)
     Dtt = time_stencil(n_t, dt, 2)
 
-    W1 = w.kernel(0.0)
-    chi = w.domain.in_omega(w.x_nodes).astype(float)
-    W2 = (w.params.s**7 * w.params.lam**8) * chi[None, :] * w.kernel(7.0)
-    M = w.quad_weights()
     if f.values.shape != (n_t, grid.n):
         raise ValueError("source not sampled on the system grid")
+    chi = w.domain.in_omega(w.x_nodes).astype(float)
+    M = w.quad_weights()
+    with np.errstate(over="ignore", invalid="ignore"):   # named below
+        W1 = w.kernel(0.0)
+        W2 = (w.params.s**7 * w.params.lam**8) * chi[None, :] * w.kernel(7.0)
+        rhs = M * f.values
+    for name, vals in (("W1", W1), ("W2", W2), ("rhs", rhs)):
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"{name} is not finite")
 
     sys = QuadraticSystem(
         grid=grid, t_grid=t_grid, weights=w, Dt=Dt, Dtt=Dtt, a_vals=a_vals,
-        W1=W1, W2=W2, M=M, eps=0.0, rhs=M * f.values, source=f,
+        W1=W1, W2=W2, M=M, eps=0.0, rhs=rhs, source=f,
         norm_estimate=0.0,
     )
     est = _operator_norm_estimate(sys.apply, (n_t, grid.n))

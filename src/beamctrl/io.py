@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import struct
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -30,13 +31,27 @@ def write_field_csv(path: Path, columns: dict[str, np.ndarray]) -> Path:
     Space-time fields take shape (n_t, n_x) and give one row per (t, x)
     node, time-major: pass the time nodes as t[:, None] and the space nodes
     as x[None, :].  Values are written as repr(float), so reading them back
-    with float() is exact.
+    with float() is exact.  A column is formatted before it is broadcast, so
+    each time or space node is formatted once, not once per row; rows are
+    written in blocks, so no full copy of the text is held in memory.
     """
     names = list(columns)
-    cols = np.broadcast_arrays(*(np.asarray(columns[n], dtype=float)
-                                 for n in names))
-    return write_csv(path, names,
-                     zip(*(map(repr, c.ravel().tolist()) for c in cols)))
+    arrays = [np.asarray(columns[n], dtype=float) for n in names]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    cols = []
+    for a in arrays:
+        text = map(repr, a.ravel().tolist())
+        if a.shape != shape:
+            text = np.broadcast_to(np.array(list(text), dtype=object)
+                                   .reshape(a.shape), shape).ravel().tolist()
+        cols.append(text)
+    rows = map(",".join, zip(*cols))
+    path = Path(path)
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(names) + "\r\n")
+        while block := list(islice(rows, 256)):
+            fh.write("\r\n".join(block) + "\r\n")
+    return path
 
 
 def write_snapshot(path: Path, traj: BeamTrajectory) -> Path:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,8 +8,9 @@ from scipy.linalg import expm
 
 from beamctrl.dynamics import (Potential, SolverDivergenceError,
                                analytic_eigenpairs, assemble_operator,
-                               calibrate_solver_constant, fixed_point_solve,
-                               propagator, solve_forward, trajectory_energy)
+                               calibrate_solver_constant, dft_matrices,
+                               fixed_point_solve, propagator, solve_forward,
+                               trajectory_energy)
 from beamctrl.io import read_snapshot, write_snapshot
 from beamctrl.torus import SpatialGrid
 
@@ -261,6 +264,66 @@ class TestSolveForward:
                            atol=1e-12 * np.max(np.abs(beta)))
         assert np.allclose(traj.beta_t[-1], beta_t, rtol=0,
                            atol=1e-12 * np.max(np.abs(beta_t)))
+
+    def test_dft_matrices_reproduce_transforms(self, grid):
+        rng = np.random.default_rng(13)
+        syn, ana = dft_matrices(grid)
+        u = rng.standard_normal((4, grid.n))
+        u[0] = np.cos(np.pi * np.arange(grid.n))        # the Nyquist mode
+        modes = grid.to_modes(u).view(float)
+        assert np.max(np.abs(u @ ana - modes)) <= 1e-15 * np.max(np.abs(modes))
+        # arbitrary modes, imaginary mean and Nyquist parts included
+        hat = rng.standard_normal((4, syn.shape[0]))
+        hat[0, :-2] = 0.0                               # Nyquist only
+        nodes = grid.to_nodes(hat.view(complex))
+        assert np.max(np.abs(hat @ syn - nodes)) <= 1e-15 * np.max(np.abs(nodes))
+
+    def test_zero_potential_matches_no_potential(self, grid):
+        b0, b1 = smooth_data(grid, seed=14)
+        times = np.linspace(0, 0.5, 129)
+        f = np.random.default_rng(15).standard_normal((129, grid.n))
+        zero = solve_forward(grid, b0, b1, times, forcing=f,
+                             a=Potential.from_values(np.zeros((129, grid.n))))
+        none = solve_forward(grid, b0, b1, times, forcing=f)
+        for name in ("beta", "beta_t"):
+            ref = getattr(none, name)
+            assert (np.max(np.abs(getattr(zero, name) - ref))
+                    <= 1e-15 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("onset", [0, 100])
+    def test_divergence_raised_at_first_failing_step(self, grid, onset):
+        # the guard is checked per block of steps; the error must still name
+        # the first step whose norm exceeds it
+        b0, b1 = smooth_data(grid, seed=6)
+        times = np.linspace(0, 2.0, 257)[:onset + 41]
+        values = np.zeros((times.size, grid.n))
+        values[onset:] = -3.0e4
+        a = Potential.from_values(values)
+        free = solve_forward(grid, b0, b1, times, a=a,
+                             divergence_factor=np.inf)
+        norms = np.sqrt(grid.l2_sq(free.beta) + grid.l2_sq(free.beta_t))
+        guard = 1e6 * np.sqrt(grid.l2_sq(b0) + grid.l2_sq(b1))
+        step = np.flatnonzero(norms > guard)[0]
+        assert 0 < step < times.size - 1
+        with pytest.raises(SolverDivergenceError, match=f"at step {step},"):
+            solve_forward(grid, b0, b1, times, a=a)
+
+    def test_nonfinite_state_in_block_raises_without_warning(self, grid):
+        b0, b1 = smooth_data(grid, seed=6)
+        times = np.linspace(0, 0.5, 65)
+        values = np.zeros((65, grid.n))
+        values[10:] = -1e300                 # a*beta overflows from step 10
+        a = Potential.from_values(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverDivergenceError,
+                               match=r"norm grew to inf .* at step 10,"):
+                solve_forward(grid, b0, b1, times, a=a)
+            # an infinite guard still stops at the first NaN state
+            with pytest.raises(SolverDivergenceError,
+                               match=r"norm grew to nan .* at step 11,"):
+                solve_forward(grid, b0, b1, times, a=a,
+                              divergence_factor=np.inf)
 
     def test_rejects_nonuniform_times(self, grid):
         times = np.array([0.0, 0.1, 0.3])

@@ -172,7 +172,8 @@ class TestCli:
         # n_modes = 16: half-bandwidth 6 * 16 - 1, band 96 x (48 * 16) doubles
         assert "metrics.precond_half_bandwidth = 95\n" in out
         assert f"metrics.precond_band_mb = {8e-6 * 96 * 48 * 16!r}\n" in out
-        for key in ("cg_iterations", "eps", "norm_estimate"):
+        for key in ("cg_iterations", "eps", "norm_estimate",
+                    "w1_underflow_frac", "w2_underflow_frac"):
             assert f"metrics.{key} = " in out
 
 
@@ -224,6 +225,11 @@ class TestSnapshot:
         assert np.array_equal(back[:, 1], np.tile(x, 7))
         assert np.array_equal(back[:, 2], beta.ravel())
         assert np.signbit(back[1, 2])
+        # more rows than the writer puts in one block
+        n = np.arange(5000.0)
+        path = write_field_csv(tmp_path / "g.csv", {"t": n, "v": -n})
+        assert path.read_bytes() == ("t,v\r\n" + "".join(
+            f"{i!r},{-i!r}\r\n" for i in n.tolist())).encode()
 
     def test_flat_report_roundtrip(self, tmp_path):
         path = write_flat_report(tmp_path / "r.txt",

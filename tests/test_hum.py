@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -218,6 +219,30 @@ class TestQuadraticSystem:
         with pytest.raises(ValueError, match="a_vals"):
             assemble_hum_system(grid8, tgrid16, weights8, base.source,
                                 a_vals=a)
+
+    @pytest.mark.parametrize("field", ["log_xi", "neg2s_phi"])
+    def test_rejects_nonfinite_kernels(self, grid8, tgrid16, weights8,
+                                       small_system, field):
+        # an overflowing exponent in -2 s phi makes W1 (and W2) infinite; one
+        # in log(xi) alone reaches only W2 = exp(7 log xi - 2 s phi)
+        _, _, _, base = small_system
+        values = getattr(weights8, field).copy()
+        values[4, 2] = 1e6
+        name = "W1" if field == "neg2s_phi" else "W2"
+        w = dataclasses.replace(weights8, **{field: values})
+        assert w.domain.in_omega(w.x_nodes)[2]
+        with pytest.raises(ValueError, match=name):
+            assemble_hum_system(grid8, tgrid16, w, base.source)
+
+    def test_rejects_nonfinite_rhs(self, grid8, tgrid16, weights8,
+                                   small_system):
+        # a finite source whose quadrature pairing overflows
+        _, _, _, base = small_system
+        values = base.source.values.copy()
+        values[6, 2] = 1e308
+        w = dataclasses.replace(weights8, t_weights=1e10 * weights8.t_weights)
+        with pytest.raises(ValueError, match="rhs"):
+            assemble_hum_system(grid8, tgrid16, w, HumSource(values=values))
 
 
 def dense_from_band(ab):
