@@ -24,8 +24,21 @@ from .torus import TimeGrid
 from .weights import CarlemanParams, EtaProfile, ThetaProfile, \
     WeightField, eval_weights
 
-DERIV_KEYS = ("00", "10", "20", "30", "40", "01", "11", "21", "02")
-# key "ij": i x-derivatives, j t-derivatives
+# The estimate's left side, one row per weighted integral: (name, derivative
+# key "ij" with i x- and j t-derivatives, xi power p, s exponent a, lam
+# exponent b), so the row is s^a lam^b int xi^p |d psi|^2 e^{-2 s phi}.
+LADDER = (
+    ("psi", "00", 7, 7, 8),
+    ("psi_x", "10", 5, 5, 6),
+    ("psi_xx", "20", 3, 3, 4),
+    ("psi_t", "01", 3, 3, 4),
+    ("psi_tx", "11", 1, 1, 2),
+    ("psi_xxx", "30", 1, 1, 2),
+    ("psi_tt", "02", -1, -1, 0),
+    ("psi_txx", "21", -1, -1, 0),
+    ("psi_xxxx", "40", -1, -1, 0),
+)
+DERIV_KEYS = tuple(row[1] for row in LADDER)
 
 
 @dataclass(frozen=True)
@@ -51,16 +64,11 @@ class SeparableTerm:
         kap = 2.0 * np.pi * k / self.circumference
         phase = kap[:, None] * x[None, :]
         cos, sin = np.cos(phase), np.sin(phase)
+        # d/dx cycles (cos, sin) -> (-sin, cos) -> (-cos, -sin) -> (sin, -cos)
+        cycle = ((cos, sin), (-sin, cos), (-cos, -sin), (sin, -cos))
         for j in range(max_order + 1):
             amp = kap**j
-            if j % 4 == 0:
-                cj, sj = cos, sin
-            elif j % 4 == 1:
-                cj, sj = -sin, cos
-            elif j % 4 == 2:
-                cj, sj = -cos, -sin
-            else:
-                cj, sj = sin, -cos
+            cj, sj = cycle[j % 4]
             out[j] = (amp * self.x_coeffs_cos) @ cj + (amp * self.x_coeffs_sin) @ sj
         return out
 
@@ -91,20 +99,17 @@ class SeparableTerm:
 
 @dataclass(frozen=True)
 class SpaceTimeSample:
-    """Sum of separable terms; derivatives are assembled lazily per grid."""
+    """Sum of separable terms; each derivative is one matrix product over them."""
 
     terms: tuple[SeparableTerm, ...]
     label: str = ""
 
     def derivs(self, x: np.ndarray, t: np.ndarray) -> dict[str, np.ndarray]:
-        fields = {key: 0.0 for key in DERIV_KEYS}
-        for term in self.terms:
-            xd = term.x_derivs(x)
-            td = term.t_derivs(t)
-            for key in DERIV_KEYS:
-                i, j = int(key[0]), int(key[1])
-                fields[key] = fields[key] + td[j][:, None] * xd[i][None, :]
-        return fields
+        """(n_t, n_x) fields by DERIV_KEYS: key "ij" is the (n_t, k) @ (k, n_x)
+        product of the k terms' j-th t- and i-th x-derivatives."""
+        xd = np.stack([term.x_derivs(x) for term in self.terms], axis=1)
+        td = np.stack([term.t_derivs(t) for term in self.terms], axis=2)
+        return {key: td[int(key[1])] @ xd[int(key[0])] for key in DERIV_KEYS}
 
 
 @dataclass(frozen=True)
@@ -121,11 +126,10 @@ class TestFunctionFamily:
     circumference: float
     gamma_range: tuple[float, float] = (0.02, 0.08)
     n_terms: tuple[int, int] = (1, 3)
-    kind: str = "trig"            # "trig" | "omega_bump"
-    omega_interval: tuple[float, float] | None = None
 
     def generate(self) -> list[SpaceTimeSample]:
         rng = np.random.default_rng(self.seed)
+        decay = 1.0 / (1.0 + np.arange(self.max_mode + 1)) ** 1.5
         samples = []
         for idx in range(self.n_samples):
             n_terms = rng.integers(self.n_terms[0], self.n_terms[1] + 1)
@@ -133,25 +137,12 @@ class TestFunctionFamily:
             for _ in range(n_terms):
                 gamma = rng.uniform(*self.gamma_range)
                 t_poly = rng.standard_normal(3)
-                if self.kind == "omega_bump":
-                    a, b = self.omega_interval
-                    margin = 0.15 * (b - a)
-                    center = rng.uniform(a + 2 * margin, b - 2 * margin)
-                    halfw = rng.uniform(margin, min(center - a, b - center) * 0.9)
-                    term = SeparableTerm(
-                        x_coeffs_cos=np.zeros(1), x_coeffs_sin=np.zeros(1),
-                        circumference=self.circumference, gamma=gamma,
-                        t_poly=t_poly, T=self.T, x_bump=(center, halfw),
-                    )
-                else:
-                    decay = 1.0 / (1.0 + np.arange(self.max_mode + 1)) ** 1.5
-                    term = SeparableTerm(
-                        x_coeffs_cos=rng.standard_normal(self.max_mode + 1) * decay,
-                        x_coeffs_sin=rng.standard_normal(self.max_mode + 1) * decay,
-                        circumference=self.circumference, gamma=gamma,
-                        t_poly=t_poly, T=self.T,
-                    )
-                terms.append(term)
+                terms.append(SeparableTerm(
+                    x_coeffs_cos=rng.standard_normal(self.max_mode + 1) * decay,
+                    x_coeffs_sin=rng.standard_normal(self.max_mode + 1) * decay,
+                    circumference=self.circumference, gamma=gamma,
+                    t_poly=t_poly, T=self.T,
+                ))
             samples.append(SpaceTimeSample(
                 terms=tuple(terms), label=f"{self.family_id}[{idx}]"))
         return samples
@@ -167,6 +158,14 @@ class LhsBreakdown:
     psi_tx_xxx_sq: float     # s   lam^2  int xi   (|psi_tx|^2 + |psi_xxx|^2)
     psi_high_sq: float       # s^-1       int 1/xi (|psi_tt|^2 + |psi_txx|^2 + |psi_xxxx|^2)
     individual: dict[str, float] = field(default_factory=dict)
+
+    @classmethod
+    def from_ladder(cls, values: np.ndarray) -> LhsBreakdown:
+        """Group the LADDER row values by xi power, in ladder order."""
+        ind = {row[0]: float(v) for row, v in zip(LADDER, values)}
+        powers = dict.fromkeys(row[2] for row in LADDER)
+        return cls(*(sum(ind[row[0]] for row in LADDER if row[2] == p)
+                     for p in powers), individual=ind)
 
     @property
     def total(self) -> float:
@@ -184,42 +183,6 @@ class RhsBreakdown:
         return self.residual + self.observation
 
 
-def _weighted_integral(w: WeightField, xi_power: float,
-                       density: np.ndarray,
-                       x_weights: np.ndarray | None = None) -> float:
-    kernel = w.kernel(xi_power) * density
-    xw = w.h if x_weights is None else x_weights
-    return float(np.sum(w.t_weights[:, None] * xw * kernel))
-
-
-def lhs_terms(psi: dict[str, np.ndarray], w: WeightField) -> LhsBreakdown:
-    """Evaluate the seven-term weighted ladder for one sample.
-
-    `psi` maps derivative keys "ij" (i x-derivatives, j t-derivatives) to
-    sampled arrays on the weight grid.
-    """
-    s, lam = w.params.s, w.params.lam
-    ind = {
-        "psi": s**7 * lam**8 * _weighted_integral(w, 7, psi["00"] ** 2),
-        "psi_x": s**5 * lam**6 * _weighted_integral(w, 5, psi["10"] ** 2),
-        "psi_xx": s**3 * lam**4 * _weighted_integral(w, 3, psi["20"] ** 2),
-        "psi_t": s**3 * lam**4 * _weighted_integral(w, 3, psi["01"] ** 2),
-        "psi_tx": s * lam**2 * _weighted_integral(w, 1, psi["11"] ** 2),
-        "psi_xxx": s * lam**2 * _weighted_integral(w, 1, psi["30"] ** 2),
-        "psi_tt": _weighted_integral(w, -1, psi["02"] ** 2) / s,
-        "psi_txx": _weighted_integral(w, -1, psi["21"] ** 2) / s,
-        "psi_xxxx": _weighted_integral(w, -1, psi["40"] ** 2) / s,
-    }
-    return LhsBreakdown(
-        psi_sq=ind["psi"],
-        psi_x_sq=ind["psi_x"],
-        psi_xx_t_sq=ind["psi_xx"] + ind["psi_t"],
-        psi_tx_xxx_sq=ind["psi_tx"] + ind["psi_xxx"],
-        psi_high_sq=ind["psi_tt"] + ind["psi_txx"] + ind["psi_xxxx"],
-        individual=ind,
-    )
-
-
 def adjoint_residual(psi: dict[str, np.ndarray],
                      a: np.ndarray | None = None) -> np.ndarray:
     """(dtt + dtxx + dxxxx) psi, plus a * psi when a potential is given.
@@ -233,20 +196,48 @@ def adjoint_residual(psi: dict[str, np.ndarray],
     return res
 
 
-def rhs_terms(psi: dict[str, np.ndarray], w: WeightField,
-              a: np.ndarray | None = None) -> RhsBreakdown:
-    """Weighted residual plus omega-localized observation.
+def kernel_stack(w: WeightField) -> tuple[np.ndarray, float]:
+    """Quadrature-weighted kernels of every integral, shape (11, n_t * n_x).
 
-    The observation integral splits the quadrature cells exactly at the
-    omega endpoints.
+    Rows: LADDER with s^a lam^b folded in, the residual's e^{-2 s phi}, and
+    s^7 lam^8 xi^7 e^{-2 s phi} on omega (cells split at its endpoints).
+    Also returns the share of grid entries where e^{-2 s phi} is exactly 0.
     """
     s, lam = w.params.s, w.params.lam
-    res = adjoint_residual(psi, a)
-    residual = _weighted_integral(w, 0, res**2)
-    xw = w.domain.omega_cell_weights(w.x_nodes, w.h)
-    observation = s**7 * lam**8 * _weighted_integral(
-        w, 7, psi["00"] ** 2, x_weights=xw[None, :])
-    return RhsBreakdown(residual=residual, observation=observation)
+    quad = w.quad_weights()
+    omega_quad = w.t_weights[:, None] * w.domain.omega_cell_weights(
+        w.x_nodes, w.h)
+    residual_kernel = w.kernel(0)
+    rows = [s**a * lam**b * quad * w.kernel(p) for _, _, p, a, b in LADDER]
+    rows += [quad * residual_kernel, s**7 * lam**8 * omega_quad * w.kernel(7)]
+    return (np.stack(rows).reshape(len(rows), -1),
+            float(np.mean(residual_kernel == 0.0)))
+
+
+def field_stack(psi: dict[str, np.ndarray],
+                a: np.ndarray | None = None) -> np.ndarray:
+    """The squared densities matching the kernel_stack rows, (11, n_t * n_x)."""
+    rows = [psi[key] ** 2 for _, key, _, _, _ in LADDER]
+    rows += [adjoint_residual(psi, a) ** 2, rows[0]]
+    return np.stack(rows).reshape(len(rows), -1)
+
+
+def _integrals(psi: dict[str, np.ndarray], w: WeightField,
+               a: np.ndarray | None = None) -> np.ndarray:
+    return np.einsum("rn,rn->r", kernel_stack(w)[0], field_stack(psi, a))
+
+
+def lhs_terms(psi: dict[str, np.ndarray], w: WeightField) -> LhsBreakdown:
+    """The weighted LADDER of one sample; `psi` maps DERIV_KEYS to fields."""
+    return LhsBreakdown.from_ladder(_integrals(psi, w)[:len(LADDER)])
+
+
+def rhs_terms(psi: dict[str, np.ndarray], w: WeightField,
+              a: np.ndarray | None = None) -> RhsBreakdown:
+    """Weighted residual plus omega-localized observation."""
+    *_, residual, observation = _integrals(psi, w, a)
+    return RhsBreakdown(residual=float(residual),
+                        observation=float(observation))
 
 
 @dataclass(frozen=True)
@@ -273,6 +264,7 @@ class RatioReport:
     heldout_max: dict[tuple[float, float], float]
     s_grid: list[float]
     lam_grid: list[float]
+    kernel_underflow_frac: float   # largest share of e^{-2 s phi} == 0
 
     def heldout_within(self, factor: float = 10.0) -> bool:
         return all(
@@ -295,39 +287,40 @@ def audit_inequality(calibration: TestFunctionFamily,
                      a: np.ndarray | None = None) -> RatioReport:
     """Measure LHS/RHS ratios for both families over the parameter grid.
 
-    Sample derivative arrays are evaluated once per family and reused across
-    (s, lam); weight fields are rebuilt per parameter point.  Ratios are
-    deterministic given the family seeds and are aggregated in fixed order.
+    The kernel_stack of every (s, lam) is built once.  Samples then stream:
+    each one's derivative fields are formed once, squared into its
+    field_stack and contracted against all (s, lam) stacks in one einsum, so
+    memory holds one sample's fields at a time.  Rows come out in
+    (s, lam, role, sample) order; ratios are deterministic given the family
+    seeds.
     """
-    s_grid = [float(s) for s in s_grid]
-    lam_grid = [float(l) for l in lam_grid]
+    points = [(float(s), float(lam)) for s in s_grid for lam in lam_grid]
+    stacks = [kernel_stack(eval_weights(
+        eta, theta, CarlemanParams(s=s, lam=lam, T0=T0, T1=T1), x_nodes,
+        t_grid)) for s, lam in points]
+    kernels = np.stack([stack for stack, _ in stacks])
     fams = [("calibration", calibration.generate()),
             ("heldout", heldout.generate())]
-    cached = [
-        (role, [(smp.label, smp.derivs(x_nodes, t_grid.nodes)) for smp in lst])
-        for role, lst in fams
-    ]
+    values = {   # one (n_points, 11) array per sample
+        role: [np.einsum("prn,rn->pr", kernels, field_stack(
+            smp.derivs(x_nodes, t_grid.nodes), a)) for smp in samples]
+        for role, samples in fams}
 
     rows: list[RatioRow] = []
-    calib_max: dict[tuple[float, float], float] = {}
-    held_max: dict[tuple[float, float], float] = {}
-    for s in s_grid:
-        for lam in lam_grid:
-            params = CarlemanParams(s=s, lam=lam, T0=T0, T1=T1)
-            w = eval_weights(eta, theta, params, x_nodes, t_grid)
-            for role, entries in cached:
-                worst = 0.0
-                for label, derivs in entries:
-                    lhs = lhs_terms(derivs, w)
-                    rhs = rhs_terms(derivs, w, a)
-                    row = RatioRow(family=role, sample=label, s=s, lam=lam,
-                                   lhs=lhs.total, residual=rhs.residual,
-                                   observation=rhs.observation)
-                    rows.append(row)
-                    worst = max(worst, row.ratio)
-                if role == "calibration":
-                    calib_max[(s, lam)] = worst
-                else:
-                    held_max[(s, lam)] = worst
-    return RatioReport(rows=rows, calibration_max=calib_max,
-                       heldout_max=held_max, s_grid=s_grid, lam_grid=lam_grid)
+    maxima: dict[str, dict[tuple[float, float], float]] = {}
+    for p, (s, lam) in enumerate(points):
+        for role, samples in fams:
+            worst = 0.0
+            for smp, v in zip(samples, values[role]):
+                *ladder, residual, observation = v[p]
+                rows.append(RatioRow(
+                    family=role, sample=smp.label, s=s, lam=lam,
+                    lhs=LhsBreakdown.from_ladder(ladder).total,
+                    residual=float(residual), observation=float(observation)))
+                worst = max(worst, rows[-1].ratio)
+            maxima.setdefault(role, {})[(s, lam)] = worst
+    return RatioReport(rows=rows, calibration_max=maxima["calibration"],
+                       heldout_max=maxima["heldout"],
+                       s_grid=[float(s) for s in s_grid],
+                       lam_grid=[float(lam) for lam in lam_grid],
+                       kernel_underflow_frac=max(f for _, f in stacks))

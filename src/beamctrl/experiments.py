@@ -26,8 +26,8 @@ from .hum import build_theta1, synthesize_control
 from .io import (write_csv, write_field_csv, write_field_snapshot,
                  write_flat_report, write_snapshot)
 from .torus import SpatialGrid, gauss_panels, uniform_interior
-from .weights import (audit_derivative_bounds, build_eta, build_theta,
-                      eval_weights, sweep_lambda_bounds)
+from .weights import (TIME_LEDGER, audit_derivative_bounds, build_eta,
+                      build_theta, eval_weights, sweep_lambda_bounds)
 from .zeta import zeta_ledger
 
 
@@ -282,8 +282,7 @@ def _run_weights_audit(cfg: ExperimentConfig, run_dir: Path):
     field_map.update({f"phi_x{i}": w.phi_x[i] for i in (1, 2, 3, 4)})
     field_map.update({f"xi_x{i}": w.xi_x[i] for i in (1, 2, 3, 4)})
     field_map.update({name: getattr(w, name) for name in (
-        f"{fam}_{d}" for fam in ("phi", "xi")
-        for d in ("t", "tt", "tx", "txx", "txxx", "ttx", "ttxx"))})
+        f"{fam}_{d}" for fam in ("phi", "xi") for d in TIME_LEDGER)})
     files.append(write_field_csv(run_dir / "weights_field.csv", field_map))
 
     base = audit_derivative_bounds(w)
@@ -347,6 +346,7 @@ def _run_carleman_audit(cfg: ExperimentConfig, run_dir: Path):
         "calibration_max_ratio": report.calibration_max[base_key],
         "heldout_max_ratio": report.heldout_max[base_key],
         "max_s_growth_factor": growth,
+        "kernel_underflow_frac": report.kernel_underflow_frac,
     }
     assertions = {
         "heldout_within_10x": report.heldout_within(aud["heldout_factor"]),
@@ -394,6 +394,7 @@ def _run_control(cfg: ExperimentConfig, run_dir: Path):
     metrics.update({
         "cg_iterations": sol.iterations,
         "cg_relative_residual": sol.relative_residual,
+        "cg_true_relative_residual": sol.true_relative_residual,
         "J_value": sol.J_value,
         "eps": sol.eps,
         "norm_estimate": system.norm_estimate,

@@ -386,7 +386,8 @@ class HumSolution:
     J_value: float
     residual_history: list[float]
     iterations: int
-    relative_residual: float
+    relative_residual: float        # CG's recursive residual |r_k| / |b|
+    true_relative_residual: float   # |b - A x| / |b|, from one more apply
     eps: float
 
 
@@ -410,7 +411,8 @@ def minimize_J(sys: QuadraticSystem, tol: float = 1e-10,
         zero = np.zeros_like(b)
         return HumSolution(psi_min=zero, g_tilde=zero, v=zero, J_value=0.0,
                            residual_history=[0.0], iterations=0,
-                           relative_residual=0.0, eps=sys.eps)
+                           relative_residual=0.0, true_relative_residual=0.0,
+                           eps=sys.eps)
 
     precond = banded_preconditioner(sys) if precondition else (lambda r: r)
     x = np.zeros_like(b)
@@ -442,6 +444,7 @@ def minimize_J(sys: QuadraticSystem, tol: float = 1e-10,
             f"CG did not reach tol {tol:g} in {max_iter} iterations "
             f"(residual {history[-1]:.3e})", history)
 
+    true_r = b - sys.apply(x)
     return HumSolution(
         psi_min=x,
         g_tilde=sys.residual_field_from(x),
@@ -450,6 +453,7 @@ def minimize_J(sys: QuadraticSystem, tol: float = 1e-10,
         residual_history=history,
         iterations=len(history) - 1,
         relative_residual=history[-1],
+        true_relative_residual=float(np.sqrt(np.sum(true_r * true_r))) / b_norm,
         eps=sys.eps,
     )
 

@@ -1,13 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamctrl.audit import (SeparableTerm, SpaceTimeSample,
+from beamctrl.audit import (DERIV_KEYS, SeparableTerm, SpaceTimeSample,
                             TestFunctionFamily, adjoint_residual,
                             audit_inequality, lhs_terms, rhs_terms)
-from beamctrl.torus import TimeGrid
-from beamctrl.weights import eval_weights
+from beamctrl.torus import TimeGrid, gauss_panels
+from beamctrl.weights import CarlemanParams, eval_weights
 
 
 def single_mode_sample(domain, k=2, gamma=0.05):
@@ -50,6 +52,22 @@ class TestSampleDerivatives:
         fd_x = grid64.deriv(d["00"], 1)
         assert np.allclose(fd_x, d["10"], atol=1e-10)
 
+    def test_multi_term_derivs_are_the_sum_of_terms(self, domain, grid64,
+                                                    tgrid128):
+        fam = TestFunctionFamily("m", seed=9, n_samples=2, max_mode=8,
+                                 T=domain.T,
+                                 circumference=domain.circumference,
+                                 n_terms=(3, 3))
+        x, t = grid64.nodes, tgrid128.nodes
+        for smp in fam.generate():
+            full = smp.derivs(x, t)
+            singles = [SpaceTimeSample(terms=(term,)).derivs(x, t)
+                       for term in smp.terms]
+            for key in DERIV_KEYS:
+                parts = sum(d[key] for d in singles)
+                scale = sum(np.max(np.abs(d[key])) for d in singles)
+                assert np.max(np.abs(full[key] - parts)) <= 1e-14 * scale
+
     def test_envelope_vanishes_at_horizon_ends(self, domain):
         smp = single_mode_sample(domain)
         d = smp.derivs(np.array([0.3]), np.array([1e-4, domain.T - 1e-4]))
@@ -74,6 +92,43 @@ class TestLhsRhs:
         assert L2.total == pytest.approx(alpha**2 * L1.total, rel=1e-12)
         R1, R2 = rhs_terms(psi, weights64), rhs_terms(scaled, weights64)
         assert R2.total == pytest.approx(alpha**2 * R1.total, rel=1e-12)
+
+    def test_ladder_against_direct_sums(self, domain, grid64, weights64):
+        # each term written out: s^a lam^b sum(quad * xi^p e^{-2 s phi} f^2)
+        w = weights64
+        s, lam = w.params.s, w.params.lam
+        psi = single_mode_sample(domain).derivs(grid64.nodes, w.t_nodes)
+        quad = w.t_weights[:, None] * w.h
+
+        def direct(p, field, x_weights=w.h):
+            return float(np.sum(w.t_weights[:, None] * x_weights
+                                * w.kernel(p) * field**2))
+
+        expect = {
+            "psi": s**7 * lam**8 * direct(7, psi["00"]),
+            "psi_x": s**5 * lam**6 * direct(5, psi["10"]),
+            "psi_xx": s**3 * lam**4 * direct(3, psi["20"]),
+            "psi_t": s**3 * lam**4 * direct(3, psi["01"]),
+            "psi_tx": s * lam**2 * direct(1, psi["11"]),
+            "psi_xxx": s * lam**2 * direct(1, psi["30"]),
+            "psi_tt": direct(-1, psi["02"]) / s,
+            "psi_txx": direct(-1, psi["21"]) / s,
+            "psi_xxxx": direct(-1, psi["40"]) / s,
+        }
+        L = lhs_terms(psi, w)
+        assert list(L.individual) == list(expect)
+        for name, value in expect.items():
+            assert L.individual[name] == pytest.approx(value, rel=1e-13)
+        assert L.psi_xx_t_sq == pytest.approx(
+            expect["psi_xx"] + expect["psi_t"], rel=1e-13)
+        a = np.random.default_rng(2).uniform(-1, 1, psi["00"].shape)
+        R = rhs_terms(psi, w, a)
+        res = psi["02"] + psi["21"] + psi["40"] + a * psi["00"]
+        assert R.residual == pytest.approx(
+            float(np.sum(quad * w.kernel(0) * res**2)), rel=1e-13)
+        omega = w.domain.omega_cell_weights(w.x_nodes, w.h)
+        assert R.observation == pytest.approx(
+            s**7 * lam**8 * direct(7, psi["00"], omega[None, :]), rel=1e-13)
 
     def test_sum_matches_parts(self, domain, grid64, weights64):
         psi = single_mode_sample(domain).derivs(grid64.nodes,
@@ -183,3 +238,57 @@ class TestFamilies:
                                                 weights64.t_nodes)
         res = adjoint_residual(psi)
         assert np.allclose(res, psi["02"] + psi["21"] + psi["40"])
+
+
+class TestStreamedAudit:
+    @pytest.mark.parametrize("with_potential", [False, True])
+    def test_rows_match_per_sample_terms(self, domain, eta, theta, grid64,
+                                         tgrid128, with_potential):
+        kw = dict(n_samples=3, max_mode=8, T=domain.T,
+                  circumference=domain.circumference)
+        calib = TestFunctionFamily("calibration", seed=11, **kw)
+        held = TestFunctionFamily("heldout", seed=202, **kw)
+        a = (np.random.default_rng(4).uniform(
+            -1, 1, (tgrid128.nodes.size, grid64.n)) if with_potential
+            else None)
+        s_grid, lam_grid = [4.0, 8.0], [1.0, 2.0]
+        report = audit_inequality(calib, held, eta, theta, s_grid, lam_grid,
+                                  0.5, 0.5, grid64.nodes, tgrid128, a=a)
+        expected = []
+        for s in s_grid:
+            for lam in lam_grid:
+                w = eval_weights(eta, theta,
+                                 CarlemanParams(s=s, lam=lam, T0=0.5, T1=0.5),
+                                 grid64.nodes, tgrid128)
+                for role, fam in (("calibration", calib), ("heldout", held)):
+                    for smp in fam.generate():
+                        psi = smp.derivs(grid64.nodes, tgrid128.nodes)
+                        rhs = rhs_terms(psi, w, a)
+                        expected.append((role, smp.label, s, lam,
+                                         lhs_terms(psi, w).total,
+                                         rhs.residual, rhs.observation))
+        assert [(r.family, r.sample, r.s, r.lam) for r in report.rows] \
+            == [e[:4] for e in expected]
+        for row, e in zip(report.rows, expected):
+            assert row.lhs == pytest.approx(e[4], rel=1e-13)
+            assert row.residual == pytest.approx(e[5], rel=1e-13)
+            assert row.observation == pytest.approx(e[6], rel=1e-13)
+
+    def test_memory_holds_one_sample_at_a_time(self, domain, eta, theta,
+                                               grid64):
+        # a per-family derivative cache at this size peaks near 158 MB
+        tg = gauss_panels(domain.T, np.array(theta.junctions), 256)
+        kw = dict(n_samples=64, max_mode=16, T=domain.T,
+                  circumference=domain.circumference)
+        calib = TestFunctionFamily("calibration", seed=11, **kw)
+        held = TestFunctionFamily("heldout", seed=202, **kw)
+        a = np.random.default_rng(4).uniform(-1, 1, (tg.nodes.size, grid64.n))
+        tracemalloc.start()
+        try:
+            report = audit_inequality(calib, held, eta, theta, [4.0, 8.0],
+                                      [2.0], 0.5, 0.5, grid64.nodes, tg, a=a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.rows) == 256
+        assert peak < 40e6

@@ -172,9 +172,21 @@ class TestCli:
         # n_modes = 16: half-bandwidth 6 * 16 - 1, band 96 x (48 * 16) doubles
         assert "metrics.precond_half_bandwidth = 95\n" in out
         assert f"metrics.precond_band_mb = {8e-6 * 96 * 48 * 16!r}\n" in out
-        for key in ("cg_iterations", "eps", "norm_estimate",
+        for key in ("cg_iterations", "cg_relative_residual",
+                    "cg_true_relative_residual", "eps", "norm_estimate",
                     "w1_underflow_frac", "w2_underflow_frac"):
             assert f"metrics.{key} = " in out
+
+    def test_report_shows_audit_kernel_underflow(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "carleman-audit")
+        out_root = tmp_path / "runs"
+        main(["run", str(path), "--out-root", str(out_root)])
+        capsys.readouterr()
+        main(["report", str(out_root / load_config(path).config_hash)])
+        out = capsys.readouterr().out
+        line = next(l for l in out.splitlines()
+                    if l.startswith("metrics.kernel_underflow_frac = "))
+        assert 0.0 < float(line.split(" = ")[1]) < 1.0
 
 
 class TestSnapshot:

@@ -302,6 +302,16 @@ class TestMinimize:
         sol = minimize_J(system)
         assert np.all(sol.psi_min == 0.0) and np.all(sol.v == 0.0)
         assert sol.J_value == 0.0
+        assert sol.true_relative_residual == 0.0
+
+    def test_true_residual_is_a_direct_apply(self, small_system):
+        _, _, _, system = small_system
+        sol = minimize_J(system)
+        b = system.rhs
+        direct = np.linalg.norm(b - system.apply(sol.psi_min)) \
+            / np.linalg.norm(b)
+        assert sol.true_relative_residual == pytest.approx(direct, rel=1e-12)
+        assert direct > 0.0
 
     def test_rhs_scaling_scales_solution(self, small_system):
         _, _, _, system = small_system

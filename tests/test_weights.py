@@ -172,6 +172,26 @@ class TestBoundAudit:
         assert len(report.records) == 22
         assert len(report.positivity) == 4
 
+    def test_x_only_entries_report_no_time(self, weights64):
+        # theta cancels from |d^i_x phi| / (lam^i xi), so no time row is
+        # the maximizer; every constant is still the plain grid maximum
+        w = weights64
+        lam = w.params.lam
+        report = audit_derivative_bounds(w)
+        x_only = {f"{fam}_x{i}" for fam in ("phi", "xi") for i in (1, 2, 3, 4)}
+        assert {r.inequality for r in report.records
+                if np.isnan(r.t_at)} == x_only
+        for r in report.records:
+            fam, _, suffix = r.inequality.partition("_")
+            if r.inequality in x_only:
+                i = int(suffix[1])
+                lhs, majorant = getattr(w, f"{fam}_x")[i], lam**i * w.xi
+            else:
+                lhs = getattr(w, r.inequality)
+                majorant = lam ** suffix.count("x") \
+                    * w.xi ** (1.5 if suffix.count("t") == 1 else 2)
+            assert r.constant == float(np.max(np.abs(lhs) / majorant))
+
     def test_positivity_floors(self, weights64):
         report = audit_derivative_bounds(weights64)
         assert all(p.floor > 0 for p in report.positivity)
