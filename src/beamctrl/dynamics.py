@@ -20,6 +20,7 @@ without, against 16-37 us; the ranges span the machine's own speed drift.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -111,24 +112,35 @@ class Potential:
 
 @dataclass(frozen=True)
 class BeamTrajectory:
-    """States recorded on a uniform time grid, with energy diagnostics.
+    """States recorded on a uniform time grid.
 
     A batched march carries a leading batch axis on every array but `times`;
-    the norm helpers below take one member (see `member`).
+    the norm helpers below take one member (see `member`).  `energy` and
+    `dissipation` ([batch,] n_times) are derived from the states by
+    `trajectory_energy`, together, the first time either is read.
     """
 
     grid: SpatialGrid
     times: np.ndarray
     beta: np.ndarray      # ([batch,] n_times, n_x)
     beta_t: np.ndarray
-    energy: np.ndarray    # ([batch,] n_times)
-    dissipation: np.ndarray
+
+    @cached_property
+    def _energy_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        return trajectory_energy(self.grid, self.beta, self.beta_t)
+
+    @property
+    def energy(self) -> np.ndarray:
+        return self._energy_pair[0]
+
+    @property
+    def dissipation(self) -> np.ndarray:
+        return self._energy_pair[1]
 
     def member(self, i: int) -> "BeamTrajectory":
         """Member i of a batched trajectory."""
         return BeamTrajectory(self.grid, self.times, self.beta[i],
-                              self.beta_t[i], self.energy[i],
-                              self.dissipation[i])
+                              self.beta_t[i])
 
     def terminal_norm(self) -> float:
         """L2 x L2 norm of (beta, beta_t) at the final time."""
@@ -145,10 +157,17 @@ def trajectory_energy(grid: SpatialGrid, beta: np.ndarray, beta_t: np.ndarray
     of nodal fields of any leading shape, one value per row.
 
     Along unforced zero-potential trajectories dE/dt = -dissipation, which the
-    integrator reproduces to second order in dt.
+    integrator reproduces to second order in dt.  States too large for the
+    squared norms (above about 1e154) raise OverflowError.
     """
-    e = 0.5 * (grid.l2_sq(beta_t) + grid.l2_sq(grid.deriv(beta, 2)))
-    d = grid.l2_sq(grid.deriv(beta_t, 1))
+    with np.errstate(over="ignore", invalid="ignore"):   # raised below
+        e = 0.5 * (grid.l2_sq(beta_t) + grid.l2_sq(grid.deriv(beta, 2)))
+        d = grid.l2_sq(grid.deriv(beta_t, 1))
+    if not (np.all(np.isfinite(e)) and np.all(np.isfinite(d))):
+        raise OverflowError(
+            f"trajectory energy is not finite: largest |beta| = "
+            f"{np.max(np.abs(beta)):.3e}, |beta_t| = "
+            f"{np.max(np.abs(beta_t)):.3e}")
     return e, d
 
 
@@ -184,8 +203,8 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
     a*beta through the real matrices of irfft/rfft (`dft_matrices`), no FFT:
     the second-stage point of step i and the beta it stores both meet
     a_{i+1}, so one stacked synthesis and one analysis product per step
-    serve both.  Energy and dissipation are evaluated once, vectorized, on
-    the nodal result.
+    serve both.  The returned trajectory computes its energy and dissipation
+    only when they are read.
 
     Each member's divergence guard is divergence_factor times its data norm
     plus the trapezoid integral of its forcing's L2 norm; a state whose norm
@@ -297,9 +316,7 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
 
     nodes = g.to_nodes(U.view(complex).transpose(2, 1, 0, 3))  # (2, B, n_t, n_x)
     beta, beta_t = nodes.reshape((2,) + batch + (n_t, g.n))
-    energy, dissipation = trajectory_energy(g, beta, beta_t)
-    return BeamTrajectory(grid=g, times=times, beta=beta, beta_t=beta_t,
-                          energy=energy, dissipation=dissipation)
+    return BeamTrajectory(grid=g, times=times, beta=beta, beta_t=beta_t)
 
 
 # fixed-point treatment of the potential -------------------------------------
@@ -376,10 +393,10 @@ def fixed_point_solve(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
     data = (np.asarray(beta0, dtype=float), np.asarray(beta1, dtype=float))
 
     first_distances: list[float] = []
-    total_iters = 0
-    windows = 0
-    start = 0
+    total_iters = windows = start = 0
+    converged = True
     while start < n_t - 1:
+        windows += 1
         stop = min(start + seg_steps, n_t - 1)
         w_times = times[start:stop + 1]
         w_a = a.values[start:stop + 1]
@@ -399,41 +416,35 @@ def fixed_point_solve(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
             dist = float(np.max(np.sqrt(grid.l2_sq(traj.beta - prev)
                                         + grid.l2_sq(traj.beta_t - prev_t))))
             total_iters += 1
-            if windows == 0:
+            if windows == 1:
                 first_distances.append(dist)
             if dist <= tol * scale:
                 break
             if dist_prev is not None and dist > dist_prev and it >= 2:
-                factors = [b / a_ for a_, b in
-                           zip(first_distances[:-1], first_distances[1:])]
-                report = ContractionReport(
-                    kappa=kappa, kappa_effective=kappa_eff,
-                    distances=first_distances, factors=factors,
-                    observed_factor=max(factors) if factors else float("inf"),
-                    converged=False, windows=windows + 1,
-                    iterations_total=total_iters, threshold_estimate=threshold,
-                )
-                return None, report
+                converged = False
+                break
             dist_prev = dist
             prev, prev_t = traj.beta, traj.beta_t
+        if not converged:
+            break
 
         keep = stop - start if stop == n_t - 1 else half
         beta[start:start + keep + 1] = traj.beta[:keep + 1]
         beta_t[start:start + keep + 1] = traj.beta_t[:keep + 1]
         data = (traj.beta[keep], traj.beta_t[keep])
         start += keep
-        windows += 1
-
-    E, D = trajectory_energy(grid, beta, beta_t)
-    full = BeamTrajectory(grid=grid, times=times, beta=beta, beta_t=beta_t,
-                          energy=E, dissipation=D)
 
     factors = [b / a_ for a_, b in zip(first_distances[:-1], first_distances[1:])]
+    if converged:
+        observed = factors[0] if factors else 0.0
+    else:
+        observed = max(factors) if factors else float("inf")
     report = ContractionReport(
         kappa=kappa, kappa_effective=kappa_eff, distances=first_distances,
-        factors=factors,
-        observed_factor=factors[0] if factors else 0.0,
-        converged=True, windows=windows, iterations_total=total_iters,
+        factors=factors, observed_factor=observed, converged=converged,
+        windows=windows, iterations_total=total_iters,
         threshold_estimate=threshold,
     )
+    full = (BeamTrajectory(grid=grid, times=times, beta=beta, beta_t=beta_t)
+            if converged else None)
     return full, report

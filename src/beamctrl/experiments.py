@@ -26,8 +26,8 @@ from .hum import build_theta1, synthesize_control
 from .io import (write_csv, write_field_csv, write_field_snapshot,
                  write_flat_report, write_snapshot)
 from .torus import SpatialGrid, gauss_panels, uniform_interior
-from .weights import (TIME_LEDGER, audit_derivative_bounds, build_eta,
-                      build_theta, eval_weights, sweep_lambda_bounds)
+from .weights import (LEDGER, audit_derivative_bounds, build_eta, build_theta,
+                      eval_weights, sweep_lambda_bounds)
 from .zeta import zeta_ledger
 
 
@@ -277,13 +277,13 @@ def _run_weights_audit(cfg: ExperimentConfig, run_dir: Path):
     files.append(write_field_csv(run_dir / "theta_profile.csv",
                                  {"t": ts, "theta": theta.eval(ts)}))
     w = eval_weights(eta, theta, params, grid.nodes, t_grid)
-    field_map = {"x": grid.nodes[None, :], "t": t_grid.nodes[:, None],
-                 "phi": w.phi, "xi": w.xi}
-    field_map.update({f"phi_x{i}": w.phi_x[i] for i in (1, 2, 3, 4)})
-    field_map.update({f"xi_x{i}": w.xi_x[i] for i in (1, 2, 3, 4)})
-    field_map.update({name: getattr(w, name) for name in (
-        f"{fam}_{d}" for fam in ("phi", "xi") for d in TIME_LEDGER)})
-    files.append(write_field_csv(run_dir / "weights_field.csv", field_map))
+    # column order: the x-only entries of phi, then of xi, then the timed
+    # entries; the stable sort keeps table order within each group
+    columns = sorted(LEDGER, key=lambda e: (e[3] > 0, e[1] == "xi"))
+    files.append(write_field_csv(run_dir / "weights_field.csv", {
+        "x": grid.nodes[None, :], "t": t_grid.nodes[:, None],
+        "phi": w.phi, "xi": w.xi,
+        **{name: w.ledger[name] for name, *_ in columns}}))
 
     base = audit_derivative_bounds(w)
     metrics = {
@@ -296,7 +296,7 @@ def _run_weights_audit(cfg: ExperimentConfig, run_dir: Path):
         "constants_stable_under_lambda": sweep.stable(2.0),
         "positivity_floor_found": sweep.positivity_threshold is not None,
         "phi_xi_identity": base.identity_defect
-        <= 1e-10 * float(np.max(np.abs(w.xi_x[4]))),
+        <= 1e-10 * float(np.max(np.abs(w.ledger["xi_x4"]))),
     }
     return metrics, assertions, files
 

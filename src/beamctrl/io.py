@@ -9,10 +9,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import BeamTrajectory, trajectory_energy
+from .dynamics import BeamTrajectory
 from .torus import SpatialGrid
 
 SNAPSHOT_MAGIC = b"BEAMSNAP"
+FIELD_MAGIC = b"BEAMFLD1"
 SNAPSHOT_VERSION = 1
 
 
@@ -54,75 +55,60 @@ def write_field_csv(path: Path, columns: dict[str, np.ndarray]) -> Path:
     return path
 
 
-def write_snapshot(path: Path, traj: BeamTrajectory) -> Path:
-    """Compact binary trajectory snapshot.
+def _write_blocks(path: Path, magic: bytes, grid: SpatialGrid,
+                  times: np.ndarray, blocks) -> Path:
+    """Header, time nodes, then the (n_t, n_x) blocks, all little-endian.
 
-    Layout (all little-endian): 8-byte magic "BEAMSNAP", uint32 version,
-    uint32 n_t, uint32 n_x, float64 circumference, float64 x0, then the time
-    nodes (n_t float64), then beta and beta_t as row-major time-major blocks
-    of n_t * n_x float64 each.
+    The header is the 8-byte magic, uint32 version, uint32 n_t, uint32 n_x,
+    float64 circumference and float64 x0; each block is row-major,
+    time-major float64.
     """
     path = Path(path)
-    n_t, n_x = traj.beta.shape
+    n_t, n_x = blocks[0].shape
     with path.open("wb") as fh:
-        fh.write(SNAPSHOT_MAGIC)
+        fh.write(magic)
         fh.write(struct.pack("<III", SNAPSHOT_VERSION, n_t, n_x))
-        fh.write(struct.pack("<dd", traj.grid.circumference, traj.grid.x0))
-        fh.write(np.ascontiguousarray(traj.times, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(traj.beta, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(traj.beta_t, dtype="<f8").tobytes())
+        fh.write(struct.pack("<dd", grid.circumference, grid.x0))
+        for arr in (times, *blocks):
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     return path
 
 
-def read_snapshot(path: Path) -> BeamTrajectory:
+def _read_blocks(path: Path, magic: bytes, kind: str, n_blocks: int):
+    """(grid, times, *blocks) of a file written by `_write_blocks`."""
     with Path(path).open("rb") as fh:
-        magic = fh.read(8)
-        if magic != SNAPSHOT_MAGIC:
-            raise ValueError(f"not a trajectory snapshot: {path}")
+        if fh.read(8) != magic:
+            raise ValueError(f"not a {kind} snapshot: {path}")
         version, n_t, n_x = struct.unpack("<III", fh.read(12))
         if version != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
         circumference, x0 = struct.unpack("<dd", fh.read(16))
         times = np.frombuffer(fh.read(8 * n_t), dtype="<f8").copy()
-        beta = np.frombuffer(fh.read(8 * n_t * n_x),
-                             dtype="<f8").reshape(n_t, n_x).copy()
-        beta_t = np.frombuffer(fh.read(8 * n_t * n_x),
-                               dtype="<f8").reshape(n_t, n_x).copy()
-    grid = SpatialGrid(n_x, circumference, x0)
-    E, D = trajectory_energy(grid, beta, beta_t)
-    return BeamTrajectory(grid=grid, times=times, beta=beta, beta_t=beta_t,
-                          energy=E, dissipation=D)
+        blocks = [np.frombuffer(fh.read(8 * n_t * n_x),
+                                dtype="<f8").reshape(n_t, n_x).copy()
+                  for _ in range(n_blocks)]
+    return (SpatialGrid(n_x, circumference, x0), times, *blocks)
 
 
-FIELD_MAGIC = b"BEAMFLD1"
+def write_snapshot(path: Path, traj: BeamTrajectory) -> Path:
+    """Binary trajectory snapshot: magic "BEAMSNAP", then beta and beta_t
+    as the two blocks of the shared layout (`_write_blocks`)."""
+    return _write_blocks(path, SNAPSHOT_MAGIC, traj.grid, traj.times,
+                         (traj.beta, traj.beta_t))
+
+
+def read_snapshot(path: Path) -> BeamTrajectory:
+    return BeamTrajectory(*_read_blocks(path, SNAPSHOT_MAGIC, "trajectory", 2))
 
 
 def write_field_snapshot(path: Path, grid: SpatialGrid, times: np.ndarray,
                          values: np.ndarray) -> Path:
-    """Single space-time field in the snapshot layout (one value block)."""
-    path = Path(path)
-    n_t, n_x = values.shape
-    with path.open("wb") as fh:
-        fh.write(FIELD_MAGIC)
-        fh.write(struct.pack("<III", SNAPSHOT_VERSION, n_t, n_x))
-        fh.write(struct.pack("<dd", grid.circumference, grid.x0))
-        fh.write(np.ascontiguousarray(times, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
-    return path
+    """Single space-time field: magic "BEAMFLD1", then one value block."""
+    return _write_blocks(path, FIELD_MAGIC, grid, times, (values,))
 
 
 def read_field_snapshot(path: Path):
-    with Path(path).open("rb") as fh:
-        if fh.read(8) != FIELD_MAGIC:
-            raise ValueError(f"not a field snapshot: {path}")
-        version, n_t, n_x = struct.unpack("<III", fh.read(12))
-        if version != SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {version}")
-        circumference, x0 = struct.unpack("<dd", fh.read(16))
-        times = np.frombuffer(fh.read(8 * n_t), dtype="<f8").copy()
-        values = np.frombuffer(fh.read(8 * n_t * n_x),
-                               dtype="<f8").reshape(n_t, n_x).copy()
-    return SpatialGrid(n_x, circumference, x0), times, values
+    return _read_blocks(path, FIELD_MAGIC, "field", 1)
 
 
 def write_flat_report(path: Path, items) -> Path:

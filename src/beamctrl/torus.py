@@ -83,7 +83,6 @@ class TimeGrid:
     nodes: np.ndarray
     weights: np.ndarray
     T: float
-    label: str = ""
 
     def __post_init__(self):
         if self.nodes.ndim != 1 or self.nodes.shape != self.weights.shape:
@@ -102,7 +101,7 @@ def uniform_interior(T: float, n: int) -> TimeGrid:
     """Midpoint grid: nodes (i + 1/2) T/n, each carrying weight T/n."""
     dt = T / n
     nodes = dt * (np.arange(n) + 0.5)
-    return TimeGrid(nodes, np.full(n, dt), T, label="uniform-midpoint")
+    return TimeGrid(nodes, np.full(n, dt), T)
 
 
 def gauss_panels(T: float, breakpoints: np.ndarray, n_nodes: int,
@@ -126,5 +125,4 @@ def gauss_panels(T: float, breakpoints: np.ndarray, n_nodes: int,
             half = 0.5 * (hi - lo)
             nodes.append(0.5 * (hi + lo) + half * gx)
             weights.append(half * gw)
-    return TimeGrid(np.concatenate(nodes), np.concatenate(weights), T,
-                    label="gauss-panels")
+    return TimeGrid(np.concatenate(nodes), np.concatenate(weights), T)

@@ -17,7 +17,7 @@ xi-derivatives on [0, d].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -131,7 +131,6 @@ class EtaProfile:
     eta_max: float
     slope_floor: float
     min_value: float
-    samples: np.ndarray = field(repr=False)
 
     @property
     def corners(self) -> tuple[float, float]:
@@ -192,20 +191,14 @@ def build_eta(domain: DomainSpec, eta_scale: float = 0.1,
     proto = EtaProfile(
         domain=domain, eta_scale=eta_scale, mollify_radius=mollify_radius,
         scale=1.0, offset=0.0, eta_max=0.0, slope_floor=0.0, min_value=0.0,
-        samples=np.empty(0),
     )
     M = domain.circumference
     x_scan = -domain.L + M * np.arange(ETA_SCAN_SIZE) / ETA_SCAN_SIZE
     raw = proto.derivs(x_scan, max_order=1)
     mn, mx = float(raw[:, 0].min()), float(raw[:, 0].max())
-    scale = eta_scale / (mx - mn)
-
-    profile = EtaProfile(
-        domain=domain, eta_scale=eta_scale, mollify_radius=mollify_radius,
-        scale=scale, offset=offset, eta_max=eta_scale + offset,
-        slope_floor=0.0, min_value=mn, samples=np.empty(0),
-    )
-    scan = profile.derivs(x_scan, max_order=6)
+    profile = replace(proto, scale=eta_scale / (mx - mn), offset=offset,
+                      min_value=mn)
+    scan = profile.derivs(x_scan, max_order=1)
     eta_vals, eta_slope = scan[:, 0], scan[:, 1]
 
     if eta_vals.min() <= 0.0:
@@ -221,10 +214,8 @@ def build_eta(domain: DomainSpec, eta_scale: float = 0.1,
     if crit_x.size and not np.all(domain.in_omega(crit_x)):
         raise ConstructionError("found a critical point outside omega")
 
-    object.__setattr__(profile, "slope_floor", slope_floor)
-    object.__setattr__(profile, "eta_max", float(eta_vals.max()))
-    object.__setattr__(profile, "samples", scan)
-    return profile
+    return replace(profile, slope_floor=slope_floor,
+                   eta_max=float(eta_vals.max()))
 
 
 @dataclass(frozen=True)
@@ -328,11 +319,22 @@ def weight_formulas(eta_val, eta_max: float, theta_val, lam: float,
     return phi, theta_val * G, np.log(theta_val) + expo, -2.0 * s * phi
 
 
+# the derivative ledger: (name, family, x-order i, t-order j) per entry; the
+# entry is bounded by lam^i xi^(1 + j/2)
+_X_ONLY = [(i, 0) for i in (1, 2, 3, 4)]
+_TIMED = [(0, 1), (0, 2), (1, 1), (2, 1), (3, 1), (1, 2), (2, 2)]
+LEDGER = tuple(
+    (f"{fam}_x{i}" if j == 0 else f"{fam}_{'t' * j}{'x' * i}", fam, i, j)
+    for fam, orders in (("phi", _X_ONLY + _TIMED), ("xi", _TIMED + _X_ONLY))
+    for i, j in orders)
+
+
 @dataclass(frozen=True)
 class WeightField:
     """Sampled weights and every derivative the bound ledger references.
 
-    Arrays are time-major with shape (n_t, n_x).  Exponentials of phi are
+    Arrays are time-major with shape (n_t, n_x); `ledger` maps each `LEDGER`
+    name, in table order, to its derivative field.  Exponentials of phi are
     carried in the log domain: `neg2s_phi` stores -2*s*phi and `log_xi`
     stores log(xi), so weighted kernels assemble as exp(p*log_xi - 2*s*phi)
     without overflow near the horizon ends.
@@ -347,22 +349,7 @@ class WeightField:
     h: float
     phi: np.ndarray
     xi: np.ndarray
-    phi_x: dict[int, np.ndarray]
-    xi_x: dict[int, np.ndarray]
-    phi_t: np.ndarray
-    phi_tt: np.ndarray
-    phi_tx: np.ndarray
-    phi_txx: np.ndarray
-    phi_txxx: np.ndarray
-    phi_ttx: np.ndarray
-    phi_ttxx: np.ndarray
-    xi_t: np.ndarray
-    xi_tt: np.ndarray
-    xi_tx: np.ndarray
-    xi_txx: np.ndarray
-    xi_txxx: np.ndarray
-    xi_ttx: np.ndarray
-    xi_ttxx: np.ndarray
+    ledger: dict[str, np.ndarray]
     log_xi: np.ndarray
     neg2s_phi: np.ndarray
 
@@ -380,7 +367,11 @@ def eval_weights(eta: EtaProfile, theta: ThetaProfile, params: CarlemanParams,
     """Sample phi, xi and their derivative ledger on a space-time grid.
 
     All derivatives come from the chain-rule formulas in eta', .., eta'''' and
-    theta', theta''; nothing is differenced numerically.
+    theta', theta''; nothing is differenced numerically.  The xi entry
+    (i, j) is theta^(j) * (P_i * G), with G the spatial xi profile and P_i
+    the Faa di Bruno polynomial of d^i/dx^i exp(lam * eta) (P_0 = 1); the
+    phi entry is its negation for i >= 1 and theta^(j) times the spatial phi
+    profile for i = 0.
     """
     x_nodes = np.asarray(x_nodes, dtype=float)
     if x_nodes.size < 2:
@@ -393,8 +384,8 @@ def eval_weights(eta: EtaProfile, theta: ThetaProfile, params: CarlemanParams,
 
     ed = eta.derivs(x_nodes, max_order=4)
     e1, e2, e3, e4 = ed[:, 1], ed[:, 2], ed[:, 3], ed[:, 4]
-    # Faa di Bruno polynomials for d^i/dx^i exp(lam * eta)
     P = {
+        0: 1.0,
         1: lam * e1,
         2: lam * e2 + lam**2 * e1**2,
         3: lam * e3 + 3 * lam**2 * e1 * e2 + lam**3 * e1**3,
@@ -402,30 +393,19 @@ def eval_weights(eta: EtaProfile, theta: ThetaProfile, params: CarlemanParams,
             + 6 * lam**3 * e1**2 * e2 + lam**4 * e1**4),
     }
     profile, G, _, _ = weight_formulas(ed[:, 0], m, 1.0, lam)
+    th = [theta.eval(t_grid.nodes, j)[:, None] for j in (0, 1, 2)]
 
-    th = theta.eval(t_grid.nodes, 0)[:, None]
-    th1 = theta.eval(t_grid.nodes, 1)[:, None]
-    th2 = theta.eval(t_grid.nodes, 2)[:, None]
-
-    phi, xi, log_xi, neg2s_phi = weight_formulas(ed[:, 0], m, th, lam, s)
-    xi_x = {i: th * (P[i] * G) for i in (1, 2, 3, 4)}
-    phi_x = {i: -xi_x[i] for i in (1, 2, 3, 4)}
-
-    field_ = WeightField(
+    phi, xi, log_xi, neg2s_phi = weight_formulas(ed[:, 0], m, th[0], lam, s)
+    xi_d = {(i, j): th[j] * (P[i] * G)
+            for _, fam, i, j in LEDGER if fam == "xi"}
+    ledger = {name: xi_d[i, j] if fam == "xi"
+              else -xi_d[i, j] if i else th[j] * profile
+              for name, fam, i, j in LEDGER}
+    return WeightField(
         domain=eta.domain, params=params, eta_max=m,
         x_nodes=x_nodes, t_nodes=t_grid.nodes, t_weights=t_grid.weights, h=h,
-        phi=phi, xi=xi, phi_x=phi_x, xi_x=xi_x,
-        phi_t=th1 * profile, phi_tt=th2 * profile,
-        phi_tx=-th1 * (P[1] * G), phi_txx=-th1 * (P[2] * G),
-        phi_txxx=-th1 * (P[3] * G),
-        phi_ttx=-th2 * (P[1] * G), phi_ttxx=-th2 * (P[2] * G),
-        xi_t=th1 * G, xi_tt=th2 * G,
-        xi_tx=th1 * (P[1] * G), xi_txx=th1 * (P[2] * G),
-        xi_txxx=th1 * (P[3] * G),
-        xi_ttx=th2 * (P[1] * G), xi_ttxx=th2 * (P[2] * G),
-        log_xi=log_xi, neg2s_phi=neg2s_phi,
+        phi=phi, xi=xi, ledger=ledger, log_xi=log_xi, neg2s_phi=neg2s_phi,
     )
-    return field_
 
 
 # bound auditing -------------------------------------------------------------
@@ -467,10 +447,6 @@ class BoundReport:
                    float("nan"), float("nan"))
 
 
-# the ledger's entries with time derivatives, per phi and xi
-TIME_LEDGER = ("t", "tt", "tx", "txx", "txxx", "ttx", "ttxx")
-
-
 def audit_derivative_bounds(w: WeightField) -> BoundReport:
     """Measure max |LHS| / majorant for every inequality in the ledger.
 
@@ -479,39 +455,30 @@ def audit_derivative_bounds(w: WeightField) -> BoundReport:
     the profile construction guarantees a strictly positive floor.
     """
     lam = w.params.lam
-    # i x- and j t-derivatives are bounded by lam^i xi (j = 0), lam^i xi^1.5
-    # (j = 1) or lam^i xi^2 (j = 2)
-    xi_pow = {1: w.xi**1.5, 2: w.xi**2}
-    entries = [(f"phi_x{i}", w.phi_x[i], lam**i * w.xi) for i in (1, 2, 3, 4)]
-    entries += [(f"{fam}_{d}", getattr(w, f"{fam}_{d}"),
-                 lam ** d.count("x") * xi_pow[d.count("t")])
-                for fam in ("phi", "xi") for d in TIME_LEDGER]
-    entries += [(f"xi_x{i}", w.xi_x[i], lam**i * w.xi) for i in (1, 2, 3, 4)]
-
+    xi_pow = {j: w.xi ** (1 + j / 2) for j in (0, 1, 2)}
     records = []
-    for name, lhs, majorant in entries:
-        ratio = np.abs(lhs) / majorant
+    for name, _, i, j in LEDGER:
+        ratio = np.abs(w.ledger[name]) / (lam**i * xi_pow[j])
         idx = np.unravel_index(np.argmax(ratio), ratio.shape)
         c = float(ratio[idx])
         # theta cancels from the x-only ratios, so no time row is the maximizer
-        x_only = name.startswith(("phi_x", "xi_x"))
         records.append(BoundRecord(
             inequality=name, constant=c, passed=bool(np.isfinite(c)),
             x_at=float(w.x_nodes[idx[1]]),
-            t_at=float("nan") if x_only else float(w.t_nodes[idx[0]]),
+            t_at=float("nan") if j == 0 else float(w.t_nodes[idx[0]]),
         ))
 
     interior = (w.x_nodes >= 0.0) & (w.x_nodes <= w.domain.d)
     positivity = []
     for i in (1, 2, 3, 4):
-        floor = float(np.min(w.xi_x[i][:, interior]
+        floor = float(np.min(w.ledger[f"xi_x{i}"][:, interior]
                              / (lam**i * w.xi[:, interior])))
         positivity.append(PositivityRecord(order=i, floor=floor,
                                            passed=floor > 0.0))
 
-    defect = max(
-        float(np.max(np.abs(w.phi_x[i] + w.xi_x[i]))) for i in (1, 2, 3, 4)
-    )
+    defect = max(float(np.max(np.abs(w.ledger[f"phi_x{i}"]
+                                     + w.ledger[f"xi_x{i}"])))
+                 for i in (1, 2, 3, 4))
     return BoundReport(s=w.params.s, lam=lam, records=records,
                        positivity=positivity, identity_defect=defect)
 

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from beamctrl import dynamics
 from beamctrl.dynamics import (Potential, SolverDivergenceError,
                                analytic_eigenpairs, assemble_operator,
                                calibrate_solver_constant, dft_matrices,
@@ -352,6 +353,31 @@ class TestEnergy:
         for i in range(3):
             assert (e[i], d[i]) == trajectory_energy(grid, beta[i], beta_t[i])
 
+    def test_derived_energy_equals_trajectory_energy(self, grid):
+        data = [smooth_data(grid, seed=s) for s in (4, 5)]
+        batch = solve_forward(grid, np.stack([d[0] for d in data]),
+                              np.stack([d[1] for d in data]),
+                              np.linspace(0, 0.5, 65))
+        for traj in (batch, batch.member(0), batch.member(1)):
+            e, d = trajectory_energy(grid, traj.beta, traj.beta_t)
+            assert np.array_equal(traj.energy, e)
+            assert np.array_equal(traj.dissipation, d)
+
+    def test_huge_states_march_and_raise_on_energy(self, grid):
+        # squared norms of states near 1e300 overflow; the march does not
+        # square them, so only a read of the energy fails, by name
+        x = grid.nodes
+        times = np.linspace(0, 0.1, 33)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = solve_forward(grid, 1e300 * np.cos(grid.kappa[1] * x),
+                                 np.zeros(grid.n), times)
+            assert np.all(np.isfinite(traj.beta))
+            assert np.all(np.isfinite(traj.beta_t))
+            for name in ("energy", "dissipation"):
+                with pytest.raises(OverflowError, match="energy.*beta_t"):
+                    getattr(traj, name)
+
     def test_snapshot_round_trip_energy_bit_for_bit(self, grid, tmp_path):
         b0, b1 = smooth_data(grid, seed=2)
         traj = solve_forward(grid, b0, b1, np.linspace(0, 0.5, 65))
@@ -403,6 +429,17 @@ class TestFixedPoint:
             assert report.observed_factor >= 1.0
         else:
             assert report.converged
+
+    def test_computes_no_energy(self, grid, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dynamics, "trajectory_energy",
+                            lambda *args: calls.append(args))
+        b0, b1 = smooth_data(grid, seed=3)
+        times = np.linspace(0, 0.5, 129)
+        a = Potential.from_values(np.ones((129, grid.n)))
+        traj, report = fixed_point_solve(grid, b0, b1, times, a, None, 0.25)
+        assert report.converged and report.windows > 1
+        assert calls == []
 
     def test_threshold_estimate_recorded(self, grid):
         C = calibrate_solver_constant(grid, T=0.5, n_steps=128)

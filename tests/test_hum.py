@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from beamctrl import dynamics
 from beamctrl.dynamics import BeamTrajectory, Potential, solve_forward
 from beamctrl.hum import (CGConvergenceError, CurvatureError,
-                          FactorizationError, HumSource, assemble_hum_system,
+                          FactorizationError, assemble_hum_system,
                           assemble_source, banded_preconditioner,
                           build_theta1, control_on_times,
                           control_weight_factor, free_source,
@@ -88,13 +89,12 @@ class TestSource:
         src = free_source(grid8, tgrid16, theta1, b0, np.zeros(grid8.n))
         t = tgrid16.nodes
         outside = (t < 0.3 * domain.T) | (t > 0.7 * domain.T)
-        assert np.all(src.values[outside] == 0.0)
+        assert np.all(src[outside] == 0.0)
 
     def test_zero_trajectory_gives_zero(self, domain, grid8, tgrid16):
         theta1 = build_theta1(domain.T)
         zero = np.zeros(grid8.n)
-        assert np.all(free_source(grid8, tgrid16, theta1, zero, zero).values
-                      == 0.0)
+        assert np.all(free_source(grid8, tgrid16, theta1, zero, zero) == 0.0)
 
     def test_free_source_samples_the_half_step_march(self, domain, grid8,
                                                      tgrid16):
@@ -109,11 +109,9 @@ class TestSource:
         q = solve_forward(grid8, b0, b1, times,
                           a=Potential.from_values(a_sampler(times)))
         odd = BeamTrajectory(grid8, times[1::2], q.beta[1::2],
-                             q.beta_t[1::2], q.energy[1::2],
-                             q.dissipation[1::2])
+                             q.beta_t[1::2])
         src = free_source(grid8, tgrid16, theta1, b0, b1, a_sampler)
-        assert np.array_equal(src.values,
-                              assemble_source(theta1, odd).values)
+        assert np.array_equal(src, assemble_source(theta1, odd))
 
     def test_rejects_non_midpoint_grid(self, domain, grid8, theta):
         tg = gauss_panels(domain.T, np.array(theta.junctions), 16)
@@ -130,15 +128,14 @@ class TestSource:
         beta = np.sin(kap * x)[None, :] * probe_times[:, None]
         beta_t = np.tile(np.sin(kap * x), (3, 1))
         q = BeamTrajectory(grid=grid8, times=probe_times, beta=beta,
-                           beta_t=beta_t, energy=np.zeros(3),
-                           dissipation=np.zeros(3))
+                           beta_t=beta_t)
         src = assemble_source(theta1, q)
         th1 = theta1.eval(probe_times, 1)[:, None]
         th2 = theta1.eval(probe_times, 2)[:, None]
         expect = (-th2 * probe_times[:, None] * np.sin(kap * x)[None, :]
                   - 2 * th1 * np.sin(kap * x)[None, :]
                   - th1 * kap**2 * probe_times[:, None] * np.sin(kap * x)[None, :])
-        assert np.allclose(src.values, expect, rtol=1e-10, atol=1e-12)
+        assert np.allclose(src, expect, rtol=1e-10, atol=1e-12)
 
 
 class TestStencils:
@@ -205,11 +202,10 @@ class TestQuadraticSystem:
     def test_rejects_nonfinite_source(self, grid8, tgrid16, weights8,
                                       small_system):
         _, _, _, base = small_system
-        values = base.source.values.copy()
+        values = base.source.copy()
         values[3, 2] = np.nan
         with pytest.raises(ValueError, match="source"):
-            assemble_hum_system(grid8, tgrid16, weights8,
-                                HumSource(values=values))
+            assemble_hum_system(grid8, tgrid16, weights8, values)
 
     def test_rejects_nonfinite_potential(self, grid8, tgrid16, weights8,
                                          small_system):
@@ -238,11 +234,11 @@ class TestQuadraticSystem:
                                    small_system):
         # a finite source whose quadrature pairing overflows
         _, _, _, base = small_system
-        values = base.source.values.copy()
+        values = base.source.copy()
         values[6, 2] = 1e308
         w = dataclasses.replace(weights8, t_weights=1e10 * weights8.t_weights)
         with pytest.raises(ValueError, match="rhs"):
-            assemble_hum_system(grid8, tgrid16, w, HumSource(values=values))
+            assemble_hum_system(grid8, tgrid16, w, values)
 
 
 def dense_from_band(ab):
@@ -270,7 +266,7 @@ class TestNormalBand:
         tg = uniform_interior(domain.T, n_time)
         w = eval_weights(eta, theta, params, grid.nodes, tg)
         rng = np.random.default_rng(seed)
-        source = HumSource(values=rng.standard_normal((n_time, nx)))
+        source = rng.standard_normal((n_time, nx))
         a = rng.uniform(-1, 1, size=(n_time, nx)) if potential else None
         system = assemble_hum_system(grid, tg, w, source, a_vals=a)
 
@@ -424,6 +420,17 @@ class TestVerification:
         assert np.array_equal(sol2.v, sol.v)
         assert report2 == report
         assert runs2["controlled"].times.size == 257
+
+    def test_synthesis_computes_no_energy(self, grid8, eta, theta, params,
+                                          tgrid16, small_system, monkeypatch):
+        # verification reads only norms of the states
+        calls = []
+        monkeypatch.setattr(dynamics, "trajectory_energy",
+                            lambda *args: calls.append(args))
+        theta1, b0, b1, _ = small_system
+        synthesize_control(grid8, tgrid16, eta, theta, params, theta1, b0, b1,
+                           verify_steps=256)
+        assert calls == []
 
     def test_weight_forced_decay_of_g_tilde(self, domain, grid64, eta, theta,
                                             params):

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from beamctrl.hum import fd_weights
 from beamctrl.torus import SpatialGrid, gauss_panels, uniform_interior
-from beamctrl.weights import (CarlemanParams, ConstructionError, DomainSpec,
-                              audit_derivative_bounds, build_eta, build_theta,
-                              eval_weights, sweep_lambda_bounds,
+from beamctrl.weights import (LEDGER, CarlemanParams, ConstructionError,
+                              DomainSpec, audit_derivative_bounds, build_eta,
+                              build_theta, eval_weights, sweep_lambda_bounds,
                               weight_formulas)
 
 
@@ -147,8 +147,9 @@ class TestWeightFormulas:
         w = eval_weights(eta, theta, params, g.nodes, tg)
         for order, tol in [(1, 1e-8), (2, 1e-6), (3, 1e-4), (4, 2e-3)]:
             spectral = g.deriv(w.xi, order)
-            rel = np.max(np.abs(spectral - w.xi_x[order])) \
-                / np.max(np.abs(w.xi_x[order]))
+            analytic = w.ledger[f"xi_x{order}"]
+            rel = np.max(np.abs(spectral - analytic)) \
+                / np.max(np.abs(analytic))
             assert rel < tol, order
 
     def test_time_nodes_strictly_interior(self, weights64, domain):
@@ -172,6 +173,19 @@ class TestBoundAudit:
         assert len(report.records) == 22
         assert len(report.positivity) == 4
 
+    def test_ledger_holds_the_table_in_order(self, weights64):
+        names = [name for name, *_ in LEDGER]
+        timed = ["t", "tt", "tx", "txx", "txxx", "ttx", "ttxx"]
+        assert names == ([f"phi_x{i}" for i in (1, 2, 3, 4)]
+                         + [f"phi_{d}" for d in timed]
+                         + [f"xi_{d}" for d in timed]
+                         + [f"xi_x{i}" for i in (1, 2, 3, 4)])
+        for name, fam, i, j in LEDGER:
+            prefix, _, suffix = name.partition("_")
+            assert prefix == fam and suffix.count("t") == j
+            assert i == (int(suffix[1]) if j == 0 else suffix.count("x"))
+        assert list(weights64.ledger) == names
+
     def test_x_only_entries_report_no_time(self, weights64):
         # theta cancels from |d^i_x phi| / (lam^i xi), so no time row is
         # the maximizer; every constant is still the plain grid maximum
@@ -181,15 +195,12 @@ class TestBoundAudit:
         x_only = {f"{fam}_x{i}" for fam in ("phi", "xi") for i in (1, 2, 3, 4)}
         assert {r.inequality for r in report.records
                 if np.isnan(r.t_at)} == x_only
-        for r in report.records:
-            fam, _, suffix = r.inequality.partition("_")
-            if r.inequality in x_only:
-                i = int(suffix[1])
-                lhs, majorant = getattr(w, f"{fam}_x")[i], lam**i * w.xi
-            else:
-                lhs = getattr(w, r.inequality)
-                majorant = lam ** suffix.count("x") \
-                    * w.xi ** (1.5 if suffix.count("t") == 1 else 2)
+        assert [r.inequality for r in report.records] == \
+            [name for name, *_ in LEDGER]
+        for r, (name, _, i, j) in zip(report.records, LEDGER):
+            majorant = lam**i * (w.xi if j == 0
+                                 else w.xi ** (1.5 if j == 1 else 2))
+            lhs = w.ledger[name]
             assert r.constant == float(np.max(np.abs(lhs) / majorant))
 
     def test_positivity_floors(self, weights64):
