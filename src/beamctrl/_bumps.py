@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import leggauss
-from scipy.special import expit
 
 _MAX_BUMP_ORDER = 4
 
@@ -116,12 +115,21 @@ def corner_blend(z: np.ndarray, radius: float, order: int = 0) -> np.ndarray:
     return h - ramp
 
 
+def _expit(x: np.ndarray) -> np.ndarray:
+    """The logistic 1 / (1 + e^{-x}); exp only sees -|x|, so it cannot
+    overflow, and it stays finite at x = +-inf."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def smoothstep(u: np.ndarray, order: int = 0) -> np.ndarray:
     """C-infinity monotone step from 0 at u<=0 to 1 at u>=1 (derivatives to 2).
 
     s = e^{-1/u} / (e^{-1/u} + e^{-1/(1-u)}) = expit(-h) with
     h = (1-2u)/(u(1-u)), so s' = s(1-s) k and s'' = s(1-s)(k^2 (1-2s) + k')
-    with k = -h' = 1/u^2 + 1/(1-u)^2 and 1 - 2s = tanh(h/2).
+    with k = -h' = 1/u^2 + 1/(1-u)^2 and 1 - 2s = tanh(h/2).  expit is the
+    logistic `_expit`, written with exp(-|h|), so h of either sign and any
+    size (near u = 0 and u = 1 |h| grows like 1/u) raises no overflow.
     """
     if order > 2:
         raise ValueError("smoothstep derivatives available up to order 2")
@@ -135,10 +143,10 @@ def smoothstep(u: np.ndarray, order: int = 0) -> np.ndarray:
         vi = 1.0 - ui
         h = (1.0 - 2.0 * ui) / (ui * vi)
         if order == 0:
-            out[inside] = expit(-h)
+            out[inside] = _expit(-h)
         else:
             k = 1.0 / ui**2 + 1.0 / vi**2
             if order == 2:
                 k = k * k * np.tanh(0.5 * h) + (2.0 / vi**3 - 2.0 / ui**3)
-            out[inside] = expit(-h) * expit(h) * k
+            out[inside] = _expit(-h) * _expit(h) * k
     return out

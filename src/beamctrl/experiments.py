@@ -3,10 +3,11 @@
 Each experiment kind wires the library modules into one reproducible run:
 outputs (CSV tables, binary snapshots, flat reports) land in a directory
 named by the configuration hash, together with a manifest recording the
-headline metrics and the pass/fail state of the attached assertion suite.
-Identical configurations reproduce identical metrics bit for bit: all
-randomness is seeded from the configuration and reductions run in fixed
-order.
+headline metrics, the pass/fail state of the attached assertion suite and,
+for control runs, the wall time of each stage (`timing.*` rows, outside the
+metrics).  Identical configurations reproduce identical metrics bit for
+bit: all randomness is seeded from the configuration and reductions run in
+fixed order.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ class RunManifest:
     outputs: list[str]
     metrics: dict[str, object]
     assertions: dict[str, bool]
+    timing: dict[str, float]   # wall seconds per stage, kept out of metrics
 
     @property
     def overall_pass(self) -> bool:
@@ -55,6 +57,8 @@ class RunManifest:
         yield ("version", self.version)
         yield ("seed", self.seed)
         yield ("wall_time_s", f"{self.wall_time_s:.3f}")
+        for stage, seconds in self.timing.items():
+            yield (f"timing.{stage}_s", f"{seconds:.6f}")
         yield ("outputs", ";".join(self.outputs))
         for key in self.metrics:
             yield (f"metrics.{key}", _render(self.metrics[key]))
@@ -178,7 +182,7 @@ def _run_spectrum(cfg: ExperimentConfig, run_dir: Path):
                         "re_exact", "im_exact", "rel_error"], rows)]
     metrics = {"max_rel_eigenvalue_error": worst, "n_modes": grid.n}
     assertions = {"spectrum_matches_1e-10": worst < 1e-10}
-    return metrics, assertions, files
+    return metrics, assertions, files, {}
 
 
 def _run_zeta(cfg: ExperimentConfig, run_dir: Path):
@@ -198,7 +202,7 @@ def _run_zeta(cfg: ExperimentConfig, run_dir: Path):
     consistent = (witness.admissible == (witness.quotients is not None
                                          and all(q < 1 for q in witness.quotients)))
     assertions = {"witness_internally_consistent": consistent}
-    return metrics, assertions, files
+    return metrics, assertions, files, {}
 
 
 def _run_forward(cfg: ExperimentConfig, run_dir: Path):
@@ -250,7 +254,7 @@ def _run_forward(cfg: ExperimentConfig, run_dir: Path):
             diff = np.max(np.abs(fp.beta - traj.beta)) \
                 / max(np.max(np.abs(traj.beta)), 1e-300)
             metrics["fp_vs_direct_rel"] = float(diff)
-    return metrics, assertions, files
+    return metrics, assertions, files, {}
 
 
 def _run_weights_audit(cfg: ExperimentConfig, run_dir: Path):
@@ -298,7 +302,7 @@ def _run_weights_audit(cfg: ExperimentConfig, run_dir: Path):
         "phi_xi_identity": base.identity_defect
         <= 1e-10 * float(np.max(np.abs(w.ledger["xi_x4"]))),
     }
-    return metrics, assertions, files
+    return metrics, assertions, files, {}
 
 
 def _run_carleman_audit(cfg: ExperimentConfig, run_dir: Path):
@@ -352,7 +356,7 @@ def _run_carleman_audit(cfg: ExperimentConfig, run_dir: Path):
         "heldout_within_10x": report.heldout_within(aud["heldout_factor"]),
         "ratio_growth_under_s_doubling": growth <= 2.0,
     }
-    return metrics, assertions, files
+    return metrics, assertions, files, {}
 
 
 def _run_control(cfg: ExperimentConfig, run_dir: Path):
@@ -366,12 +370,13 @@ def _run_control(cfg: ExperimentConfig, run_dir: Path):
     theta1 = build_theta1(dom.T, hum["r0"], hum["r1"])
     t_grid = uniform_interior(dom.T, cfg["grid"]["n_time"])
     b0, b1 = make_data(cfg, grid)
-    system, sol, report, runs = synthesize_control(
+    system, sol, report, runs, timing = synthesize_control(
         grid, t_grid, eta, theta, params, theta1, b0, b1,
         a_sampler=make_potential_sampler(cfg, grid),
         eps_scale=hum["eps_scale"], tol=hum["tol"], max_iter=hum["max_iter"],
         verify_steps=hum["verify_steps"])
 
+    start = time.perf_counter()
     norms = {name: np.sqrt(grid.l2_sq(runs[name].beta)
                            + grid.l2_sq(runs[name].beta_t))
              for name in ("controlled", "uncontrolled")}
@@ -388,6 +393,7 @@ def _run_control(cfg: ExperimentConfig, run_dir: Path):
         write_flat_report(run_dir / "terminal_report.txt", report.rows()),
         write_snapshot(run_dir / "controlled.bin", runs["controlled"]),
     ]
+    timing["output"] = time.perf_counter() - start
     w = system.weights
     in_omega = w.domain.in_omega(w.x_nodes)
     metrics = dict(report.rows())
@@ -411,7 +417,7 @@ def _run_control(cfg: ExperimentConfig, run_dir: Path):
         <= hum["suppression_target"],
         "J_nonpositive": sol.J_value <= 0.0,
     }
-    return metrics, assertions, files
+    return metrics, assertions, files, timing
 
 
 _RUNNERS = {
@@ -439,14 +445,14 @@ def run(cfg: ExperimentConfig, out_root: str | Path = "runs") -> RunManifest:
     run_dir = Path(out_root) / cfg.config_hash
     run_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    metrics, assertions, files = _RUNNERS[cfg.kind](cfg, run_dir)
+    metrics, assertions, files, timing = _RUNNERS[cfg.kind](cfg, run_dir)
     wall = time.perf_counter() - start
 
     manifest = RunManifest(
         config_hash=cfg.config_hash, kind=cfg.kind, version=__version__,
         seed=cfg.seed, wall_time_s=wall, run_dir=run_dir,
         outputs=sorted(Path(f).name for f in files),
-        metrics=metrics, assertions=assertions,
+        metrics=metrics, assertions=assertions, timing=timing,
     )
     write_flat_report(run_dir / "manifest.txt", manifest.rows())
     return manifest

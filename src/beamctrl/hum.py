@@ -29,12 +29,12 @@ control (`verify_null_control`).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.interpolate import CubicSpline
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
 
 from ._bumps import smoothstep
 from .dynamics import BeamTrajectory, Potential, solve_forward
@@ -315,11 +315,12 @@ def assemble_hum_system(grid: SpatialGrid, t_grid: TimeGrid, w: WeightField,
     The right-hand side is the plain quadrature pairing of the commutator
     source f (`assemble_source`, shape (n_t, n_x)) against psi (no
     exponential weight).  The Tikhonov level is eps_scale times a
-    power-iteration estimate of the operator norm; it must
-    stay tiny because the terminal residual of the verified control scales
-    linearly with it (measured: eps_scale 1e-10 already caps the suppression
-    ratio near 3e-2).  A non-finite source, potential, kernel (W1, W2) or
-    right-hand side raises ValueError naming it.
+    power-iteration estimate of the operator norm.  It must stay tiny,
+    because the terminal residual of the verified control grows about
+    linearly with it: configs/control.ini gives suppression_ratio 1.008e-6
+    at eps_scale 1e-14, 4.17e-4 at 1e-12 and 3.67e-2 at 1e-10.  A
+    non-finite source, potential, kernel (W1, W2) or right-hand side raises
+    ValueError naming it.
     """
     if eps_scale < 0:
         raise ValueError("eps_scale must be nonnegative")
@@ -465,24 +466,65 @@ def control_weight_factor(eta: EtaProfile, theta: ThetaProfile,
     return (s**7 * lam**8) * np.exp(7.0 * log_xi + neg2s_phi)
 
 
+def not_a_knot_spline(x: np.ndarray, y: np.ndarray, t: np.ndarray
+                      ) -> np.ndarray:
+    """The not-a-knot cubic spline through the rows of y (n, m) at the
+    nodes x, sampled at the times t; shape (t.size, m).
+
+    Second derivatives match at the interior nodes and third derivatives at
+    x[1] and x[-2], one tridiagonal system for the nodal slopes of all m
+    columns.  Each piece is a cubic in t - x_i, evaluated by Horner's rule
+    on the piece holding t (the right one at a node, the last at x[-1]); the
+    end pieces extend past x[0] and x[-1].
+    """
+    n = x.size
+    if n < 4:
+        raise ValueError("a not-a-knot cubic spline needs at least 4 nodes")
+    h = np.diff(x)
+    slope = np.diff(y, axis=0) / h[:, None]
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    # LAPACK band storage: rows hold the super-, main and sub-diagonal
+    ab = np.zeros((3, n))
+    ab[0, 1:] = np.r_[d0, h[:-1]]
+    ab[1] = np.r_[h[1], 2.0 * (h[:-1] + h[1:]), h[-2]]
+    ab[2, :-1] = np.r_[h[1:], d1]
+    rhs = np.empty_like(y)
+    rhs[1:-1] = 3.0 * (h[1:, None] * slope[:-1] + h[:-1, None] * slope[1:])
+    rhs[0] = ((h[0] + 2.0 * d0) * h[1] * slope[0] + h[0]**2 * slope[1]) / d0
+    rhs[-1] = (h[-1]**2 * slope[-2]
+               + (2.0 * d1 + h[-1]) * h[-2] * slope[-1]) / d1
+    s = solve_banded((1, 1), ab, rhs, check_finite=False)
+
+    curv = (s[:-1] + s[1:] - 2.0 * slope) / h[:, None]
+    piece = np.clip(np.searchsorted(x, t, side="right") - 1, 0, n - 2)
+    coef = np.stack([curv / h[:, None], (slope - s[:-1]) / h[:, None] - curv,
+                     s[:-1], y[:-1]], axis=1)[piece]
+    z = (t - x[piece])[:, None]
+    out = coef[:, 0]
+    for k in (1, 2, 3):
+        out = out * z + coef[:, k]
+    return out
+
+
 def control_on_times(sol: HumSolution, sys: QuadraticSystem,
                      eta: EtaProfile, theta: ThetaProfile,
                      times: np.ndarray) -> np.ndarray:
     """Sample the control on a trajectory time grid.
 
-    The minimizer is interpolated in time by a cubic spline; the exponential
-    weight factor is evaluated analytically.  Rows at t = 0 and t = T are
-    exactly zero (the weight vanishes there), as are all nodes outside omega.
+    The minimizer is interpolated in time by the not-a-knot cubic spline;
+    the exponential weight factor is evaluated analytically.  Rows at t = 0
+    and t = T are exactly zero (the weight vanishes there), as are all nodes
+    outside omega.
     """
     times = np.asarray(times, dtype=float)
     T = sys.t_grid.T
-    spline = CubicSpline(sys.t_grid.nodes, sol.psi_min, axis=0)
     interior = (times > 0.0) & (times < T)
     out = np.zeros((times.size, sys.grid.n))
     factor = control_weight_factor(eta, theta, sys.weights.params,
                                    sys.grid.nodes, times[interior])
     chi = sys.weights.domain.in_omega(sys.grid.nodes).astype(float)
-    out[interior] = -factor * spline(times[interior]) * chi[None, :]
+    psi = not_a_knot_spline(sys.t_grid.nodes, sol.psi_min, times[interior])
+    out[interior] = -factor * psi * chi[None, :]
     return out
 
 
@@ -608,16 +650,32 @@ def synthesize_control(grid: SpatialGrid, t_grid: TimeGrid, eta: EtaProfile,
 
     t_grid is the midpoint grid of the functional (`uniform_interior`);
     a_sampler maps times to potential samples (None for a zero potential).
-    Returns (system, solution, report, runs): the normal equations, the
-    minimizer with the control on t_grid, and the forward verification.
+    Returns (system, solution, report, runs, timing): the normal equations,
+    the minimizer with the control on t_grid, the forward verification, and
+    the wall seconds of each stage (weights, free march with its source,
+    assembly with the norm estimate, minimize_J with band, factor and CG,
+    verification).
     """
+    timing = {}
+    start = time.perf_counter()
+
+    def lap(stage):
+        nonlocal start
+        now = time.perf_counter()
+        timing[stage], start = now - start, now
+
     w = eval_weights(eta, theta, params, grid.nodes, t_grid)
+    lap("weights")
     source = free_source(grid, t_grid, theta1, beta0, beta1, a_sampler)
+    lap("free_march")
     a_vals = a_sampler(t_grid.nodes) if a_sampler else None
     system = assemble_hum_system(grid, t_grid, w, source, a_vals=a_vals,
                                  eps_scale=eps_scale)
+    lap("assembly")
     sol = minimize_J(system, tol=tol, max_iter=max_iter)
+    lap("minimize_J")
     report, runs = verify_null_control(beta0, beta1, theta1, sol, system,
                                        eta, theta, a_sampler=a_sampler,
                                        n_steps=verify_steps)
-    return system, sol, report, runs
+    lap("verification")
+    return system, sol, report, runs, timing

@@ -262,13 +262,14 @@ def test_09_null_control(domain, eta, theta, params, grid64):
     suppressions = []
     final = None
     for n_time, tol, eps in ladder:
-        _, _, rep, _ = synthesize(b0, b1, n_time, tol, eps)
+        _, _, rep, _, _ = synthesize(b0, b1, n_time, tol, eps)
         suppressions.append(rep.suppression_ratio)
         final = rep
     monotone = all(b < a for a, b in zip(suppressions[:-1], suppressions[1:]))
 
     # scale invariance of the control-to-data ratio
-    _, _, rep_scaled, _ = synthesize(2.0 * b0, 2.0 * b1, 256, 1e-10, 1e-14)
+    _, _, rep_scaled, _, _ = synthesize(2.0 * b0, 2.0 * b1, 256, 1e-10,
+                                        1e-14)
     scale_dev = abs(rep_scaled.bound_ratio - final.bound_ratio) \
         / final.bound_ratio
 
@@ -277,8 +278,8 @@ def test_09_null_control(domain, eta, theta, params, grid64):
     for member in range(10):
         fb0, fb1 = smooth_random_data(grid64, seed=100 + member,
                                       sobolev_scale=1.0)
-        _, _, fam_rep, _ = synthesize(fb0, fb1, 256, 1e-8, 1e-14,
-                                      verify_steps=2048)
+        _, _, fam_rep, _, _ = synthesize(fb0, fb1, 256, 1e-8, 1e-14,
+                                         verify_steps=2048)
         ratios.append(fam_rep.bound_ratio)
     wall = time.perf_counter() - start
 
@@ -303,10 +304,10 @@ def test_10_pipeline_linearity(domain, eta, theta, params, grid64):
     b0, b1 = smooth_random_data(grid64, seed=21)
 
     t_grid = uniform_interior(domain.T, 128)
-    _, sol1, rep1, runs1 = synthesize_control(
+    _, sol1, rep1, runs1, _ = synthesize_control(
         grid64, t_grid, eta, theta, params, theta1, b0, b1,
         eps_scale=1e-14, tol=1e-10, max_iter=3000, verify_steps=1024)
-    _, sol3, rep3, runs3 = synthesize_control(
+    _, sol3, rep3, runs3, _ = synthesize_control(
         grid64, t_grid, eta, theta, params, theta1, 3.0 * b0, 3.0 * b1,
         eps_scale=1e-14, tol=1e-10, max_iter=3000, verify_steps=1024)
 

@@ -3,14 +3,16 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import expit
 
 import beamctrl
-from beamctrl._bumps import BUMP_MASS, bump, smoothstep
+from beamctrl._bumps import BUMP_MASS, _expit, bump, smoothstep
 
 # exact values (30-digit symbolic evaluation, rounded to double) of
 # d^j/du^j exp(-1/(1-u^2)) and of the smoothstep
@@ -98,9 +100,26 @@ def test_bump_mass_is_the_quadrature_value():
                              -1.0, 1.0)[0]
 
 
+def test_expit_matches_scipy():
+    x = np.linspace(-700.0, 700.0, 140001)
+    ref = expit(x)
+    assert np.all(np.abs(_expit(x) - ref) <= 4 * np.spacing(ref))
+
+
+def test_expit_is_finite_at_extremes():
+    x = np.array([-np.inf, -1e12, 1e12, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _expit(x)
+    assert np.array_equal(got, [0.0, 0.0, 1.0, 1.0])
+
+
 def test_package_import_needs_no_symbolic_or_quadrature_module():
+    # nor scipy.interpolate, scipy.optimize or scipy.special: the package
+    # needs only numpy, scipy.linalg and scipy.sparse
     code = ("import sys, beamctrl.experiments; "
-            "print(sorted(m for m in ('sympy', 'scipy.integrate') "
+            "print(sorted(m for m in ('sympy', 'scipy.integrate', "
+            "'scipy.interpolate', 'scipy.optimize', 'scipy.special') "
             "if m in sys.modules))")
     src = str(Path(beamctrl.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

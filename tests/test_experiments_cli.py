@@ -177,6 +177,20 @@ class TestCli:
                     "w1_underflow_frac", "w2_underflow_frac"):
             assert f"metrics.{key} = " in out
 
+    def test_report_shows_control_stage_times(self, tmp_path, capsys):
+        stages = ("weights", "free_march", "assembly", "minimize_J",
+                  "verification", "output")
+        manifest = run(load_config(write_cfg(tmp_path, "control")),
+                       out_root=tmp_path / "runs")
+        main(["report", str(manifest.run_dir)])
+        lines = capsys.readouterr().out.splitlines()
+        timed = [line.split(" = ") for line in lines
+                 if line.startswith("timing.")]
+        assert [key for key, _ in timed] == [f"timing.{s}_s" for s in stages]
+        assert all(float(value) >= 0.0 for _, value in timed)
+        names = {n for s in stages for n in (s, f"{s}_s", f"timing.{s}_s")}
+        assert not names & set(manifest.metrics)
+
     def test_report_shows_audit_kernel_underflow(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "carleman-audit")
         out_root = tmp_path / "runs"

@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 from beamctrl import dynamics
 from beamctrl.dynamics import BeamTrajectory, Potential, solve_forward
@@ -12,8 +13,8 @@ from beamctrl.hum import (CGConvergenceError, CurvatureError,
                           assemble_source, banded_preconditioner,
                           build_theta1, control_on_times,
                           control_weight_factor, free_source,
-                          minimize_J, synthesize_control, time_stencil,
-                          verify_null_control)
+                          minimize_J, not_a_knot_spline, synthesize_control,
+                          time_stencil, verify_null_control)
 from beamctrl.torus import SpatialGrid, gauss_panels, uniform_interior
 from beamctrl.weights import eval_weights
 
@@ -366,6 +367,33 @@ class TestMinimize:
             minimize_J(indefinite, precondition=False)
 
 
+class TestSpline:
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_matches_scipy_not_a_knot(self, uniform):
+        rng = np.random.default_rng(8)
+        nodes = uniform_interior(4.0, 256).nodes if uniform \
+            else np.sort(rng.uniform(0.0, 4.0, 256))
+        field = rng.standard_normal((256, 64))
+        times = np.linspace(0.0, 4.0, 4097)
+        ref = CubicSpline(nodes, field, axis=0)(times)
+        got = not_a_knot_spline(nodes, field, times)
+        assert got.shape == (4097, 64)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_reproduces_cubics(self):
+        nodes = np.array([0.0, 0.3, 1.0, 1.2, 2.0])
+        times = np.linspace(-0.5, 2.5, 31)
+        cubic = np.polynomial.Polynomial([0.5, -1.0, 2.0, 0.75])
+        got = not_a_knot_spline(nodes, cubic(nodes)[:, None], times)
+        assert np.allclose(got[:, 0], cubic(times), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_needs_four_nodes(self, n):
+        with pytest.raises(ValueError, match="at least 4 nodes"):
+            not_a_knot_spline(np.arange(n, dtype=float), np.zeros((n, 2)),
+                              np.array([0.5]))
+
+
 class TestVerification:
     def test_small_instance_report(self, domain, grid8, eta, theta,
                                    small_system):
@@ -413,7 +441,7 @@ class TestVerification:
         sol = minimize_J(system)
         report, _ = verify_null_control(b0, b1, theta1, sol, system, eta,
                                         theta, n_steps=256)
-        sys2, sol2, report2, runs2 = synthesize_control(
+        sys2, sol2, report2, runs2, _ = synthesize_control(
             grid8, tgrid16, eta, theta, params, theta1, b0, b1,
             verify_steps=256)
         assert np.array_equal(sys2.rhs, system.rhs)

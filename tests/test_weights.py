@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import BPoly
 
 from beamctrl.hum import fd_weights
 from beamctrl.torus import SpatialGrid, gauss_panels, uniform_interior
@@ -55,6 +56,28 @@ class TestTheta:
         params = CarlemanParams(s=1.0, lam=1.0, T0=0.6, T1=0.6)
         with pytest.raises(ValueError):
             build_theta(params, 2.0)
+
+    @pytest.mark.parametrize("T0, T1, T", [(0.5, 0.5, 4.0), (0.25, 0.3, 2.0),
+                                           (0.1, 0.1, 1.0)])
+    def test_blends_match_bernstein_form(self, T0, T1, T):
+        # the numpy blends against scipy's Bernstein-form Hermite
+        # interpolant of the same end derivatives
+        theta = build_theta(CarlemanParams(s=1.0, lam=1.0, T0=T0, T1=T1), T)
+        plateau = [1.0, 0.0, 0.0, 0.0, 0.0]
+        ends = [theta.eval(np.array([T0]), j)[0] for j in range(5)]
+        starts = [theta.eval(np.array([T - T1]), j)[0] for j in range(5)]
+        pieces = [(BPoly.from_derivatives([T0, 2 * T0], [ends, plateau]),
+                   np.linspace(T0, 2 * T0, 2001)[1:-1]),
+                  (BPoly.from_derivatives([T - 2 * T1, T - T1],
+                                          [plateau, starts]),
+                   np.linspace(T - 2 * T1, T - T1, 2001)[1:-1])]
+        for order in range(5):
+            refs = [ref.derivative(order)(ts) if order else ref(ts)
+                    for ref, ts in pieces]
+            sup = max(np.max(np.abs(r)) for r in refs)
+            for (_, ts), r in zip(pieces, refs):
+                assert np.max(np.abs(theta.eval(ts, order) - r)) \
+                    <= 1e-13 * sup, order
 
     @given(T0=st.floats(0.05, 0.9), T1=st.floats(0.05, 0.9))
     @settings(max_examples=25, deadline=None)
