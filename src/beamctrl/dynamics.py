@@ -98,19 +98,6 @@ def propagator(grid: SpatialGrid, dt: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Potential:
-    """A bounded potential sampled on a space-time grid (time-major)."""
-
-    values: np.ndarray
-    sup_norm: float
-
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> "Potential":
-        values = np.asarray(values, dtype=float)
-        return cls(values=values, sup_norm=float(np.max(np.abs(values))))
-
-
-@dataclass(frozen=True)
 class BeamTrajectory:
     """States recorded on a uniform time grid.
 
@@ -185,13 +172,13 @@ def dft_matrices(grid: SpatialGrid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
-                  times: np.ndarray, a: Potential | None = None,
+                  times: np.ndarray, a: np.ndarray | None = None,
                   forcing: np.ndarray | None = None,
                   divergence_factor: float = 1e6) -> BeamTrajectory:
     """March the beam over a uniform time grid, recording every state.
 
-    `a.values` (shape (n_times, n_x)) and `forcing` are sampled at the
-    trajectory's own time nodes; each step uses the node values at its two
+    The potential `a` (an (n_times, n_x) array) and `forcing` are sampled at
+    the trajectory's own time nodes; each step uses the node values at its two
     ends.  `beta0`/`beta1` may carry a leading batch axis, which `forcing`
     (shape ([batch,] n_times, n_x)) must then share; the potential is shared
     by every member, and each member's march equals its unbatched march bit
@@ -228,16 +215,17 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
         raise ValueError("beta0 and beta1 must share the shape ([batch,] n_x)")
     batch = data.shape[1:-1]
     n_t = times.size
-    a_vals = None if a is None else a.values
-    if a_vals is not None and a_vals.shape != (n_t, g.n):
-        raise ValueError("a must have shape (n_times, n_x)")
+    if a is not None:
+        a = np.asarray(a, dtype=float)
+        if a.shape != (n_t, g.n):
+            raise ValueError("a must have shape (n_times, n_x)")
     forcing = (np.zeros(batch + (n_t, g.n)) if forcing is None
                else np.asarray(forcing, dtype=float))
     if forcing.shape != batch + (n_t, g.n):
         raise ValueError(f"forcing has shape {forcing.shape}, but the data "
                          f"batch needs {batch + (n_t, g.n)}")
     for name, arr in (("beta0", data[0]), ("beta1", data[1]),
-                      ("a.values", a_vals), ("forcing", forcing)):
+                      ("a", a), ("forcing", forcing)):
         if arr is not None and not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} is not finite")
 
@@ -280,25 +268,25 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
     P0, P1 = P[:, :, 0], P[:, :, 1]
     pair = U[:, :, None]               # (n_t, B, 1, 2, w) against E
     b_rows, bt_rows = U[:, :, :1], U[:, :, 1:]              # (n_t, B, 1, w)
-    if a_vals is not None:
-        ab = (b_rows[0] @ syn * a_vals[0]) @ ana            # a*beta, modal
+    if a is not None:
+        ab = (b_rows[0] @ syn * a[0]) @ ana                 # a*beta, modal
     with np.errstate(over="ignore", invalid="ignore"):
         for i0 in range(0, n_t - 1, _GUARD_BLOCK):
             i1 = min(i0 + _GUARD_BLOCK, n_t - 1)
-            if a_vals is None:
+            if a is None:
                 F0 = lift * f_hat[i0:i1]
                 F1 = hdt * f_hat[i0 + 1:i1 + 1]
             for i in range(i0, i1):
                 nxt, bt = U[i + 1], bt_rows[i + 1]
                 np.multiply(pair[i], E, out=P)
                 np.add(P0, P1, out=nxt)
-                if a_vals is None:
+                if a is None:
                     nxt += F0[i - i0]
                     bt += F1[i - i0]
                     continue
                 n0 = f_hat[i] - ab
                 pts = ahead * n0 + b_rows[i + 1]
-                prod = (pts @ syn * a_vals[i + 1]) @ ana    # (B, 2, w)
+                prod = (pts @ syn * a[i + 1]) @ ana         # (B, 2, w)
                 n1, ab = f_hat[i + 1] - prod[:, :1], prod[:, 1:]
                 nxt += lift * n0
                 bt += hdt * n1
@@ -359,13 +347,14 @@ def calibrate_solver_constant(grid: SpatialGrid, T: float = 1.0,
 
 
 def fixed_point_solve(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
-                      times: np.ndarray, a: Potential,
+                      times: np.ndarray, a: np.ndarray,
                       forcing: np.ndarray | None, kappa: float,
                       tol: float = 1e-12, max_iter: int = 60,
                       threshold_constant: float | None = None,
                       ) -> tuple[BeamTrajectory | None, ContractionReport]:
     """Solve the potential problem by iterating the source -a * beta_prev.
 
+    The potential `a` is an (n_times, n_x) array sampled on `times`.
     The horizon is covered by sub-intervals of length kappa overlapping by
     half (each restart reuses the state at the midpoint of the previous
     window).  Within each window the map beta_prev -> beta is iterated until
@@ -384,8 +373,9 @@ def fixed_point_solve(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
     kappa_eff = seg_steps * dt
 
     threshold = None
-    if threshold_constant is not None and a.sup_norm > 0:
-        threshold = 1.0 / (threshold_constant * a.sup_norm) ** 2
+    a_sup = float(np.max(np.abs(a)))
+    if threshold_constant is not None and a_sup > 0:
+        threshold = 1.0 / (threshold_constant * a_sup) ** 2
 
     n_t = times.size
     beta = np.empty((n_t, grid.n))
@@ -399,7 +389,7 @@ def fixed_point_solve(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
         windows += 1
         stop = min(start + seg_steps, n_t - 1)
         w_times = times[start:stop + 1]
-        w_a = a.values[start:stop + 1]
+        w_a = a[start:stop + 1]
         w_f = None if forcing is None else forcing[start:stop + 1]
 
         prev = np.zeros((w_times.size, grid.n))

@@ -37,7 +37,7 @@ import scipy.sparse as sparse
 from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
 
 from ._bumps import smoothstep
-from .dynamics import BeamTrajectory, Potential, solve_forward
+from .dynamics import BeamTrajectory, solve_forward
 from .torus import SpatialGrid, TimeGrid
 from .weights import CarlemanParams, EtaProfile, ThetaProfile, WeightField, \
     eval_weights, weight_formulas
@@ -117,7 +117,7 @@ def free_source(grid: SpatialGrid, t_grid: TimeGrid, theta1: Theta1Cutoff,
     if not np.allclose(times[mid], t_grid.nodes, rtol=0.0,
                        atol=1e-12 * t_grid.T):
         raise ValueError("free_source needs a uniform midpoint time grid")
-    a = Potential.from_values(a_sampler(times)) if a_sampler else None
+    a = a_sampler(times) if a_sampler else None
     q = solve_forward(grid, beta0, beta1, times, a=a)
     return assemble_source(theta1, BeamTrajectory(
         grid=grid, times=times[mid], beta=q.beta[mid], beta_t=q.beta_t[mid]))
@@ -149,28 +149,32 @@ def fd_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:
     return c
 
 
+# nodes of the one-sided edge stencil of each time derivative order
+_EDGE_WIDTH = {1: 5, 2: 6}
+
+
 def time_stencil(n: int, dt: float, order: int) -> sparse.csr_matrix:
     """4th-order derivative matrix in time on a uniform interior grid.
 
-    Centered 5-point stencils inside; one-sided stencils of the same order at
-    the edges (5 nodes for the first derivative, 6 for the second).
+    Centered 5-point stencils on rows 2..n-3; rows 0, 1 and n-2, n-1 use
+    one-sided stencils of the same order on the first and last
+    `_EDGE_WIDTH[order]` nodes.  Every window weight is stored, zeros too.
     """
-    if order not in (1, 2):
+    if order not in _EDGE_WIDTH:
         raise ValueError("only first and second time derivatives are used")
-    width = 5 if order == 1 else 6
+    width = _EDGE_WIDTH[order]
     if n < width + 2:
         raise ValueError(f"need at least {width + 2} time nodes")
-    D = sparse.lil_matrix((n, n))
+    edge = [fd_weights(j * dt, dt * np.arange(width), order)[:, order]
+            for j in (0, 1, width - 2, width - 1)]
     centered = fd_weights(0.0, dt * np.arange(-2, 3), order)[:, order]
-    for i in range(2, n - 2):
-        D[i, i - 2:i + 3] = centered
-    for i in (0, 1):
-        D[i, :width] = fd_weights(i * dt, dt * np.arange(width), order)[:, order]
-    for i in (n - 2, n - 1):
-        offs = n - width
-        D[i, offs:] = fd_weights(
-            (i - offs) * dt, dt * np.arange(width), order)[:, order]
-    return D.tocsr()
+    data = np.concatenate(edge[:2] + [np.tile(centered, n - 4)] + edge[2:])
+    cols = np.concatenate(
+        [np.arange(width)] * 2
+        + [(np.arange(2, n - 2)[:, None] + np.arange(-2, 3)).ravel()]
+        + [np.arange(n - width, n)] * 2)
+    indptr = np.cumsum([0] + [width] * 2 + [5] * (n - 4) + [width] * 2)
+    return sparse.csr_matrix((data, cols, indptr), shape=(n, n))
 
 
 # quadratic system ------------------------------------------------------------
@@ -223,13 +227,10 @@ class QuadraticSystem:
         """(half-bandwidth + 1, unknowns) of the time-major normal matrix.
 
         Time blocks couple when one stencil row reaches both and the x-blocks
-        are dense, so the 6-point one-sided Dtt rows give 6 n_x - 1.
+        are dense, so the widest (6-point one-sided Dtt) rows give 6 n_x - 1.
         """
-        rows = abs(self.Dtt) + abs(self.Dt) + sparse.identity(self.t_grid.n)
-        reach = (rows.T @ rows).tocoo()
         nx = self.grid.n
-        return ((int(np.max(reach.row - reach.col)) + 1) * nx,
-                self.t_grid.n * nx)
+        return (max(_EDGE_WIDTH.values()) * nx, self.t_grid.n * nx)
 
     def normal_band(self) -> np.ndarray:
         """The matrix of `apply` in LAPACK lower band storage, time-major.
@@ -252,7 +253,7 @@ class QuadraticSystem:
         BDB, BDS = BD @ B, BD @ Sxx
         del B
         SDS = (Sxx * m[:, None, :]) @ Sxx
-        C, D, E = self.Dtt, self.Dt, sparse.identity(n_t, format="csr")
+        C, D = self.Dtt, self.Dt
         ab = np.zeros(self.band_shape, order="F")
         for o in range(ab.shape[0] // nx):
             n_o = n_t - o
@@ -263,9 +264,12 @@ class QuadraticSystem:
                 out = w @ field.reshape(n_t, -1)
                 return out.reshape(n_o, *field.shape[1:])
 
-            # E picks t = k (then t = l, transposed) for the terms in B_t
-            blk = pair(D, D, SDS) + pair(E, C, BD) + pair(E, D, BDS)
-            blk += (pair(C, E, BD) + pair(D, E, BDS)).transpose(0, 2, 1)
+            # the terms in B_t: t = k weighs field[l + o] by the stencil
+            # entry (l + o, l), t = l (transposed) field[l] by (l, l + o)
+            ck, dk = (X.diagonal(-o)[:, None, None] for X in (C, D))
+            cl, dl = (X.diagonal(o)[:, None, None] for X in (C, D))
+            blk = pair(D, D, SDS) + ck * BD[o:] + dk * BDS[o:]
+            blk += (cl * BD[:n_o] + dl * BDS[:n_o]).transpose(0, 2, 1)
             blk += Sxx * (pair(C, D, m)[:, :, None]
                           + pair(D, C, m)[:, None, :])
             blk[diag] += pair(C, C, m)
@@ -284,12 +288,6 @@ class QuadraticSystem:
         lp = self.apply_L(psi)
         quad = 0.5 * np.sum(self.M * (self.W1 * lp**2 + self.W2 * psi**2))
         return float(quad - np.sum(self.rhs * psi))
-
-    def control_from(self, psi: np.ndarray) -> np.ndarray:
-        return -self.W2 * psi
-
-    def residual_field_from(self, psi: np.ndarray) -> np.ndarray:
-        return self.W1 * self.apply_L(psi)
 
 
 def _operator_norm_estimate(apply, shape, seed: int = 1234,
@@ -383,16 +381,17 @@ class HumSolution:
     iterations: int
     relative_residual: float        # CG's recursive residual |r_k| / |b|
     true_relative_residual: float   # |b - A x| / |b|, from one more apply
-    eps: float
 
 
 def minimize_J(sys: QuadraticSystem, tol: float = 1e-10,
-               max_iter: int = 5000, precondition: bool = True
-               ) -> HumSolution:
+               max_iter: int = 5000) -> HumSolution:
     """Conjugate-gradient solve of the normal equations to relative tol.
 
     The preconditioner is the exact banded Cholesky factor, so PCG only
     refines the direct solve (2 iterations to 1e-10 at configs/control.ini).
+    tol bounds CG's recursive residual |r_k| / |b|; the true residual
+    |b - A x| / |b| (true_relative_residual) has a rounding floor, about
+    2.5e-8 at configs/control.ini, that no smaller tol lowers.
     FactorizationError or CurvatureError (p.Ap <= 0) mean the operator is not
     positive definite.  CGConvergenceError (with the residual history
     attached) signals ill-conditioning; the remedy is a larger eps or
@@ -406,10 +405,9 @@ def minimize_J(sys: QuadraticSystem, tol: float = 1e-10,
         zero = np.zeros_like(b)
         return HumSolution(psi_min=zero, g_tilde=zero, v=zero, J_value=0.0,
                            residual_history=[0.0], iterations=0,
-                           relative_residual=0.0, true_relative_residual=0.0,
-                           eps=sys.eps)
+                           relative_residual=0.0, true_relative_residual=0.0)
 
-    precond = banded_preconditioner(sys) if precondition else (lambda r: r)
+    precond = banded_preconditioner(sys)
     x = np.zeros_like(b)
     r = b.copy()
     z = precond(r)
@@ -442,14 +440,13 @@ def minimize_J(sys: QuadraticSystem, tol: float = 1e-10,
     true_r = b - sys.apply(x)
     return HumSolution(
         psi_min=x,
-        g_tilde=sys.residual_field_from(x),
-        v=sys.control_from(x),
+        g_tilde=sys.W1 * sys.apply_L(x),
+        v=-sys.W2 * x,
         J_value=sys.quadratic_value(x),
         residual_history=history,
         iterations=len(history) - 1,
         relative_residual=history[-1],
         true_relative_residual=float(np.sqrt(np.sum(true_r * true_r))) / b_norm,
-        eps=sys.eps,
     )
 
 
@@ -581,7 +578,7 @@ def verify_null_control(beta0: np.ndarray, beta1: np.ndarray,
     """
     grid = sys.grid
     times = np.linspace(0.0, sys.t_grid.T, n_steps + 1)
-    a = Potential.from_values(a_sampler(times)) if a_sampler else None
+    a = a_sampler(times) if a_sampler else None
 
     v_vals = control_on_times(sol, sys, eta, theta, times)
     chi = sys.weights.domain.in_omega(grid.nodes)

@@ -76,11 +76,10 @@ class DomainSpec:
         the omega endpoints.
         """
         M = self.circumference
-        endpoints = [(-self.L, 0.0), (self.d, self.d + self.L)]
         w = np.zeros_like(np.asarray(x_nodes, dtype=float))
-        for a, b in endpoints:
-            lo = self.wrap(x_nodes) - 0.5 * h
-            hi = lo + h
+        lo = self.wrap(x_nodes) - 0.5 * h
+        hi = lo + h
+        for a, b in self.omega:
             for shift in (-M, 0.0, M):
                 w += np.clip(np.minimum(hi, b + shift) - np.maximum(lo, a + shift),
                              0.0, None)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from beamctrl.audit import TestFunctionFamily, audit_inequality
-from beamctrl.dynamics import (Potential, analytic_eigenpairs,
+from beamctrl.dynamics import (analytic_eigenpairs,
                                assemble_operator, fixed_point_solve,
                                solve_forward)
 from beamctrl.hum import (assemble_hum_system, build_theta1, free_source,
@@ -123,7 +123,7 @@ def test_04_fixed_point(grid64):
     factors = []
     for kap_len in kappas:
         times = np.linspace(0.0, kap_len, 257)
-        a = Potential.from_values(np.ones((257, grid64.n)))
+        a = np.ones((257, grid64.n))
         _, rep = fixed_point_solve(grid64, b0, b1, times, a, None, kap_len,
                                    tol=1e-13, max_iter=8)
         factors.append(rep.observed_factor)
@@ -135,10 +135,10 @@ def test_04_fixed_point(grid64):
     times = np.linspace(0.0, T, 1025)
     tt = times[:, None]
     a_field = np.cos(grid64.kappa[1] * x)[None, :] * np.cos(2 * np.pi * tt / T)
-    a = Potential.from_values(a_field)
+    a = a_field
     direct = solve_forward(grid64, sb0, sb1, times, a=a)
     times_h = np.linspace(0.0, T, 2049)
-    a_h = Potential.from_values(
+    a_h = (
         np.cos(grid64.kappa[1] * x)[None, :]
         * np.cos(2 * np.pi * times_h[:, None] / T))
     direct_h = solve_forward(grid64, sb0, sb1, times_h, a=a_h)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from beamctrl import dynamics
-from beamctrl.dynamics import (Potential, SolverDivergenceError,
+from beamctrl.dynamics import (SolverDivergenceError,
                                analytic_eigenpairs, assemble_operator,
                                calibrate_solver_constant, dft_matrices,
                                fixed_point_solve, propagator, solve_forward,
@@ -96,7 +96,7 @@ class TestPropagator:
                 < 1e-12 * np.max(np.abs(expect)))
 
     def test_zero_state_stays_zero(self, grid):
-        a = Potential.from_values(np.ones((2, grid.n)))
+        a = np.ones((2, grid.n))
         out = solve_forward(grid, np.zeros(grid.n), np.zeros(grid.n),
                             np.array([0.0, 0.1]), a=a)
         assert np.all(out.beta == 0.0) and np.all(out.beta_t == 0.0)
@@ -169,7 +169,7 @@ class TestSolveForward:
         def run(n):
             times = np.linspace(0, 1.0, n + 1)
             return solve_forward(grid, b0, b1, times,
-                                 a=Potential.from_values(a_vals(times)))
+                                 a=a_vals(times))
 
         r1, r2, r4 = run(100), run(200), run(400)
         e1 = np.max(np.abs(r1.beta[-1] - r4.beta[-1]))
@@ -190,7 +190,7 @@ class TestSolveForward:
     def test_divergence_detector(self, grid):
         b0, b1 = smooth_data(grid, seed=6)
         times = np.linspace(0, 2.0, 257)
-        bad = Potential.from_values(np.full((257, grid.n), -3.0e4))
+        bad = np.full((257, grid.n), -3.0e4)
         with pytest.raises(SolverDivergenceError):
             solve_forward(grid, b0, b1, times, a=bad)
 
@@ -198,7 +198,7 @@ class TestSolveForward:
         # the guard scales with the forcing integral when the data are zero
         times = np.linspace(0, 2.0, 257)
         f = 1e-3 * np.sin(np.pi * times)[:, None] * np.cos(grid.nodes)[None, :]
-        bad = Potential.from_values(np.full((257, grid.n), -3.0e4))
+        bad = np.full((257, grid.n), -3.0e4)
         with pytest.raises(SolverDivergenceError):
             solve_forward(grid, np.zeros(grid.n), np.zeros(grid.n), times,
                           a=bad, forcing=f)
@@ -208,8 +208,8 @@ class TestSolveForward:
         times = np.linspace(0, 0.5, 33)
         values = np.zeros((33, grid.n))
         values[5, 3] = np.nan
-        with pytest.raises(ValueError, match="a.values"):
-            solve_forward(grid, b0, b1, times, a=Potential.from_values(values))
+        with pytest.raises(ValueError, match="^a is not finite"):
+            solve_forward(grid, b0, b1, times, a=values)
 
     def test_rejects_mismatched_batch(self, grid):
         b0, b1 = smooth_data(grid, seed=6)
@@ -225,7 +225,7 @@ class TestSolveForward:
         b0 = np.stack([d[0] for d in data])
         b1 = np.stack([d[1] for d in data])
         f = rng.standard_normal((3, 129, grid.n))
-        a = Potential.from_values(
+        a = (
             np.cos(grid.kappa[1] * grid.nodes)[None, :] * np.cos(times)[:, None])
         batch = solve_forward(grid, b0, b1, times, a=a, forcing=f)
         for i in range(3):
@@ -260,7 +260,7 @@ class TestSolveForward:
             beta, beta_t = grid.to_nodes(U1[0]), grid.to_nodes(U1[1])
 
         traj = solve_forward(grid, b0, b1, times,
-                             a=Potential.from_values(a_vals), forcing=f)
+                             a=a_vals, forcing=f)
         assert np.allclose(traj.beta[-1], beta, rtol=0,
                            atol=1e-12 * np.max(np.abs(beta)))
         assert np.allclose(traj.beta_t[-1], beta_t, rtol=0,
@@ -284,7 +284,7 @@ class TestSolveForward:
         times = np.linspace(0, 0.5, 129)
         f = np.random.default_rng(15).standard_normal((129, grid.n))
         zero = solve_forward(grid, b0, b1, times, forcing=f,
-                             a=Potential.from_values(np.zeros((129, grid.n))))
+                             a=np.zeros((129, grid.n)))
         none = solve_forward(grid, b0, b1, times, forcing=f)
         for name in ("beta", "beta_t"):
             ref = getattr(none, name)
@@ -299,7 +299,7 @@ class TestSolveForward:
         times = np.linspace(0, 2.0, 257)[:onset + 41]
         values = np.zeros((times.size, grid.n))
         values[onset:] = -3.0e4
-        a = Potential.from_values(values)
+        a = values
         free = solve_forward(grid, b0, b1, times, a=a,
                              divergence_factor=np.inf)
         norms = np.sqrt(grid.l2_sq(free.beta) + grid.l2_sq(free.beta_t))
@@ -314,7 +314,7 @@ class TestSolveForward:
         times = np.linspace(0, 0.5, 65)
         values = np.zeros((65, grid.n))
         values[10:] = -1e300                 # a*beta overflows from step 10
-        a = Potential.from_values(values)
+        a = values
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SolverDivergenceError,
@@ -390,7 +390,7 @@ class TestFixedPoint:
     def test_zero_potential_single_iteration(self, grid):
         b0, b1 = smooth_data(grid, seed=3)
         times = np.linspace(0, 0.5, 129)
-        a = Potential.from_values(np.zeros((129, grid.n)))
+        a = np.zeros((129, grid.n))
         traj, report = fixed_point_solve(grid, b0, b1, times, a, None, 0.25)
         assert report.converged
         assert report.observed_factor == 0.0
@@ -400,7 +400,7 @@ class TestFixedPoint:
         times = np.linspace(0, 1.0, 513)
         x = grid.nodes
         tt = times[:, None]
-        a = Potential.from_values(
+        a = (
             np.cos(grid.kappa[1] * x)[None, :] * np.cos(2 * tt))
         direct = solve_forward(grid, b0, b1, times, a=a)
         fp, report = fixed_point_solve(grid, b0, b1, times, a, None, 0.2)
@@ -411,7 +411,7 @@ class TestFixedPoint:
     def test_distances_decrease_in_contraction_regime(self, grid):
         b0, b1 = smooth_data(grid, seed=3)
         times = np.linspace(0, 0.25, 129)
-        a = Potential.from_values(np.ones((129, grid.n)))
+        a = np.ones((129, grid.n))
         _, report = fixed_point_solve(grid, b0, b1, times, a, None, 0.25)
         assert report.converged
         tail = report.distances[:-1]  # last step may sit at the tol floor
@@ -421,7 +421,7 @@ class TestFixedPoint:
         # kappa far above the threshold: expected report, not an exception
         b0, b1 = smooth_data(grid, seed=3)
         times = np.linspace(0, 8.0, 1025)
-        a = Potential.from_values(np.full((1025, grid.n), 4.0))
+        a = np.full((1025, grid.n), 4.0)
         traj, report = fixed_point_solve(grid, b0, b1, times, a, None, 8.0,
                                          max_iter=12)
         if traj is None:
@@ -436,7 +436,7 @@ class TestFixedPoint:
                             lambda *args: calls.append(args))
         b0, b1 = smooth_data(grid, seed=3)
         times = np.linspace(0, 0.5, 129)
-        a = Potential.from_values(np.ones((129, grid.n)))
+        a = np.ones((129, grid.n))
         traj, report = fixed_point_solve(grid, b0, b1, times, a, None, 0.25)
         assert report.converged and report.windows > 1
         assert calls == []
@@ -446,7 +446,7 @@ class TestFixedPoint:
         assert C > 0
         b0, b1 = smooth_data(grid, seed=3)
         times = np.linspace(0, 0.25, 65)
-        a = Potential.from_values(np.ones((65, grid.n)))
+        a = np.ones((65, grid.n))
         _, report = fixed_point_solve(grid, b0, b1, times, a, None, 0.25,
                                       threshold_constant=C)
         assert report.threshold_estimate == pytest.approx(1.0 / C**2)

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
-from beamctrl import dynamics
-from beamctrl.dynamics import BeamTrajectory, Potential, solve_forward
+from beamctrl import dynamics, hum
+from beamctrl.dynamics import BeamTrajectory, solve_forward
 from beamctrl.hum import (CGConvergenceError, CurvatureError,
                           FactorizationError, assemble_hum_system,
                           assemble_source, banded_preconditioner,
                           build_theta1, control_on_times,
-                          control_weight_factor, free_source,
+                          control_weight_factor, fd_weights, free_source,
                           minimize_J, not_a_knot_spline, synthesize_control,
                           time_stencil, verify_null_control)
 from beamctrl.torus import SpatialGrid, gauss_panels, uniform_interior
@@ -108,7 +108,7 @@ class TestSource:
 
         times = np.linspace(0.0, domain.T, 33)
         q = solve_forward(grid8, b0, b1, times,
-                          a=Potential.from_values(a_sampler(times)))
+                          a=a_sampler(times))
         odd = BeamTrajectory(grid8, times[1::2], q.beta[1::2],
                              q.beta_t[1::2])
         src = free_source(grid8, tgrid16, theta1, b0, b1, a_sampler)
@@ -158,6 +158,29 @@ class TestStencils:
         f = tt**4 - 2 * tt**3 + tt
         assert np.allclose(D1 @ f, 4 * tt**3 - 6 * tt**2 + 1, atol=1e-8)
         assert np.allclose(D2 @ f, 12 * tt**2 - 12 * tt, atol=1e-7)
+
+    # n = 8 is the stencil minimum, where the two edge windows overlap
+    @pytest.mark.parametrize("n", [8, 256])
+    @pytest.mark.parametrize("order, width", [(1, 5), (2, 6)])
+    def test_rows_are_fd_weights_on_their_windows(self, n, order, width):
+        dt = 4.0 / n
+        D = time_stencil(n, dt, order)
+        assert D.nnz == 5 * n + (width - 5) * 4
+
+        for i in range(n):
+            row = slice(D.indptr[i], D.indptr[i + 1])
+            if i < 2:
+                start, size = 0, width
+            elif i >= n - 2:
+                start, size = n - width, width
+            else:
+                start, size = i - 2, 5
+            assert np.array_equal(D.indices[row],
+                                  np.arange(start, start + size))
+            expect = fd_weights((i - start) * dt, dt * np.arange(size),
+                                order)[:, order]
+            assert np.allclose(D.data[row], expect, rtol=0.0,
+                               atol=1e-12 * np.max(np.abs(expect)))
 
 
 class TestQuadraticSystem:
@@ -346,10 +369,13 @@ class TestMinimize:
                 probe = sol.psi_min + sign * delta * direction
                 assert system.quadratic_value(probe) > sol.J_value
 
-    def test_nonconvergence_raises_with_history(self, small_system):
+    def test_nonconvergence_raises_with_history(self, small_system,
+                                                monkeypatch):
         _, _, _, system = small_system
+        # plain CG: the identity preconditioner
+        monkeypatch.setattr(hum, "banded_preconditioner", lambda s: lambda r: r)
         with pytest.raises(CGConvergenceError) as err:
-            minimize_J(system, tol=1e-14, max_iter=2, precondition=False)
+            minimize_J(system, tol=1e-14, max_iter=2)
         assert len(err.value.history) == 3
 
     def test_factor_breakdown_raises_named_error(self, small_system):
@@ -359,12 +385,14 @@ class TestMinimize:
         with pytest.raises(FactorizationError, match="eps"):
             minimize_J(broken)
 
-    def test_nonpositive_curvature_raises(self, small_system):
+    def test_nonpositive_curvature_raises(self, small_system, monkeypatch):
         _, _, _, system = small_system
         indefinite = copy.copy(system)
         indefinite.eps = -10.0 * system.norm_estimate
+        # plain CG: the identity preconditioner
+        monkeypatch.setattr(hum, "banded_preconditioner", lambda s: lambda r: r)
         with pytest.raises(CurvatureError, match="curvature"):
-            minimize_J(indefinite, precondition=False)
+            minimize_J(indefinite)
 
 
 class TestSpline:
