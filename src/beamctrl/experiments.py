@@ -8,6 +8,10 @@ for control runs, the wall time of each stage (`timing.*` rows, outside the
 metrics).  Identical configurations reproduce identical metrics bit for
 bit: all randomness is seeded from the configuration and reductions run in
 fixed order.
+
+Only control runs need scipy (the LAPACK band routines of `hum`), so `hum`
+is imported by the first control run of a process, not with this module:
+every other kind runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .audit import TestFunctionFamily, audit_inequality
 from .config import ExperimentConfig
 from .dynamics import (analytic_eigenpairs, assemble_operator,
                        fixed_point_solve, solve_forward)
-from .hum import build_theta1, synthesize_control
 from .io import (write_csv, write_field_csv, write_field_snapshot,
                  write_flat_report, write_snapshot)
 from .torus import SpatialGrid, gauss_panels, uniform_interior
@@ -358,6 +361,8 @@ def _run_carleman_audit(cfg: ExperimentConfig, run_dir: Path):
 
 
 def _run_control(cfg: ExperimentConfig, run_dir: Path):
+    from .hum import build_theta1, synthesize_control   # loads scipy
+
     dom, grid, eta, params, theta = _carleman_setup(cfg)
     hum = cfg["hum"]
     theta1 = build_theta1(dom.T, hum["r0"], hum["r1"])

@@ -316,7 +316,8 @@ def assemble_hum_system(grid: SpatialGrid, t_grid: TimeGrid, w: WeightField,
     power-iteration estimate of the operator norm.  It must stay tiny,
     because the terminal residual of the verified control grows about
     linearly with it: configs/control.ini gives suppression_ratio 1.008e-6
-    at eps_scale 1e-14, 4.17e-4 at 1e-12 and 3.67e-2 at 1e-10.  A
+    at eps_scale 1e-14, 4.166e-4 at 1e-12 and 3.665e-2 at 1e-10, with
+    control_l2_norm 16.52, 16.50 and 14.50.  A
     non-finite source, potential, kernel (W1, W2) or right-hand side raises
     ValueError naming it.
     """
@@ -356,17 +357,26 @@ def assemble_hum_system(grid: SpatialGrid, t_grid: TimeGrid, w: WeightField,
 def banded_preconditioner(sys: QuadraticSystem):
     """r -> A^{-1} r by the exact banded Cholesky factor of the operator A.
 
-    Raises FactorizationError when A is not numerically positive definite.
+    The returned solve carries `timing`, the wall seconds of building the
+    band (`band`) and of factoring it (`factor`).  Raises FactorizationError
+    when A is not numerically positive definite.
     """
+    start = time.perf_counter()
+    ab = sys.normal_band()
+    built = time.perf_counter()
     try:
-        chol = cholesky_banded(sys.normal_band(), overwrite_ab=True,
-                               lower=True)
+        chol = cholesky_banded(ab, overwrite_ab=True, lower=True)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(
             f"banded Cholesky of the {sys.band_shape[1]}-unknown normal "
             f"operator broke down (eps = {sys.eps:.3e}): {exc}") from exc
-    return lambda r: cho_solve_banded(
-        (chol, True), r.ravel(), check_finite=False).reshape(r.shape)
+
+    def solve(r):
+        return cho_solve_banded((chol, True), r.ravel(),
+                                check_finite=False).reshape(r.shape)
+    solve.timing = {"band": built - start,
+                    "factor": time.perf_counter() - built}
+    return solve
 
 
 @dataclass(frozen=True)
@@ -381,6 +391,7 @@ class HumSolution:
     iterations: int
     relative_residual: float        # CG's recursive residual |r_k| / |b|
     true_relative_residual: float   # |b - A x| / |b|, from one more apply
+    timing: dict[str, float]        # wall seconds of band, factor and cg
 
 
 def minimize_J(sys: QuadraticSystem, tol: float = 1e-10,
@@ -389,6 +400,9 @@ def minimize_J(sys: QuadraticSystem, tol: float = 1e-10,
 
     The preconditioner is the exact banded Cholesky factor, so PCG only
     refines the direct solve (2 iterations to 1e-10 at configs/control.ini).
+    The solution's timing holds the wall seconds of building the band, of
+    factoring it and of the PCG loop with the true residual and the derived
+    fields (`band`, `factor`, `cg`; all 0 for a zero right-hand side).
     tol bounds CG's recursive residual |r_k| / |b|; the true residual
     |b - A x| / |b| (true_relative_residual) has a rounding floor, about
     2.5e-8 at configs/control.ini, that no smaller tol lowers.
@@ -405,9 +419,11 @@ def minimize_J(sys: QuadraticSystem, tol: float = 1e-10,
         zero = np.zeros_like(b)
         return HumSolution(psi_min=zero, g_tilde=zero, v=zero, J_value=0.0,
                            residual_history=[0.0], iterations=0,
-                           relative_residual=0.0, true_relative_residual=0.0)
+                           relative_residual=0.0, true_relative_residual=0.0,
+                           timing=dict.fromkeys(("band", "factor", "cg"), 0.0))
 
     precond = banded_preconditioner(sys)
+    start = time.perf_counter()
     x = np.zeros_like(b)
     r = b.copy()
     z = precond(r)
@@ -447,6 +463,8 @@ def minimize_J(sys: QuadraticSystem, tol: float = 1e-10,
         iterations=len(history) - 1,
         relative_residual=history[-1],
         true_relative_residual=float(np.sqrt(np.sum(true_r * true_r))) / b_norm,
+        # keyword arguments evaluate in order: the cg lap ends here
+        timing={**precond.timing, "cg": time.perf_counter() - start},
     )
 
 
@@ -650,8 +668,7 @@ def synthesize_control(grid: SpatialGrid, t_grid: TimeGrid, eta: EtaProfile,
     Returns (system, solution, report, runs, timing): the normal equations,
     the minimizer with the control on t_grid, the forward verification, and
     the wall seconds of each stage (weights, free march with its source,
-    assembly with the norm estimate, minimize_J with band, factor and CG,
-    verification).
+    assembly with the norm estimate, band, factor, CG, verification).
     """
     timing = {}
     start = time.perf_counter()
@@ -670,7 +687,8 @@ def synthesize_control(grid: SpatialGrid, t_grid: TimeGrid, eta: EtaProfile,
                                  eps_scale=eps_scale)
     lap("assembly")
     sol = minimize_J(system, tol=tol, max_iter=max_iter)
-    lap("minimize_J")
+    timing.update(sol.timing)
+    start = time.perf_counter()
     report, runs = verify_null_control(beta0, beta1, theta1, sol, system,
                                        eta, theta, a_sampler=a_sampler,
                                        n_steps=verify_steps)

@@ -463,25 +463,36 @@ class BoundReport:
                    float("nan"), float("nan"))
 
 
+# nodes whose ratio lies within this many ulps of the constant tie with it
+_TIE_ULPS = 16
+
+
 def audit_derivative_bounds(w: WeightField) -> BoundReport:
     """Measure max |LHS| / majorant for every inequality in the ledger.
 
     The phi and xi families share the same majorants; positivity of the
     spatial xi-derivatives is scanned on the beam interior [0, d] only, where
-    the profile construction guarantees a strictly positive floor.
+    the profile construction guarantees a strictly positive floor.  The
+    maximizer (x_at, t_at) is the smallest x, then the earliest t, among the
+    nodes within `_TIE_ULPS` ulps of the constant (among the non-finite
+    nodes for a non-finite constant): |eta'| is constant on the linear
+    pieces of eta, so whole runs of nodes tie up to rounding.
     """
     lam = w.params.lam
     xi_pow = {j: w.xi ** (1 + j / 2) for j in (0, 1, 2)}
     records = []
     for name, _, i, j in LEDGER:
         ratio = np.abs(w.ledger[name]) / (lam**i * xi_pow[j])
-        idx = np.unravel_index(np.argmax(ratio), ratio.shape)
-        c = float(ratio[idx])
+        c = float(np.max(ratio))
+        tie = ratio >= c - _TIE_ULPS * np.spacing(c) if np.isfinite(c) \
+            else ~np.isfinite(ratio)
+        rows, cols = np.nonzero(tie)
+        k = np.lexsort((w.t_nodes[rows], w.x_nodes[cols]))[0]
         # theta cancels from the x-only ratios, so no time row is the maximizer
         records.append(BoundRecord(
             inequality=name, constant=c, passed=bool(np.isfinite(c)),
-            x_at=float(w.x_nodes[idx[1]]),
-            t_at=float("nan") if j == 0 else float(w.t_nodes[idx[0]]),
+            x_at=float(w.x_nodes[cols[k]]),
+            t_at=float("nan") if j == 0 else float(w.t_nodes[rows[k]]),
         ))
 
     interior = (w.x_nodes >= 0.0) & (w.x_nodes <= w.domain.d)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import beamctrl
 from beamctrl.cli import main
 from beamctrl.config import ConfigError, load_config
 from beamctrl.dynamics import BeamTrajectory, solve_forward
@@ -51,6 +57,37 @@ def write_cfg(tmp_path, kind, extra=""):
     return path
 
 
+def run_fresh(code: str) -> list[str]:
+    """Output lines of code run in a fresh interpreter on this beamctrl."""
+    src = str(Path(beamctrl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                          capture_output=True, text=True).stdout.splitlines()
+
+
+# a finder ahead of all others that refuses every scipy module
+BLOCK_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+"""
+
+RUN_CONFIGS = """
+import sys
+from beamctrl.config import load_config
+from beamctrl.experiments import run
+for path in {paths!r}:
+    print(run(load_config(path), out_root={out!r}).overall_pass)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
 class TestConfig:
     def test_missing_required_key(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -98,6 +135,27 @@ class TestConfig:
         cfg = load_config(path)
         from fractions import Fraction
         assert cfg["carleman"]["zeta"] == Fraction(4, 3)
+
+
+class TestImportBoundary:
+    def test_runs_without_scipy_except_control(self, tmp_path):
+        kinds = ["spectrum", "zeta-ledger", "forward", "weights-audit",
+                 "carleman-audit"]
+        paths = [write_cfg(tmp_path, kind) for kind in kinds]
+        # 400 steps miss the energy-defect gate at this resolution
+        forward = paths[kinds.index("forward")]
+        forward.write_text(forward.read_text().replace("n_steps = 400",
+                                                       "n_steps = 4000"))
+        paths = [str(path) for path in paths]
+        out = run_fresh(BLOCK_SCIPY + RUN_CONFIGS.format(
+            paths=paths, out=str(tmp_path / "runs")))
+        assert out == ["True"] * len(kinds) + ["[]"]
+
+    def test_control_run_loads_scipy(self, tmp_path):
+        out = run_fresh(RUN_CONFIGS.format(
+            paths=[str(write_cfg(tmp_path, "control"))],
+            out=str(tmp_path / "runs")))
+        assert out[0] == "True" and "'scipy.linalg'" in out[1]
 
 
 class TestRuns:
@@ -178,7 +236,7 @@ class TestCli:
             assert f"metrics.{key} = " in out
 
     def test_report_shows_control_stage_times(self, tmp_path, capsys):
-        stages = ("weights", "free_march", "assembly", "minimize_J",
+        stages = ("weights", "free_march", "assembly", "band", "factor", "cg",
                   "verification", "output")
         manifest = run(load_config(write_cfg(tmp_path, "control")),
                        out_root=tmp_path / "runs")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,6 +227,26 @@ class TestBoundAudit:
                                  else w.xi ** (1.5 if j == 1 else 2))
             lhs = w.ledger[name]
             assert r.constant == float(np.max(np.abs(lhs) / majorant))
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0, 4.0])
+    def test_maximizer_is_tie_stable(self, eta, theta, grid64, tgrid128, lam):
+        # |eta'| is constant on the linear pieces of eta, so phi_x1 and xi_x1
+        # tie at whole runs of nodes: the smallest tied x is reported, and
+        # rounding-level noise on the field rows moves no reported x
+        params = CarlemanParams(s=4.0, lam=lam, T0=0.5, T1=0.5)
+        w = eval_weights(eta, theta, params, grid64.nodes, tgrid128)
+        base = audit_derivative_bounds(w)
+        assert base.records[0].inequality == "phi_x1"
+        assert base.records[0].x_at == grid64.nodes[0]
+        rng = np.random.default_rng(0)
+        eps = np.finfo(float).eps
+        for _ in range(4):
+            noisy = replace(w, ledger={
+                name: f * (1.0 + eps * rng.integers(-2, 3, (f.shape[0], 1)))
+                for name, f in w.ledger.items()})
+            report = audit_derivative_bounds(noisy)
+            assert [r.x_at for r in report.records] \
+                == [r.x_at for r in base.records]
 
     def test_positivity_floors(self, weights64):
         report = audit_derivative_bounds(weights64)
