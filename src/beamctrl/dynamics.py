@@ -313,44 +313,17 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
 class ContractionReport:
     """Convergence record of the sub-interval fixed-point iteration."""
 
-    kappa: float
-    kappa_effective: float
     distances: list[float]        # successive-iterate distances, first window
     factors: list[float]
     observed_factor: float        # first post-seed contraction ratio
     converged: bool
     windows: int
     iterations_total: int
-    threshold_estimate: float | None
-
-
-def calibrate_solver_constant(grid: SpatialGrid, T: float = 1.0,
-                              n_steps: int = 256, seed: int = 0) -> float:
-    """Empirical constant C in |response|_{sup L2} <= C |source|_{L2 L2}.
-
-    Measured on seeded random smooth sources from zero data; used only to
-    estimate the contraction threshold kappa* < 1 / (C |a|_inf)^2.
-    """
-    rng = np.random.default_rng(seed)
-    times = np.linspace(0.0, T, n_steps + 1)
-    dt = times[1] - times[0]
-    coeffs = rng.standard_normal((3, 4, grid.n))   # = three (4, n) draws
-    profiles = sum(
-        coeffs[:, j, None, :] * np.sin((j + 1) * np.pi * times / T)[:, None]
-        for j in range(4)
-    )
-    zero = np.zeros((3, grid.n))
-    traj = solve_forward(grid, zero, zero, times, forcing=profiles)
-    resp = np.max(np.sqrt(grid.l2_sq(traj.beta)), axis=-1)
-    src = np.sqrt(np.sum(grid.l2_sq(profiles), axis=-1) * dt)
-    return float(np.max(resp / src))
 
 
 def fixed_point_solve(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
-                      times: np.ndarray, a: np.ndarray,
-                      forcing: np.ndarray | None, kappa: float,
+                      times: np.ndarray, a: np.ndarray, kappa: float,
                       tol: float = 1e-12, max_iter: int = 60,
-                      threshold_constant: float | None = None,
                       ) -> tuple[BeamTrajectory | None, ContractionReport]:
     """Solve the potential problem by iterating the source -a * beta_prev.
 
@@ -370,12 +343,6 @@ def fixed_point_solve(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
     seg_steps = max(2, int(round(kappa / dt)))
     seg_steps += seg_steps % 2
     half = seg_steps // 2
-    kappa_eff = seg_steps * dt
-
-    threshold = None
-    a_sup = float(np.max(np.abs(a)))
-    if threshold_constant is not None and a_sup > 0:
-        threshold = 1.0 / (threshold_constant * a_sup) ** 2
 
     n_t = times.size
     beta = np.empty((n_t, grid.n))
@@ -390,7 +357,6 @@ def fixed_point_solve(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
         stop = min(start + seg_steps, n_t - 1)
         w_times = times[start:stop + 1]
         w_a = a[start:stop + 1]
-        w_f = None if forcing is None else forcing[start:stop + 1]
 
         prev = np.zeros((w_times.size, grid.n))
         prev_t = np.zeros((w_times.size, grid.n))
@@ -399,10 +365,8 @@ def fixed_point_solve(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
         scale = max(float(np.sqrt(grid.l2_sq(data[0]) + grid.l2_sq(data[1]))),
                     1e-300)
         for it in range(max_iter):
-            src = -w_a * prev
-            if w_f is not None:
-                src = src + w_f
-            traj = solve_forward(grid, data[0], data[1], w_times, forcing=src)
+            traj = solve_forward(grid, data[0], data[1], w_times,
+                                 forcing=-w_a * prev)
             dist = float(np.max(np.sqrt(grid.l2_sq(traj.beta - prev)
                                         + grid.l2_sq(traj.beta_t - prev_t))))
             total_iters += 1
@@ -430,11 +394,8 @@ def fixed_point_solve(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
     else:
         observed = max(factors) if factors else float("inf")
     report = ContractionReport(
-        kappa=kappa, kappa_effective=kappa_eff, distances=first_distances,
-        factors=factors, observed_factor=observed, converged=converged,
-        windows=windows, iterations_total=total_iters,
-        threshold_estimate=threshold,
-    )
+        distances=first_distances, factors=factors, observed_factor=observed,
+        converged=converged, windows=windows, iterations_total=total_iters)
     full = (BeamTrajectory(grid=grid, times=times, beta=beta, beta_t=beta_t)
             if converged else None)
     return full, report

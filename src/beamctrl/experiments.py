@@ -256,7 +256,7 @@ def _run_forward(cfg: ExperimentConfig, run_dir: Path):
 
     kappa = cfg["forward"]["fixed_point_kappa"]
     if kappa > 0 and a is not None:
-        fp, report = fixed_point_solve(grid, b0, b1, times, a, None, kappa)
+        fp, report = fixed_point_solve(grid, b0, b1, times, a, kappa)
         metrics["fp_observed_factor"] = report.observed_factor
         metrics["fp_converged"] = str(report.converged).lower()
         metrics["fp_windows"] = report.windows

@@ -11,12 +11,13 @@ steered to zero.  The control comes from minimizing
     L = dtt + dtxx + dxxxx + a   (adjoint damping sign),
 
 over space-time fields psi.  Discretely, L is spectral in x and a 4th-order
-stencil in t (one-sided closures at the grid edges); the normal operator uses
-the exact stencil transpose, so the discrete system is symmetric positive
-definite up to the Tikhonov term.  In time-major order its matrix is banded
-(the time stencils reach 5 rows, the spectral x-blocks are dense), so it is
-factored exactly by banded Cholesky, and preconditioned conjugate gradients
-refine that direct solve in one or two iterations.  The minimizer yields
+stencil in t (one-sided closures at the grid edges), stored as numpy diagonal
+arrays; the operator, its exact transpose and the band of its matrix all read
+those arrays, so the discrete system is symmetric positive definite up to the
+Tikhonov term.  In time-major order the matrix is banded (the time stencils
+reach 5 rows, the spectral x-blocks are dense), so it is factored exactly by
+banded Cholesky, and preconditioned conjugate gradients refine that direct
+solve in one or two iterations.  The minimizer yields
 the weighted residual g_tilde = e^{-2 s phi} L psi_min and the control
 v = -s^7 lam^8 xi^7 chi_omega psi_min e^{-2 s phi}, which is then validated
 by forward simulation.
@@ -33,7 +34,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
 
 from ._bumps import smoothstep
@@ -69,13 +69,9 @@ class Theta1Cutoff:
     r0: float
     r1: float
 
-    @property
-    def band(self) -> tuple[float, float]:
-        return (self.r0 * self.T, self.r1 * self.T)
-
     def eval(self, t: np.ndarray, order: int = 0) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        a, b = self.band
+        a, b = self.r0 * self.T, self.r1 * self.T
         u = (t - a) / (b - a)
         vals = -smoothstep(u, order) / (b - a) ** order
         if order == 0:
@@ -149,32 +145,56 @@ def fd_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:
     return c
 
 
-# nodes of the one-sided edge stencil of each time derivative order
-_EDGE_WIDTH = {1: 5, 2: 6}
-
-
-def time_stencil(n: int, dt: float, order: int) -> sparse.csr_matrix:
-    """4th-order derivative matrix in time on a uniform interior grid.
+def time_stencil(n: int, dt: float, order: int) -> np.ndarray:
+    """4th-order derivative matrix D in time on a uniform interior grid, as
+    the (2 R + 1, n) diagonal array S, R = 5, with S[R + k, i] = D[i, i + k].
 
     Centered 5-point stencils on rows 2..n-3; rows 0, 1 and n-2, n-1 use
-    one-sided stencils of the same order on the first and last
-    `_EDGE_WIDTH[order]` nodes.  Every window weight is stored, zeros too.
+    one-sided stencils of the same order on the first and last order + 4
+    nodes (reaching R nodes for Dtt).  Entries off a row's window are 0.
     """
-    if order not in _EDGE_WIDTH:
+    if order not in (1, 2):
         raise ValueError("only first and second time derivatives are used")
-    width = _EDGE_WIDTH[order]
+    width, R = order + 4, 5
     if n < width + 2:
         raise ValueError(f"need at least {width + 2} time nodes")
-    edge = [fd_weights(j * dt, dt * np.arange(width), order)[:, order]
-            for j in (0, 1, width - 2, width - 1)]
-    centered = fd_weights(0.0, dt * np.arange(-2, 3), order)[:, order]
-    data = np.concatenate(edge[:2] + [np.tile(centered, n - 4)] + edge[2:])
-    cols = np.concatenate(
-        [np.arange(width)] * 2
-        + [(np.arange(2, n - 2)[:, None] + np.arange(-2, 3)).ravel()]
-        + [np.arange(n - width, n)] * 2)
-    indptr = np.cumsum([0] + [width] * 2 + [5] * (n - 4) + [width] * 2)
-    return sparse.csr_matrix((data, cols, indptr), shape=(n, n))
+    S = np.zeros((2 * R + 1, n))
+    S[R - 2:R + 3, 2:n - 2] = \
+        fd_weights(0.0, dt * np.arange(-2, 3), order)[:, order, None]
+    for i, j in ((0, 0), (1, 1), (n - 2, width - 2), (n - 1, width - 1)):
+        # row i sits at node j of its window
+        S[R - j:R - j + width, i] = \
+            fd_weights(j * dt, dt * np.arange(width), order)[:, order]
+    return S
+
+
+def _supports(S: np.ndarray) -> list[tuple[int, int]]:
+    """Per row of S, the range [lo, hi) spanning its nonzero entries."""
+    nz = S != 0
+    lo = nz.argmax(axis=1)
+    hi = np.where(nz.any(axis=1), S.shape[1] - nz[:, ::-1].argmax(axis=1), lo)
+    return list(zip(lo.tolist(), hi.tolist()))
+
+
+def apply_stencil(S: np.ndarray, u: np.ndarray, transpose: bool = False
+                  ) -> np.ndarray:
+    """D @ u, or D^T @ u, along axis 0 of u for a stencil D stored as in
+    `time_stencil`; each diagonal acts only between its first and last
+    nonzero entry.  Output rows sum from zero in ascending column (for D^T,
+    row) order of D, as a compressed-row sparse product does, bit for bit.
+    """
+    reach = S.shape[0] // 2
+    spans = _supports(S)
+    out = np.zeros(u.shape)
+    for k in (range(reach, -reach - 1, -1) if transpose
+              else range(-reach, reach + 1)):
+        lo, hi = spans[reach + k]
+        c = S[reach + k, lo:hi].reshape((-1,) + (1,) * (u.ndim - 1))
+        if transpose:
+            out[lo + k:hi + k] += c * u[lo:hi]
+        else:
+            out[lo:hi] += c * u[lo + k:hi + k]
+    return out
 
 
 # quadratic system ------------------------------------------------------------
@@ -184,15 +204,15 @@ class QuadraticSystem:
     """Normal operator of the functional and its right-hand side.
 
     apply(psi) computes  L^T M W1 L psi + M W2 psi + eps psi  with M the
-    space-time quadrature weights; the transpose of L uses exact stencil
-    transposes, so apply is symmetric to machine precision.
+    space-time quadrature weights; `apply_stencil` transposes the time
+    stencils Dt, Dtt exactly, so apply is symmetric to machine precision.
     """
 
     grid: SpatialGrid
     t_grid: TimeGrid
     weights: WeightField
-    Dt: sparse.csr_matrix
-    Dtt: sparse.csr_matrix
+    Dt: np.ndarray          # time stencils, see `time_stencil`
+    Dtt: np.ndarray
     a_vals: np.ndarray | None
     W1: np.ndarray
     W2: np.ndarray
@@ -203,14 +223,16 @@ class QuadraticSystem:
     norm_estimate: float
 
     def apply_L(self, psi: np.ndarray) -> np.ndarray:
-        out = self.Dtt @ psi + self.Dt @ self.grid.deriv(psi, 2) \
+        out = apply_stencil(self.Dtt, psi) \
+            + apply_stencil(self.Dt, self.grid.deriv(psi, 2)) \
             + self.grid.deriv(psi, 4)
         if self.a_vals is not None:
             out = out + self.a_vals * psi
         return out
 
     def apply_Lt(self, u: np.ndarray) -> np.ndarray:
-        out = self.Dtt.T @ u + self.grid.deriv(self.Dt.T @ u, 2) \
+        out = apply_stencil(self.Dtt, u, transpose=True) \
+            + self.grid.deriv(apply_stencil(self.Dt, u, transpose=True), 2) \
             + self.grid.deriv(u, 4)
         if self.a_vals is not None:
             out = out + self.a_vals * u
@@ -226,11 +248,11 @@ class QuadraticSystem:
     def band_shape(self) -> tuple[int, int]:
         """(half-bandwidth + 1, unknowns) of the time-major normal matrix.
 
-        Time blocks couple when one stencil row reaches both and the x-blocks
-        are dense, so the widest (6-point one-sided Dtt) rows give 6 n_x - 1.
+        Time blocks couple when one stencil row reaches both, the x-blocks
+        are dense, and no row of the reach-R stencil arrays spans over R + 1.
         """
         nx = self.grid.n
-        return (max(_EDGE_WIDTH.values()) * nx, self.t_grid.n * nx)
+        return ((len(self.Dtt) // 2 + 1) * nx, self.t_grid.n * nx)
 
     def normal_band(self) -> np.ndarray:
         """The matrix of `apply` in LAPACK lower band storage, time-major.
@@ -240,7 +262,8 @@ class QuadraticSystem:
         D_t = diag(M W1)_t, block (k, l) sums stencil-weighted D_t, D_t Sxx,
         Sxx D_t and Sxx D_t Sxx over the rows t reaching both k and l, plus
         the t = k and t = l terms in B_t D_t, B_t D_t Sxx and B_t D_t B_t.
-        Fortran order lets LAPACK factor the array in place.
+        Stencil entries are read from the arrays Dt, Dtt, only where they
+        are nonzero.  Fortran order lets LAPACK factor the array in place.
         """
         n_t, nx = self.t_grid.n, self.grid.n
         eye, diag = np.eye(nx), (slice(None), range(nx), range(nx))
@@ -254,22 +277,30 @@ class QuadraticSystem:
         del B
         SDS = (Sxx * m[:, None, :]) @ Sxx
         C, D = self.Dtt, self.Dt
+        R = len(C) // 2
         ab = np.zeros(self.band_shape, order="F")
         for o in range(ab.shape[0] // nx):
             n_o = n_t - o
 
             def pair(X, Y, field):
-                # sum over t of X[t, l + o] Y[t, l] field[t], for each l
-                w = X[:, o:].multiply(Y[:, :n_o]).T
-                out = w @ field.reshape(n_t, -1)
-                return out.reshape(n_o, *field.shape[1:])
+                # sum over t of X[t, l + o] Y[t, l] field[t], for each l:
+                # P^T field with P[t, t + j] = X[t, t + j + o] Y[t, t + j]
+                P = np.zeros_like(Y)
+                P[:2 * R + 1 - o] = X[o:] * Y[:2 * R + 1 - o]
+                return apply_stencil(P, field, transpose=True)[:n_o]
 
-            # the terms in B_t: t = k weighs field[l + o] by the stencil
-            # entry (l + o, l), t = l (transposed) field[l] by (l, l + o)
-            ck, dk = (X.diagonal(-o)[:, None, None] for X in (C, D))
-            cl, dl = (X.diagonal(o)[:, None, None] for X in (C, D))
-            blk = pair(D, D, SDS) + ck * BD[o:] + dk * BDS[o:]
-            blk += (cl * BD[:n_o] + dl * BDS[:n_o]).transpose(0, 2, 1)
+            # the terms in B_t, on the rows where their stencil entries are
+            # nonzero: t = k weighs field[t] by the entry (t, t - o) into
+            # row t - o, t = l (transposed) field[l] by (l, l + o)
+            (k0, k1), (l0, l1) = _supports(abs(C[[R - o, R + o]])
+                                           + abs(D[[R - o, R + o]]))
+            ck, dk = (X[R - o, k0:k1, None, None] for X in (C, D))
+            cl, dl = (X[R + o, l0:l1, None, None] for X in (C, D))
+            blk = pair(D, D, SDS)
+            blk[k0 - o:k1 - o] = blk[k0 - o:k1 - o] + ck * BD[k0:k1] \
+                + dk * BDS[k0:k1]
+            blk[l0:l1] += (cl * BD[l0:l1]
+                           + dl * BDS[l0:l1]).transpose(0, 2, 1)
             blk += Sxx * (pair(C, D, m)[:, :, None]
                           + pair(D, C, m)[:, None, :])
             blk[diag] += pair(C, C, m)

@@ -124,7 +124,7 @@ def test_04_fixed_point(grid64):
     for kap_len in kappas:
         times = np.linspace(0.0, kap_len, 257)
         a = np.ones((257, grid64.n))
-        _, rep = fixed_point_solve(grid64, b0, b1, times, a, None, kap_len,
+        _, rep = fixed_point_solve(grid64, b0, b1, times, a, kap_len,
                                    tol=1e-13, max_iter=8)
         factors.append(rep.observed_factor)
     slope = float(np.polyfit(np.log(kappas), np.log(factors), 1)[0])
@@ -144,7 +144,7 @@ def test_04_fixed_point(grid64):
     direct_h = solve_forward(grid64, sb0, sb1, times_h, a=a_h)
     scheme_tol = pair_sup_diff(grid64, direct.beta, direct.beta_t,
                                direct_h.beta[::2], direct_h.beta_t[::2])
-    fp, rep = fixed_point_solve(grid64, sb0, sb1, times, a, None, 0.2,
+    fp, rep = fixed_point_solve(grid64, sb0, sb1, times, a, 0.2,
                                 tol=1e-13)
     fp_diff = pair_sup_diff(grid64, fp.beta, fp.beta_t,
                             direct.beta, direct.beta_t)

@@ -9,9 +9,8 @@ from scipy.linalg import expm
 from beamctrl import dynamics
 from beamctrl.dynamics import (SolverDivergenceError,
                                analytic_eigenpairs, assemble_operator,
-                               calibrate_solver_constant, dft_matrices,
-                               fixed_point_solve, propagator, solve_forward,
-                               trajectory_energy)
+                               dft_matrices, fixed_point_solve, propagator,
+                               solve_forward, trajectory_energy)
 from beamctrl.io import read_snapshot, write_snapshot
 from beamctrl.torus import SpatialGrid
 
@@ -391,7 +390,7 @@ class TestFixedPoint:
         b0, b1 = smooth_data(grid, seed=3)
         times = np.linspace(0, 0.5, 129)
         a = np.zeros((129, grid.n))
-        traj, report = fixed_point_solve(grid, b0, b1, times, a, None, 0.25)
+        traj, report = fixed_point_solve(grid, b0, b1, times, a, 0.25)
         assert report.converged
         assert report.observed_factor == 0.0
 
@@ -403,7 +402,7 @@ class TestFixedPoint:
         a = (
             np.cos(grid.kappa[1] * x)[None, :] * np.cos(2 * tt))
         direct = solve_forward(grid, b0, b1, times, a=a)
-        fp, report = fixed_point_solve(grid, b0, b1, times, a, None, 0.2)
+        fp, report = fixed_point_solve(grid, b0, b1, times, a, 0.2)
         assert report.converged
         diff = np.max(np.abs(fp.beta - direct.beta)) / np.max(np.abs(direct.beta))
         assert diff < 1e-6
@@ -412,7 +411,7 @@ class TestFixedPoint:
         b0, b1 = smooth_data(grid, seed=3)
         times = np.linspace(0, 0.25, 129)
         a = np.ones((129, grid.n))
-        _, report = fixed_point_solve(grid, b0, b1, times, a, None, 0.25)
+        _, report = fixed_point_solve(grid, b0, b1, times, a, 0.25)
         assert report.converged
         tail = report.distances[:-1]  # last step may sit at the tol floor
         assert all(b < a_ for a_, b in zip(tail[:-1], tail[1:]))
@@ -422,7 +421,7 @@ class TestFixedPoint:
         b0, b1 = smooth_data(grid, seed=3)
         times = np.linspace(0, 8.0, 1025)
         a = np.full((1025, grid.n), 4.0)
-        traj, report = fixed_point_solve(grid, b0, b1, times, a, None, 8.0,
+        traj, report = fixed_point_solve(grid, b0, b1, times, a, 8.0,
                                          max_iter=12)
         if traj is None:
             assert not report.converged
@@ -437,16 +436,6 @@ class TestFixedPoint:
         b0, b1 = smooth_data(grid, seed=3)
         times = np.linspace(0, 0.5, 129)
         a = np.ones((129, grid.n))
-        traj, report = fixed_point_solve(grid, b0, b1, times, a, None, 0.25)
+        traj, report = fixed_point_solve(grid, b0, b1, times, a, 0.25)
         assert report.converged and report.windows > 1
         assert calls == []
-
-    def test_threshold_estimate_recorded(self, grid):
-        C = calibrate_solver_constant(grid, T=0.5, n_steps=128)
-        assert C > 0
-        b0, b1 = smooth_data(grid, seed=3)
-        times = np.linspace(0, 0.25, 65)
-        a = np.ones((65, grid.n))
-        _, report = fixed_point_solve(grid, b0, b1, times, a, None, 0.25,
-                                      threshold_constant=C)
-        assert report.threshold_estimate == pytest.approx(1.0 / C**2)

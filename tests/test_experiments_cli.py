@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -113,6 +114,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="kind"):
             load_config(path)
 
+    # each of these passed validation and then failed inside the run
+    @pytest.mark.parametrize("kind, line, bad, key", [
+        ("forward", "n_steps = 400", "n_steps = 0", "forward.n_steps"),
+        ("control", "verify_steps = 512", "verify_steps = 0",
+         "hum.verify_steps"),
+        ("control", "tol = 1e-8", "tol = 1e-8\nmax_iter = 0", "hum.max_iter"),
+        ("control", "eps_scale = 1e-12", "eps_scale = -1e-12",
+         "hum.eps_scale"),
+    ], ids=["n_steps", "verify_steps", "max_iter", "eps_scale"])
+    def test_solver_sizes_rejected(self, tmp_path, kind, line, bad, key):
+        path = tmp_path / "bad.ini"
+        path.write_text(BASE.format(kind=kind).replace(line, bad))
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+
     def test_hash_ignores_formatting(self, tmp_path):
         a = load_config(write_cfg(tmp_path, "spectrum"))
         reordered = tmp_path / "b.ini"
@@ -155,7 +171,11 @@ class TestImportBoundary:
         out = run_fresh(RUN_CONFIGS.format(
             paths=[str(write_cfg(tmp_path, "control"))],
             out=str(tmp_path / "runs")))
-        assert out[0] == "True" and "'scipy.linalg'" in out[1]
+        loaded = ast.literal_eval(out[1])
+        assert out[0] == "True" and "scipy.linalg" in loaded
+        # the time stencils are numpy arrays: no sparse format is loaded
+        assert not [m for m in loaded
+                    if m.split(".")[:2] == ["scipy", "sparse"]]
 
 
 class TestRuns:

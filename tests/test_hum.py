@@ -9,11 +9,12 @@ from scipy.interpolate import CubicSpline
 from beamctrl import dynamics, hum
 from beamctrl.dynamics import BeamTrajectory, solve_forward
 from beamctrl.hum import (CGConvergenceError, CurvatureError,
-                          FactorizationError, assemble_hum_system,
-                          assemble_source, banded_preconditioner,
-                          build_theta1, control_on_times,
-                          control_weight_factor, fd_weights, free_source,
-                          minimize_J, not_a_knot_spline, synthesize_control,
+                          FactorizationError, apply_stencil,
+                          assemble_hum_system, assemble_source,
+                          banded_preconditioner, build_theta1,
+                          control_on_times, control_weight_factor,
+                          fd_weights, free_source, minimize_J,
+                          not_a_knot_spline, synthesize_control,
                           time_stencil, verify_null_control)
 from beamctrl.torus import SpatialGrid, gauss_panels, uniform_interior
 from beamctrl.weights import eval_weights
@@ -139,6 +140,15 @@ class TestSource:
         assert np.allclose(src, expect, rtol=1e-10, atol=1e-12)
 
 
+def _window(i, n, width):
+    """First node and size of the window of stencil row i."""
+    if i < 2:
+        return 0, width
+    if i >= n - 2:
+        return n - width, width
+    return i - 2, 5
+
+
 class TestStencils:
     def test_fourth_order_interior(self):
         n, dt = 48, 0.05
@@ -147,8 +157,9 @@ class TestStencils:
         D2 = time_stencil(n, dt, 2)
         f = np.exp(0.3 * tt)
         inner = slice(2, n - 2)
-        assert np.max(np.abs((D1 @ f - 0.3 * f)[inner])) < 3e-7
-        assert np.max(np.abs((D2 @ f - 0.09 * f)[inner])) < 3e-6
+        assert np.max(np.abs((apply_stencil(D1, f) - 0.3 * f)[inner])) < 3e-7
+        assert np.max(np.abs((apply_stencil(D2, f) - 0.09 * f)[inner])) \
+            < 3e-6
 
     def test_exact_on_quartics(self):
         n, dt = 16, 0.2
@@ -156,31 +167,48 @@ class TestStencils:
         D1 = time_stencil(n, dt, 1)
         D2 = time_stencil(n, dt, 2)
         f = tt**4 - 2 * tt**3 + tt
-        assert np.allclose(D1 @ f, 4 * tt**3 - 6 * tt**2 + 1, atol=1e-8)
-        assert np.allclose(D2 @ f, 12 * tt**2 - 12 * tt, atol=1e-7)
+        assert np.allclose(apply_stencil(D1, f), 4 * tt**3 - 6 * tt**2 + 1,
+                           atol=1e-8)
+        assert np.allclose(apply_stencil(D2, f), 12 * tt**2 - 12 * tt,
+                           atol=1e-7)
 
     # n = 8 is the stencil minimum, where the two edge windows overlap
     @pytest.mark.parametrize("n", [8, 256])
     @pytest.mark.parametrize("order, width", [(1, 5), (2, 6)])
     def test_rows_are_fd_weights_on_their_windows(self, n, order, width):
         dt = 4.0 / n
-        D = time_stencil(n, dt, order)
-        assert D.nnz == 5 * n + (width - 5) * 4
+        S = time_stencil(n, dt, order)
+        R = S.shape[0] // 2
+        assert S.shape == (11, n)
 
         for i in range(n):
-            row = slice(D.indptr[i], D.indptr[i + 1])
-            if i < 2:
-                start, size = 0, width
-            elif i >= n - 2:
-                start, size = n - width, width
-            else:
-                start, size = i - 2, 5
-            assert np.array_equal(D.indices[row],
-                                  np.arange(start, start + size))
+            start, size = _window(i, n, width)
+            # S[R + k, i] is the weight of node i + k in row i
+            window = slice(R + start - i, R + start - i + size)
             expect = fd_weights((i - start) * dt, dt * np.arange(size),
                                 order)[:, order]
-            assert np.allclose(D.data[row], expect, rtol=0.0,
+            assert np.allclose(S[window, i], expect, rtol=0.0,
                                atol=1e-12 * np.max(np.abs(expect)))
+            outside = np.ones(S.shape[0], dtype=bool)
+            outside[window] = False
+            assert np.all(S[outside, i] == 0.0)
+
+    @pytest.mark.parametrize("n", [8, 256])
+    @pytest.mark.parametrize("order, width", [(1, 5), (2, 6)])
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["1d", "2d"])
+    def test_apply_is_the_dense_matrix(self, n, order, width, shape):
+        dt = 4.0 / n
+        dense = np.zeros((n, n))
+        for i in range(n):
+            start, size = _window(i, n, width)
+            dense[i, start:start + size] = fd_weights(
+                (i - start) * dt, dt * np.arange(size), order)[:, order]
+        S = time_stencil(n, dt, order)
+        u = np.random.default_rng(n + order).standard_normal((n,) + shape)
+        for got, ref in ((apply_stencil(S, u), dense @ u),
+                         (apply_stencil(S, u, transpose=True), dense.T @ u)):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestQuadraticSystem:
