@@ -1,4 +1,5 @@
-"""Command line entry point: validate configs, run experiments, read reports."""
+"""Command line entry point: validate configs, run experiments, read reports,
+export binary field snapshots as CSV."""
 
 from __future__ import annotations
 
@@ -8,26 +9,17 @@ from pathlib import Path
 
 from .config import ConfigError, load_config
 from .experiments import emit_plot_data, run
-from .io import read_flat_report
+from .io import export_field_csv, read_flat_report
 
 
 def _cmd_validate(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return 1
+    cfg = load_config(args.config)
     print(f"ok: kind={cfg.kind} hash={cfg.config_hash}")
     return 0
 
 
 def _cmd_run(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return 1
-    manifest = run(cfg, out_root=args.out_root)
+    manifest = run(load_config(args.config), out_root=args.out_root)
     emit_plot_data(manifest)
     print(f"run {manifest.config_hash} ({manifest.kind}) -> {manifest.run_dir}")
     for key, value in manifest.metrics.items():
@@ -48,6 +40,15 @@ def _cmd_report(args) -> int:
     return 0 if entries.get("overall_pass") == "true" else 1
 
 
+def _cmd_export(args) -> int:
+    snapshots = sorted(Path(args.run_dir).glob("*.bin"))
+    for path in snapshots:
+        print(export_field_csv(path))
+    if not snapshots:
+        print(f"no field snapshots in {args.run_dir}", file=sys.stderr)
+    return 0 if snapshots else 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="beamctrl",
@@ -56,22 +57,25 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_val = sub.add_parser("validate", help="validate a config file")
-    p_val.add_argument("config")
-    p_val.set_defaults(func=_cmd_validate)
-
-    p_run = sub.add_parser("run", help="run the configured experiment")
-    p_run.add_argument("config")
-    p_run.add_argument("--out-root", default="runs",
-                       help="directory collecting run outputs (default: runs)")
-    p_run.set_defaults(func=_cmd_run)
-
-    p_rep = sub.add_parser("report", help="print the manifest of a run")
-    p_rep.add_argument("run_dir")
-    p_rep.set_defaults(func=_cmd_report)
+    for name, func, arg, text in (
+            ("validate", _cmd_validate, "config", "validate a config file"),
+            ("run", _cmd_run, "config", "run the configured experiment"),
+            ("report", _cmd_report, "run_dir", "print the manifest of a run"),
+            ("export", _cmd_export, "run_dir",
+             "write each field snapshot (*.bin) of a run directory as CSV")):
+        command = sub.add_parser(name, help=text)
+        command.add_argument(arg)
+        command.set_defaults(func=func)
+    sub.choices["run"].add_argument(
+        "--out-root", default="runs",
+        help="directory collecting run outputs (default: runs)")
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:   # raised by load_config, before any run
+        print(f"invalid: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -227,13 +227,16 @@ def _validate(values: dict[str, dict[str, object]]) -> None:
         raise ConfigError("data.kind=modal requires data.beta0_modes")
 
     for section, key in (("forward", "n_steps"), ("hum", "max_iter"),
-                         ("hum", "verify_steps")):
+                         ("hum", "verify_steps"), ("audit", "n_samples")):
         if values[section][key] < 1:
             raise ConfigError(f"{section}.{key} must be positive")
+    for key in ("s_grid", "lambda_grid"):
+        if not values["audit"][key]:
+            raise ConfigError(f"audit.{key} must list at least one value")
     hum = values["hum"]
     if not 0.0 < hum["r0"] < hum["r1"] < 1.0:
         raise ConfigError("hum.r0 and hum.r1 must satisfy 0 < r0 < r1 < 1")
-    if hum["tol"] <= 0:
+    if not hum["tol"] > 0:
         raise ConfigError("hum.tol must be positive")
     if not hum["eps_scale"] >= 0.0:
         raise ConfigError("hum.eps_scale must be nonnegative")

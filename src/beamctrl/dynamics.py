@@ -134,9 +134,6 @@ class BeamTrajectory:
         return float(np.sqrt(self.grid.l2_sq(self.beta[-1])
                              + self.grid.l2_sq(self.beta_t[-1])))
 
-    def sup_l2_beta(self) -> float:
-        return float(np.max(np.sqrt(self.grid.l2_sq(self.beta))))
-
 
 def trajectory_energy(grid: SpatialGrid, beta: np.ndarray, beta_t: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,10 @@
 """Configuration-driven experiment runner.
 
 Each experiment kind wires the library modules into one reproducible run:
-outputs (CSV tables, binary snapshots, flat reports) land in a directory
-named by the configuration hash, together with a manifest recording the
+outputs land in a directory named by the configuration hash.  Space-time
+fields (trajectories, the control, the weights) are written once, as binary
+field snapshots that `beamctrl export` turns into CSV; small tables are CSV
+and reports flat text.  A manifest next to them records the
 headline metrics, the pass/fail state of the attached assertion suite and,
 for control runs, the wall time of each stage (`timing.*` rows, outside the
 metrics).  Identical configurations reproduce identical metrics bit for
@@ -28,7 +30,7 @@ from .config import ExperimentConfig
 from .dynamics import (analytic_eigenpairs, assemble_operator,
                        fixed_point_solve, solve_forward)
 from .io import (write_csv, write_field_csv, write_field_snapshot,
-                 write_flat_report, write_snapshot)
+                 write_flat_report)
 from .torus import SpatialGrid, gauss_panels, uniform_interior
 from .weights import (LEDGER, audit_derivative_bounds, build_eta, build_theta,
                       eval_weights, sweep_lambda_bounds)
@@ -64,16 +66,10 @@ class RunManifest:
             yield (f"timing.{stage}_s", f"{seconds:.6f}")
         yield ("outputs", ";".join(self.outputs))
         for key in self.metrics:
-            yield (f"metrics.{key}", _render(self.metrics[key]))
+            yield (f"metrics.{key}", self.metrics[key])
         for key in self.assertions:
             yield (f"assert.{key}", str(self.assertions[key]).lower())
         yield ("overall_pass", str(self.overall_pass).lower())
-
-
-def _render(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 # shared builders -------------------------------------------------------------
@@ -230,10 +226,8 @@ def _run_forward(cfg: ExperimentConfig, run_dir: Path):
         write_field_csv(run_dir / "energy.csv", {
             "t": traj.times, "energy": traj.energy,
             "dissipation": traj.dissipation}),
-        write_field_csv(run_dir / "trajectory.csv", {
-            "t": traj.times[:, None], "x": grid.nodes[None, :],
-            "beta": traj.beta, "beta_t": traj.beta_t}),
-        write_snapshot(run_dir / "trajectory.bin", traj),
+        write_field_snapshot(run_dir / "trajectory.bin", grid, traj.times,
+                             {"beta": traj.beta, "beta_t": traj.beta_t}),
     ]
     dt = times[1] - times[0]
     dE = np.diff(traj.energy) / dt
@@ -290,10 +284,10 @@ def _run_weights_audit(cfg: ExperimentConfig, run_dir: Path):
     # column order: the x-only entries of phi, then of xi, then the timed
     # entries; the stable sort keeps table order within each group
     columns = sorted(LEDGER, key=lambda e: (e[3] > 0, e[1] == "xi"))
-    files.append(write_field_csv(run_dir / "weights_field.csv", {
-        "x": grid.nodes[None, :], "t": t_grid.nodes[:, None],
-        "phi": w.phi, "xi": w.xi,
-        **{name: w.ledger[name] for name, *_ in columns}}))
+    files.append(write_field_snapshot(
+        run_dir / "weights_field.bin", grid, t_grid.nodes,
+        {"phi": w.phi, "xi": w.xi,
+         **{name: w.ledger[name] for name, *_ in columns}}))
 
     base = audit_derivative_bounds(w)
     metrics = {
@@ -375,21 +369,21 @@ def _run_control(cfg: ExperimentConfig, run_dir: Path):
         verify_steps=hum["verify_steps"])
 
     start = time.perf_counter()
+    controlled = runs["controlled"]
     norms = {name: np.sqrt(grid.l2_sq(runs[name].beta)
                            + grid.l2_sq(runs[name].beta_t))
              for name in ("controlled", "uncontrolled")}
     files = [
-        write_field_csv(run_dir / "control.csv", {
-            "t": t_grid.nodes[:, None], "x": grid.nodes[None, :],
-            "v": sol.v}),
         write_field_snapshot(run_dir / "control.bin", grid, t_grid.nodes,
-                             sol.v),
+                             {"v": sol.v}),
         write_csv(run_dir / "cg_residuals.csv", ["iteration", "relative_residual"],
                   ((i, repr(r)) for i, r in enumerate(sol.residual_history))),
         write_field_csv(run_dir / "state_norms.csv",
-                        {"t": runs["controlled"].times, **norms}),
+                        {"t": controlled.times, **norms}),
         write_flat_report(run_dir / "terminal_report.txt", report.rows()),
-        write_snapshot(run_dir / "controlled.bin", runs["controlled"]),
+        write_field_snapshot(run_dir / "controlled.bin", grid,
+                             controlled.times, {"beta": controlled.beta,
+                                                "beta_t": controlled.beta_t}),
     ]
     timing["output"] = time.perf_counter() - start
     w = system.weights
@@ -430,11 +424,11 @@ _RUNNERS = {
 EXPECTED_FILES = {
     "spectrum": ("spectrum.csv",),
     "zeta-ledger": ("zeta_witness.csv", "zeta_witness.txt"),
-    "forward": ("energy.csv", "trajectory.csv", "trajectory.bin"),
-    "weights-audit": ("theta_profile.csv", "weights_field.csv"),
+    "forward": ("energy.csv", "trajectory.bin"),
+    "weights-audit": ("theta_profile.csv", "weights_field.bin"),
     "carleman-audit": ("ratio_rows.csv", "ratio_vs_s.csv"),
-    "control": ("control.csv", "control.bin", "cg_residuals.csv",
-                "state_norms.csv", "terminal_report.txt", "controlled.bin"),
+    "control": ("control.bin", "cg_residuals.csv", "state_norms.csv",
+                "terminal_report.txt", "controlled.bin"),
 }
 
 

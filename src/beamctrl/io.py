@@ -1,4 +1,10 @@
-"""CSV, binary snapshot, and manifest writers for experiment outputs."""
+"""Writers and readers of experiment outputs.
+
+Each space-time field is recorded once, in the binary field snapshot
+format (`write_field_snapshot`); `export_field_csv` turns such a file into
+exact CSV text on request.  Small tables are written as CSV, manifests and
+reports as flat  key = value  text.
+"""
 
 from __future__ import annotations
 
@@ -9,12 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import BeamTrajectory
 from .torus import SpatialGrid
 
-SNAPSHOT_MAGIC = b"BEAMSNAP"
 FIELD_MAGIC = b"BEAMFLD1"
-SNAPSHOT_VERSION = 1
+FIELD_VERSION = 2
+# version, n_t, n_x, field count, name bytes, circumference, x0
+_HEADER = "<IIIIIdd"
 
 
 def write_csv(path: Path, header: list[str], rows) -> Path:
@@ -29,12 +35,10 @@ def write_csv(path: Path, header: list[str], rows) -> Path:
 def write_field_csv(path: Path, columns: dict[str, np.ndarray]) -> Path:
     """Named columns broadcast to one shape, one row per entry, row-major.
 
-    Space-time fields take shape (n_t, n_x) and give one row per (t, x)
-    node, time-major: pass the time nodes as t[:, None] and the space nodes
-    as x[None, :].  Values are written as repr(float), so reading them back
-    with float() is exact.  A column is formatted before it is broadcast, so
-    each time or space node is formatted once, not once per row; rows are
-    written in blocks, so no full copy of the text is held in memory.
+    Values are written as repr(float), so reading them back with float()
+    is exact.  A column is formatted before it is broadcast, so each time or
+    space node is formatted once, not once per row; rows are written in
+    blocks, so no full copy of the text is held in memory.
     """
     names = list(columns)
     arrays = [np.asarray(columns[n], dtype=float) for n in names]
@@ -55,60 +59,54 @@ def write_field_csv(path: Path, columns: dict[str, np.ndarray]) -> Path:
     return path
 
 
-def _write_blocks(path: Path, magic: bytes, grid: SpatialGrid,
-                  times: np.ndarray, blocks) -> Path:
-    """Header, time nodes, then the (n_t, n_x) blocks, all little-endian.
-
-    The header is the 8-byte magic, uint32 version, uint32 n_t, uint32 n_x,
-    float64 circumference and float64 x0; each block is row-major,
-    time-major float64.
-    """
+def write_field_snapshot(path: Path, grid: SpatialGrid, times: np.ndarray,
+                         fields: dict[str, np.ndarray]) -> Path:
+    """Named (times.size, grid.n) fields as one little-endian binary file:
+    the magic, the `_HEADER` values, the comma-joined UTF-8 field names, the
+    time nodes, then one row-major, time-major float64 block per field."""
+    shape = (times.size, grid.n)
+    for name, values in fields.items():
+        if np.shape(values) != shape:
+            raise ValueError(f"field {name!r} has shape {np.shape(values)}, "
+                             f"not {shape}")
+    names = ",".join(fields).encode()
     path = Path(path)
-    n_t, n_x = blocks[0].shape
     with path.open("wb") as fh:
-        fh.write(magic)
-        fh.write(struct.pack("<III", SNAPSHOT_VERSION, n_t, n_x))
-        fh.write(struct.pack("<dd", grid.circumference, grid.x0))
-        for arr in (times, *blocks):
+        fh.write(FIELD_MAGIC + struct.pack(
+            _HEADER, FIELD_VERSION, *shape, len(fields), len(names),
+            grid.circumference, grid.x0) + names)
+        for arr in (times, *fields.values()):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     return path
 
 
-def _read_blocks(path: Path, magic: bytes, kind: str, n_blocks: int):
-    """(grid, times, *blocks) of a file written by `_write_blocks`."""
-    with Path(path).open("rb") as fh:
-        if fh.read(8) != magic:
-            raise ValueError(f"not a {kind} snapshot: {path}")
-        version, n_t, n_x = struct.unpack("<III", fh.read(12))
-        if version != SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {version}")
-        circumference, x0 = struct.unpack("<dd", fh.read(16))
-        times = np.frombuffer(fh.read(8 * n_t), dtype="<f8").copy()
-        blocks = [np.frombuffer(fh.read(8 * n_t * n_x),
-                                dtype="<f8").reshape(n_t, n_x).copy()
-                  for _ in range(n_blocks)]
-    return (SpatialGrid(n_x, circumference, x0), times, *blocks)
-
-
-def write_snapshot(path: Path, traj: BeamTrajectory) -> Path:
-    """Binary trajectory snapshot: magic "BEAMSNAP", then beta and beta_t
-    as the two blocks of the shared layout (`_write_blocks`)."""
-    return _write_blocks(path, SNAPSHOT_MAGIC, traj.grid, traj.times,
-                         (traj.beta, traj.beta_t))
-
-
-def read_snapshot(path: Path) -> BeamTrajectory:
-    return BeamTrajectory(*_read_blocks(path, SNAPSHOT_MAGIC, "trajectory", 2))
-
-
-def write_field_snapshot(path: Path, grid: SpatialGrid, times: np.ndarray,
-                         values: np.ndarray) -> Path:
-    """Single space-time field: magic "BEAMFLD1", then one value block."""
-    return _write_blocks(path, FIELD_MAGIC, grid, times, (values,))
-
-
 def read_field_snapshot(path: Path):
-    return _read_blocks(path, FIELD_MAGIC, "field", 1)
+    """(grid, times, {name: field}) of a file written by
+    `write_field_snapshot`; raises ValueError on any other file."""
+    data = Path(path).read_bytes()
+    start = len(FIELD_MAGIC) + struct.calcsize(_HEADER)
+    if not data.startswith(FIELD_MAGIC) or len(data) < start:
+        raise ValueError(f"not a field snapshot: {path}")
+    version, n_t, n_x, n_fields, n_names, circumference, x0 = \
+        struct.unpack_from(_HEADER, data, len(FIELD_MAGIC))
+    if version != FIELD_VERSION:
+        raise ValueError(f"unsupported field snapshot version {version}")
+    names = data[start:start + n_names].decode().split(",") if n_names else []
+    if len(names) != n_fields or \
+            len(data) != start + n_names + 8 * n_t * (1 + n_fields * n_x):
+        raise ValueError(f"truncated or malformed field snapshot: {path}")
+    values = np.frombuffer(data, "<f8", offset=start + n_names).copy()
+    blocks = values[n_t:].reshape(n_fields, n_t, n_x)
+    return (SpatialGrid(n_x, circumference, x0), values[:n_t],
+            dict(zip(names, blocks)))
+
+
+def export_field_csv(path: Path) -> Path:
+    """Write the fields of a binary snapshot to the CSV next to it: columns
+    t, x and then the fields, one row per (t, x) node, time-major."""
+    grid, times, fields = read_field_snapshot(path)
+    return write_field_csv(Path(path).with_suffix(".csv"), {
+        "t": times[:, None], "x": grid.nodes[None, :], **fields})
 
 
 def write_flat_report(path: Path, items) -> Path:

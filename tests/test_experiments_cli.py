@@ -1,5 +1,6 @@
 import ast
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +11,11 @@ import pytest
 import beamctrl
 from beamctrl.cli import main
 from beamctrl.config import ConfigError, load_config
-from beamctrl.dynamics import BeamTrajectory, solve_forward
+from beamctrl.dynamics import solve_forward
 from beamctrl.experiments import EXPECTED_FILES, emit_plot_data, run
-from beamctrl.io import (read_flat_report, read_snapshot, write_field_csv,
-                         write_flat_report, write_snapshot)
+from beamctrl.io import (FIELD_MAGIC, read_field_snapshot, read_flat_report,
+                         write_field_csv, write_field_snapshot,
+                         write_flat_report)
 from beamctrl.torus import SpatialGrid
 
 BASE = """
@@ -122,7 +124,17 @@ class TestConfig:
         ("control", "tol = 1e-8", "tol = 1e-8\nmax_iter = 0", "hum.max_iter"),
         ("control", "eps_scale = 1e-12", "eps_scale = -1e-12",
          "hum.eps_scale"),
-    ], ids=["n_steps", "verify_steps", "max_iter", "eps_scale"])
+        ("carleman-audit", "n_samples = 3", "n_samples = 0",
+         "audit.n_samples"),
+        ("carleman-audit", "n_samples = 3", "n_samples = -1",
+         "audit.n_samples"),
+        ("weights-audit", "lambda_grid = 2", "lambda_grid =",
+         "audit.lambda_grid"),
+        ("carleman-audit", "s_grid = 4,8", "s_grid =", "audit.s_grid"),
+        ("control", "tol = 1e-8", "tol = nan", "hum.tol"),
+    ], ids=["n_steps", "verify_steps", "max_iter", "eps_scale", "n_samples_0",
+            "n_samples_negative", "lambda_grid_empty", "s_grid_empty",
+            "tol_nan"])
     def test_solver_sizes_rejected(self, tmp_path, kind, line, bad, key):
         path = tmp_path / "bad.ini"
         path.write_text(BASE.format(kind=kind).replace(line, bad))
@@ -176,6 +188,18 @@ class TestImportBoundary:
         # the time stencils are numpy arrays: no sparse format is loaded
         assert not [m for m in loaded
                     if m.split(".")[:2] == ["scipy", "sparse"]]
+
+    def test_export_loads_no_scipy(self, tmp_path):
+        manifest = run(load_config(write_cfg(tmp_path, "forward")),
+                       out_root=tmp_path / "runs")
+        out = run_fresh(
+            "import sys\n"
+            "from beamctrl.cli import main\n"
+            f"print(main(['export', {str(manifest.run_dir)!r}]))\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))\n")
+        assert out[-2:] == ["0", "[]"]
+        assert (manifest.run_dir / "trajectory.csv").exists()
 
 
 class TestRuns:
@@ -281,6 +305,49 @@ class TestCli:
         assert 0.0 < float(line.split(" = ")[1]) < 1.0
 
 
+class TestExport:
+    @pytest.mark.parametrize("kind", ["forward", "weights-audit", "control"])
+    def test_export_writes_each_snapshot_as_exact_csv(self, tmp_path, kind):
+        manifest = run(load_config(write_cfg(tmp_path, kind)),
+                       out_root=tmp_path / "runs")
+        run_dir = manifest.run_dir
+        before = set(run_dir.glob("*.csv"))
+        snapshots = sorted(run_dir.glob("*.bin"))
+        assert snapshots and main(["export", str(run_dir)]) == 0
+        assert set(run_dir.glob("*.csv")) - before \
+            == {p.with_suffix(".csv") for p in snapshots}
+        for path in snapshots:
+            grid, times, fields = read_field_snapshot(path)
+            header, *rows = path.with_suffix(".csv").read_text().splitlines()
+            assert header == ",".join(["t", "x", *fields])
+            back = np.array([[float(v) for v in row.split(",")]
+                             for row in rows])
+            n_t, n_x = times.size, grid.n
+            assert back.shape == (n_t * n_x, 2 + len(fields))
+            assert back[:, 0].tobytes() == np.repeat(times, n_x).tobytes()
+            assert back[:, 1].tobytes() == np.tile(grid.nodes, n_t).tobytes()
+            for j, values in enumerate(fields.values()):
+                assert back[:, 2 + j].tobytes() == values.ravel().tobytes()
+            if path.name == "weights_field.bin":
+                # phi, xi and the 22 ledger fields
+                assert len(fields) == 24 and list(fields)[:2] == ["phi", "xi"]
+
+    def test_export_without_snapshots_fails(self, tmp_path):
+        assert main(["export", str(tmp_path)]) == 1
+        assert main(["export", str(tmp_path / "nowhere")]) == 1
+
+
+def snapshot_file(tmp_path, n_t=5, n_x=8, names=("v",)):
+    """A field snapshot of seeded random fields, and what it holds."""
+    rng = np.random.default_rng(4)
+    grid = SpatialGrid(n_x, 3.0, x0=-1.0)
+    times = np.sort(rng.uniform(0.0, 1.0, n_t))
+    fields = {name: rng.standard_normal((n_t, n_x))
+              * 10.0 ** rng.integers(-300, 300, (n_t, n_x)) for name in names}
+    path = write_field_snapshot(tmp_path / "f.bin", grid, times, fields)
+    return path, grid, times, fields
+
+
 class TestSnapshot:
     def test_roundtrip(self, tmp_path):
         grid = SpatialGrid(16, 3.0, x0=-1.0)
@@ -288,28 +355,70 @@ class TestSnapshot:
         times = np.linspace(0, 1.0, 9)
         traj = solve_forward(grid, rng.standard_normal(16),
                              rng.standard_normal(16), times)
-        path = write_snapshot(tmp_path / "snap.bin", traj)
-        back = read_snapshot(path)
-        assert np.array_equal(back.beta, traj.beta)
-        assert np.array_equal(back.beta_t, traj.beta_t)
-        assert np.array_equal(back.times, traj.times)
-        assert back.grid.circumference == grid.circumference
+        path = write_field_snapshot(tmp_path / "snap.bin", grid, traj.times,
+                                    {"beta": traj.beta, "beta_t": traj.beta_t})
+        back_grid, back_times, back = read_field_snapshot(path)
+        assert np.array_equal(back["beta"], traj.beta)
+        assert np.array_equal(back["beta_t"], traj.beta_t)
+        assert np.array_equal(back_times, traj.times)
+        assert back_grid.circumference == grid.circumference
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "noise.bin"
         path.write_bytes(b"definitely not a snapshot")
         with pytest.raises(ValueError):
-            read_snapshot(path)
+            read_field_snapshot(path)
 
     def test_field_snapshot_roundtrip(self, tmp_path):
-        from beamctrl.io import read_field_snapshot, write_field_snapshot
         grid = SpatialGrid(8, 3.0, x0=-1.0)
         times = np.linspace(0.1, 0.9, 5)
         vals = np.arange(40, dtype=float).reshape(5, 8)
-        path = write_field_snapshot(tmp_path / "f.bin", grid, times, vals)
+        path = write_field_snapshot(tmp_path / "f.bin", grid, times,
+                                    {"v": vals})
         g2, t2, v2 = read_field_snapshot(path)
         assert g2.n == 8 and g2.x0 == -1.0
-        assert np.array_equal(t2, times) and np.array_equal(v2, vals)
+        assert np.array_equal(t2, times) and np.array_equal(v2["v"], vals)
+
+    def test_named_fields_roundtrip_bit_for_bit(self, tmp_path):
+        names = ("zeta", "beta", "xi_t2")
+        path, grid, times, fields = snapshot_file(tmp_path, names=names)
+        fields["beta"][0, :2] = (-0.0, np.pi)
+        path = write_field_snapshot(path, grid, times, fields)
+        g2, t2, back = read_field_snapshot(path)
+        assert list(back) == list(names)
+        assert (g2.n, g2.circumference, g2.x0) == (grid.n, 3.0, -1.0)
+        assert t2.tobytes() == times.tobytes()
+        for name in names:
+            assert back[name].tobytes() == fields[name].tobytes()
+
+    @pytest.mark.parametrize("damage", ["foreign_magic", "version_1",
+                                        "truncated_header", "truncated_data"])
+    def test_rejects_damaged_file(self, tmp_path, damage):
+        path, grid, times, fields = snapshot_file(tmp_path)
+        raw = path.read_bytes()
+        if damage == "foreign_magic":
+            raw = b"BEAMSNAP" + raw[8:]
+        elif damage == "version_1":
+            # the one-block layout of version 1: no field count, no names
+            raw = (FIELD_MAGIC + struct.pack("<IIIdd", 1, 5, 8, 3.0, -1.0)
+                   + times.tobytes() + fields["v"].tobytes())
+        elif damage == "truncated_header":
+            raw = raw[:20]
+        else:
+            raw = raw[:-1]
+        path.write_bytes(raw)
+        with pytest.raises(ValueError):
+            read_field_snapshot(path)
+
+    @pytest.mark.parametrize("shape", [(5, 9), (4, 8), (40,)],
+                             ids=["n_x", "n_t", "flat"])
+    def test_writer_rejects_misshapen_field(self, tmp_path, shape):
+        grid, times = SpatialGrid(8, 3.0, x0=-1.0), np.linspace(0, 1, 5)
+        path = tmp_path / "f.bin"
+        with pytest.raises(ValueError, match="'w'"):
+            write_field_snapshot(path, grid, times,
+                                 {"v": np.zeros((5, 8)), "w": np.zeros(shape)})
+        assert not path.exists()
 
     def test_field_csv_roundtrip_bit_for_bit(self, tmp_path):
         rng = np.random.default_rng(2)
