@@ -31,6 +31,14 @@ def _parse_floats(raw: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in raw.replace(";", ",").split(",") if tok.strip())
 
 
+def parse_modes(raw: str) -> list[tuple[int, float, float]]:
+    """`k:cos:sin;...` as (k, cos, sin) triples; ValueError on a bad item."""
+    items = [item.split(":") for item in raw.split(";")] if raw else []
+    if any(len(parts) != 3 for parts in items):
+        raise ValueError(f"{raw!r} is not k:cos:sin;...")
+    return [(int(k), float(c), float(s)) for k, c, s in items]
+
+
 # schema: section -> key -> (parser, default or REQUIRED)
 _REQUIRED = object()
 
@@ -180,9 +188,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 values[section][key] = default
 
     _validate(values)
-    cfg = ExperimentConfig(kind=values["experiment"]["kind"], values=values,
-                           config_hash=hash_config(values))
-    return cfg
+    return ExperimentConfig(kind=values["experiment"]["kind"], values=values,
+                            config_hash=hash_config(values))
 
 
 def _validate(values: dict[str, dict[str, object]]) -> None:
@@ -225,6 +232,20 @@ def _validate(values: dict[str, dict[str, object]]) -> None:
         raise ConfigError(f"data.kind must be one of {', '.join(DATA_KINDS)}")
     if values["data"]["kind"] == "modal" and not values["data"]["beta0_modes"]:
         raise ConfigError("data.kind=modal requires data.beta0_modes")
+
+    # mode indices address the rfft modes 0..n_modes/2 of the grid
+    top = grid["n_modes"] // 2
+    indices = [("data.max_mode", values["data"]["max_mode"]),
+               ("potential.space_mode", values["potential"]["space_mode"])]
+    for key in ("beta0_modes", "beta1_modes"):
+        try:
+            modes = parse_modes(values["data"][key])
+        except ValueError as exc:
+            raise ConfigError(f"bad value for data.{key}: {exc}") from exc
+        indices += [(f"data.{key}", k) for k, _, _ in modes]
+    for key, k in indices:
+        if not 0 <= k <= top:
+            raise ConfigError(f"{key}: mode {k} is outside 0..{top}")
 
     for section, key in (("forward", "n_steps"), ("hum", "max_iter"),
                          ("hum", "verify_steps"), ("audit", "n_samples")):

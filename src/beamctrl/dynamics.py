@@ -131,8 +131,7 @@ class BeamTrajectory:
 
     def terminal_norm(self) -> float:
         """L2 x L2 norm of (beta, beta_t) at the final time."""
-        return float(np.sqrt(self.grid.l2_sq(self.beta[-1])
-                             + self.grid.l2_sq(self.beta_t[-1])))
+        return float(self.grid.pair_norm(self.beta[-1], self.beta_t[-1]))
 
 
 def trajectory_energy(grid: SpatialGrid, beta: np.ndarray, beta_t: np.ndarray
@@ -240,7 +239,7 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
                        np.abs(forcing).max(axis=(1, 2)))[:, None]   # (B, 1)
     scale[scale == 0] = 1.0            # an all-zero member stays exactly zero
     d, f = data / scale, forcing / scale[:, :, None]
-    guard_sq = (divergence_factor * (np.sqrt(g.l2_sq(d[0]) + g.l2_sq(d[1]))
+    guard_sq = (divergence_factor * (g.pair_norm(d[0], d[1])
                                      + g.l2(f) @ trap)) ** 2
     # Parseval: |u|_L2^2 = circumference / n^2 * sum_k mult_k |u_hat_k|^2,
     # on the float view of one member's modal pair (beta, beta_t)
@@ -359,13 +358,12 @@ def fixed_point_solve(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
         prev_t = np.zeros((w_times.size, grid.n))
         traj = None
         dist_prev = None
-        scale = max(float(np.sqrt(grid.l2_sq(data[0]) + grid.l2_sq(data[1]))),
-                    1e-300)
+        scale = max(float(grid.pair_norm(*data)), 1e-300)
         for it in range(max_iter):
             traj = solve_forward(grid, data[0], data[1], w_times,
                                  forcing=-w_a * prev)
-            dist = float(np.max(np.sqrt(grid.l2_sq(traj.beta - prev)
-                                        + grid.l2_sq(traj.beta_t - prev_t))))
+            dist = float(np.max(grid.pair_norm(traj.beta - prev,
+                                               traj.beta_t - prev_t)))
             total_iters += 1
             if windows == 1:
                 first_distances.append(dist)

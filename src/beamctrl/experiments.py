@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .audit import TestFunctionFamily, audit_inequality
-from .config import ExperimentConfig
+from .config import ExperimentConfig, parse_modes
 from .dynamics import (analytic_eigenpairs, assemble_operator,
                        fixed_point_solve, solve_forward)
 from .io import (write_csv, write_field_csv, write_field_snapshot,
@@ -87,13 +87,9 @@ def make_data(cfg: ExperimentConfig, grid: SpatialGrid
     if spec["kind"] == "modal":
         def from_modes(raw: str) -> np.ndarray:
             out = np.zeros(grid.n)
-            if not raw:
-                return out
-            for item in raw.split(";"):
-                k_str, c_cos, c_sin = item.split(":")
-                kap = grid.kappa[int(k_str)]
-                out += float(c_cos) * np.cos(kap * x) \
-                    + float(c_sin) * np.sin(kap * x)
+            for k, c_cos, c_sin in parse_modes(raw):
+                kap = grid.kappa[k]
+                out += c_cos * np.cos(kap * x) + c_sin * np.sin(kap * x)
             return out
         return from_modes(spec["beta0_modes"]), from_modes(spec["beta1_modes"])
 
@@ -370,8 +366,7 @@ def _run_control(cfg: ExperimentConfig, run_dir: Path):
 
     start = time.perf_counter()
     controlled = runs["controlled"]
-    norms = {name: np.sqrt(grid.l2_sq(runs[name].beta)
-                           + grid.l2_sq(runs[name].beta_t))
+    norms = {name: grid.pair_norm(runs[name].beta, runs[name].beta_t)
              for name in ("controlled", "uncontrolled")}
     files = [
         write_field_snapshot(run_dir / "control.bin", grid, t_grid.nodes,

@@ -17,15 +17,18 @@ those arrays, so the discrete system is symmetric positive definite up to the
 Tikhonov term.  In time-major order the matrix is banded (the time stencils
 reach 5 rows, the spectral x-blocks are dense), so it is factored exactly by
 banded Cholesky, and preconditioned conjugate gradients refine that direct
-solve in one or two iterations.  The minimizer yields
-the weighted residual g_tilde = e^{-2 s phi} L psi_min and the control
+solve in one or two iterations.  The minimizer yields the weighted residual
+g_tilde = e^{-2 s phi} L psi_min and the control
 v = -s^7 lam^8 xi^7 chi_omega psi_min e^{-2 s phi}, which is then validated
 by forward simulation.
 
-`synthesize_control` is the entry point: it builds the weights, marches the
-free beam and assembles the source (`free_source`), assembles the normal
-equations (`assemble_hum_system`), minimizes (`minimize_J`) and verifies the
-control (`verify_null_control`).
+The normal operator depends on the weights, the potential and eps, not on
+the data: `assemble_hum_system` builds it, `banded_preconditioner` factors
+its band (`QuadraticSystem.normal_band`) into a solve the caller holds, and
+`minimize_J(sys, f, precond)` solves for one source f, so one factor serves
+any number of sources.  `synthesize_control` chains the weights, the free
+march with its source (`free_source`), those steps and the verification
+(`verify_null_control`), and is the one place that times them.
 """
 
 from __future__ import annotations
@@ -201,11 +204,12 @@ def apply_stencil(S: np.ndarray, u: np.ndarray, transpose: bool = False
 
 @dataclass
 class QuadraticSystem:
-    """Normal operator of the functional and its right-hand side.
+    """Normal operator of the functional; it holds no data.
 
     apply(psi) computes  L^T M W1 L psi + M W2 psi + eps psi  with M the
     space-time quadrature weights; `apply_stencil` transposes the time
     stencils Dt, Dtt exactly, so apply is symmetric to machine precision.
+    The right-hand side of a source f is M f (`minimize_J`).
     """
 
     grid: SpatialGrid
@@ -218,8 +222,6 @@ class QuadraticSystem:
     W2: np.ndarray
     M: np.ndarray
     eps: float
-    rhs: np.ndarray
-    source: np.ndarray
     norm_estimate: float
 
     def apply_L(self, psi: np.ndarray) -> np.ndarray:
@@ -314,20 +316,19 @@ class QuadraticSystem:
                     blk[:, p0:, q].T
         return ab
 
-    def quadratic_value(self, psi: np.ndarray) -> float:
-        """The functional J at psi, without the Tikhonov term."""
+    def quadratic_value(self, psi: np.ndarray, b: np.ndarray) -> float:
+        """J at psi for the right-hand side b, without the Tikhonov term."""
         lp = self.apply_L(psi)
         quad = 0.5 * np.sum(self.M * (self.W1 * lp**2 + self.W2 * psi**2))
-        return float(quad - np.sum(self.rhs * psi))
+        return float(quad - np.sum(b * psi))
 
 
-def _operator_norm_estimate(apply, shape, seed: int = 1234,
-                            iters: int = 12) -> float:
-    rng = np.random.default_rng(seed)
+def _operator_norm_estimate(apply, shape) -> float:
+    """Twelve seeded power iterations."""
+    rng = np.random.default_rng(1234)
     x = rng.standard_normal(shape)
     x /= np.sqrt(np.sum(x * x))
-    est = 1.0
-    for _ in range(iters):
+    for _ in range(12):
         y = apply(x)
         est = float(np.sqrt(np.sum(y * y)))
         if est == 0.0:
@@ -337,76 +338,57 @@ def _operator_norm_estimate(apply, shape, seed: int = 1234,
 
 
 def assemble_hum_system(grid: SpatialGrid, t_grid: TimeGrid, w: WeightField,
-                        f: np.ndarray, a_vals: np.ndarray | None = None,
+                        a_vals: np.ndarray | None = None,
                         eps_scale: float = 1e-14) -> QuadraticSystem:
-    """Build the discrete normal equations of the functional.
+    """Build the discrete normal operator of the functional.
 
-    The right-hand side is the plain quadrature pairing of the commutator
-    source f (`assemble_source`, shape (n_t, n_x)) against psi (no
-    exponential weight).  The Tikhonov level is eps_scale times a
-    power-iteration estimate of the operator norm.  It must stay tiny,
-    because the terminal residual of the verified control grows about
-    linearly with it: configs/control.ini gives suppression_ratio 1.008e-6
-    at eps_scale 1e-14, 4.166e-4 at 1e-12 and 3.665e-2 at 1e-10, with
-    control_l2_norm 16.52, 16.50 and 14.50.  A
-    non-finite source, potential, kernel (W1, W2) or right-hand side raises
-    ValueError naming it.
+    The Tikhonov level is eps_scale times a power-iteration estimate of the
+    operator norm.  It must stay tiny, because the terminal residual of the
+    verified control grows about linearly with it: configs/control.ini gives
+    suppression_ratio 1.008e-6 at eps_scale 1e-14, 4.166e-4 at 1e-12 and
+    3.665e-2 at 1e-10, with control_l2_norm 16.52, 16.50 and 14.50.  A
+    non-finite potential or kernel (W1, W2) raises ValueError naming it.
     """
     if eps_scale < 0:
         raise ValueError("eps_scale must be nonnegative")
-    for name, vals in (("source", f), ("a_vals", a_vals)):
-        if vals is not None and not np.all(np.isfinite(vals)):
-            raise ValueError(f"{name} is not finite")
+    if a_vals is not None and not np.all(np.isfinite(a_vals)):
+        raise ValueError("a_vals is not finite")
     n_t = t_grid.n
     dt = float(t_grid.nodes[1] - t_grid.nodes[0])
-    Dt = time_stencil(n_t, dt, 1)
-    Dtt = time_stencil(n_t, dt, 2)
-
-    if f.shape != (n_t, grid.n):
-        raise ValueError("source not sampled on the system grid")
+    Dt, Dtt = (time_stencil(n_t, dt, order) for order in (1, 2))
     chi = w.domain.in_omega(w.x_nodes).astype(float)
-    M = w.quad_weights()
     with np.errstate(over="ignore", invalid="ignore"):   # named below
         W1 = w.kernel(0.0)
         W2 = (w.params.s**7 * w.params.lam**8) * chi[None, :] * w.kernel(7.0)
-        rhs = M * f
-    for name, vals in (("W1", W1), ("W2", W2), ("rhs", rhs)):
+    for name, vals in (("W1", W1), ("W2", W2)):
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"{name} is not finite")
 
     sys = QuadraticSystem(
         grid=grid, t_grid=t_grid, weights=w, Dt=Dt, Dtt=Dtt, a_vals=a_vals,
-        W1=W1, W2=W2, M=M, eps=0.0, rhs=rhs, source=f,
-        norm_estimate=0.0,
-    )
+        W1=W1, W2=W2, M=w.quad_weights(), eps=0.0, norm_estimate=0.0)
     est = _operator_norm_estimate(sys.apply, (n_t, grid.n))
-    sys.norm_estimate = est
-    sys.eps = eps_scale * est
+    sys.norm_estimate, sys.eps = est, eps_scale * est
     return sys
 
 
-def banded_preconditioner(sys: QuadraticSystem):
+def banded_preconditioner(sys: QuadraticSystem, ab: np.ndarray):
     """r -> A^{-1} r by the exact banded Cholesky factor of the operator A.
 
-    The returned solve carries `timing`, the wall seconds of building the
-    band (`band`) and of factoring it (`factor`).  Raises FactorizationError
-    when A is not numerically positive definite.
+    ab is the band of A (`sys.normal_band()`), factored in place; the
+    returned solve serves any number of right-hand sides.  Raises
+    FactorizationError when A is not numerically positive definite.
     """
-    start = time.perf_counter()
-    ab = sys.normal_band()
-    built = time.perf_counter()
     try:
         chol = cholesky_banded(ab, overwrite_ab=True, lower=True)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(
-            f"banded Cholesky of the {sys.band_shape[1]}-unknown normal "
+            f"banded Cholesky of the {ab.shape[1]}-unknown normal "
             f"operator broke down (eps = {sys.eps:.3e}): {exc}") from exc
 
     def solve(r):
         return cho_solve_banded((chol, True), r.ravel(),
                                 check_finite=False).reshape(r.shape)
-    solve.timing = {"band": built - start,
-                    "factor": time.perf_counter() - built}
     return solve
 
 
@@ -422,39 +404,42 @@ class HumSolution:
     iterations: int
     relative_residual: float        # CG's recursive residual |r_k| / |b|
     true_relative_residual: float   # |b - A x| / |b|, from one more apply
-    timing: dict[str, float]        # wall seconds of band, factor and cg
 
 
-def minimize_J(sys: QuadraticSystem, tol: float = 1e-10,
-               max_iter: int = 5000) -> HumSolution:
-    """Conjugate-gradient solve of the normal equations to relative tol.
+def minimize_J(sys: QuadraticSystem, f: np.ndarray, precond,
+               tol: float = 1e-10, max_iter: int = 5000) -> HumSolution:
+    """Preconditioned conjugate-gradient solve of A psi = b to relative tol.
 
-    The preconditioner is the exact banded Cholesky factor, so PCG only
-    refines the direct solve (2 iterations to 1e-10 at configs/control.ini).
-    The solution's timing holds the wall seconds of building the band, of
-    factoring it and of the PCG loop with the true residual and the derived
-    fields (`band`, `factor`, `cg`; all 0 for a zero right-hand side).
+    b = M f pairs the commutator source f (`free_source`, shape (n_t, n_x))
+    with psi by plain quadrature.  precond maps r to about A^{-1} r: with
+    the exact banded factor (`banded_preconditioner`) PCG only refines the
+    direct solve (2 iterations to 1e-10 at configs/control.ini), and
+    `lambda r: r` gives plain CG.  A source off the system grid, or a
+    non-finite source or right-hand side, raises ValueError naming it.
     tol bounds CG's recursive residual |r_k| / |b|; the true residual
     |b - A x| / |b| (true_relative_residual) has a rounding floor, about
     2.5e-8 at configs/control.ini, that no smaller tol lowers.
-    FactorizationError or CurvatureError (p.Ap <= 0) mean the operator is not
-    positive definite.  CGConvergenceError (with the residual history
-    attached) signals ill-conditioning; the remedy is a larger eps or
-    smaller s.
+    CurvatureError (p.Ap <= 0) means the operator is not positive definite.
+    CGConvergenceError (with the residual history attached) signals
+    ill-conditioning; the remedy is a larger eps or smaller s.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    b = sys.rhs
+    if f.shape != (sys.t_grid.n, sys.grid.n):
+        raise ValueError("source not sampled on the system grid")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("source is not finite")
+    with np.errstate(over="ignore", invalid="ignore"):   # named below
+        b = sys.M * f
+    if not np.all(np.isfinite(b)):
+        raise ValueError("rhs is not finite")
     b_norm = float(np.sqrt(np.sum(b * b)))
     if b_norm == 0.0:
         zero = np.zeros_like(b)
         return HumSolution(psi_min=zero, g_tilde=zero, v=zero, J_value=0.0,
                            residual_history=[0.0], iterations=0,
-                           relative_residual=0.0, true_relative_residual=0.0,
-                           timing=dict.fromkeys(("band", "factor", "cg"), 0.0))
+                           relative_residual=0.0, true_relative_residual=0.0)
 
-    precond = banded_preconditioner(sys)
-    start = time.perf_counter()
     x = np.zeros_like(b)
     r = b.copy()
     z = precond(r)
@@ -489,26 +474,24 @@ def minimize_J(sys: QuadraticSystem, tol: float = 1e-10,
         psi_min=x,
         g_tilde=sys.W1 * sys.apply_L(x),
         v=-sys.W2 * x,
-        J_value=sys.quadratic_value(x),
+        J_value=sys.quadratic_value(x, b),
         residual_history=history,
         iterations=len(history) - 1,
         relative_residual=history[-1],
         true_relative_residual=float(np.sqrt(np.sum(true_r * true_r))) / b_norm,
-        # keyword arguments evaluate in order: the cg lap ends here
-        timing={**precond.timing, "cg": time.perf_counter() - start},
     )
 
 
 # a-posteriori verification ---------------------------------------------------
 
-def control_weight_factor(eta: EtaProfile, theta: ThetaProfile,
-                          params: CarlemanParams, x_nodes: np.ndarray,
-                          t_interior: np.ndarray) -> np.ndarray:
-    """s^7 lam^8 xi^7 e^{-2 s phi} at arbitrary interior times."""
-    lam, s = params.lam, params.s
+def control_weight_factor(w: WeightField, t_interior: np.ndarray
+                          ) -> np.ndarray:
+    """s^7 lam^8 xi^7 e^{-2 s phi} from the profiles of w at its space
+    nodes, at arbitrary interior times."""
+    lam, s = w.params.lam, w.params.s
     _, _, log_xi, neg2s_phi = weight_formulas(
-        eta.derivs(x_nodes, max_order=0)[:, 0], eta.eta_max,
-        theta.eval(t_interior, 0)[:, None], lam, s)
+        w.eta.derivs(w.x_nodes, max_order=0)[:, 0], w.eta.eta_max,
+        w.theta.eval(t_interior, 0)[:, None], lam, s)
     return (s**7 * lam**8) * np.exp(7.0 * log_xi + neg2s_phi)
 
 
@@ -553,21 +536,19 @@ def not_a_knot_spline(x: np.ndarray, y: np.ndarray, t: np.ndarray
 
 
 def control_on_times(sol: HumSolution, sys: QuadraticSystem,
-                     eta: EtaProfile, theta: ThetaProfile,
                      times: np.ndarray) -> np.ndarray:
     """Sample the control on a trajectory time grid.
 
     The minimizer is interpolated in time by the not-a-knot cubic spline;
-    the exponential weight factor is evaluated analytically.  Rows at t = 0
-    and t = T are exactly zero (the weight vanishes there), as are all nodes
-    outside omega.
+    the exponential weight factor is evaluated analytically from the
+    system's weight profiles.  Rows at t = 0 and t = T are exactly zero (the
+    weight vanishes there), as are all nodes outside omega.
     """
     times = np.asarray(times, dtype=float)
     T = sys.t_grid.T
     interior = (times > 0.0) & (times < T)
     out = np.zeros((times.size, sys.grid.n))
-    factor = control_weight_factor(eta, theta, sys.weights.params,
-                                   sys.grid.nodes, times[interior])
+    factor = control_weight_factor(sys.weights, times[interior])
     chi = sys.weights.domain.in_omega(sys.grid.nodes).astype(float)
     psi = not_a_knot_spline(sys.t_grid.nodes, sol.psi_min, times[interior])
     out[interior] = -factor * psi * chi[None, :]
@@ -602,16 +583,10 @@ class TerminalReport:
         yield ("control_support_in_omega", int(self.support_ok))
 
 
-def _pair_sup_norm(grid: SpatialGrid, beta: np.ndarray, beta_t: np.ndarray
-                   ) -> float:
-    return float(np.max(np.sqrt(grid.l2_sq(beta) + grid.l2_sq(beta_t))))
-
-
 def verify_null_control(beta0: np.ndarray, beta1: np.ndarray,
                         theta1: Theta1Cutoff, sol: HumSolution,
-                        sys: QuadraticSystem, eta: EtaProfile,
-                        theta: ThetaProfile,
-                        a_sampler=None, n_steps: int = 2048
+                        sys: QuadraticSystem, a_sampler=None,
+                        n_steps: int = 2048
                         ) -> tuple[TerminalReport, dict[str, BeamTrajectory]]:
     """Forward-simulate the control and audit the decomposition.
 
@@ -623,13 +598,14 @@ def verify_null_control(beta0: np.ndarray, beta1: np.ndarray,
     superposition defect only measures floating-point noise.  The pointwise
     product theta1(t) q(t) differs from the cutoff run by the time-stepper's
     product-rule error and is reported separately as a consistency
-    diagnostic.  The grid and the domain are those of the system.
+    diagnostic.  The grid, the domain and the weight profiles are those of
+    the system.
     """
     grid = sys.grid
     times = np.linspace(0.0, sys.t_grid.T, n_steps + 1)
     a = a_sampler(times) if a_sampler else None
 
-    v_vals = control_on_times(sol, sys, eta, theta, times)
+    v_vals = control_on_times(sol, sys, times)
     chi = sys.weights.domain.in_omega(grid.nodes)
     support_ok = bool(np.all(v_vals[:, ~chi] == 0.0))
 
@@ -642,21 +618,17 @@ def verify_null_control(beta0: np.ndarray, beta1: np.ndarray,
                           forcing=np.stack([v_vals, -f_vals, v_vals + f_vals]))
     controlled, cutoff_run, g_run = (batch.member(i) for i in range(3))
 
-    scale = max(_pair_sup_norm(grid, controlled.beta, controlled.beta_t),
+    scale = max(np.max(grid.pair_norm(controlled.beta, controlled.beta_t)),
                 1e-300)
-    superpos = _pair_sup_norm(
-        grid,
+    superpos = float(np.max(grid.pair_norm(
         controlled.beta - cutoff_run.beta - g_run.beta,
-        controlled.beta_t - cutoff_run.beta_t - g_run.beta_t,
-    ) / scale
+        controlled.beta_t - cutoff_run.beta_t - g_run.beta_t)) / scale)
 
     th = theta1.eval(times, 0)[:, None]
     th1 = theta1.eval(times, 1)[:, None]
-    cutoff_defect = _pair_sup_norm(
-        grid,
+    cutoff_defect = float(np.max(grid.pair_norm(
         cutoff_run.beta - th * q_run.beta,
-        cutoff_run.beta_t - (th1 * q_run.beta + th * q_run.beta_t),
-    ) / scale
+        cutoff_run.beta_t - (th1 * q_run.beta + th * q_run.beta_t))) / scale)
 
     controlled_T = controlled.terminal_norm()
     uncontrolled_T = q_run.terminal_norm()
@@ -696,10 +668,11 @@ def synthesize_control(grid: SpatialGrid, t_grid: TimeGrid, eta: EtaProfile,
 
     t_grid is the midpoint grid of the functional (`uniform_interior`);
     a_sampler maps times to potential samples (None for a zero potential).
-    Returns (system, solution, report, runs, timing): the normal equations,
+    Returns (system, solution, report, runs, timing): the normal operator,
     the minimizer with the control on t_grid, the forward verification, and
     the wall seconds of each stage (weights, free march with its source,
-    assembly with the norm estimate, band, factor, CG, verification).
+    assembly with the norm estimate, band, factor, CG, verification).  The
+    band and the factor are released before the verification march.
     """
     timing = {}
     start = time.perf_counter()
@@ -714,14 +687,18 @@ def synthesize_control(grid: SpatialGrid, t_grid: TimeGrid, eta: EtaProfile,
     source = free_source(grid, t_grid, theta1, beta0, beta1, a_sampler)
     lap("free_march")
     a_vals = a_sampler(t_grid.nodes) if a_sampler else None
-    system = assemble_hum_system(grid, t_grid, w, source, a_vals=a_vals,
+    system = assemble_hum_system(grid, t_grid, w, a_vals=a_vals,
                                  eps_scale=eps_scale)
     lap("assembly")
-    sol = minimize_J(system, tol=tol, max_iter=max_iter)
-    timing.update(sol.timing)
-    start = time.perf_counter()
+    ab = system.normal_band()
+    lap("band")
+    precond = banded_preconditioner(system, ab)
+    lap("factor")
+    sol = minimize_J(system, source, precond, tol=tol, max_iter=max_iter)
+    lap("cg")
+    del ab, precond
     report, runs = verify_null_control(beta0, beta1, theta1, sol, system,
-                                       eta, theta, a_sampler=a_sampler,
+                                       a_sampler=a_sampler,
                                        n_steps=verify_steps)
     lap("verification")
     return system, sol, report, runs, timing

@@ -65,6 +65,10 @@ class SpatialGrid:
     def l2(self, u: np.ndarray) -> float | np.ndarray:
         return np.sqrt(self.l2_sq(u))
 
+    def pair_norm(self, beta: np.ndarray, beta_t: np.ndarray) -> np.ndarray:
+        """L2 x L2 norm of the state pair (beta, beta_t), one per row."""
+        return np.sqrt(self.l2_sq(beta) + self.l2_sq(beta_t))
+
     def sobolev_sq(self, u: np.ndarray, order: int) -> float:
         """Squared H^order norm via the modal sum of (1 + kappa^2)^order."""
         u_hat = self.to_modes(np.asarray(u, dtype=float)) / self.n
@@ -104,20 +108,19 @@ def uniform_interior(T: float, n: int) -> TimeGrid:
     return TimeGrid(nodes, np.full(n, dt), T)
 
 
-def gauss_panels(T: float, breakpoints: np.ndarray, n_nodes: int,
-                 per_panel: int = 8) -> TimeGrid:
+def gauss_panels(T: float, breakpoints: np.ndarray, n_nodes: int) -> TimeGrid:
     """Composite Gauss-Legendre grid on (0, T) aligned with the breakpoints.
 
-    Panels are distributed over the sub-intervals between consecutive
-    breakpoints proportionally to their length (at least one panel each),
-    targeting roughly ``n_nodes`` total nodes.
+    Panels of 8 nodes are distributed over the sub-intervals between
+    consecutive breakpoints proportionally to their length (at least one
+    panel each), targeting roughly ``n_nodes`` total nodes.
     """
     pts = np.unique(np.clip(np.asarray(breakpoints, dtype=float), 0.0, T))
     pts = np.concatenate([[0.0], pts[(pts > 0) & (pts < T)], [T]])
     lengths = np.diff(pts)
-    n_panels = max(len(lengths), n_nodes // per_panel)
+    n_panels = max(len(lengths), n_nodes // 8)
     alloc = np.maximum(1, np.round(n_panels * lengths / T).astype(int))
-    gx, gw = leggauss(per_panel)
+    gx, gw = leggauss(8)
     nodes, weights = [], []
     for (a, b), m in zip(zip(pts[:-1], pts[1:]), alloc):
         edges = np.linspace(a, b, m + 1)

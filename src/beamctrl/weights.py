@@ -356,9 +356,9 @@ class WeightField:
     without overflow near the horizon ends.
     """
 
-    domain: DomainSpec
+    eta: EtaProfile          # the sampled profiles
+    theta: ThetaProfile
     params: CarlemanParams
-    eta_max: float
     x_nodes: np.ndarray
     t_nodes: np.ndarray
     t_weights: np.ndarray
@@ -368,6 +368,10 @@ class WeightField:
     ledger: dict[str, np.ndarray]
     log_xi: np.ndarray
     neg2s_phi: np.ndarray
+
+    @property
+    def domain(self) -> DomainSpec:
+        return self.eta.domain
 
     def kernel(self, xi_power: float) -> np.ndarray:
         """exp(xi_power * log(xi) - 2 s phi), assembled in the log domain."""
@@ -418,7 +422,7 @@ def eval_weights(eta: EtaProfile, theta: ThetaProfile, params: CarlemanParams,
               else -xi_d[i, j] if i else th[j] * profile
               for name, fam, i, j in LEDGER}
     return WeightField(
-        domain=eta.domain, params=params, eta_max=m,
+        eta=eta, theta=theta, params=params,
         x_nodes=x_nodes, t_nodes=t_grid.nodes, t_weights=t_grid.weights, h=h,
         phi=phi, xi=xi, ledger=ledger, log_xi=log_xi, neg2s_phi=neg2s_phi,
     )

@@ -14,8 +14,9 @@ from beamctrl.audit import TestFunctionFamily, audit_inequality
 from beamctrl.dynamics import (analytic_eigenpairs,
                                assemble_operator, fixed_point_solve,
                                solve_forward)
-from beamctrl.hum import (assemble_hum_system, build_theta1, free_source,
-                          minimize_J, synthesize_control)
+from beamctrl.hum import (assemble_hum_system, banded_preconditioner,
+                          build_theta1, free_source, minimize_J,
+                          synthesize_control)
 from beamctrl.torus import SpatialGrid, gauss_panels, uniform_interior
 from beamctrl.weights import eval_weights, sweep_lambda_bounds
 from beamctrl.zeta import zeta_ledger
@@ -223,16 +224,17 @@ def test_08_small_instance_oracle(domain, eta, theta, params):
     x = grid.nodes
     b0 = np.cos(grid.kappa[1] * x) + 0.2
     b1 = 0.5 * np.sin(grid.kappa[1] * x)
-    system = assemble_hum_system(grid, t_grid, w,
-                                 free_source(grid, t_grid, theta1, b0, b1))
-    sol = minimize_J(system, tol=1e-12, max_iter=2000)
+    source = free_source(grid, t_grid, theta1, b0, b1)
+    system = assemble_hum_system(grid, t_grid, w)
+    precond = banded_preconditioner(system, system.normal_band())
+    sol = minimize_J(system, source, precond, tol=1e-12, max_iter=2000)
     N = 16 * 8
     A = np.zeros((N, N))
     for j in range(N):
         e = np.zeros(N)
         e[j] = 1.0
         A[:, j] = system.apply(e.reshape(16, 8)).ravel()
-    dense = np.linalg.solve(A, system.rhs.ravel())
+    dense = np.linalg.solve(A, (system.M * source).ravel())
     rel = float(np.linalg.norm(sol.psi_min.ravel() - dense)
                 / np.linalg.norm(dense))
     wall = time.perf_counter() - start

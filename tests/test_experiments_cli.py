@@ -141,6 +141,32 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             load_config(path)
 
+    # each of these passed validation and then crashed inside the run, or
+    # (space_mode = -1) ran silently on the Nyquist mode
+    @pytest.mark.parametrize("line, bad, key", [
+        ("kind = random", "kind = modal\nbeta0_modes = 99:1:0",
+         "data.beta0_modes"),
+        ("kind = random", "kind = modal\nbeta0_modes = 2:1",
+         "data.beta0_modes"),
+        ("kind = random", "kind = modal\nbeta0_modes = 2:1:0;3:x:0",
+         "data.beta0_modes"),
+        ("kind = random",
+         "kind = modal\nbeta0_modes = 1:1:0\nbeta1_modes = -1:0:1",
+         "data.beta1_modes"),
+        ("[forward]", "[potential]\nkind = separable\nspace_mode = 99\n"
+         "[forward]", "potential.space_mode"),
+        ("max_mode = 2", "max_mode = 40", "data.max_mode"),
+        ("[forward]", "[potential]\nkind = separable\nspace_mode = -1\n"
+         "[forward]", "potential.space_mode"),
+    ], ids=["mode_above_nyquist", "two_fields", "not_a_number",
+            "negative_mode", "space_mode_99", "max_mode_40",
+            "space_mode_negative"])
+    def test_mode_indices_rejected(self, tmp_path, line, bad, key):
+        path = tmp_path / "bad.ini"
+        path.write_text(BASE.format(kind="forward").replace(line, bad))
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+
     def test_hash_ignores_formatting(self, tmp_path):
         a = load_config(write_cfg(tmp_path, "spectrum"))
         reordered = tmp_path / "b.ini"
@@ -220,6 +246,21 @@ class TestRuns:
         m2 = run(cfg, out_root=tmp_path / "r2")
         assert m1.metrics == m2.metrics
         assert m1.assertions == m2.assertions
+
+    def test_modal_data_run(self, tmp_path):
+        path = write_cfg(tmp_path, "forward")
+        path.write_text(path.read_text().replace(
+            "kind = random", "kind = modal\nbeta0_modes = 1:1:0;2:0:0.5\n"
+            "beta1_modes = 3:-0.25:0"))
+        manifest = run(load_config(path), out_root=tmp_path / "runs")
+        grid, _, fields = read_field_snapshot(manifest.run_dir
+                                              / "trajectory.bin")
+        x, kap = grid.nodes, grid.kappa
+        b0 = np.cos(kap[1] * x) + 0.5 * np.sin(kap[2] * x)
+        assert np.allclose(fields["beta"][0], b0, rtol=0.0, atol=1e-14)
+        assert np.allclose(fields["beta_t"][0], -0.25 * np.cos(kap[3] * x),
+                           rtol=0.0, atol=1e-14)
+        assert manifest.metrics["initial_energy"] > 0.0
 
     def test_weights_audit_rows_per_inequality(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, "weights-audit"))

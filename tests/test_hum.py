@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
-from beamctrl import dynamics, hum
+from beamctrl import dynamics
 from beamctrl.dynamics import BeamTrajectory, solve_forward
 from beamctrl.hum import (CGConvergenceError, CurvatureError,
                           FactorizationError, apply_stencil,
@@ -42,8 +42,22 @@ def small_system(domain, grid8, tgrid16, weights8):
     b0 = np.cos(grid8.kappa[1] * x) + 0.2
     b1 = 0.5 * np.sin(grid8.kappa[1] * x)
     source = free_source(grid8, tgrid16, theta1, b0, b1)
-    system = assemble_hum_system(grid8, tgrid16, weights8, source)
-    return theta1, b0, b1, system
+    system = assemble_hum_system(grid8, tgrid16, weights8)
+    return theta1, b0, b1, source, system
+
+
+def factor(system):
+    """The exact banded Cholesky solve of the system's operator."""
+    return banded_preconditioner(system, system.normal_band())
+
+
+@pytest.fixture(scope="module")
+def small_precond(small_system):
+    return factor(small_system[-1])
+
+
+def plain_cg(r):
+    return r
 
 
 class TestTheta1:
@@ -213,7 +227,7 @@ class TestStencils:
 
 class TestQuadraticSystem:
     def test_positive_semidefinite(self, small_system):
-        _, _, _, system = small_system
+        *_, system = small_system
         rng = np.random.default_rng(0)
         for _ in range(5):
             psi = rng.standard_normal((16, 8))
@@ -221,7 +235,7 @@ class TestQuadraticSystem:
             assert quad >= system.eps * np.sum(psi * psi) * (1 - 1e-10)
 
     def test_discrete_self_adjointness(self, small_system):
-        _, _, _, system = small_system
+        *_, system = small_system
         rng = np.random.default_rng(5)
         for _ in range(5):
             a = rng.standard_normal((16, 8))
@@ -232,13 +246,11 @@ class TestQuadraticSystem:
 
     def test_potential_enters_by_expansion(self, domain, grid8, tgrid16,
                                            weights8, small_system):
-        theta1, b0, b1, base = small_system
         rng = np.random.default_rng(7)
         a = rng.uniform(-1, 1, size=(16, 8))
-        with_a = assemble_hum_system(grid8, tgrid16, weights8, base.source,
-                                     a_vals=a, eps_scale=0.0)
-        without = assemble_hum_system(grid8, tgrid16, weights8, base.source,
-                                      eps_scale=0.0)
+        with_a = assemble_hum_system(grid8, tgrid16, weights8, a_vals=a,
+                                     eps_scale=0.0)
+        without = assemble_hum_system(grid8, tgrid16, weights8, eps_scale=0.0)
         psi = rng.standard_normal((16, 8))
         # (L + a)^T W (L + a) - L^T W L = L^T W (a psi) + a W L psi + a W a psi
         w = without.M * without.W1
@@ -251,46 +263,47 @@ class TestQuadraticSystem:
         scale = np.max(np.abs(without.apply(psi)))
         assert np.max(np.abs(diff - expect)) <= 1e-12 * scale
 
-    def test_rejects_nonfinite_source(self, grid8, tgrid16, weights8,
-                                      small_system):
-        _, _, _, base = small_system
-        values = base.source.copy()
+    def test_rejects_nonfinite_source(self, small_system):
+        *_, source, system = small_system
+        values = source.copy()
         values[3, 2] = np.nan
-        with pytest.raises(ValueError, match="source"):
-            assemble_hum_system(grid8, tgrid16, weights8, values)
+        with pytest.raises(ValueError, match="source is not finite"):
+            minimize_J(system, values, plain_cg)
 
-    def test_rejects_nonfinite_potential(self, grid8, tgrid16, weights8,
-                                         small_system):
-        _, _, _, base = small_system
+    def test_rejects_source_off_the_grid(self, small_system):
+        *_, source, system = small_system
+        with pytest.raises(ValueError, match="source not sampled"):
+            minimize_J(system, source[1:], plain_cg)
+
+    def test_rejects_nonfinite_potential(self, grid8, tgrid16, weights8):
         a = np.zeros((16, 8))
         a[5, 1] = np.nan
         with pytest.raises(ValueError, match="a_vals"):
-            assemble_hum_system(grid8, tgrid16, weights8, base.source,
-                                a_vals=a)
+            assemble_hum_system(grid8, tgrid16, weights8, a_vals=a)
 
     @pytest.mark.parametrize("field", ["log_xi", "neg2s_phi"])
     def test_rejects_nonfinite_kernels(self, grid8, tgrid16, weights8,
-                                       small_system, field):
+                                       field):
         # an overflowing exponent in -2 s phi makes W1 (and W2) infinite; one
         # in log(xi) alone reaches only W2 = exp(7 log xi - 2 s phi)
-        _, _, _, base = small_system
         values = getattr(weights8, field).copy()
         values[4, 2] = 1e6
         name = "W1" if field == "neg2s_phi" else "W2"
         w = dataclasses.replace(weights8, **{field: values})
         assert w.domain.in_omega(w.x_nodes)[2]
         with pytest.raises(ValueError, match=name):
-            assemble_hum_system(grid8, tgrid16, w, base.source)
+            assemble_hum_system(grid8, tgrid16, w)
 
     def test_rejects_nonfinite_rhs(self, grid8, tgrid16, weights8,
                                    small_system):
         # a finite source whose quadrature pairing overflows
-        _, _, _, base = small_system
-        values = base.source.copy()
+        *_, source, _ = small_system
+        values = source.copy()
         values[6, 2] = 1e308
         w = dataclasses.replace(weights8, t_weights=1e10 * weights8.t_weights)
+        system = assemble_hum_system(grid8, tgrid16, w)
         with pytest.raises(ValueError, match="rhs"):
-            assemble_hum_system(grid8, tgrid16, w, values)
+            minimize_J(system, values, plain_cg)
 
 
 def dense_from_band(ab):
@@ -320,7 +333,7 @@ class TestNormalBand:
         rng = np.random.default_rng(seed)
         source = rng.standard_normal((n_time, nx))
         a = rng.uniform(-1, 1, size=(n_time, nx)) if potential else None
-        system = assemble_hum_system(grid, tg, w, source, a_vals=a)
+        system = assemble_hum_system(grid, tg, w, a_vals=a)
 
         ab = system.normal_band()
         assert ab.shape == system.band_shape == (6 * nx, n_time * nx)
@@ -337,90 +350,105 @@ class TestNormalBand:
         assert np.max(np.abs(cols - A)) <= 1e-13 * np.max(np.abs(cols))
 
         assert system.eps > 0
-        assert np.all(np.isfinite(banded_preconditioner(system)(ref)))
+        assert np.all(np.isfinite(banded_preconditioner(system, ab)(source)))
 
 
 class TestMinimize:
-    def test_zero_source_gives_zero(self, domain, grid8, tgrid16, weights8):
-        theta1 = build_theta1(domain.T)
+    def test_zero_source_gives_zero(self, domain, grid8, tgrid16,
+                                    small_system, small_precond):
+        *_, system = small_system
         zero = np.zeros(grid8.n)
-        system = assemble_hum_system(
-            grid8, tgrid16, weights8,
-            free_source(grid8, tgrid16, theta1, zero, zero))
-        sol = minimize_J(system)
+        source = free_source(grid8, tgrid16, build_theta1(domain.T), zero,
+                             zero)
+        sol = minimize_J(system, source, small_precond)
         assert np.all(sol.psi_min == 0.0) and np.all(sol.v == 0.0)
         assert sol.J_value == 0.0
         assert sol.true_relative_residual == 0.0
 
-    def test_true_residual_is_a_direct_apply(self, small_system):
-        _, _, _, system = small_system
-        sol = minimize_J(system)
-        b = system.rhs
+    def test_true_residual_is_a_direct_apply(self, small_system,
+                                             small_precond):
+        *_, source, system = small_system
+        sol = minimize_J(system, source, small_precond)
+        b = system.M * source
         direct = np.linalg.norm(b - system.apply(sol.psi_min)) \
             / np.linalg.norm(b)
         assert sol.true_relative_residual == pytest.approx(direct, rel=1e-12)
         assert direct > 0.0
 
-    def test_rhs_scaling_scales_solution(self, small_system):
-        _, _, _, system = small_system
-        sol1 = minimize_J(system, tol=1e-12, max_iter=2000)
-        scaled = copy.copy(system)
-        scaled.rhs = 5.0 * system.rhs
-        sol5 = minimize_J(scaled, tol=1e-12, max_iter=2000)
+    def test_rhs_scaling_scales_solution(self, small_system, small_precond):
+        *_, source, system = small_system
+        sol1 = minimize_J(system, source, small_precond, tol=1e-12,
+                          max_iter=2000)
+        sol5 = minimize_J(system, 5.0 * source, small_precond, tol=1e-12,
+                          max_iter=2000)
         rel = np.max(np.abs(sol5.psi_min - 5.0 * sol1.psi_min)) \
             / np.max(np.abs(sol1.psi_min)) / 5.0
         assert rel < 1e-9
 
-    def test_matches_dense_solve(self, small_system):
-        _, _, _, system = small_system
-        sol = minimize_J(system, tol=1e-12, max_iter=2000)
+    def test_matches_dense_solve(self, small_system, small_precond):
+        *_, source, system = small_system
+        sol = minimize_J(system, source, small_precond, tol=1e-12,
+                         max_iter=2000)
         N = 16 * 8
         A = np.zeros((N, N))
         for j in range(N):
             e = np.zeros(N)
             e[j] = 1.0
             A[:, j] = system.apply(e.reshape(16, 8)).ravel()
-        dense = np.linalg.solve(A, system.rhs.ravel())
+        dense = np.linalg.solve(A, (system.M * source).ravel())
         rel = np.linalg.norm(sol.psi_min.ravel() - dense) / np.linalg.norm(dense)
         assert rel < 1e-8
         # the banded Cholesky preconditioner is exact; PCG only refines
         assert sol.iterations <= 2
 
-    def test_minimum_properties(self, small_system):
-        _, _, _, system = small_system
-        sol = minimize_J(system, tol=1e-12, max_iter=2000)
+    def test_minimum_properties(self, small_system, small_precond):
+        *_, source, system = small_system
+        sol = minimize_J(system, source, small_precond, tol=1e-12,
+                         max_iter=2000)
         assert sol.J_value < 0.0  # J(psi_min) < J(0) = 0 for nonzero source
+        b = system.M * source
         rng = np.random.default_rng(3)
         direction = rng.standard_normal(sol.psi_min.shape)
         for delta in (1e-3, 1e-2):
             for sign in (+1, -1):
                 probe = sol.psi_min + sign * delta * direction
-                assert system.quadratic_value(probe) > sol.J_value
+                assert system.quadratic_value(probe, b) > sol.J_value
 
-    def test_nonconvergence_raises_with_history(self, small_system,
-                                                monkeypatch):
-        _, _, _, system = small_system
-        # plain CG: the identity preconditioner
-        monkeypatch.setattr(hum, "banded_preconditioner", lambda s: lambda r: r)
+    def test_one_factor_serves_many_sources(self, domain, grid8, tgrid16,
+                                            eta, theta, params, small_system,
+                                            small_precond):
+        # the operator holds no data: one system and one factor solve for
+        # each source exactly as a full synthesis of that source does
+        theta1, b0, b1, _, system = small_system
+        x = grid8.nodes
+        for data in ((b0, b1), (np.sin(grid8.kappa[2] * x),
+                                np.cos(grid8.kappa[3] * x))):
+            source = free_source(grid8, tgrid16, theta1, *data)
+            sol = minimize_J(system, source, small_precond)
+            _, ref, _, _, _ = synthesize_control(
+                grid8, tgrid16, eta, theta, params, theta1, *data,
+                verify_steps=256)
+            assert np.array_equal(sol.psi_min, ref.psi_min)
+
+    def test_nonconvergence_raises_with_history(self, small_system):
+        *_, source, system = small_system
         with pytest.raises(CGConvergenceError) as err:
-            minimize_J(system, tol=1e-14, max_iter=2)
+            minimize_J(system, source, plain_cg, tol=1e-14, max_iter=2)
         assert len(err.value.history) == 3
 
     def test_factor_breakdown_raises_named_error(self, small_system):
-        _, _, _, system = small_system
+        *_, system = small_system
         broken = copy.copy(system)
         broken.eps = -1e3 * system.norm_estimate
         with pytest.raises(FactorizationError, match="eps"):
-            minimize_J(broken)
+            factor(broken)
 
-    def test_nonpositive_curvature_raises(self, small_system, monkeypatch):
-        _, _, _, system = small_system
+    def test_nonpositive_curvature_raises(self, small_system):
+        *_, source, system = small_system
         indefinite = copy.copy(system)
         indefinite.eps = -10.0 * system.norm_estimate
-        # plain CG: the identity preconditioner
-        monkeypatch.setattr(hum, "banded_preconditioner", lambda s: lambda r: r)
         with pytest.raises(CurvatureError, match="curvature"):
-            minimize_J(indefinite)
+            minimize_J(indefinite, source, plain_cg)
 
 
 class TestSpline:
@@ -451,39 +479,40 @@ class TestSpline:
 
 
 class TestVerification:
-    def test_small_instance_report(self, domain, grid8, eta, theta,
-                                   small_system):
-        theta1, b0, b1, system = small_system
-        sol = minimize_J(system, tol=1e-12, max_iter=2000)
-        report, runs = verify_null_control(b0, b1, theta1, sol, system, eta,
-                                           theta, n_steps=512)
+    def test_small_instance_report(self, small_system, small_precond):
+        theta1, b0, b1, source, system = small_system
+        sol = minimize_J(system, source, small_precond, tol=1e-12,
+                         max_iter=2000)
+        report, runs = verify_null_control(b0, b1, theta1, sol, system,
+                                           n_steps=512)
         assert report.support_ok
         assert report.superposition_defect < 1e-10
         assert report.uncontrolled_terminal > 0
         assert set(runs) == {"controlled", "uncontrolled", "cutoff", "g"}
 
-    def test_control_vanishes_off_omega(self, domain, grid8, eta, theta,
-                                        small_system):
-        theta1, b0, b1, system = small_system
-        sol = minimize_J(system, tol=1e-10, max_iter=2000)
+    def test_control_vanishes_off_omega(self, domain, grid8, small_system,
+                                        small_precond):
+        *_, source, system = small_system
+        sol = minimize_J(system, source, small_precond, tol=1e-10,
+                         max_iter=2000)
         chi = domain.in_omega(grid8.nodes)
         assert np.all(sol.v[:, ~chi] == 0.0)
         times = np.linspace(0.0, domain.T, 65)
-        v = control_on_times(sol, system, eta, theta, times)
+        v = control_on_times(sol, system, times)
         assert np.all(v[:, ~chi] == 0.0)
         assert np.all(v[0] == 0.0) and np.all(v[-1] == 0.0)
 
-    def test_control_on_system_nodes_is_the_solution(self, eta, theta,
-                                                     params, small_system):
+    def test_control_on_system_nodes_is_the_solution(self, small_system,
+                                                     small_precond):
         # control_weight_factor and the system's W2 share one weight formula
-        _, _, _, system = small_system
+        *_, source, system = small_system
         nodes = system.t_grid.nodes
         chi = system.weights.domain.in_omega(system.grid.nodes)
-        factor = control_weight_factor(eta, theta, params, system.grid.nodes,
-                                       nodes)
-        assert np.array_equal(factor * chi, system.W2)
-        sol = minimize_J(system, tol=1e-10, max_iter=2000)
-        v = control_on_times(sol, system, eta, theta, nodes)
+        weight = control_weight_factor(system.weights, nodes)
+        assert np.array_equal(weight * chi, system.W2)
+        sol = minimize_J(system, source, small_precond, tol=1e-10,
+                         max_iter=2000)
+        v = control_on_times(sol, system, nodes)
         # the spline reproduces its knots exactly except the last one, which
         # it reaches from the left end of the final piece
         assert np.array_equal(v[:-1], sol.v[:-1])
@@ -492,15 +521,17 @@ class TestVerification:
 
     def test_synthesize_control_chains_the_stages(self, grid8, eta, theta,
                                                   params, tgrid16,
-                                                  small_system):
-        theta1, b0, b1, system = small_system
-        sol = minimize_J(system)
-        report, _ = verify_null_control(b0, b1, theta1, sol, system, eta,
-                                        theta, n_steps=256)
+                                                  small_system,
+                                                  small_precond):
+        theta1, b0, b1, source, system = small_system
+        sol = minimize_J(system, source, small_precond)
+        report, _ = verify_null_control(b0, b1, theta1, sol, system,
+                                        n_steps=256)
         sys2, sol2, report2, runs2, _ = synthesize_control(
             grid8, tgrid16, eta, theta, params, theta1, b0, b1,
             verify_steps=256)
-        assert np.array_equal(sys2.rhs, system.rhs)
+        assert sys2.eps == system.eps
+        assert np.array_equal(sys2.W2, system.W2)
         assert np.array_equal(sol2.v, sol.v)
         assert report2 == report
         assert runs2["controlled"].times.size == 257
@@ -511,7 +542,7 @@ class TestVerification:
         calls = []
         monkeypatch.setattr(dynamics, "trajectory_energy",
                             lambda *args: calls.append(args))
-        theta1, b0, b1, _ = small_system
+        theta1, b0, b1, *_ = small_system
         synthesize_control(grid8, tgrid16, eta, theta, params, theta1, b0, b1,
                            verify_steps=256)
         assert calls == []
@@ -525,9 +556,9 @@ class TestVerification:
         x = grid64.nodes
         b0 = np.cos(grid64.kappa[1] * x) + 0.3
         b1 = 0.2 * np.sin(grid64.kappa[2] * x)
-        system = assemble_hum_system(grid64, tg, w,
-                                     free_source(grid64, tg, theta1, b0, b1))
-        sol = minimize_J(system, tol=1e-10, max_iter=2000)
+        system = assemble_hum_system(grid64, tg, w)
+        sol = minimize_J(system, free_source(grid64, tg, theta1, b0, b1),
+                         factor(system), tol=1e-10, max_iter=2000)
         norms = np.sqrt(grid64.l2_sq(sol.g_tilde))
         late = (tg.nodes > domain.T - theta.T1) & (norms > 1e-280)
         th = theta.eval(tg.nodes[late])
@@ -539,18 +570,20 @@ class TestVerification:
         hi = -2 * params.s * prof.min()
         assert lo * 1.2 <= slope <= hi * 0.8
 
-    def test_data_scaling_scales_control(self, domain, grid8, eta, theta,
-                                         tgrid16, weights8):
+    def test_data_scaling_scales_control(self, domain, grid8, tgrid16,
+                                         weights8):
         theta1 = build_theta1(domain.T)
         x = grid8.nodes
         b0 = np.cos(grid8.kappa[1] * x) + 0.2
         b1 = 0.5 * np.sin(grid8.kappa[1] * x)
+        system = assemble_hum_system(grid8, tgrid16, weights8)
+        precond = factor(system)
 
         def solve(scale):
-            system = assemble_hum_system(
-                grid8, tgrid16, weights8,
-                free_source(grid8, tgrid16, theta1, scale * b0, scale * b1))
-            return minimize_J(system, tol=1e-12, max_iter=2000)
+            source = free_source(grid8, tgrid16, theta1, scale * b0,
+                                 scale * b1)
+            return minimize_J(system, source, precond, tol=1e-12,
+                              max_iter=2000)
 
         s1, s3 = solve(1.0), solve(3.0)
         rel = np.max(np.abs(s3.v - 3.0 * s1.v)) / np.max(np.abs(s1.v)) / 3.0
