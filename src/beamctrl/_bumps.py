@@ -73,35 +73,10 @@ def _gauss_integral(lo: np.ndarray, hi: np.ndarray, f) -> np.ndarray:
     return half * (vals @ _GAUSS_WEIGHTS)
 
 
-def mollified_hinge(z: np.ndarray, radius: float, order: int = 0) -> np.ndarray:
-    """Derivatives of H = mollifier * max(z, 0), the smoothed hinge.
-
-    H(z) equals max(z, 0) exactly for |z| >= radius, because the kernel has
-    unit mass and zero first moment.  Orders >= 2 reduce to mollifier
-    derivatives.
-    """
-    z = np.asarray(z, dtype=float)
-    if order >= 2:
-        return mollifier(z, radius, order - 2)
-    out = np.where(z > 0, z if order == 0 else 1.0, 0.0).astype(float)
-    trans = np.abs(z) < radius
-    if np.any(trans):
-        zt = z[trans]
-        if order == 0:
-            vals = _gauss_integral(
-                np.full_like(zt, -radius), zt,
-                lambda y: mollifier(y, radius) * (zt[..., None] - y),
-            )
-        else:
-            vals = _gauss_integral(
-                np.full_like(zt, -radius), zt, lambda y: mollifier(y, radius)
-            )
-        out[trans] = vals
-    return out
-
-
 def corner_blend(z: np.ndarray, radius: float, order: int = 0) -> np.ndarray:
-    """Derivatives of B = H - max(z, 0), supported on |z| < radius.
+    """Derivatives of B = H - max(z, 0), H = mollifier * max(z, 0) the
+    smoothed hinge; B is zero for |z| >= radius, where the unit mass and
+    zero first moment of the kernel make H = max(z, 0) exactly.
 
     Adding `jump * B(x - c)` to a piecewise-linear function whose slope jumps
     by `jump` at the corner c replaces the corner with a C-infinity blend and
@@ -110,9 +85,18 @@ def corner_blend(z: np.ndarray, radius: float, order: int = 0) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if order >= 2:
         return mollifier(z, radius, order - 2)
-    h = mollified_hinge(z, radius, order)
-    ramp = np.where(z > 0, z if order == 0 else 1.0, 0.0)
-    return h - ramp
+    out = np.zeros(z.shape)
+    trans = np.abs(z) < radius
+    if np.any(trans):
+        zt = z[trans]
+        lo = np.full_like(zt, -radius)
+        if order == 0:
+            hinge = _gauss_integral(
+                lo, zt, lambda y: mollifier(y, radius) * (zt[..., None] - y))
+        else:
+            hinge = _gauss_integral(lo, zt, lambda y: mollifier(y, radius))
+        out[trans] = hinge - np.where(zt > 0, zt if order == 0 else 1.0, 0.0)
+    return out
 
 
 def _expit(x: np.ndarray) -> np.ndarray:

@@ -15,12 +15,12 @@ reporting rather than hiding violations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._bumps import bump
-from .torus import TimeGrid
+from .torus import SpatialGrid, TimeGrid
 from .weights import CarlemanParams, EtaProfile, ThetaProfile, \
     WeightField, eval_weights
 
@@ -205,8 +205,8 @@ def kernel_stack(w: WeightField) -> tuple[np.ndarray, float]:
     """
     s, lam = w.params.s, w.params.lam
     quad = w.quad_weights()
-    omega_quad = w.t_weights[:, None] * w.domain.omega_cell_weights(
-        w.x_nodes, w.h)
+    omega_quad = w.t_grid.weights[:, None] * w.domain.omega_cell_weights(
+        w.grid.nodes, w.grid.h)
     residual_kernel = w.kernel(0)
     rows = [s**a * lam**b * quad * w.kernel(p) for _, _, p, a, b in LADDER]
     rows += [quad * residual_kernel, s**7 * lam**8 * omega_quad * w.kernel(7)]
@@ -282,28 +282,29 @@ class RatioReport:
 def audit_inequality(calibration: TestFunctionFamily,
                      heldout: TestFunctionFamily,
                      eta: EtaProfile, theta: ThetaProfile,
-                     s_grid, lam_grid, T0: float, T1: float,
-                     x_nodes: np.ndarray, t_grid: TimeGrid,
+                     params: CarlemanParams, s_grid, lam_grid,
+                     grid: SpatialGrid, t_grid: TimeGrid,
                      a: np.ndarray | None = None) -> RatioReport:
     """Measure LHS/RHS ratios for both families over the parameter grid.
 
-    The kernel_stack of every (s, lam) is built once.  Samples then stream:
-    each one's derivative fields are formed once, squared into its
-    field_stack and contracted against all (s, lam) stacks in one einsum, so
-    memory holds one sample's fields at a time.  Rows come out in
+    Point (s, lam) samples the weights with `replace(params, s=s, lam=lam)`
+    on grid and t_grid, and its kernel_stack is built once.  Samples then
+    stream: each one's derivative fields are formed once, squared into its
+    field_stack and contracted against all (s, lam) stacks in one einsum,
+    so memory holds one sample's fields at a time.  Rows come out in
     (s, lam, role, sample) order; ratios are deterministic given the family
     seeds.
     """
     points = [(float(s), float(lam)) for s in s_grid for lam in lam_grid]
     stacks = [kernel_stack(eval_weights(
-        eta, theta, CarlemanParams(s=s, lam=lam, T0=T0, T1=T1), x_nodes,
-        t_grid)) for s, lam in points]
+        eta, theta, replace(params, s=s, lam=lam), grid, t_grid))
+        for s, lam in points]
     kernels = np.stack([stack for stack, _ in stacks])
     fams = [("calibration", calibration.generate()),
             ("heldout", heldout.generate())]
     values = {   # one (n_points, 11) array per sample
         role: [np.einsum("prn,rn->pr", kernels, field_stack(
-            smp.derivs(x_nodes, t_grid.nodes), a)) for smp in samples]
+            smp.derivs(grid.nodes, t_grid.nodes), a)) for smp in samples]
         for role, samples in fams}
 
     rows: list[RatioRow] = []

@@ -130,10 +130,6 @@ class ExperimentConfig:
         return CarlemanParams(s=car["s"], lam=car["lambda"], T0=car["T0"],
                               T1=car["T1"], zeta=car["zeta"])
 
-    def mollify_radius(self) -> float:
-        raw = self.values["carleman"]["mollify_radius"]
-        return raw if raw > 0 else self.values["domain"]["L"] / 8.0
-
 
 def _canonical_lines(values: dict[str, dict[str, object]]) -> list[str]:
     lines = []
@@ -215,9 +211,9 @@ def _validate(values: dict[str, dict[str, object]]) -> None:
             raise ConfigError(f"invalid carleman parameters: {exc}") from exc
         if car["eta_scale"] <= 0:
             raise ConfigError("carleman.eta_scale must be positive")
-        radius = car["mollify_radius"]
-        if radius > 0 and not radius < dom.L / 4.0:
-            raise ConfigError("carleman.mollify_radius must be below L/4")
+        if not 0.0 <= car["mollify_radius"] < dom.L / 4.0:
+            raise ConfigError("carleman.mollify_radius must lie in [0, L/4) "
+                              "(0 means the L/8 default)")
 
     grid = values["grid"]
     if grid["n_modes"] < 8 or grid["n_modes"] % 2:

@@ -110,8 +110,9 @@ def make_data(cfg: ExperimentConfig, grid: SpatialGrid
 
 def _carleman_setup(cfg: ExperimentConfig):
     """(domain, grid, eta, params, theta) of a weights, audit or control run."""
-    dom = cfg.domain()
-    eta = build_eta(dom, cfg["carleman"]["eta_scale"], cfg.mollify_radius())
+    dom, car = cfg.domain(), cfg["carleman"]
+    # a radius of 0 means build_eta's L/8 default
+    eta = build_eta(dom, car["eta_scale"], car["mollify_radius"] or None)
     params = cfg.carleman_params()
     return dom, make_grid(cfg), eta, params, build_theta(params, dom.T)
 
@@ -178,8 +179,8 @@ def _run_spectrum(cfg: ExperimentConfig, run_dir: Path):
         denom = np.maximum(np.abs(exact), 1.0)
         err = float(np.max(np.abs(numeric - exact) / denom))
         worst = max(worst, err)
-        rows.append((k, repr(kap), repr(numeric[0].real), repr(numeric[0].imag),
-                     repr(exact[0].real), repr(exact[0].imag), repr(err)))
+        rows.append((k, kap, numeric[0].real, numeric[0].imag,
+                     exact[0].real, exact[0].imag, err))
     files = [write_csv(run_dir / "spectrum.csv",
                        ["k", "kappa", "re_numeric", "im_numeric",
                         "re_exact", "im_exact", "rel_error"], rows)]
@@ -264,19 +265,17 @@ def _run_weights_audit(cfg: ExperimentConfig, run_dir: Path):
                           cfg["grid"]["n_time"])
 
     lams = cfg["audit"]["lambda_grid"]
-    sweep = sweep_lambda_bounds(eta, theta, params.s, lams, params.T0,
-                                params.T1, grid.nodes, t_grid)
+    sweep = sweep_lambda_bounds(eta, theta, params, lams, grid, t_grid)
     files = []
     for lam, report in zip(sweep.lams, sweep.reports):
         files.append(write_csv(
             run_dir / f"bounds_lambda_{lam:g}.csv",
             ["inequality", "constant", "passed", "x_at", "t_at"],
-            ((name, repr(c), p, repr(xa), repr(ta))
-             for name, c, p, xa, ta in report.rows())))
+            report.rows()))
     ts = np.linspace(dom.T / 512, dom.T * (1 - 1 / 512), 512)
     files.append(write_field_csv(run_dir / "theta_profile.csv",
                                  {"t": ts, "theta": theta.eval(ts)}))
-    w = eval_weights(eta, theta, params, grid.nodes, t_grid)
+    w = eval_weights(eta, theta, params, grid, t_grid)
     # column order: the x-only entries of phi, then of xi, then the timed
     # entries; the stable sort keeps table order within each group
     columns = sorted(LEDGER, key=lambda e: (e[3] > 0, e[1] == "xi"))
@@ -315,22 +314,20 @@ def _run_carleman_audit(cfg: ExperimentConfig, run_dir: Path):
 
     sampler = make_potential_sampler(cfg, grid)
     a_vals = sampler(t_grid.nodes) if sampler else None
-    report = audit_inequality(calibration, heldout, eta, theta,
-                              aud["s_grid"], aud["lambda_grid"],
-                              params.T0, params.T1, grid.nodes, t_grid,
+    report = audit_inequality(calibration, heldout, eta, theta, params,
+                              aud["s_grid"], aud["lambda_grid"], grid, t_grid,
                               a=a_vals)
 
     files = [
         write_csv(run_dir / "ratio_rows.csv",
                   ["family", "sample", "s", "lambda", "lhs", "residual",
                    "observation", "ratio"],
-                  ((r.family, r.sample, repr(r.s), repr(r.lam), repr(r.lhs),
-                    repr(r.residual), repr(r.observation), repr(r.ratio))
-                   for r in report.rows)),
+                  ((r.family, r.sample, r.s, r.lam, r.lhs, r.residual,
+                    r.observation, r.ratio) for r in report.rows)),
         write_csv(run_dir / "ratio_vs_s.csv",
                   ["s", "lambda", "calibration_max", "heldout_max"],
-                  ((repr(s), repr(lam), repr(report.calibration_max[(s, lam)]),
-                    repr(report.heldout_max[(s, lam)]))
+                  ((s, lam, report.calibration_max[(s, lam)],
+                    report.heldout_max[(s, lam)])
                    for s in report.s_grid for lam in report.lam_grid)),
     ]
     base_key = (report.s_grid[0], report.lam_grid[0])
@@ -372,7 +369,7 @@ def _run_control(cfg: ExperimentConfig, run_dir: Path):
         write_field_snapshot(run_dir / "control.bin", grid, t_grid.nodes,
                              {"v": sol.v}),
         write_csv(run_dir / "cg_residuals.csv", ["iteration", "relative_residual"],
-                  ((i, repr(r)) for i, r in enumerate(sol.residual_history))),
+                  enumerate(sol.residual_history)),
         write_field_csv(run_dir / "state_norms.csv",
                         {"t": controlled.times, **norms}),
         write_flat_report(run_dir / "terminal_report.txt", report.rows()),
@@ -382,7 +379,7 @@ def _run_control(cfg: ExperimentConfig, run_dir: Path):
     ]
     timing["output"] = time.perf_counter() - start
     w = system.weights
-    in_omega = w.domain.in_omega(w.x_nodes)
+    in_omega = w.domain.in_omega(w.grid.nodes)
     metrics = dict(report.rows())
     metrics.update({
         "cg_iterations": sol.iterations,

@@ -206,14 +206,13 @@ def apply_stencil(S: np.ndarray, u: np.ndarray, transpose: bool = False
 class QuadraticSystem:
     """Normal operator of the functional; it holds no data.
 
-    apply(psi) computes  L^T M W1 L psi + M W2 psi + eps psi  with M the
-    space-time quadrature weights; `apply_stencil` transposes the time
-    stencils Dt, Dtt exactly, so apply is symmetric to machine precision.
-    The right-hand side of a source f is M f (`minimize_J`).
+    Its space and time grids are those of its weights.  apply(psi)
+    computes  L^T M W1 L psi + M W2 psi + eps psi  with M the space-time
+    quadrature weights; `apply_stencil` transposes the time stencils Dt,
+    Dtt exactly, so apply is symmetric to machine precision.  The
+    right-hand side of a source f is M f (`minimize_J`).
     """
 
-    grid: SpatialGrid
-    t_grid: TimeGrid
     weights: WeightField
     Dt: np.ndarray          # time stencils, see `time_stencil`
     Dtt: np.ndarray
@@ -223,6 +222,14 @@ class QuadraticSystem:
     M: np.ndarray
     eps: float
     norm_estimate: float
+
+    @property
+    def grid(self) -> SpatialGrid:
+        return self.weights.grid
+
+    @property
+    def t_grid(self) -> TimeGrid:
+        return self.weights.t_grid
 
     def apply_L(self, psi: np.ndarray) -> np.ndarray:
         out = apply_stencil(self.Dtt, psi) \
@@ -337,26 +344,32 @@ def _operator_norm_estimate(apply, shape) -> float:
     return est
 
 
-def assemble_hum_system(grid: SpatialGrid, t_grid: TimeGrid, w: WeightField,
-                        a_vals: np.ndarray | None = None,
+def assemble_hum_system(w: WeightField, a_vals: np.ndarray | None = None,
                         eps_scale: float = 1e-14) -> QuadraticSystem:
-    """Build the discrete normal operator of the functional.
+    """Build the discrete normal operator of the functional on the grids
+    of the weights w.
 
-    The Tikhonov level is eps_scale times a power-iteration estimate of the
-    operator norm.  It must stay tiny, because the terminal residual of the
-    verified control grows about linearly with it: configs/control.ini gives
-    suppression_ratio 1.008e-6 at eps_scale 1e-14, 4.166e-4 at 1e-12 and
-    3.665e-2 at 1e-10, with control_l2_norm 16.52, 16.50 and 14.50.  A
-    non-finite potential or kernel (W1, W2) raises ValueError naming it.
+    The time stencils need a uniform time grid (`uniform_interior`); any
+    other raises ValueError naming it.  The Tikhonov level is eps_scale
+    times a power-iteration estimate of the operator norm.  It must stay
+    tiny, because the terminal residual of the verified control grows about
+    linearly with it: configs/control.ini gives suppression_ratio 1.008e-6
+    at eps_scale 1e-14, 4.166e-4 at 1e-12 and 3.665e-2 at 1e-10, with
+    control_l2_norm 16.52, 16.50 and 14.50.  A non-finite potential or
+    kernel (W1, W2) raises ValueError naming it.
     """
     if eps_scale < 0:
         raise ValueError("eps_scale must be nonnegative")
     if a_vals is not None and not np.all(np.isfinite(a_vals)):
         raise ValueError("a_vals is not finite")
+    grid, t_grid = w.grid, w.t_grid
     n_t = t_grid.n
     dt = float(t_grid.nodes[1] - t_grid.nodes[0])
+    if not np.allclose(np.diff(t_grid.nodes), dt, rtol=1e-12, atol=0.0):
+        raise ValueError("the time grid of the weights (t_grid) is not "
+                         "uniform; the time stencils need uniform_interior")
     Dt, Dtt = (time_stencil(n_t, dt, order) for order in (1, 2))
-    chi = w.domain.in_omega(w.x_nodes).astype(float)
+    chi = w.domain.in_omega(grid.nodes).astype(float)
     with np.errstate(over="ignore", invalid="ignore"):   # named below
         W1 = w.kernel(0.0)
         W2 = (w.params.s**7 * w.params.lam**8) * chi[None, :] * w.kernel(7.0)
@@ -365,8 +378,8 @@ def assemble_hum_system(grid: SpatialGrid, t_grid: TimeGrid, w: WeightField,
             raise ValueError(f"{name} is not finite")
 
     sys = QuadraticSystem(
-        grid=grid, t_grid=t_grid, weights=w, Dt=Dt, Dtt=Dtt, a_vals=a_vals,
-        W1=W1, W2=W2, M=w.quad_weights(), eps=0.0, norm_estimate=0.0)
+        weights=w, Dt=Dt, Dtt=Dtt, a_vals=a_vals, W1=W1, W2=W2,
+        M=w.quad_weights(), eps=0.0, norm_estimate=0.0)
     est = _operator_norm_estimate(sys.apply, (n_t, grid.n))
     sys.norm_estimate, sys.eps = est, eps_scale * est
     return sys
@@ -490,7 +503,7 @@ def control_weight_factor(w: WeightField, t_interior: np.ndarray
     nodes, at arbitrary interior times."""
     lam, s = w.params.lam, w.params.s
     _, _, log_xi, neg2s_phi = weight_formulas(
-        w.eta.derivs(w.x_nodes, max_order=0)[:, 0], w.eta.eta_max,
+        w.eta.derivs(w.grid.nodes, max_order=0)[:, 0], w.eta.eta_max,
         w.theta.eval(t_interior, 0)[:, None], lam, s)
     return (s**7 * lam**8) * np.exp(7.0 * log_xi + neg2s_phi)
 
@@ -682,13 +695,12 @@ def synthesize_control(grid: SpatialGrid, t_grid: TimeGrid, eta: EtaProfile,
         now = time.perf_counter()
         timing[stage], start = now - start, now
 
-    w = eval_weights(eta, theta, params, grid.nodes, t_grid)
+    w = eval_weights(eta, theta, params, grid, t_grid)
     lap("weights")
     source = free_source(grid, t_grid, theta1, beta0, beta1, a_sampler)
     lap("free_march")
     a_vals = a_sampler(t_grid.nodes) if a_sampler else None
-    system = assemble_hum_system(grid, t_grid, w, a_vals=a_vals,
-                                 eps_scale=eps_scale)
+    system = assemble_hum_system(w, a_vals=a_vals, eps_scale=eps_scale)
     lap("assembly")
     ab = system.normal_band()
     lap("band")

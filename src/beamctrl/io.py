@@ -24,6 +24,8 @@ _HEADER = "<IIIIIdd"
 
 
 def write_csv(path: Path, header: list[str], rows) -> Path:
+    """Rows of cells written with str(); for Python and numpy floats alike
+    that is repr(float(x)), so reading a number back with float() is exact."""
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)

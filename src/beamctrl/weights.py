@@ -24,6 +24,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from ._bumps import corner_blend
+from .torus import SpatialGrid, TimeGrid
 
 ETA_SCAN_SIZE = 8192
 POSITIVITY_OFFSET_FRACTION = 0.05
@@ -119,17 +120,17 @@ class EtaProfile:
     and falls linearly across the seam; both corners are rounded by a
     compactly supported mollifier whose radius keeps the rounding strictly
     inside omega.  Off omega the profile is exactly linear, so the slope
-    floor there is a certificate, not an accident.
+    floor there is a certificate, not an accident.  `derivs` scales the
+    mollified tent by `scale` and adds `shift` to its values; `build_eta`
+    fixes both and measures `eta_max` and `slope_floor` on its scan.
     """
 
     domain: DomainSpec
-    eta_scale: float
     mollify_radius: float
     scale: float
-    offset: float
+    shift: float
     eta_max: float
     slope_floor: float
-    min_value: float
 
     @property
     def corners(self) -> tuple[float, float]:
@@ -163,7 +164,7 @@ class EtaProfile:
             out[:, j] = jump * (corner_blend(z0, r, j) - corner_blend(z1, r, j))
 
         out *= self.scale
-        out[:, 0] += self.offset - self.scale * self.min_value
+        out[:, 0] += self.shift
         return out
 
 
@@ -187,16 +188,15 @@ def build_eta(domain: DomainSpec, eta_scale: float = 0.1,
         raise ValueError("mollify_radius must lie in (0, L/4)")
 
     offset = POSITIVITY_OFFSET_FRACTION * eta_scale
-    proto = EtaProfile(
-        domain=domain, eta_scale=eta_scale, mollify_radius=mollify_radius,
-        scale=1.0, offset=0.0, eta_max=0.0, slope_floor=0.0, min_value=0.0,
-    )
+    proto = EtaProfile(domain=domain, mollify_radius=mollify_radius,
+                       scale=1.0, shift=0.0, eta_max=0.0, slope_floor=0.0)
     M = domain.circumference
     x_scan = -domain.L + M * np.arange(ETA_SCAN_SIZE) / ETA_SCAN_SIZE
     raw = proto.derivs(x_scan, max_order=1)
     mn, mx = float(raw[:, 0].min()), float(raw[:, 0].max())
-    profile = replace(proto, scale=eta_scale / (mx - mn), offset=offset,
-                      min_value=mn)
+    scale = eta_scale / (mx - mn)
+    # the scaled minimum lands on the positivity offset
+    profile = replace(proto, scale=scale, shift=offset - scale * mn)
     scan = profile.derivs(x_scan, max_order=1)
     eta_vals, eta_slope = scan[:, 0], scan[:, 1]
 
@@ -349,6 +349,8 @@ LEDGER = tuple(
 class WeightField:
     """Sampled weights and every derivative the bound ledger references.
 
+    The field carries the profiles, the parameters and the space and time
+    grids it was sampled on; its consumers read them here.
     Arrays are time-major with shape (n_t, n_x); `ledger` maps each `LEDGER`
     name, in table order, to its derivative field.  Exponentials of phi are
     carried in the log domain: `neg2s_phi` stores -2*s*phi and `log_xi`
@@ -359,10 +361,8 @@ class WeightField:
     eta: EtaProfile          # the sampled profiles
     theta: ThetaProfile
     params: CarlemanParams
-    x_nodes: np.ndarray
-    t_nodes: np.ndarray
-    t_weights: np.ndarray
-    h: float
+    grid: SpatialGrid        # the sampling grids
+    t_grid: TimeGrid
     phi: np.ndarray
     xi: np.ndarray
     ledger: dict[str, np.ndarray]
@@ -379,12 +379,13 @@ class WeightField:
 
     def quad_weights(self) -> np.ndarray:
         """Space-time quadrature weights, shape (n_t, n_x)."""
-        return self.t_weights[:, None] * self.h
+        return self.t_grid.weights[:, None] * self.grid.h
 
 
 def eval_weights(eta: EtaProfile, theta: ThetaProfile, params: CarlemanParams,
-                 x_nodes: np.ndarray, t_grid) -> WeightField:
-    """Sample phi, xi and their derivative ledger on a space-time grid.
+                 grid: SpatialGrid, t_grid: TimeGrid) -> WeightField:
+    """Sample phi, xi and their derivative ledger on the nodes of grid and
+    t_grid; the returned field carries both grids.
 
     All derivatives come from the chain-rule formulas in eta', .., eta'''' and
     theta', theta''; nothing is differenced numerically.  The xi entry
@@ -393,16 +394,12 @@ def eval_weights(eta: EtaProfile, theta: ThetaProfile, params: CarlemanParams,
     phi entry is its negation for i >= 1 and theta^(j) times the spatial phi
     profile for i = 0.
     """
-    x_nodes = np.asarray(x_nodes, dtype=float)
-    if x_nodes.size < 2:
-        raise ValueError("need at least two spatial nodes")
-    h = float(x_nodes[1] - x_nodes[0])
     lam, s = params.lam, params.s
     m = eta.eta_max
     if 6.0 * lam * m > 500.0:
         raise ValueError("lam * eta_max too large for direct exponentials")
 
-    ed = eta.derivs(x_nodes, max_order=4)
+    ed = eta.derivs(grid.nodes, max_order=4)
     e1, e2, e3, e4 = ed[:, 1], ed[:, 2], ed[:, 3], ed[:, 4]
     P = {
         0: 1.0,
@@ -422,8 +419,7 @@ def eval_weights(eta: EtaProfile, theta: ThetaProfile, params: CarlemanParams,
               else -xi_d[i, j] if i else th[j] * profile
               for name, fam, i, j in LEDGER}
     return WeightField(
-        eta=eta, theta=theta, params=params,
-        x_nodes=x_nodes, t_nodes=t_grid.nodes, t_weights=t_grid.weights, h=h,
+        eta=eta, theta=theta, params=params, grid=grid, t_grid=t_grid,
         phi=phi, xi=xi, ledger=ledger, log_xi=log_xi, neg2s_phi=neg2s_phi,
     )
 
@@ -483,6 +479,7 @@ def audit_derivative_bounds(w: WeightField) -> BoundReport:
     pieces of eta, so whole runs of nodes tie up to rounding.
     """
     lam = w.params.lam
+    x_nodes, t_nodes = w.grid.nodes, w.t_grid.nodes
     xi_pow = {j: w.xi ** (1 + j / 2) for j in (0, 1, 2)}
     records = []
     for name, _, i, j in LEDGER:
@@ -491,15 +488,15 @@ def audit_derivative_bounds(w: WeightField) -> BoundReport:
         tie = ratio >= c - _TIE_ULPS * np.spacing(c) if np.isfinite(c) \
             else ~np.isfinite(ratio)
         rows, cols = np.nonzero(tie)
-        k = np.lexsort((w.t_nodes[rows], w.x_nodes[cols]))[0]
+        k = np.lexsort((t_nodes[rows], x_nodes[cols]))[0]
         # theta cancels from the x-only ratios, so no time row is the maximizer
         records.append(BoundRecord(
             inequality=name, constant=c, passed=bool(np.isfinite(c)),
-            x_at=float(w.x_nodes[cols[k]]),
-            t_at=float("nan") if j == 0 else float(w.t_nodes[rows[k]]),
+            x_at=float(x_nodes[cols[k]]),
+            t_at=float("nan") if j == 0 else float(t_nodes[rows[k]]),
         ))
 
-    interior = (w.x_nodes >= 0.0) & (w.x_nodes <= w.domain.d)
+    interior = (x_nodes >= 0.0) & (x_nodes <= w.domain.d)
     positivity = []
     for i in (1, 2, 3, 4):
         floor = float(np.min(w.ledger[f"xi_x{i}"][:, interior]
@@ -527,20 +524,20 @@ class LambdaSweep:
         return all(g < factor for g in self.growth.values())
 
 
-def sweep_lambda_bounds(eta: EtaProfile, theta: ThetaProfile, s: float,
-                        lams, T0: float, T1: float,
-                        x_nodes: np.ndarray, t_grid) -> LambdaSweep:
+def sweep_lambda_bounds(eta: EtaProfile, theta: ThetaProfile,
+                        params: CarlemanParams, lams, grid: SpatialGrid,
+                        t_grid: TimeGrid) -> LambdaSweep:
     """Audit the bound ledger for each lam and flag any growing constant.
 
-    A constant growing without bound along the sweep signals a defect in the
-    eta/theta construction; the reported growth factor is the largest
-    adjacent-step increase.
+    Point lam samples the weights with `replace(params, lam=lam)` on grid
+    and t_grid.  A constant growing without bound along the sweep signals a
+    defect in the eta/theta construction; the reported growth factor is the
+    largest adjacent-step increase.
     """
     lams = sorted(float(l) for l in lams)
     reports = []
     for lam in lams:
-        params = CarlemanParams(s=s, lam=lam, T0=T0, T1=T1)
-        w = eval_weights(eta, theta, params, x_nodes, t_grid)
+        w = eval_weights(eta, theta, replace(params, lam=lam), grid, t_grid)
         reports.append(audit_derivative_bounds(w))
 
     growth: dict[str, float] = {}

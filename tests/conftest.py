@@ -38,4 +38,4 @@ def tgrid128(domain, theta):
 
 @pytest.fixture(scope="session")
 def weights64(eta, theta, params, grid64, tgrid128):
-    return eval_weights(eta, theta, params, grid64.nodes, tgrid128)
+    return eval_weights(eta, theta, params, grid64, tgrid128)

@@ -177,11 +177,11 @@ def test_05_zeta_ledger():
            f"rejected exactly ({wall:.2f}s)")
 
 
-def test_06_weight_bound_audit(domain, eta, theta, grid64):
+def test_06_weight_bound_audit(domain, eta, theta, params, grid64):
     start = time.perf_counter()
     t_grid = gauss_panels(domain.T, np.array(theta.junctions), 128)
-    sweep = sweep_lambda_bounds(eta, theta, 4.0, [1.0, 2.0, 4.0], 0.5, 0.5,
-                                grid64.nodes, t_grid)
+    sweep = sweep_lambda_bounds(eta, theta, params, [1.0, 2.0, 4.0], grid64,
+                                t_grid)
     growth = max(sweep.growth.values())
     floors_ok = all(
         all(p.floor > 0 for p in rep.positivity)
@@ -196,15 +196,15 @@ def test_06_weight_bound_audit(domain, eta, theta, grid64):
            f"lam={sweep.positivity_threshold:g} ({wall:.1f}s)")
 
 
-def test_07_carleman_ratio_audit(domain, eta, theta, grid64):
+def test_07_carleman_ratio_audit(domain, eta, theta, params, grid64):
     start = time.perf_counter()
     t_grid = gauss_panels(domain.T, np.array(theta.junctions), 128)
     kw = dict(n_samples=32, max_mode=16, T=domain.T,
               circumference=domain.circumference)
     calibration = TestFunctionFamily("calibration", seed=11, **kw)
     heldout = TestFunctionFamily("heldout", seed=202, **kw)
-    rep = audit_inequality(calibration, heldout, eta, theta, [4.0, 8.0],
-                           [2.0], 0.5, 0.5, grid64.nodes, t_grid)
+    rep = audit_inequality(calibration, heldout, eta, theta, params,
+                           [4.0, 8.0], [2.0], grid64, t_grid)
     within = rep.heldout_within(10.0)
     growth = max(rep.s_growth_factors(2.0))
     wall = time.perf_counter() - start
@@ -219,13 +219,13 @@ def test_08_small_instance_oracle(domain, eta, theta, params):
     start = time.perf_counter()
     grid = SpatialGrid(8, domain.circumference, x0=-domain.L)
     t_grid = uniform_interior(domain.T, 16)
-    w = eval_weights(eta, theta, params, grid.nodes, t_grid)
+    w = eval_weights(eta, theta, params, grid, t_grid)
     theta1 = build_theta1(domain.T)
     x = grid.nodes
     b0 = np.cos(grid.kappa[1] * x) + 0.2
     b1 = 0.5 * np.sin(grid.kappa[1] * x)
     source = free_source(grid, t_grid, theta1, b0, b1)
-    system = assemble_hum_system(grid, t_grid, w)
+    system = assemble_hum_system(w)
     precond = banded_preconditioner(system, system.normal_band())
     sol = minimize_J(system, source, precond, tol=1e-12, max_iter=2000)
     N = 16 * 8

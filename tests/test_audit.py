@@ -76,7 +76,7 @@ class TestSampleDerivatives:
 
 class TestLhsRhs:
     def test_zero_sample_gives_zero(self, weights64, grid64):
-        zeros = {k: np.zeros((weights64.t_nodes.size, grid64.n))
+        zeros = {k: np.zeros((weights64.t_grid.nodes.size, grid64.n))
                  for k in ("00", "10", "20", "30", "40", "01", "11", "21", "02")}
         L = lhs_terms(zeros, weights64)
         R = rhs_terms(zeros, weights64)
@@ -86,7 +86,7 @@ class TestLhsRhs:
     @settings(max_examples=10, deadline=None)
     def test_quadratic_scaling(self, domain, grid64, weights64, alpha):
         psi = single_mode_sample(domain).derivs(grid64.nodes,
-                                                weights64.t_nodes)
+                                                weights64.t_grid.nodes)
         scaled = {k: alpha * v for k, v in psi.items()}
         L1, L2 = lhs_terms(psi, weights64), lhs_terms(scaled, weights64)
         assert L2.total == pytest.approx(alpha**2 * L1.total, rel=1e-12)
@@ -97,11 +97,11 @@ class TestLhsRhs:
         # each term written out: s^a lam^b sum(quad * xi^p e^{-2 s phi} f^2)
         w = weights64
         s, lam = w.params.s, w.params.lam
-        psi = single_mode_sample(domain).derivs(grid64.nodes, w.t_nodes)
-        quad = w.t_weights[:, None] * w.h
+        psi = single_mode_sample(domain).derivs(grid64.nodes, w.t_grid.nodes)
+        quad = w.t_grid.weights[:, None] * w.grid.h
 
-        def direct(p, field, x_weights=w.h):
-            return float(np.sum(w.t_weights[:, None] * x_weights
+        def direct(p, field, x_weights=w.grid.h):
+            return float(np.sum(w.t_grid.weights[:, None] * x_weights
                                 * w.kernel(p) * field**2))
 
         expect = {
@@ -126,13 +126,13 @@ class TestLhsRhs:
         res = psi["02"] + psi["21"] + psi["40"] + a * psi["00"]
         assert R.residual == pytest.approx(
             float(np.sum(quad * w.kernel(0) * res**2)), rel=1e-13)
-        omega = w.domain.omega_cell_weights(w.x_nodes, w.h)
+        omega = w.domain.omega_cell_weights(w.grid.nodes, w.grid.h)
         assert R.observation == pytest.approx(
             s**7 * lam**8 * direct(7, psi["00"], omega[None, :]), rel=1e-13)
 
     def test_sum_matches_parts(self, domain, grid64, weights64):
         psi = single_mode_sample(domain).derivs(grid64.nodes,
-                                                weights64.t_nodes)
+                                                weights64.t_grid.nodes)
         L = lhs_terms(psi, weights64)
         assert L.total == pytest.approx(sum(L.individual.values()), rel=1e-12)
 
@@ -143,7 +143,7 @@ class TestLhsRhs:
         smp = single_mode_sample(domain)
         from beamctrl.torus import gauss_panels
         tg = gauss_panels(domain.T, np.array(theta.junctions), 128)
-        w = eval_weights(eta, theta, params, grid64.nodes, tg)
+        w = eval_weights(eta, theta, params, grid64, tg)
         first = lhs_terms(smp.derivs(grid64.nodes, tg.nodes), w).psi_sq
 
         N = 8192
@@ -164,7 +164,7 @@ class TestLhsRhs:
     def test_omega_supported_sample_observation_equals_first_term(
             self, domain, grid64, weights64):
         smp = omega_bump_sample(domain)
-        psi = smp.derivs(grid64.nodes, weights64.t_nodes)
+        psi = smp.derivs(grid64.nodes, weights64.t_grid.nodes)
         L = lhs_terms(psi, weights64)
         R = rhs_terms(psi, weights64)
         assert R.observation == pytest.approx(L.psi_sq, rel=1e-12)
@@ -174,8 +174,8 @@ class TestLhsRhs:
     def test_corollary_reduces_to_plain_residual_without_potential(
             self, domain, grid64, weights64):
         psi = single_mode_sample(domain).derivs(grid64.nodes,
-                                                weights64.t_nodes)
-        zero_a = np.zeros((weights64.t_nodes.size, grid64.n))
+                                                weights64.t_grid.nodes)
+        zero_a = np.zeros((weights64.t_grid.nodes.size, grid64.n))
         assert rhs_terms(psi, weights64, a=zero_a).residual == \
             rhs_terms(psi, weights64).residual
 
@@ -186,10 +186,10 @@ class TestLhsRhs:
         fam = TestFunctionFamily("f", seed=5, n_samples=6, max_mode=6,
                                  T=domain.T,
                                  circumference=domain.circumference)
-        a = rng.uniform(-1, 1, size=(weights64.t_nodes.size, grid64.n))
+        a = rng.uniform(-1, 1, size=(weights64.t_grid.nodes.size, grid64.n))
         sup_a = np.max(np.abs(a))
         for smp in fam.generate():
-            psi = smp.derivs(grid64.nodes, weights64.t_nodes)
+            psi = smp.derivs(grid64.nodes, weights64.t_grid.nodes)
             with_a = rhs_terms(psi, weights64, a=a).residual
             plain = rhs_terms(psi, weights64).residual
             mass = float(np.sum(weights64.quad_weights()
@@ -210,40 +210,40 @@ class TestFamilies:
                                   sb.derivs(xs, ts)["00"])
 
     def test_duplicated_family_gives_identical_maxima(self, domain, eta,
-                                                      theta, grid64,
+                                                      theta, params, grid64,
                                                       tgrid128):
         fam = TestFunctionFamily("same", seed=3, n_samples=4, max_mode=8,
                                  T=domain.T,
                                  circumference=domain.circumference)
-        report = audit_inequality(fam, fam, eta, theta, [4.0], [2.0],
-                                  0.5, 0.5, grid64.nodes, tgrid128)
+        report = audit_inequality(fam, fam, eta, theta, params, [4.0], [2.0],
+                                  grid64, tgrid128)
         key = (4.0, 2.0)
         assert report.calibration_max[key] == report.heldout_max[key]
         assert report.heldout_within(1.0 + 1e-12)
 
-    def test_heldout_within_factor(self, domain, eta, theta, grid64,
+    def test_heldout_within_factor(self, domain, eta, theta, params, grid64,
                                    tgrid128):
         kw = dict(n_samples=8, max_mode=8, T=domain.T,
                   circumference=domain.circumference)
         calib = TestFunctionFamily("calibration", seed=11, **kw)
         held = TestFunctionFamily("heldout", seed=202, **kw)
-        report = audit_inequality(calib, held, eta, theta, [4.0, 8.0], [2.0],
-                                  0.5, 0.5, grid64.nodes, tgrid128)
+        report = audit_inequality(calib, held, eta, theta, params, [4.0, 8.0],
+                                  [2.0], grid64, tgrid128)
         assert report.heldout_within(10.0)
         assert all(f <= 2.0 for f in report.s_growth_factors(2.0))
 
     def test_adjoint_residual_sign(self, domain, grid64, weights64):
         # the damping term enters with the + sign in the residual
         psi = single_mode_sample(domain).derivs(grid64.nodes,
-                                                weights64.t_nodes)
+                                                weights64.t_grid.nodes)
         res = adjoint_residual(psi)
         assert np.allclose(res, psi["02"] + psi["21"] + psi["40"])
 
 
 class TestStreamedAudit:
     @pytest.mark.parametrize("with_potential", [False, True])
-    def test_rows_match_per_sample_terms(self, domain, eta, theta, grid64,
-                                         tgrid128, with_potential):
+    def test_rows_match_per_sample_terms(self, domain, eta, theta, params,
+                                         grid64, tgrid128, with_potential):
         kw = dict(n_samples=3, max_mode=8, T=domain.T,
                   circumference=domain.circumference)
         calib = TestFunctionFamily("calibration", seed=11, **kw)
@@ -252,14 +252,14 @@ class TestStreamedAudit:
             -1, 1, (tgrid128.nodes.size, grid64.n)) if with_potential
             else None)
         s_grid, lam_grid = [4.0, 8.0], [1.0, 2.0]
-        report = audit_inequality(calib, held, eta, theta, s_grid, lam_grid,
-                                  0.5, 0.5, grid64.nodes, tgrid128, a=a)
+        report = audit_inequality(calib, held, eta, theta, params, s_grid,
+                                  lam_grid, grid64, tgrid128, a=a)
         expected = []
         for s in s_grid:
             for lam in lam_grid:
                 w = eval_weights(eta, theta,
                                  CarlemanParams(s=s, lam=lam, T0=0.5, T1=0.5),
-                                 grid64.nodes, tgrid128)
+                                 grid64, tgrid128)
                 for role, fam in (("calibration", calib), ("heldout", held)):
                     for smp in fam.generate():
                         psi = smp.derivs(grid64.nodes, tgrid128.nodes)
@@ -275,7 +275,7 @@ class TestStreamedAudit:
             assert row.observation == pytest.approx(e[6], rel=1e-13)
 
     def test_memory_holds_one_sample_at_a_time(self, domain, eta, theta,
-                                               grid64):
+                                               params, grid64):
         # a per-family derivative cache at this size peaks near 158 MB
         tg = gauss_panels(domain.T, np.array(theta.junctions), 256)
         kw = dict(n_samples=64, max_mode=16, T=domain.T,
@@ -285,8 +285,8 @@ class TestStreamedAudit:
         a = np.random.default_rng(4).uniform(-1, 1, (tg.nodes.size, grid64.n))
         tracemalloc.start()
         try:
-            report = audit_inequality(calib, held, eta, theta, [4.0, 8.0],
-                                      [2.0], 0.5, 0.5, grid64.nodes, tg, a=a)
+            report = audit_inequality(calib, held, eta, theta, params,
+                                      [4.0, 8.0], [2.0], grid64, tg, a=a)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

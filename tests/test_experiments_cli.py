@@ -1,4 +1,5 @@
 import ast
+import csv
 import os
 import struct
 import subprocess
@@ -183,6 +184,29 @@ class TestConfig:
         b = load_config(reordered)
         assert a.config_hash == b.config_hash
 
+    # -0.1 validated and then ran silently with the L/8 default; nan
+    # validated and then failed inside the run
+    @pytest.mark.parametrize("radius", ["-0.1", "nan"])
+    def test_invalid_mollify_radius_rejected(self, tmp_path, radius):
+        path = write_cfg(tmp_path, "weights-audit",
+                         extra=f"\n[carleman]\nmollify_radius = {radius}\n")
+        with pytest.raises(ConfigError, match="carleman.mollify_radius"):
+            load_config(path)
+
+    @pytest.mark.parametrize("name, kind, config_hash", [
+        ("carleman_audit.ini", "carleman-audit", "119feba0d795"),
+        ("control.ini", "control", "5fa53cd416f0"),
+        ("forward.ini", "forward", "a5a73b697d41"),
+        ("spectrum.ini", "spectrum", "330649a4c19a"),
+        ("weights_audit.ini", "weights-audit", "980ca2b24b5e"),
+        ("zeta_ledger.ini", "zeta-ledger", "5bb29296f97a"),
+    ])
+    def test_shipped_config_hashes(self, name, kind, config_hash):
+        # the run directories of the shipped configs are named by these
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs"
+                          / name)
+        assert (cfg.kind, cfg.config_hash) == (kind, config_hash)
+
     def test_zeta_parsed_as_fraction(self, tmp_path):
         path = write_cfg(tmp_path, "zeta-ledger",
                          extra="\n[carleman]\nzeta = 4/3\n")
@@ -271,6 +295,25 @@ class TestRuns:
         lines = bounds[0].read_text().strip().splitlines()
         # 22 derivative inequalities + 4 positivity floors + header
         assert len(lines) == 27
+
+    # zeta_witness.csv, the one table of zeta-ledger runs, holds exact
+    # rationals and verdicts
+    @pytest.mark.parametrize("kind", ["spectrum", "forward", "weights-audit",
+                                      "carleman-audit", "control"])
+    def test_csv_cells_are_numbers(self, tmp_path, kind):
+        manifest = run(load_config(write_cfg(tmp_path, kind)),
+                       out_root=tmp_path / "runs")
+        tables = sorted(manifest.run_dir.glob("*.csv"))
+        assert tables
+        for path in tables:
+            with path.open(newline="") as fh:
+                header, *rows = csv.reader(fh)
+            numeric = [i for i, name in enumerate(header)
+                       if name not in ("inequality", "family", "sample")]
+            assert rows, path.name
+            for row in rows:
+                for i in numeric:
+                    float(row[i])   # raises on np.float64(...) and the like
 
     def test_zeta_run_headline(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, "zeta-ledger"))

@@ -16,7 +16,8 @@ from beamctrl.hum import (CGConvergenceError, CurvatureError,
                           fd_weights, free_source, minimize_J,
                           not_a_knot_spline, synthesize_control,
                           time_stencil, verify_null_control)
-from beamctrl.torus import SpatialGrid, gauss_panels, uniform_interior
+from beamctrl.torus import SpatialGrid, TimeGrid, gauss_panels, \
+    uniform_interior
 from beamctrl.weights import eval_weights
 
 
@@ -32,7 +33,7 @@ def tgrid16(domain):
 
 @pytest.fixture(scope="module")
 def weights8(eta, theta, params, grid8, tgrid16):
-    return eval_weights(eta, theta, params, grid8.nodes, tgrid16)
+    return eval_weights(eta, theta, params, grid8, tgrid16)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +43,7 @@ def small_system(domain, grid8, tgrid16, weights8):
     b0 = np.cos(grid8.kappa[1] * x) + 0.2
     b1 = 0.5 * np.sin(grid8.kappa[1] * x)
     source = free_source(grid8, tgrid16, theta1, b0, b1)
-    system = assemble_hum_system(grid8, tgrid16, weights8)
+    system = assemble_hum_system(weights8)
     return theta1, b0, b1, source, system
 
 
@@ -248,9 +249,8 @@ class TestQuadraticSystem:
                                            weights8, small_system):
         rng = np.random.default_rng(7)
         a = rng.uniform(-1, 1, size=(16, 8))
-        with_a = assemble_hum_system(grid8, tgrid16, weights8, a_vals=a,
-                                     eps_scale=0.0)
-        without = assemble_hum_system(grid8, tgrid16, weights8, eps_scale=0.0)
+        with_a = assemble_hum_system(weights8, a_vals=a, eps_scale=0.0)
+        without = assemble_hum_system(weights8, eps_scale=0.0)
         psi = rng.standard_normal((16, 8))
         # (L + a)^T W (L + a) - L^T W L = L^T W (a psi) + a W L psi + a W a psi
         w = without.M * without.W1
@@ -279,7 +279,7 @@ class TestQuadraticSystem:
         a = np.zeros((16, 8))
         a[5, 1] = np.nan
         with pytest.raises(ValueError, match="a_vals"):
-            assemble_hum_system(grid8, tgrid16, weights8, a_vals=a)
+            assemble_hum_system(weights8, a_vals=a)
 
     @pytest.mark.parametrize("field", ["log_xi", "neg2s_phi"])
     def test_rejects_nonfinite_kernels(self, grid8, tgrid16, weights8,
@@ -290,9 +290,9 @@ class TestQuadraticSystem:
         values[4, 2] = 1e6
         name = "W1" if field == "neg2s_phi" else "W2"
         w = dataclasses.replace(weights8, **{field: values})
-        assert w.domain.in_omega(w.x_nodes)[2]
+        assert w.domain.in_omega(w.grid.nodes)[2]
         with pytest.raises(ValueError, match=name):
-            assemble_hum_system(grid8, tgrid16, w)
+            assemble_hum_system(w)
 
     def test_rejects_nonfinite_rhs(self, grid8, tgrid16, weights8,
                                    small_system):
@@ -300,10 +300,20 @@ class TestQuadraticSystem:
         *_, source, _ = small_system
         values = source.copy()
         values[6, 2] = 1e308
-        w = dataclasses.replace(weights8, t_weights=1e10 * weights8.t_weights)
-        system = assemble_hum_system(grid8, tgrid16, w)
+        w = dataclasses.replace(weights8, t_grid=TimeGrid(
+            tgrid16.nodes, 1e10 * tgrid16.weights, tgrid16.T))
+        system = assemble_hum_system(w)
         with pytest.raises(ValueError, match="rhs"):
             minimize_J(system, values, plain_cg)
+
+    def test_rejects_nonuniform_time_grid(self, domain, eta, theta, params,
+                                          grid8):
+        # the time stencils take dt from the first two nodes, so Gauss
+        # panels gave uniform stencils over Gauss-sampled weights
+        tg = gauss_panels(domain.T, np.array(theta.junctions), 48)
+        w = eval_weights(eta, theta, params, grid8, tg)
+        with pytest.raises(ValueError, match="t_grid"):
+            assemble_hum_system(w)
 
 
 def dense_from_band(ab):
@@ -329,11 +339,11 @@ class TestNormalBand:
         nx = 2 * half_nx
         grid = SpatialGrid(nx, domain.circumference, x0=-domain.L)
         tg = uniform_interior(domain.T, n_time)
-        w = eval_weights(eta, theta, params, grid.nodes, tg)
+        w = eval_weights(eta, theta, params, grid, tg)
         rng = np.random.default_rng(seed)
         source = rng.standard_normal((n_time, nx))
         a = rng.uniform(-1, 1, size=(n_time, nx)) if potential else None
-        system = assemble_hum_system(grid, tg, w, a_vals=a)
+        system = assemble_hum_system(w, a_vals=a)
 
         ab = system.normal_band()
         assert ab.shape == system.band_shape == (6 * nx, n_time * nx)
@@ -552,11 +562,11 @@ class TestVerification:
         # log |g_tilde(t)| tracks -2 s theta(t) times the phi-profile range
         theta1 = build_theta1(domain.T)
         tg = uniform_interior(domain.T, 128)
-        w = eval_weights(eta, theta, params, grid64.nodes, tg)
+        w = eval_weights(eta, theta, params, grid64, tg)
         x = grid64.nodes
         b0 = np.cos(grid64.kappa[1] * x) + 0.3
         b1 = 0.2 * np.sin(grid64.kappa[2] * x)
-        system = assemble_hum_system(grid64, tg, w)
+        system = assemble_hum_system(w)
         sol = minimize_J(system, free_source(grid64, tg, theta1, b0, b1),
                          factor(system), tol=1e-10, max_iter=2000)
         norms = np.sqrt(grid64.l2_sq(sol.g_tilde))
@@ -576,7 +586,7 @@ class TestVerification:
         x = grid8.nodes
         b0 = np.cos(grid8.kappa[1] * x) + 0.2
         b1 = 0.5 * np.sin(grid8.kappa[1] * x)
-        system = assemble_hum_system(grid8, tgrid16, weights8)
+        system = assemble_hum_system(weights8)
         precond = factor(system)
 
         def solve(scale):

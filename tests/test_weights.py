@@ -154,7 +154,7 @@ class TestWeightFormulas:
 
     def test_sum_identity(self, weights64, theta, params, eta):
         # phi + xi = theta * exp(6 lam |eta|) pointwise
-        expect = theta.eval(weights64.t_nodes)[:, None] \
+        expect = theta.eval(weights64.t_grid.nodes)[:, None] \
             * np.exp(6.0 * params.lam * eta.eta_max)
         total = weights64.phi + weights64.xi
         assert np.max(np.abs(total - expect) / expect) < 1e-12
@@ -169,7 +169,7 @@ class TestWeightFormulas:
         # by kappa^order
         g = SpatialGrid(2048, domain.circumference, x0=-domain.L)
         tg = uniform_interior(domain.T, 8)
-        w = eval_weights(eta, theta, params, g.nodes, tg)
+        w = eval_weights(eta, theta, params, g, tg)
         for order, tol in [(1, 1e-8), (2, 1e-6), (3, 1e-4), (4, 2e-3)]:
             spectral = g.deriv(w.xi, order)
             analytic = w.ledger[f"xi_x{order}"]
@@ -178,8 +178,8 @@ class TestWeightFormulas:
             assert rel < tol, order
 
     def test_time_nodes_strictly_interior(self, weights64, domain):
-        assert weights64.t_nodes.min() > 0
-        assert weights64.t_nodes.max() < domain.T
+        assert weights64.t_grid.nodes.min() > 0
+        assert weights64.t_grid.nodes.max() < domain.T
 
 
 class TestBoundAudit:
@@ -234,7 +234,7 @@ class TestBoundAudit:
         # tie at whole runs of nodes: the smallest tied x is reported, and
         # rounding-level noise on the field rows moves no reported x
         params = CarlemanParams(s=4.0, lam=lam, T0=0.5, T1=0.5)
-        w = eval_weights(eta, theta, params, grid64.nodes, tgrid128)
+        w = eval_weights(eta, theta, params, grid64, tgrid128)
         base = audit_derivative_bounds(w)
         assert base.records[0].inequality == "phi_x1"
         assert base.records[0].x_at == grid64.nodes[0]
@@ -252,9 +252,9 @@ class TestBoundAudit:
         report = audit_derivative_bounds(weights64)
         assert all(p.floor > 0 for p in report.positivity)
 
-    def test_lambda_sweep_growth(self, eta, theta, grid64, tgrid128):
-        sweep = sweep_lambda_bounds(eta, theta, 4.0, [1.0, 2.0, 4.0],
-                                    0.5, 0.5, grid64.nodes, tgrid128)
+    def test_lambda_sweep_growth(self, eta, theta, params, grid64, tgrid128):
+        sweep = sweep_lambda_bounds(eta, theta, params, [1.0, 2.0, 4.0],
+                                    grid64, tgrid128)
         assert sweep.stable(2.0)
         assert sweep.positivity_threshold == 1.0
 
@@ -266,7 +266,7 @@ class TestBoundAudit:
         maxima = []
         for n in (256, 512, 1024):
             g = SpatialGrid(n, domain.circumference, x0=-domain.L)
-            w = eval_weights(eta, theta, params, g.nodes, tg)
+            w = eval_weights(eta, theta, params, g, tg)
             maxima.append(audit_derivative_bounds(w).by_name())
         for name in maxima[0]:
             seq = [m[name] for m in maxima]
