@@ -17,10 +17,12 @@ those arrays, so the discrete system is symmetric positive definite up to the
 Tikhonov term.  In time-major order the matrix is banded (the time stencils
 reach 5 rows, the spectral x-blocks are dense), so it is factored exactly by
 banded Cholesky, and preconditioned conjugate gradients refine that direct
-solve in one or two iterations.  The minimizer yields the weighted residual
-g_tilde = e^{-2 s phi} L psi_min and the control
-v = -s^7 lam^8 xi^7 chi_omega psi_min e^{-2 s phi}, which is then validated
-by forward simulation.
+solve in one or two iterations.  The band is built straight into LAPACK
+storage: the spectral Sxx is the same at every time node, so the stencil
+sums act on weight vectors and each block needs one product with Sxx.  The
+minimizer yields the weighted residual g_tilde = e^{-2 s phi} L psi_min and
+the control v = -s^7 lam^8 xi^7 chi_omega psi_min e^{-2 s phi}, which is
+then validated by forward simulation.
 
 The normal operator depends on the weights, the potential and eps, not on
 the data: `assemble_hum_system` builds it, `banded_preconditioner` factors
@@ -103,14 +105,15 @@ def assemble_source(theta1: Theta1Cutoff, q: BeamTrajectory) -> np.ndarray:
     return -th2 * q.beta - 2.0 * th1 * q.beta_t + th1 * q_xx
 
 
-def free_source(grid: SpatialGrid, t_grid: TimeGrid, theta1: Theta1Cutoff,
-                beta0: np.ndarray, beta1: np.ndarray, a_sampler=None
-                ) -> np.ndarray:
-    """The cutoff source of the free beam on the nodes of a midpoint grid.
+def free_source(w: WeightField, theta1: Theta1Cutoff, beta0: np.ndarray,
+                beta1: np.ndarray, a_sampler=None) -> np.ndarray:
+    """The cutoff source of the free beam on the grids of the weights w,
+    whose time grid must be a midpoint grid.
 
     The free beam marches on the half-step grid, whose odd nodes are the
     nodes of `uniform_interior(T, n)`; the source is assembled there.
     """
+    grid, t_grid = w.grid, w.t_grid
     times = np.linspace(0.0, t_grid.T, 2 * t_grid.n + 1)
     mid = slice(1, None, 2)
     if not np.allclose(times[mid], t_grid.nodes, rtol=0.0,
@@ -179,6 +182,12 @@ def _supports(S: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(lo.tolist(), hi.tolist()))
 
 
+def _runs(v: np.ndarray) -> list[tuple[int, int]]:
+    """The ranges [lo, hi) of consecutive nonzero entries of v."""
+    edges = np.flatnonzero(np.diff(np.r_[0, v != 0, 0]))
+    return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
+
+
 def apply_stencil(S: np.ndarray, u: np.ndarray, transpose: bool = False
                   ) -> np.ndarray:
     """D @ u, or D^T @ u, along axis 0 of u for a stencil D stored as in
@@ -201,6 +210,11 @@ def apply_stencil(S: np.ndarray, u: np.ndarray, transpose: bool = False
 
 
 # quadratic system ------------------------------------------------------------
+
+# time blocks per pass of `QuadraticSystem.normal_band`, so that its four
+# (BAND_CHUNK, n_x, n_x) work arrays stay in cache
+BAND_CHUNK = 32
+
 
 @dataclass
 class QuadraticSystem:
@@ -268,59 +282,106 @@ class QuadraticSystem:
 
         Row block t of L is L_{t,k} = Dtt[t,k] I + Dt[t,k] Sxx + delta_tk B_t
         with B_t = Sx4 + diag(a_t) and dense spectral Sxx, Sx4.  With
-        D_t = diag(M W1)_t, block (k, l) sums stencil-weighted D_t, D_t Sxx,
-        Sxx D_t and Sxx D_t Sxx over the rows t reaching both k and l, plus
-        the t = k and t = l terms in B_t D_t, B_t D_t Sxx and B_t D_t B_t.
-        Stencil entries are read from the arrays Dt, Dtt, only where they
-        are nonzero.  Fortran order lets LAPACK factor the array in place.
+        m = M W1, E_t = B_t diag(m_t) and F_t = E_t Sxx, block (l, l + o) is
+
+            Sxx diag(P_DD) Sxx + diag(P_CD) Sxx + Sxx diag(P_DC) + diag(P_CC)
+            + Dtt[l, l+o] E_l + Dt[l, l+o] F_l                      (t = l)
+            + (Dtt[l+o, l] E_{l+o} + Dt[l+o, l] F_{l+o})^T          (t = l+o)
+            + E_l B_l + diag(M W2 + eps)                           (o = 0)
+
+        where P_XY[l] = sum over t of X[t, l] Y[t, l + o] m_t for X, Y in
+        {C = Dtt, D = Dt}: Sxx is the same at every time node, so the
+        stencil sums act on vectors, and one product with Sxx per block and
+        offset replaces the sum over t of Sxx diag(m_t) Sxx.  Stencil
+        entries are read from the arrays Dt, Dtt, and the t = l, l + o terms
+        only on the runs of rows where they are nonzero.  Entry (p, q) of
+        block (l + o, l) sits at ab[o nx + p - q, l nx + q], so an offset's
+        blocks, indexed [l, q, p], are one strided view of the Fortran-order
+        buffer, written in chunks of `BAND_CHUNK` time blocks.  At o = 0
+        only p >= q is written: p < q addresses the last rows of the
+        previous column, which hold offset R entries or stay 0.  Fortran
+        order lets LAPACK factor the array in place.
         """
         n_t, nx = self.t_grid.n, self.grid.n
-        eye, diag = np.eye(nx), (slice(None), range(nx), range(nx))
-        Sxx = self.grid.deriv(eye, 2)
-        B = np.repeat(self.grid.deriv(eye, 4)[None], n_t, axis=0)
-        if self.a_vals is not None:
-            B[diag] += self.a_vals
+        eye = np.eye(nx)
+        Sxx, Sx4 = self.grid.deriv(eye, 2), self.grid.deriv(eye, 4)
         m = self.M * self.W1
-        BD = B * m[:, None, :]
-        BDB, BDS = BD @ B, BD @ Sxx
-        del B
-        SDS = (Sxx * m[:, None, :]) @ Sxx
         C, D = self.Dtt, self.Dt
         R = len(C) // 2
         ab = np.zeros(self.band_shape, order="F")
-        for o in range(ab.shape[0] // nx):
-            n_o = n_t - o
+        col = ab.strides[1]
 
-            def pair(X, Y, field):
-                # sum over t of X[t, l + o] Y[t, l] field[t], for each l:
-                # P^T field with P[t, t + j] = X[t, t + j + o] Y[t, t + j]
-                P = np.zeros_like(Y)
-                P[:2 * R + 1 - o] = X[o:] * Y[:2 * R + 1 - o]
-                return apply_stencil(P, field, transpose=True)[:n_o]
+        def pair(X, Y, o):
+            # P_XY: sum over t of X[t, l] Y[t, l + o] m[t], for each l, as
+            # P^T m with P[t, t + j] = X[t, t + j] Y[t, t + j + o]
+            P = np.zeros_like(X)
+            P[:2 * R + 1 - o] = X[:2 * R + 1 - o] * Y[o:]
+            return apply_stencil(P, m, transpose=True)[:n_t - o]
 
-            # the terms in B_t, on the rows where their stencil entries are
-            # nonzero: t = k weighs field[t] by the entry (t, t - o) into
-            # row t - o, t = l (transposed) field[l] by (l, l + o)
-            (k0, k1), (l0, l1) = _supports(abs(C[[R - o, R + o]])
-                                           + abs(D[[R - o, R + o]]))
-            ck, dk = (X[R - o, k0:k1, None, None] for X in (C, D))
-            cl, dl = (X[R + o, l0:l1, None, None] for X in (C, D))
-            blk = pair(D, D, SDS)
-            blk[k0 - o:k1 - o] = blk[k0 - o:k1 - o] + ck * BD[k0:k1] \
-                + dk * BDS[k0:k1]
-            blk[l0:l1] += (cl * BD[l0:l1]
-                           + dl * BDS[l0:l1]).transpose(0, 2, 1)
-            blk += Sxx * (pair(C, D, m)[:, :, None]
-                          + pair(D, C, m)[:, None, :])
-            blk[diag] += pair(C, C, m)
-            if o == 0:
-                blk += BDB
-                blk[diag] += self.M * self.W2 + self.eps
-            # entry (p, q) of block (l + o, l) is ab[o nx + p - q, l nx + q]
-            for q in range(nx):
-                p0 = q if o == 0 else 0
-                ab[o * nx + p0 - q:(o + 1) * nx - q, q:n_o * nx:nx] = \
-                    blk[:, p0:, q].T
+        offsets = []
+        for o in range(R + 1):
+            # (first row, end row, entries, F not E, transposed) of the
+            # t = l and t = l + o terms, one per run of nonzero entries
+            sides = [(lo, hi, coef, use_f, at_k)
+                     for at_k, row in enumerate((R + o, R - o))
+                     for use_f, S in enumerate((C, D))
+                     for coef in [S[row, at_k * o:][:n_t - o]]
+                     for lo, hi in _runs(coef)]
+            offsets.append((
+                pair(D, D, o), pair(C, D, o), pair(D, C, o), pair(C, C, o),
+                sides, np.lib.stride_tricks.as_strided(
+                    ab[o * nx:], shape=(n_t - o, nx, nx),
+                    strides=(nx * col, col - ab.itemsize, ab.itemsize))))
+        lower = np.triu(np.ones((nx, nx), dtype=bool))  # p >= q in [q, p]
+        X, U = (np.empty((BAND_CHUNK, nx, nx)) for _ in range(2))
+        E, F = (np.empty((BAND_CHUNK + R, nx, nx)) for _ in range(2))
+        am = None if self.a_vals is None else self.a_vals * m
+
+        def diagonal(Y):
+            return Y.reshape(len(Y), -1)[:, ::nx + 1]
+
+        for c0 in range(0, n_t, BAND_CHUNK):
+            # E_t = B_t diag(m_t) and F_t = E_t Sxx for the chunk's blocks
+            # and the R after it
+            nt = min(c0 + BAND_CHUNK + R, n_t) - c0
+            e, f = E[:nt], F[:nt]
+            np.einsum("pq,lq->lpq", Sx4, m[c0:c0 + nt], out=e)
+            if am is not None:
+                diagonal(e)[:] += am[c0:c0 + nt]
+            np.matmul(e, Sxx, out=f)
+            for o, (dd, cd, dc, cc, sides, view) in enumerate(offsets):
+                n = min(c0 + BAND_CHUNK, n_t - o) - c0
+                if n <= 0:
+                    break
+                rows = slice(c0, c0 + n)
+                x, u = X[:n], U[:n]
+                if dd[rows].any() or cd[rows].any():
+                    # one small product per block keeps BLAS on one thread
+                    np.einsum("pq,lq->lpq", Sxx, dd[rows], out=x)
+                    diagonal(x)[:] += cd[rows]
+                    np.matmul(x, Sxx, out=u)
+                else:       # Dt rows span R nodes: P_DD vanishes at o = R
+                    u.fill(0.0)
+                np.einsum("pq,lq->lpq", Sxx, dc[rows], out=x)
+                u += x
+                diagonal(u)[:] += cc[rows]
+                for lo, hi, coef, use_f, at_k in sides:
+                    lo, hi = max(lo, c0), min(hi, c0 + n)
+                    if lo >= hi:
+                        continue
+                    t, g = x[:hi - lo], (e, f)[use_f]
+                    np.einsum("lpq,l->lpq",
+                              g[lo - c0 + at_k * o:hi - c0 + at_k * o],
+                              coef[lo:hi], out=t)
+                    u[lo - c0:hi - c0] += t.transpose(0, 2, 1) if at_k else t
+                if o == 0:
+                    np.matmul(e[:n], Sx4, out=x)
+                    u += x
+                    if am is not None:
+                        np.multiply(e[:n], self.a_vals[rows, None, :], out=x)
+                        u += x
+                    diagonal(u)[:] += (self.M * self.W2)[rows] + self.eps
+                np.copyto(view[rows], u, where=lower if o == 0 else True)
         return ab
 
     def quadratic_value(self, psi: np.ndarray, b: np.ndarray) -> float:
@@ -697,7 +758,7 @@ def synthesize_control(grid: SpatialGrid, t_grid: TimeGrid, eta: EtaProfile,
 
     w = eval_weights(eta, theta, params, grid, t_grid)
     lap("weights")
-    source = free_source(grid, t_grid, theta1, beta0, beta1, a_sampler)
+    source = free_source(w, theta1, beta0, beta1, a_sampler)
     lap("free_march")
     a_vals = a_sampler(t_grid.nodes) if a_sampler else None
     system = assemble_hum_system(w, a_vals=a_vals, eps_scale=eps_scale)

@@ -392,8 +392,15 @@ def eval_weights(eta: EtaProfile, theta: ThetaProfile, params: CarlemanParams,
     (i, j) is theta^(j) * (P_i * G), with G the spatial xi profile and P_i
     the Faa di Bruno polynomial of d^i/dx^i exp(lam * eta) (P_0 = 1); the
     phi entry is its negation for i >= 1 and theta^(j) times the spatial phi
-    profile for i = 0.
+    profile for i = 0.  A grid whose circumference differs from eta's domain,
+    or a t_grid whose T differs from theta's (relative 1e-12), raises
+    ValueError naming it.
     """
+    for name, got, want in (("grid", grid.circumference,
+                             eta.domain.circumference),
+                            ("t_grid", t_grid.T, theta.T)):
+        if not np.isclose(got, want, rtol=1e-12, atol=0.0):
+            raise ValueError(f"{name} spans {got!r}, its profile {want!r}")
     lam, s = params.lam, params.s
     m = eta.eta_max
     if 6.0 * lam * m > 500.0:

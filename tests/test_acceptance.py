@@ -224,7 +224,7 @@ def test_08_small_instance_oracle(domain, eta, theta, params):
     x = grid.nodes
     b0 = np.cos(grid.kappa[1] * x) + 0.2
     b1 = 0.5 * np.sin(grid.kappa[1] * x)
-    source = free_source(grid, t_grid, theta1, b0, b1)
+    source = free_source(w, theta1, b0, b1)
     system = assemble_hum_system(w)
     precond = banded_preconditioner(system, system.normal_band())
     sol = minimize_J(system, source, precond, tol=1e-12, max_iter=2000)

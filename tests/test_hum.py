@@ -37,12 +37,12 @@ def weights8(eta, theta, params, grid8, tgrid16):
 
 
 @pytest.fixture(scope="module")
-def small_system(domain, grid8, tgrid16, weights8):
+def small_system(domain, grid8, weights8):
     theta1 = build_theta1(domain.T)
     x = grid8.nodes
     b0 = np.cos(grid8.kappa[1] * x) + 0.2
     b1 = 0.5 * np.sin(grid8.kappa[1] * x)
-    source = free_source(grid8, tgrid16, theta1, b0, b1)
+    source = free_source(weights8, theta1, b0, b1)
     system = assemble_hum_system(weights8)
     return theta1, b0, b1, source, system
 
@@ -100,21 +100,21 @@ class TestTheta1:
 
 
 class TestSource:
-    def test_zero_on_plateaus(self, domain, grid8, tgrid16):
+    def test_zero_on_plateaus(self, domain, grid8, tgrid16, weights8):
         theta1 = build_theta1(domain.T, 0.3, 0.7)
         b0 = np.cos(grid8.kappa[1] * grid8.nodes)
-        src = free_source(grid8, tgrid16, theta1, b0, np.zeros(grid8.n))
+        src = free_source(weights8, theta1, b0, np.zeros(grid8.n))
         t = tgrid16.nodes
         outside = (t < 0.3 * domain.T) | (t > 0.7 * domain.T)
         assert np.all(src[outside] == 0.0)
 
-    def test_zero_trajectory_gives_zero(self, domain, grid8, tgrid16):
+    def test_zero_trajectory_gives_zero(self, domain, grid8, weights8):
         theta1 = build_theta1(domain.T)
         zero = np.zeros(grid8.n)
-        assert np.all(free_source(grid8, tgrid16, theta1, zero, zero) == 0.0)
+        assert np.all(free_source(weights8, theta1, zero, zero) == 0.0)
 
     def test_free_source_samples_the_half_step_march(self, domain, grid8,
-                                                     tgrid16):
+                                                     weights8):
         theta1 = build_theta1(domain.T)
         x = grid8.nodes
         b0, b1 = np.cos(grid8.kappa[1] * x), np.sin(grid8.kappa[2] * x)
@@ -127,14 +127,16 @@ class TestSource:
                           a=a_sampler(times))
         odd = BeamTrajectory(grid8, times[1::2], q.beta[1::2],
                              q.beta_t[1::2])
-        src = free_source(grid8, tgrid16, theta1, b0, b1, a_sampler)
+        src = free_source(weights8, theta1, b0, b1, a_sampler)
         assert np.array_equal(src, assemble_source(theta1, odd))
 
-    def test_rejects_non_midpoint_grid(self, domain, grid8, theta):
+    def test_rejects_non_midpoint_grid(self, domain, grid8, eta, theta,
+                                       params):
         tg = gauss_panels(domain.T, np.array(theta.junctions), 16)
+        w = eval_weights(eta, theta, params, grid8, tg)
         zero = np.zeros(grid8.n)
         with pytest.raises(ValueError, match="midpoint"):
-            free_source(grid8, tg, build_theta1(domain.T), zero, zero)
+            free_source(w, build_theta1(domain.T), zero, zero)
 
     def test_manufactured_formula(self, domain, grid8):
         # q = sin(kappa x) * t: f = -th1'' q - 2 th1' sin + th1' q_xx
@@ -362,14 +364,41 @@ class TestNormalBand:
         assert system.eps > 0
         assert np.all(np.isfinite(banded_preconditioner(system, ab)(source)))
 
+    def test_band_at_control_size(self, domain, eta, theta, params, grid64):
+        # the configs/control.ini size, where the centered stencils fill the
+        # interior offsets: the stored band multiplies like apply, and holds
+        # exactly 0 between blocks 6 or more apart
+        n_time, nx = 256, grid64.n
+        tg = uniform_interior(domain.T, n_time)
+        w = eval_weights(eta, theta, params, grid64, tg)
+        a = np.outer(np.sin(np.pi * tg.nodes / domain.T),
+                     np.cos(grid64.kappa[1] * grid64.nodes))
+        system = assemble_hum_system(w, a_vals=a)
+        ab = system.normal_band()
+        width, N = ab.shape
+        assert width == 6 * nx
+        rng = np.random.default_rng(15)
+        for _ in range(3):
+            psi = rng.standard_normal((n_time, nx))
+            x = psi.ravel()
+            y = ab[0] * x
+            for d in range(1, width):
+                y[d:] += ab[d, :N - d] * x[:N - d]
+                y[:N - d] += ab[d, :N - d] * x[d:]
+            ref = system.apply(psi).ravel()
+            assert np.max(np.abs(y - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # in column l nx + q, row r of the band couples blocks l and
+        # l + (q + r) // nx
+        r, q = np.arange(width)[:, None], np.arange(N)[None, :] % nx
+        assert np.all(ab[r + q >= width] == 0.0)
+
 
 class TestMinimize:
-    def test_zero_source_gives_zero(self, domain, grid8, tgrid16,
+    def test_zero_source_gives_zero(self, domain, grid8, weights8,
                                     small_system, small_precond):
         *_, system = small_system
         zero = np.zeros(grid8.n)
-        source = free_source(grid8, tgrid16, build_theta1(domain.T), zero,
-                             zero)
+        source = free_source(weights8, build_theta1(domain.T), zero, zero)
         sol = minimize_J(system, source, small_precond)
         assert np.all(sol.psi_min == 0.0) and np.all(sol.v == 0.0)
         assert sol.J_value == 0.0
@@ -425,15 +454,15 @@ class TestMinimize:
                 assert system.quadratic_value(probe, b) > sol.J_value
 
     def test_one_factor_serves_many_sources(self, domain, grid8, tgrid16,
-                                            eta, theta, params, small_system,
-                                            small_precond):
+                                            eta, theta, params, weights8,
+                                            small_system, small_precond):
         # the operator holds no data: one system and one factor solve for
         # each source exactly as a full synthesis of that source does
         theta1, b0, b1, _, system = small_system
         x = grid8.nodes
         for data in ((b0, b1), (np.sin(grid8.kappa[2] * x),
                                 np.cos(grid8.kappa[3] * x))):
-            source = free_source(grid8, tgrid16, theta1, *data)
+            source = free_source(weights8, theta1, *data)
             sol = minimize_J(system, source, small_precond)
             _, ref, _, _, _ = synthesize_control(
                 grid8, tgrid16, eta, theta, params, theta1, *data,
@@ -567,7 +596,7 @@ class TestVerification:
         b0 = np.cos(grid64.kappa[1] * x) + 0.3
         b1 = 0.2 * np.sin(grid64.kappa[2] * x)
         system = assemble_hum_system(w)
-        sol = minimize_J(system, free_source(grid64, tg, theta1, b0, b1),
+        sol = minimize_J(system, free_source(w, theta1, b0, b1),
                          factor(system), tol=1e-10, max_iter=2000)
         norms = np.sqrt(grid64.l2_sq(sol.g_tilde))
         late = (tg.nodes > domain.T - theta.T1) & (norms > 1e-280)
@@ -580,7 +609,7 @@ class TestVerification:
         hi = -2 * params.s * prof.min()
         assert lo * 1.2 <= slope <= hi * 0.8
 
-    def test_data_scaling_scales_control(self, domain, grid8, tgrid16,
+    def test_data_scaling_scales_control(self, domain, grid8,
                                          weights8):
         theta1 = build_theta1(domain.T)
         x = grid8.nodes
@@ -590,8 +619,7 @@ class TestVerification:
         precond = factor(system)
 
         def solve(scale):
-            source = free_source(grid8, tgrid16, theta1, scale * b0,
-                                 scale * b1)
+            source = free_source(weights8, theta1, scale * b0, scale * b1)
             return minimize_J(system, source, precond, tol=1e-12,
                               max_iter=2000)
 

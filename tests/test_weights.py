@@ -181,6 +181,16 @@ class TestWeightFormulas:
         assert weights64.t_grid.nodes.min() > 0
         assert weights64.t_grid.nodes.max() < domain.T
 
+    @pytest.mark.parametrize("circumference, T, name", [
+        (5.0, 3.0, "grid"), (3.0, 3.0, "t_grid"), (3.0, 4.0 + 1e-9, "t_grid")])
+    def test_rejects_grids_off_the_profiles(self, eta, theta, params,
+                                            circumference, T, name):
+        # eta lives on circumference 3 and theta on T = 4: eta would wrap
+        # over the wrong circle, the time nodes stop short of T
+        grid = SpatialGrid(8, circumference, x0=-1.0)
+        with pytest.raises(ValueError, match=f"^{name} "):
+            eval_weights(eta, theta, params, grid, uniform_interior(T, 16))
+
 
 class TestBoundAudit:
     def test_phi_xi_spatial_derivatives_opposite(self, weights64):
