@@ -8,6 +8,12 @@ localized observation term.  Samples are sums of separable terms,
 trigonometric polynomial x envelope, so every derivative is analytic; no
 numerical differentiation enters.
 
+Each formula has one home, which every caller goes through:
+`derivative_tables` differentiates all terms of a few samples at once,
+`sample_fields` forms one sample's fields from its table slices, and
+`_contract` integrates the squared fields against the `kernel_stack` of
+every (s, lam) point in one BLAS product.
+
 The audit is a falsification harness: it calibrates an empirical constant on
 one family and checks held-out families and parameter sweeps against it,
 reporting rather than hiding violations.
@@ -15,7 +21,9 @@ reporting rather than hiding violations.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -39,11 +47,24 @@ LADDER = (
     ("psi_xxxx", "40", -1, -1, 0),
 )
 DERIV_KEYS = tuple(row[1] for row in LADDER)
+# x- and t-derivative order of each DERIV_KEYS field
+_X_ORDER = [int(key[0]) for key in DERIV_KEYS]
+_T_ORDER = [int(key[1]) for key in DERIV_KEYS]
+# kernel_stack rows: the LADDER, the adjoint residual, the omega observation
+N_ROWS = len(LADDER) + 2
+# samples per derivative table: a few, so a chunk's tables stay small
+CHUNK = 4
 
 
 @dataclass(frozen=True)
 class SeparableTerm:
-    """One product term p(x) * mu(t) with closed-form derivatives."""
+    """One product term p(x) * mu(t); `derivative_tables` differentiates it.
+
+    p is a trigonometric polynomial, or with `x_bump` the bump of that
+    center and halfwidth; mu is the envelope exp(-gamma T / t - gamma T /
+    (T - t)), which vanishes to all orders at both horizon ends, times the
+    polynomial sum_i t_poly[i] (t / T)^i.
+    """
 
     x_coeffs_cos: np.ndarray     # (max_mode + 1,)
     x_coeffs_sin: np.ndarray
@@ -53,48 +74,81 @@ class SeparableTerm:
     T: float
     x_bump: tuple[float, float] | None = None   # (center, halfwidth) variant
 
-    def x_derivs(self, x: np.ndarray, max_order: int = 4) -> np.ndarray:
-        out = np.zeros((max_order + 1, x.size))
-        if self.x_bump is not None:
-            c, w = self.x_bump
-            for j in range(max_order + 1):
-                out[j] = bump((x - c) / w, j) / w**j
-            return out
-        k = np.arange(self.x_coeffs_cos.size)
-        kap = 2.0 * np.pi * k / self.circumference
+
+def derivative_tables(samples: Sequence[SpaceTimeSample], x: np.ndarray,
+                      t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form derivatives of the K terms of samples, in order.
+
+    Returns the x table, shape (5, K, n_x), whose [i, k] is the i-th
+    x-derivative of term k's profile, and the t table, shape (3, n_t, K),
+    whose [j, :, k] is the j-th t-derivative of its envelope times
+    polynomial.  Trigonometric terms of one circumference share one cos/sin
+    phase table, so each x-derivative order is one product over all of them.
+    """
+    terms = [term for smp in samples for term in smp.terms]
+    x = np.asarray(x, dtype=float)
+    x_table = np.empty((5, len(terms), x.size))
+    trig: dict[float, list[int]] = {}
+    for k, term in enumerate(terms):
+        if term.x_bump is None:
+            trig.setdefault(term.circumference, []).append(k)
+            continue
+        c, w = term.x_bump
+        for i in range(5):
+            x_table[i, k] = bump((x - c) / w, i) / w**i
+    for circumference, idx in trig.items():
+        n_modes = max(max(terms[k].x_coeffs_cos.size,
+                          terms[k].x_coeffs_sin.size) for k in idx)
+        kap = 2.0 * np.pi * np.arange(n_modes) / circumference
         phase = kap[:, None] * x[None, :]
-        cos, sin = np.cos(phase), np.sin(phase)
-        # d/dx cycles (cos, sin) -> (-sin, cos) -> (-cos, -sin) -> (sin, -cos)
-        cycle = ((cos, sin), (-sin, cos), (-cos, -sin), (sin, -cos))
-        for j in range(max_order + 1):
-            amp = kap**j
-            cj, sj = cycle[j % 4]
-            out[j] = (amp * self.x_coeffs_cos) @ cj + (amp * self.x_coeffs_sin) @ sj
-        return out
+        # coefficients on [cos | sin]; d/dx maps (cos_c, sin_c) to
+        # kap (sin_c, -cos_c)
+        coef = np.zeros((5, len(idx), 2, n_modes))
+        for row, k in enumerate(idx):
+            cos_c, sin_c = terms[k].x_coeffs_cos, terms[k].x_coeffs_sin
+            coef[0, row, 0, :cos_c.size] = cos_c
+            coef[0, row, 1, :sin_c.size] = sin_c
+        for i in range(4):
+            coef[i + 1, :, 0] = kap * coef[i, :, 1]
+            coef[i + 1, :, 1] = -kap * coef[i, :, 0]
+        x_table[:, idx] = coef.reshape(5, len(idx), -1) @ np.concatenate(
+            [np.cos(phase), np.sin(phase)])
 
-    def t_derivs(self, t: np.ndarray) -> np.ndarray:
-        """Envelope times polynomial, with first and second derivatives.
+    T = np.array([term.T for term in terms])
+    gT = np.array([term.gamma for term in terms]) * T
+    t = np.asarray(t, dtype=float)[:, None]
+    env = np.exp(-gT / t - gT / (T - t))
+    w1 = gT / t**2 - gT / (T - t) ** 2
+    w2 = -2 * gT / t**3 - 2 * gT / (T - t) ** 3
+    env1 = env * w1
+    env2 = env * (w1**2 + w2)
+    # Horner sums of the polynomial in tau = t / T and its two derivatives
+    poly = np.zeros((max(term.t_poly.size for term in terms), len(terms)))
+    for k, term in enumerate(terms):
+        poly[:term.t_poly.size, k] = term.t_poly
+    tau = t / T
+    p = dp = ddp = np.zeros_like(tau)
+    for coeff in poly[::-1]:
+        ddp = ddp * tau + 2 * dp
+        dp = dp * tau + p
+        p = p * tau + coeff
+    dp, ddp = dp / T, ddp / T**2
 
-        The envelope exp(-gamma T / t - gamma T / (T - t)) vanishes to all
-        orders at both horizon ends.
-        """
-        T, g = self.T, self.gamma
-        env = np.exp(-g * T / t - g * T / (T - t))
-        w1 = g * T / t**2 - g * T / (T - t) ** 2
-        w2 = -2 * g * T / t**3 - 2 * g * T / (T - t) ** 3
-        env1 = env * w1
-        env2 = env * (w1**2 + w2)
+    t_table = np.empty((3, t.size, len(terms)))
+    t_table[0] = env * p
+    t_table[1] = env1 * p + env * dp
+    t_table[2] = env2 * p + 2 * env1 * dp + env * ddp
+    return x_table, t_table
 
-        tau = t / T
-        p = np.polyval(self.t_poly[::-1], tau)
-        dp = np.polyval(np.polyder(self.t_poly[::-1]), tau) / T
-        ddp = np.polyval(np.polyder(self.t_poly[::-1], 2), tau) / T**2
 
-        out = np.empty((3, t.size))
-        out[0] = env * p
-        out[1] = env1 * p + env * dp
-        out[2] = env2 * p + 2 * env1 * dp + env * ddp
-        return out
+def sample_fields(x_table: np.ndarray, t_table: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """The (9, n_t, n_x) DERIV_KEYS fields of one sample's table slices.
+
+    Field "ij" is the (n_t, k) @ (k, n_x) product of its k terms' j-th t- and
+    i-th x-derivatives; the nine are one stacked matmul.
+    """
+    return np.matmul(t_table[_T_ORDER], x_table[_X_ORDER], out=out)
 
 
 @dataclass(frozen=True)
@@ -105,11 +159,9 @@ class SpaceTimeSample:
     label: str = ""
 
     def derivs(self, x: np.ndarray, t: np.ndarray) -> dict[str, np.ndarray]:
-        """(n_t, n_x) fields by DERIV_KEYS: key "ij" is the (n_t, k) @ (k, n_x)
-        product of the k terms' j-th t- and i-th x-derivatives."""
-        xd = np.stack([term.x_derivs(x) for term in self.terms], axis=1)
-        td = np.stack([term.t_derivs(t) for term in self.terms], axis=2)
-        return {key: td[int(key[1])] @ xd[int(key[0])] for key in DERIV_KEYS}
+        """(n_t, n_x) fields by DERIV_KEYS, from `sample_fields`."""
+        return dict(zip(DERIV_KEYS,
+                        sample_fields(*derivative_tables([self], x, t))))
 
 
 @dataclass(frozen=True)
@@ -184,47 +236,66 @@ class RhsBreakdown:
 
 
 def adjoint_residual(psi: dict[str, np.ndarray],
-                     a: np.ndarray | None = None) -> np.ndarray:
+                     a: np.ndarray | None = None,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """(dtt + dtxx + dxxxx) psi, plus a * psi when a potential is given.
 
     The damping term enters with the adjoint (+) sign; the forward beam
     operator carries the opposite one.
     """
-    res = psi["02"] + psi["21"] + psi["40"]
+    res = np.add(psi["02"], psi["21"], out=out)
+    res += psi["40"]
     if a is not None:
-        res = res + a * psi["00"]
+        res += a * psi["00"]
     return res
 
 
-def kernel_stack(w: WeightField) -> tuple[np.ndarray, float]:
+def kernel_stack(w: WeightField, out: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, float]:
     """Quadrature-weighted kernels of every integral, shape (11, n_t * n_x).
 
     Rows: LADDER with s^a lam^b folded in, the residual's e^{-2 s phi}, and
     s^7 lam^8 xi^7 e^{-2 s phi} on omega (cells split at its endpoints).
-    Also returns the share of grid entries where e^{-2 s phi} is exactly 0.
+    They are written into `out` when given, such as one point's
+    `kernels[:, p]` of an (11, points, n_t * n_x) stack.  Also returns the
+    share of grid entries where e^{-2 s phi} is exactly 0.
     """
     s, lam = w.params.s, w.params.lam
     quad = w.quad_weights()
     omega_quad = w.t_grid.weights[:, None] * w.domain.omega_cell_weights(
         w.grid.nodes, w.grid.h)
-    residual_kernel = w.kernel(0)
-    rows = [s**a * lam**b * quad * w.kernel(p) for _, _, p, a, b in LADDER]
-    rows += [quad * residual_kernel, s**7 * lam**8 * omega_quad * w.kernel(7)]
-    return (np.stack(rows).reshape(len(rows), -1),
-            float(np.mean(residual_kernel == 0.0)))
+    scaled = [(s**a * lam**b * quad, p) for _, _, p, a, b in LADDER]
+    scaled += [(quad, 0), (s**7 * lam**8 * omega_quad, 7)]
+    out = np.empty((N_ROWS, w.phi.size)) if out is None else out
+    for r, (scale, p) in enumerate(scaled):
+        kernel = w.kernel(p)
+        np.multiply(scale, kernel, out=out[r].reshape(w.phi.shape))
+        if r == len(LADDER):   # the residual's e^{-2 s phi}
+            underflow = float(np.mean(kernel == 0.0))
+    return out, underflow
 
 
-def field_stack(psi: dict[str, np.ndarray],
-                a: np.ndarray | None = None) -> np.ndarray:
-    """The squared densities matching the kernel_stack rows, (11, n_t * n_x)."""
-    rows = [psi[key] ** 2 for _, key, _, _, _ in LADDER]
-    rows += [adjoint_residual(psi, a) ** 2, rows[0]]
-    return np.stack(rows).reshape(len(rows), -1)
+def _squared_rows(rows: np.ndarray, a: np.ndarray | None = None
+                  ) -> np.ndarray:
+    """Turn rows[:9], the DERIV_KEYS fields, into the 11 squared densities
+    of the kernel_stack rows, in place; rows has shape (11, n_t, n_x)."""
+    adjoint_residual(dict(zip(DERIV_KEYS, rows)), a, out=rows[len(LADDER)])
+    np.square(rows[:-1], out=rows[:-1])
+    rows[-1] = rows[0]
+    return rows
+
+
+def _contract(kernels: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(points, 11) integrals of squared rows against an (11, points, N)
+    kernel stack: one stacked BLAS product over every point."""
+    return np.matmul(kernels, rows.reshape(N_ROWS, -1, 1))[..., 0].T
 
 
 def _integrals(psi: dict[str, np.ndarray], w: WeightField,
                a: np.ndarray | None = None) -> np.ndarray:
-    return np.einsum("rn,rn->r", kernel_stack(w)[0], field_stack(psi, a))
+    rows = np.empty((N_ROWS, *psi["00"].shape))
+    np.stack([psi[key] for key in DERIV_KEYS], out=rows[:len(DERIV_KEYS)])
+    return _contract(kernel_stack(w)[0][:, None], _squared_rows(rows, a))[0]
 
 
 def lhs_terms(psi: dict[str, np.ndarray], w: WeightField) -> LhsBreakdown:
@@ -265,6 +336,8 @@ class RatioReport:
     s_grid: list[float]
     lam_grid: list[float]
     kernel_underflow_frac: float   # largest share of e^{-2 s phi} == 0
+    # wall seconds per stage, kept out of the ratios
+    timing: dict[str, float] = field(default_factory=dict)
 
     def heldout_within(self, factor: float = 10.0) -> bool:
         return all(
@@ -288,24 +361,42 @@ def audit_inequality(calibration: TestFunctionFamily,
     """Measure LHS/RHS ratios for both families over the parameter grid.
 
     Point (s, lam) samples the weights with `replace(params, s=s, lam=lam)`
-    on grid and t_grid, and its kernel_stack is built once.  Samples then
-    stream: each one's derivative fields are formed once, squared into its
-    field_stack and contracted against all (s, lam) stacks in one einsum,
-    so memory holds one sample's fields at a time.  Rows come out in
+    on grid and t_grid, and its kernel_stack is written once into column p
+    of one (11, points, n_t * n_x) array.  Samples then stream in chunks of
+    CHUNK: `derivative_tables` evaluates a chunk's terms at once, and each
+    sample's nine fields come from one `sample_fields` product of its table
+    slices.  They are squared, with the adjoint residual, into one reused
+    (11, n_t, n_x) buffer and contracted against every point in one matmul.
+    So memory holds one sample's fields at a time: that buffer, plus the
+    chunk's tables of 5 n_x + 3 n_t entries per term.  Rows come out in
     (s, lam, role, sample) order; ratios are deterministic given the family
-    seeds.
+    seeds.  `timing` holds the wall seconds of the kernel stack (weights
+    included) and of the samples.
     """
+    start = time.perf_counter()
+    x, t = grid.nodes, t_grid.nodes
     points = [(float(s), float(lam)) for s in s_grid for lam in lam_grid]
-    stacks = [kernel_stack(eval_weights(
-        eta, theta, replace(params, s=s, lam=lam), grid, t_grid))
-        for s, lam in points]
-    kernels = np.stack([stack for stack, _ in stacks])
+    kernels = np.empty((N_ROWS, len(points), t.size * x.size))
+    underflow = max(kernel_stack(eval_weights(
+        eta, theta, replace(params, s=s, lam=lam), grid, t_grid),
+        out=kernels[:, p])[1] for p, (s, lam) in enumerate(points))
+    stacked = time.perf_counter()
+
     fams = [("calibration", calibration.generate()),
             ("heldout", heldout.generate())]
-    values = {   # one (n_points, 11) array per sample
-        role: [np.einsum("prn,rn->pr", kernels, field_stack(
-            smp.derivs(grid.nodes, t_grid.nodes), a)) for smp in samples]
-        for role, samples in fams}
+    buf = np.empty((N_ROWS, t.size, x.size))
+    values = {role: [] for role, _ in fams}   # one (points, 11) per sample
+    for role, samples in fams:
+        for c0 in range(0, len(samples), CHUNK):
+            chunk = samples[c0:c0 + CHUNK]
+            x_table, t_table = derivative_tables(chunk, x, t)
+            stop = 0
+            for smp in chunk:   # its terms are consecutive columns
+                cols = slice(stop, stop + len(smp.terms))
+                stop = cols.stop
+                sample_fields(x_table[:, cols], t_table[:, :, cols],
+                              out=buf[:len(DERIV_KEYS)])
+                values[role].append(_contract(kernels, _squared_rows(buf, a)))
 
     rows: list[RatioRow] = []
     maxima: dict[str, dict[tuple[float, float], float]] = {}
@@ -320,8 +411,10 @@ def audit_inequality(calibration: TestFunctionFamily,
                     residual=float(residual), observation=float(observation)))
                 worst = max(worst, rows[-1].ratio)
             maxima.setdefault(role, {})[(s, lam)] = worst
+    timing = {"kernels": stacked - start,
+              "samples": time.perf_counter() - stacked}
     return RatioReport(rows=rows, calibration_max=maxima["calibration"],
                        heldout_max=maxima["heldout"],
                        s_grid=[float(s) for s in s_grid],
                        lam_grid=[float(lam) for lam in lam_grid],
-                       kernel_underflow_frac=max(f for _, f in stacks))
+                       kernel_underflow_frac=underflow, timing=timing)

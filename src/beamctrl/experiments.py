@@ -4,12 +4,12 @@ Each experiment kind wires the library modules into one reproducible run:
 outputs land in a directory named by the configuration hash.  Space-time
 fields (trajectories, the control, the weights) are written once, as binary
 field snapshots that `beamctrl export` turns into CSV; small tables are CSV
-and reports flat text.  A manifest next to them records the
-headline metrics, the pass/fail state of the attached assertion suite and,
-for control runs, the wall time of each stage (`timing.*` rows, outside the
-metrics).  Identical configurations reproduce identical metrics bit for
-bit: all randomness is seeded from the configuration and reductions run in
-fixed order.
+and reports flat text.  A manifest next to them records the headline
+metrics, the pass/fail state of the attached assertion suite and, for
+control, weights-audit and carleman-audit runs, the wall time of each stage
+(`timing.*` rows, outside the metrics).  Identical configurations reproduce
+identical metrics bit for bit: all randomness is seeded from the
+configuration and reductions run in fixed order.
 
 Only control runs need scipy (the LAPACK band routines of `hum`), so `hum`
 is imported by the first control run of a process, not with this module:
@@ -264,8 +264,14 @@ def _run_weights_audit(cfg: ExperimentConfig, run_dir: Path):
     t_grid = gauss_panels(dom.T, np.array(theta.junctions),
                           cfg["grid"]["n_time"])
 
+    start = time.perf_counter()
     lams = cfg["audit"]["lambda_grid"]
     sweep = sweep_lambda_bounds(eta, theta, params, lams, grid, t_grid)
+    swept = time.perf_counter()
+    w = eval_weights(eta, theta, params, grid, t_grid)
+    base = audit_derivative_bounds(w)
+    weighted = time.perf_counter()
+
     files = []
     for lam, report in zip(sweep.lams, sweep.reports):
         files.append(write_csv(
@@ -275,7 +281,6 @@ def _run_weights_audit(cfg: ExperimentConfig, run_dir: Path):
     ts = np.linspace(dom.T / 512, dom.T * (1 - 1 / 512), 512)
     files.append(write_field_csv(run_dir / "theta_profile.csv",
                                  {"t": ts, "theta": theta.eval(ts)}))
-    w = eval_weights(eta, theta, params, grid, t_grid)
     # column order: the x-only entries of phi, then of xi, then the timed
     # entries; the stable sort keeps table order within each group
     columns = sorted(LEDGER, key=lambda e: (e[3] > 0, e[1] == "xi"))
@@ -283,8 +288,9 @@ def _run_weights_audit(cfg: ExperimentConfig, run_dir: Path):
         run_dir / "weights_field.bin", grid, t_grid.nodes,
         {"phi": w.phi, "xi": w.xi,
          **{name: w.ledger[name] for name, *_ in columns}}))
+    timing = {"sweep": swept - start, "weights": weighted - swept,
+              "output": time.perf_counter() - weighted}
 
-    base = audit_derivative_bounds(w)
     metrics = {
         "max_growth_factor": max(sweep.growth.values()),
         "positivity_threshold_lambda": sweep.positivity_threshold,
@@ -297,7 +303,7 @@ def _run_weights_audit(cfg: ExperimentConfig, run_dir: Path):
         "phi_xi_identity": base.identity_defect
         <= 1e-10 * float(np.max(np.abs(w.ledger["xi_x4"]))),
     }
-    return metrics, assertions, files, {}
+    return metrics, assertions, files, timing
 
 
 def _run_carleman_audit(cfg: ExperimentConfig, run_dir: Path):
@@ -318,6 +324,7 @@ def _run_carleman_audit(cfg: ExperimentConfig, run_dir: Path):
                               aud["s_grid"], aud["lambda_grid"], grid, t_grid,
                               a=a_vals)
 
+    start = time.perf_counter()
     files = [
         write_csv(run_dir / "ratio_rows.csv",
                   ["family", "sample", "s", "lambda", "lhs", "residual",
@@ -330,6 +337,7 @@ def _run_carleman_audit(cfg: ExperimentConfig, run_dir: Path):
                     report.heldout_max[(s, lam)])
                    for s in report.s_grid for lam in report.lam_grid)),
     ]
+    timing = {**report.timing, "output": time.perf_counter() - start}
     base_key = (report.s_grid[0], report.lam_grid[0])
     growth = max(
         (f for lam in report.lam_grid for f in report.s_growth_factors(lam)),
@@ -344,7 +352,7 @@ def _run_carleman_audit(cfg: ExperimentConfig, run_dir: Path):
         "heldout_within_10x": report.heldout_within(aud["heldout_factor"]),
         "ratio_growth_under_s_doubling": growth <= 2.0,
     }
-    return metrics, assertions, files, {}
+    return metrics, assertions, files, timing
 
 
 def _run_control(cfg: ExperimentConfig, run_dir: Path):

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamctrl.audit import (DERIV_KEYS, SeparableTerm, SpaceTimeSample,
-                            TestFunctionFamily, adjoint_residual,
-                            audit_inequality, lhs_terms, rhs_terms)
+from beamctrl.audit import (CHUNK, DERIV_KEYS, SeparableTerm,
+                            SpaceTimeSample, TestFunctionFamily,
+                            adjoint_residual, audit_inequality,
+                            derivative_tables, lhs_terms, rhs_terms,
+                            sample_fields)
 from beamctrl.torus import TimeGrid, gauss_panels
 from beamctrl.weights import CarlemanParams, eval_weights
 
@@ -67,6 +69,26 @@ class TestSampleDerivatives:
                 parts = sum(d[key] for d in singles)
                 scale = sum(np.max(np.abs(d[key])) for d in singles)
                 assert np.max(np.abs(full[key] - parts)) <= 1e-14 * scale
+
+    def test_bump_sample_fields_equal_its_chunk_slice(self, domain, grid64,
+                                                      tgrid128):
+        # a one-term bump sample's table entries are elementwise formulas
+        # and its fields one outer product each, so no neighbour in the
+        # chunk may change a bit of them
+        fam = TestFunctionFamily("m", seed=9, n_samples=2, max_mode=8,
+                                 T=domain.T,
+                                 circumference=domain.circumference,
+                                 n_terms=(2, 3))
+        first, last = fam.generate()
+        bump_smp = omega_bump_sample(domain)
+        x, t = grid64.nodes, tgrid128.nodes
+        x_table, t_table = derivative_tables([first, bump_smp, last], x, t)
+        col = slice(len(first.terms), len(first.terms) + 1)
+        fields = sample_fields(x_table[:, col], t_table[:, :, col])
+        alone = bump_smp.derivs(x, t)
+        assert list(alone) == list(DERIV_KEYS)
+        for key, values in zip(DERIV_KEYS, fields):
+            assert alone[key].tobytes() == values.tobytes()
 
     def test_envelope_vanishes_at_horizon_ends(self, domain):
         smp = single_mode_sample(domain)
@@ -240,39 +262,58 @@ class TestFamilies:
         assert np.allclose(res, psi["02"] + psi["21"] + psi["40"])
 
 
+def check_rows_match_per_sample_terms(domain, eta, theta, params, grid,
+                                      t_grid, with_potential, **fam_kw):
+    kw = dict(max_mode=8, T=domain.T, circumference=domain.circumference,
+              **fam_kw)
+    calib = TestFunctionFamily("calibration", seed=11, **kw)
+    held = TestFunctionFamily("heldout", seed=202, **kw)
+    a = (np.random.default_rng(4).uniform(
+        -1, 1, (t_grid.nodes.size, grid.n)) if with_potential else None)
+    s_grid, lam_grid = [4.0, 8.0], [1.0, 2.0]
+    report = audit_inequality(calib, held, eta, theta, params, s_grid,
+                              lam_grid, grid, t_grid, a=a)
+    expected = []
+    for s in s_grid:
+        for lam in lam_grid:
+            w = eval_weights(eta, theta,
+                             CarlemanParams(s=s, lam=lam, T0=0.5, T1=0.5),
+                             grid, t_grid)
+            for role, fam in (("calibration", calib), ("heldout", held)):
+                for smp in fam.generate():
+                    psi = smp.derivs(grid.nodes, t_grid.nodes)
+                    rhs = rhs_terms(psi, w, a)
+                    expected.append((role, smp.label, s, lam,
+                                     lhs_terms(psi, w).total,
+                                     rhs.residual, rhs.observation))
+    assert [(r.family, r.sample, r.s, r.lam) for r in report.rows] \
+        == [e[:4] for e in expected]
+    for row, e in zip(report.rows, expected):
+        assert row.lhs == pytest.approx(e[4], rel=1e-13)
+        assert row.residual == pytest.approx(e[5], rel=1e-13)
+        assert row.observation == pytest.approx(e[6], rel=1e-13)
+
+
 class TestStreamedAudit:
     @pytest.mark.parametrize("with_potential", [False, True])
     def test_rows_match_per_sample_terms(self, domain, eta, theta, params,
                                          grid64, tgrid128, with_potential):
-        kw = dict(n_samples=3, max_mode=8, T=domain.T,
-                  circumference=domain.circumference)
-        calib = TestFunctionFamily("calibration", seed=11, **kw)
-        held = TestFunctionFamily("heldout", seed=202, **kw)
-        a = (np.random.default_rng(4).uniform(
-            -1, 1, (tgrid128.nodes.size, grid64.n)) if with_potential
-            else None)
-        s_grid, lam_grid = [4.0, 8.0], [1.0, 2.0]
-        report = audit_inequality(calib, held, eta, theta, params, s_grid,
-                                  lam_grid, grid64, tgrid128, a=a)
-        expected = []
-        for s in s_grid:
-            for lam in lam_grid:
-                w = eval_weights(eta, theta,
-                                 CarlemanParams(s=s, lam=lam, T0=0.5, T1=0.5),
-                                 grid64, tgrid128)
-                for role, fam in (("calibration", calib), ("heldout", held)):
-                    for smp in fam.generate():
-                        psi = smp.derivs(grid64.nodes, tgrid128.nodes)
-                        rhs = rhs_terms(psi, w, a)
-                        expected.append((role, smp.label, s, lam,
-                                         lhs_terms(psi, w).total,
-                                         rhs.residual, rhs.observation))
-        assert [(r.family, r.sample, r.s, r.lam) for r in report.rows] \
-            == [e[:4] for e in expected]
-        for row, e in zip(report.rows, expected):
-            assert row.lhs == pytest.approx(e[4], rel=1e-13)
-            assert row.residual == pytest.approx(e[5], rel=1e-13)
-            assert row.observation == pytest.approx(e[6], rel=1e-13)
+        check_rows_match_per_sample_terms(domain, eta, theta, params, grid64,
+                                          tgrid128, with_potential,
+                                          n_samples=3)
+
+    # family sizes off a multiple of CHUNK, so the last chunk is partial,
+    # with samples of one and of three terms only
+    @pytest.mark.parametrize("n_samples, n_terms", [
+        (CHUNK + 1, (1, 1)), (2 * CHUNK + 3, (3, 3))])
+    @pytest.mark.parametrize("with_potential", [False, True])
+    def test_rows_match_per_sample_terms_across_chunks(
+            self, domain, eta, theta, params, grid64, tgrid128,
+            with_potential, n_samples, n_terms):
+        check_rows_match_per_sample_terms(domain, eta, theta, params, grid64,
+                                          tgrid128, with_potential,
+                                          n_samples=n_samples,
+                                          n_terms=n_terms)
 
     def test_memory_holds_one_sample_at_a_time(self, domain, eta, theta,
                                                params, grid64):

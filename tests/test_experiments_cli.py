@@ -207,6 +207,21 @@ class TestConfig:
                           / name)
         assert (cfg.kind, cfg.config_hash) == (kind, config_hash)
 
+    def test_carleman_audit_config_metrics_pinned(self, tmp_path):
+        # values of the per-sample, per-term audit this one replaced; the
+        # table path sums in another order, so they agree to roundoff only
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs"
+                          / "carleman_audit.ini")
+        metrics = run(cfg, out_root=tmp_path / "runs").metrics
+        pinned = {
+            "calibration_max_ratio": 1.4963636867615129,
+            "heldout_max_ratio": 1.5175747928266008,
+            "max_s_growth_factor": 1.4870433293655987,
+            "kernel_underflow_frac": 0.06787109375,
+        }
+        for key, value in pinned.items():
+            assert metrics[key] == pytest.approx(value, rel=1e-12), key
+
     def test_zeta_parsed_as_fraction(self, tmp_path):
         path = write_cfg(tmp_path, "zeta-ledger",
                          extra="\n[carleman]\nzeta = 4/3\n")
@@ -376,6 +391,21 @@ class TestCli:
         assert all(float(value) >= 0.0 for _, value in timed)
         names = {n for s in stages for n in (s, f"{s}_s", f"timing.{s}_s")}
         assert not names & set(manifest.metrics)
+
+    @pytest.mark.parametrize("kind, stages", [
+        ("carleman-audit", ("kernels", "samples", "output")),
+        ("weights-audit", ("sweep", "weights", "output"))])
+    def test_audit_runs_report_stage_times(self, tmp_path, capsys, kind,
+                                           stages):
+        manifest = run(load_config(write_cfg(tmp_path, kind)),
+                       out_root=tmp_path / "runs")
+        assert list(manifest.timing) == list(stages)
+        main(["report", str(manifest.run_dir)])
+        timed = [line.split(" = ") for line in capsys.readouterr().out
+                 .splitlines() if line.startswith("timing.")]
+        assert [key for key, _ in timed] == [f"timing.{s}_s" for s in stages]
+        assert all(float(value) >= 0.0 for _, value in timed)
+        assert not {f"{s}_s" for s in stages} & set(manifest.metrics)
 
     def test_report_shows_audit_kernel_underflow(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "carleman-audit")
