@@ -1,7 +1,7 @@
 """Numerical stress tests of the weighted observability inequality.
 
 Both sides of the estimate are evaluated on families of smooth test
-functions: the left side is the seven-term ladder of weighted derivative
+functions: the left side is the `LADDER` of nine weighted derivative
 integrals; the right side is the weighted residual of the adjoint operator
 (dtt + dtxx + dxxxx, plus the potential in the corollary variant) plus the
 localized observation term.  Samples are sums of separable terms,
@@ -12,7 +12,10 @@ Each formula has one home, which every caller goes through:
 `derivative_tables` differentiates all terms of a few samples at once,
 `sample_fields` forms one sample's fields from its table slices, and
 `_contract` integrates the squared fields against the `kernel_stack` of
-every (s, lam) point in one BLAS product.
+every (s, lam) point in one BLAS product.  Results stay in that form: an
+(..., 11) array of integrals in `kernel_stack` row order, the LADDER rows,
+then the residual, then the observation.  `integrals` gives one sample's
+row and `lhs_total` sums the left side of any such array.
 
 The audit is a falsification harness: it calibrates an empirical constant on
 one family and checks held-out families and parameter sweeps against it,
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,6 +55,9 @@ _X_ORDER = [int(key[0]) for key in DERIV_KEYS]
 _T_ORDER = [int(key[1]) for key in DERIV_KEYS]
 # kernel_stack rows: the LADDER, the adjoint residual, the omega observation
 N_ROWS = len(LADDER) + 2
+# LADDER row indices by xi power, the powers in order of first appearance
+_XI_GROUPS = [[r for r, row in enumerate(LADDER) if row[2] == p]
+              for p in dict.fromkeys(row[2] for row in LADDER)]
 # samples per derivative table: a few, so a chunk's tables stay small
 CHUNK = 4
 
@@ -200,41 +206,6 @@ class TestFunctionFamily:
         return samples
 
 
-@dataclass(frozen=True)
-class LhsBreakdown:
-    """The weighted integral ladder of the estimate's left side."""
-
-    psi_sq: float            # s^7 lam^8  int xi^7 |psi|^2
-    psi_x_sq: float          # s^5 lam^6  int xi^5 |psi_x|^2
-    psi_xx_t_sq: float       # s^3 lam^4  int xi^3 (|psi_xx|^2 + |psi_t|^2)
-    psi_tx_xxx_sq: float     # s   lam^2  int xi   (|psi_tx|^2 + |psi_xxx|^2)
-    psi_high_sq: float       # s^-1       int 1/xi (|psi_tt|^2 + |psi_txx|^2 + |psi_xxxx|^2)
-    individual: dict[str, float] = field(default_factory=dict)
-
-    @classmethod
-    def from_ladder(cls, values: np.ndarray) -> LhsBreakdown:
-        """Group the LADDER row values by xi power, in ladder order."""
-        ind = {row[0]: float(v) for row, v in zip(LADDER, values)}
-        powers = dict.fromkeys(row[2] for row in LADDER)
-        return cls(*(sum(ind[row[0]] for row in LADDER if row[2] == p)
-                     for p in powers), individual=ind)
-
-    @property
-    def total(self) -> float:
-        return (self.psi_sq + self.psi_x_sq + self.psi_xx_t_sq
-                + self.psi_tx_xxx_sq + self.psi_high_sq)
-
-
-@dataclass(frozen=True)
-class RhsBreakdown:
-    residual: float          # int |(dtt + dtxx + dxxxx [+ a]) psi|^2 e^{-2 s phi}
-    observation: float       # s^7 lam^8 int_omega xi^7 |psi|^2 e^{-2 s phi}
-
-    @property
-    def total(self) -> float:
-        return self.residual + self.observation
-
-
 def adjoint_residual(psi: dict[str, np.ndarray],
                      a: np.ndarray | None = None,
                      out: np.ndarray | None = None) -> np.ndarray:
@@ -291,28 +262,25 @@ def _contract(kernels: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.matmul(kernels, rows.reshape(N_ROWS, -1, 1))[..., 0].T
 
 
-def _integrals(psi: dict[str, np.ndarray], w: WeightField,
-               a: np.ndarray | None = None) -> np.ndarray:
+def integrals(psi: dict[str, np.ndarray], w: WeightField,
+              a: np.ndarray | None = None) -> np.ndarray:
+    """The (11,) kernel_stack integrals of one sample, whose `psi` maps
+    DERIV_KEYS to fields: the LADDER rows, the residual, the observation."""
     rows = np.empty((N_ROWS, *psi["00"].shape))
     np.stack([psi[key] for key in DERIV_KEYS], out=rows[:len(DERIV_KEYS)])
     return _contract(kernel_stack(w)[0][:, None], _squared_rows(rows, a))[0]
 
 
-def lhs_terms(psi: dict[str, np.ndarray], w: WeightField) -> LhsBreakdown:
-    """The weighted LADDER of one sample; `psi` maps DERIV_KEYS to fields."""
-    return LhsBreakdown.from_ladder(_integrals(psi, w)[:len(LADDER)])
+def lhs_total(values: np.ndarray) -> np.ndarray:
+    """The left side of (..., 11) kernel_stack integrals: the LADDER rows
+    summed left to right within each xi-power group, then the groups in
+    LADDER order."""
+    return sum(sum(values[..., r] for r in group) for group in _XI_GROUPS)
 
 
-def rhs_terms(psi: dict[str, np.ndarray], w: WeightField,
-              a: np.ndarray | None = None) -> RhsBreakdown:
-    """Weighted residual plus omega-localized observation."""
-    *_, residual, observation = _integrals(psi, w, a)
-    return RhsBreakdown(residual=float(residual),
-                        observation=float(observation))
+class RatioRow(NamedTuple):
+    """One sample at one (s, lam) point, in `ratio_rows.csv` column order."""
 
-
-@dataclass(frozen=True)
-class RatioRow:
     family: str
     sample: str
     s: float
@@ -320,10 +288,7 @@ class RatioRow:
     lhs: float
     residual: float
     observation: float
-
-    @property
-    def ratio(self) -> float:
-        return self.lhs / (self.residual + self.observation)
+    ratio: float           # lhs / (residual + observation)
 
 
 @dataclass(frozen=True)
@@ -368,10 +333,12 @@ def audit_inequality(calibration: TestFunctionFamily,
     slices.  They are squared, with the adjoint residual, into one reused
     (11, n_t, n_x) buffer and contracted against every point in one matmul.
     So memory holds one sample's fields at a time: that buffer, plus the
-    chunk's tables of 5 n_x + 3 n_t entries per term.  Rows come out in
-    (s, lam, role, sample) order; ratios are deterministic given the family
-    seeds.  `timing` holds the wall seconds of the kernel stack (weights
-    included) and of the samples.
+    chunk's tables of 5 n_x + 3 n_t entries per term.  The integrals of all
+    samples form one (points, samples, 11) array, calibration samples
+    first, from which the left sides, ratios and family maxima are array
+    operations.  Rows come out in (s, lam, role, sample) order; ratios are
+    deterministic given the family seeds.  `timing` holds the wall seconds
+    of the kernel stack (weights included) and of the samples.
     """
     start = time.perf_counter()
     x, t = grid.nodes, t_grid.nodes
@@ -382,11 +349,11 @@ def audit_inequality(calibration: TestFunctionFamily,
         out=kernels[:, p])[1] for p, (s, lam) in enumerate(points))
     stacked = time.perf_counter()
 
-    fams = [("calibration", calibration.generate()),
-            ("heldout", heldout.generate())]
+    fams = {"calibration": calibration.generate(),
+            "heldout": heldout.generate()}
     buf = np.empty((N_ROWS, t.size, x.size))
-    values = {role: [] for role, _ in fams}   # one (points, 11) per sample
-    for role, samples in fams:
+    per_sample = []   # one (points, 11) array per sample
+    for samples in fams.values():
         for c0 in range(0, len(samples), CHUNK):
             chunk = samples[c0:c0 + CHUNK]
             x_table, t_table = derivative_tables(chunk, x, t)
@@ -396,25 +363,23 @@ def audit_inequality(calibration: TestFunctionFamily,
                 stop = cols.stop
                 sample_fields(x_table[:, cols], t_table[:, :, cols],
                               out=buf[:len(DERIV_KEYS)])
-                values[role].append(_contract(kernels, _squared_rows(buf, a)))
+                per_sample.append(_contract(kernels, _squared_rows(buf, a)))
 
-    rows: list[RatioRow] = []
-    maxima: dict[str, dict[tuple[float, float], float]] = {}
-    for p, (s, lam) in enumerate(points):
-        for role, samples in fams:
-            worst = 0.0
-            for smp, v in zip(samples, values[role]):
-                *ladder, residual, observation = v[p]
-                rows.append(RatioRow(
-                    family=role, sample=smp.label, s=s, lam=lam,
-                    lhs=LhsBreakdown.from_ladder(ladder).total,
-                    residual=float(residual), observation=float(observation)))
-                worst = max(worst, rows[-1].ratio)
-            maxima.setdefault(role, {})[(s, lam)] = worst
+    values = np.stack(per_sample, axis=1)   # (points, samples, 11)
+    lhs = lhs_total(values)
+    ratio = lhs / (values[..., -2] + values[..., -1])
+    n_cal = len(fams["calibration"])
+    maxima = [dict(zip(points, part.max(axis=1, initial=0.0).tolist()))
+              for part in (ratio[:, :n_cal], ratio[:, n_cal:])]
+    keys = [(role, smp.label, s, lam) for s, lam in points
+            for role, samples in fams.items() for smp in samples]
+    table = np.stack([lhs, values[..., -2], values[..., -1], ratio], axis=-1)
+    rows = [RatioRow(*key, *cols) for key, cols
+            in zip(keys, table.reshape(-1, 4).tolist())]
     timing = {"kernels": stacked - start,
               "samples": time.perf_counter() - stacked}
-    return RatioReport(rows=rows, calibration_max=maxima["calibration"],
-                       heldout_max=maxima["heldout"],
+    return RatioReport(rows=rows, calibration_max=maxima[0],
+                       heldout_max=maxima[1],
                        s_grid=[float(s) for s in s_grid],
                        lam_grid=[float(lam) for lam in lam_grid],
                        kernel_underflow_frac=underflow, timing=timing)

@@ -231,6 +231,7 @@ class QuadraticSystem:
     Dt: np.ndarray          # time stencils, see `time_stencil`
     Dtt: np.ndarray
     a_vals: np.ndarray | None
+    chi: np.ndarray         # boolean mask of the space nodes in omega
     W1: np.ndarray
     W2: np.ndarray
     M: np.ndarray
@@ -430,16 +431,16 @@ def assemble_hum_system(w: WeightField, a_vals: np.ndarray | None = None,
         raise ValueError("the time grid of the weights (t_grid) is not "
                          "uniform; the time stencils need uniform_interior")
     Dt, Dtt = (time_stencil(n_t, dt, order) for order in (1, 2))
-    chi = w.domain.in_omega(grid.nodes).astype(float)
+    chi = w.domain.in_omega(grid.nodes)
     with np.errstate(over="ignore", invalid="ignore"):   # named below
         W1 = w.kernel(0.0)
-        W2 = (w.params.s**7 * w.params.lam**8) * chi[None, :] * w.kernel(7.0)
+        W2 = chi * _control_weight(w.params, w.log_xi, w.neg2s_phi)
     for name, vals in (("W1", W1), ("W2", W2)):
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"{name} is not finite")
 
     sys = QuadraticSystem(
-        weights=w, Dt=Dt, Dtt=Dtt, a_vals=a_vals, W1=W1, W2=W2,
+        weights=w, Dt=Dt, Dtt=Dtt, a_vals=a_vals, chi=chi, W1=W1, W2=W2,
         M=w.quad_weights(), eps=0.0, norm_estimate=0.0)
     est = _operator_norm_estimate(sys.apply, (n_t, grid.n))
     sys.norm_estimate, sys.eps = est, eps_scale * est
@@ -491,8 +492,8 @@ def minimize_J(sys: QuadraticSystem, f: np.ndarray, precond,
     `lambda r: r` gives plain CG.  A source off the system grid, or a
     non-finite source or right-hand side, raises ValueError naming it.
     tol bounds CG's recursive residual |r_k| / |b|; the true residual
-    |b - A x| / |b| (true_relative_residual) has a rounding floor, about
-    2.5e-8 at configs/control.ini, that no smaller tol lowers.
+    |b - A x| / |b| (true_relative_residual) has a rounding floor, 2.88e-8
+    at configs/control.ini, that no smaller tol lowers.
     CurvatureError (p.Ap <= 0) means the operator is not positive definite.
     CGConvergenceError (with the residual history attached) signals
     ill-conditioning; the remedy is a larger eps or smaller s.
@@ -558,15 +559,21 @@ def minimize_J(sys: QuadraticSystem, f: np.ndarray, precond,
 
 # a-posteriori verification ---------------------------------------------------
 
+def _control_weight(params: CarlemanParams, log_xi: np.ndarray,
+                    neg2s_phi: np.ndarray) -> np.ndarray:
+    """s^7 lam^8 xi^7 e^{-2 s phi} from log(xi) and -2 s phi: the weight of
+    W2 on omega and of the control."""
+    return (params.s**7 * params.lam**8) * np.exp(7.0 * log_xi + neg2s_phi)
+
+
 def control_weight_factor(w: WeightField, t_interior: np.ndarray
                           ) -> np.ndarray:
-    """s^7 lam^8 xi^7 e^{-2 s phi} from the profiles of w at its space
-    nodes, at arbitrary interior times."""
-    lam, s = w.params.lam, w.params.s
+    """The control weight from the profiles of w at its space nodes, at
+    arbitrary interior times."""
     _, _, log_xi, neg2s_phi = weight_formulas(
         w.eta.derivs(w.grid.nodes, max_order=0)[:, 0], w.eta.eta_max,
-        w.theta.eval(t_interior, 0)[:, None], lam, s)
-    return (s**7 * lam**8) * np.exp(7.0 * log_xi + neg2s_phi)
+        w.theta.eval(t_interior, 0)[:, None], w.params.lam, w.params.s)
+    return _control_weight(w.params, log_xi, neg2s_phi)
 
 
 def not_a_knot_spline(x: np.ndarray, y: np.ndarray, t: np.ndarray
@@ -623,9 +630,8 @@ def control_on_times(sol: HumSolution, sys: QuadraticSystem,
     interior = (times > 0.0) & (times < T)
     out = np.zeros((times.size, sys.grid.n))
     factor = control_weight_factor(sys.weights, times[interior])
-    chi = sys.weights.domain.in_omega(sys.grid.nodes).astype(float)
     psi = not_a_knot_spline(sys.t_grid.nodes, sol.psi_min, times[interior])
-    out[interior] = -factor * psi * chi[None, :]
+    out[interior] = -factor * psi * sys.chi
     return out
 
 
@@ -680,8 +686,7 @@ def verify_null_control(beta0: np.ndarray, beta1: np.ndarray,
     a = a_sampler(times) if a_sampler else None
 
     v_vals = control_on_times(sol, sys, times)
-    chi = sys.weights.domain.in_omega(grid.nodes)
-    support_ok = bool(np.all(v_vals[:, ~chi] == 0.0))
+    support_ok = bool(np.all(v_vals[:, ~sys.chi] == 0.0))
 
     q_run = solve_forward(grid, beta0, beta1, times, a=a)
     f_vals = assemble_source(theta1, q_run)

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamctrl.audit import (CHUNK, DERIV_KEYS, SeparableTerm,
-                            SpaceTimeSample, TestFunctionFamily,
-                            adjoint_residual, audit_inequality,
-                            derivative_tables, lhs_terms, rhs_terms,
-                            sample_fields)
+from beamctrl.audit import (CHUNK, DERIV_KEYS, LADDER, N_ROWS,
+                            SeparableTerm, SpaceTimeSample,
+                            TestFunctionFamily, adjoint_residual,
+                            audit_inequality, derivative_tables, integrals,
+                            lhs_total, sample_fields)
 from beamctrl.torus import TimeGrid, gauss_panels
 from beamctrl.weights import CarlemanParams, eval_weights
 
@@ -100,9 +100,8 @@ class TestLhsRhs:
     def test_zero_sample_gives_zero(self, weights64, grid64):
         zeros = {k: np.zeros((weights64.t_grid.nodes.size, grid64.n))
                  for k in ("00", "10", "20", "30", "40", "01", "11", "21", "02")}
-        L = lhs_terms(zeros, weights64)
-        R = rhs_terms(zeros, weights64)
-        assert L.total == 0.0 and R.total == 0.0
+        values = integrals(zeros, weights64)
+        assert lhs_total(values) == 0.0 and values[-2] + values[-1] == 0.0
 
     @given(alpha=st.floats(0.1, 30.0))
     @settings(max_examples=10, deadline=None)
@@ -110,10 +109,11 @@ class TestLhsRhs:
         psi = single_mode_sample(domain).derivs(grid64.nodes,
                                                 weights64.t_grid.nodes)
         scaled = {k: alpha * v for k, v in psi.items()}
-        L1, L2 = lhs_terms(psi, weights64), lhs_terms(scaled, weights64)
-        assert L2.total == pytest.approx(alpha**2 * L1.total, rel=1e-12)
-        R1, R2 = rhs_terms(psi, weights64), rhs_terms(scaled, weights64)
-        assert R2.total == pytest.approx(alpha**2 * R1.total, rel=1e-12)
+        v1, v2 = integrals(psi, weights64), integrals(scaled, weights64)
+        assert lhs_total(v2) == pytest.approx(alpha**2 * lhs_total(v1),
+                                              rel=1e-12)
+        assert v2[-2] + v2[-1] == pytest.approx(alpha**2 * (v1[-2] + v1[-1]),
+                                                rel=1e-12)
 
     def test_ladder_against_direct_sums(self, domain, grid64, weights64):
         # each term written out: s^a lam^b sum(quad * xi^p e^{-2 s phi} f^2)
@@ -137,26 +137,38 @@ class TestLhsRhs:
             "psi_txx": direct(-1, psi["21"]) / s,
             "psi_xxxx": direct(-1, psi["40"]) / s,
         }
-        L = lhs_terms(psi, w)
-        assert list(L.individual) == list(expect)
-        for name, value in expect.items():
-            assert L.individual[name] == pytest.approx(value, rel=1e-13)
-        assert L.psi_xx_t_sq == pytest.approx(
+        values = integrals(psi, w)
+        assert [row[0] for row in LADDER] == list(expect)
+        for value, expected in zip(values, expect.values()):
+            assert value == pytest.approx(expected, rel=1e-13)
+        assert values[2] + values[3] == pytest.approx(
             expect["psi_xx"] + expect["psi_t"], rel=1e-13)
         a = np.random.default_rng(2).uniform(-1, 1, psi["00"].shape)
-        R = rhs_terms(psi, w, a)
+        *_, residual, observation = integrals(psi, w, a)
         res = psi["02"] + psi["21"] + psi["40"] + a * psi["00"]
-        assert R.residual == pytest.approx(
+        assert residual == pytest.approx(
             float(np.sum(quad * w.kernel(0) * res**2)), rel=1e-13)
         omega = w.domain.omega_cell_weights(w.grid.nodes, w.grid.h)
-        assert R.observation == pytest.approx(
+        assert observation == pytest.approx(
             s**7 * lam**8 * direct(7, psi["00"], omega[None, :]), rel=1e-13)
 
     def test_sum_matches_parts(self, domain, grid64, weights64):
         psi = single_mode_sample(domain).derivs(grid64.nodes,
                                                 weights64.t_grid.nodes)
-        L = lhs_terms(psi, weights64)
-        assert L.total == pytest.approx(sum(L.individual.values()), rel=1e-12)
+        values = integrals(psi, weights64)
+        assert lhs_total(values) == pytest.approx(
+            sum(values[:len(LADDER)]), rel=1e-12)
+
+    def test_lhs_total_sums_xi_power_groups_in_ladder_order(self):
+        # mixed signs and scales, so another summation order shows in the bits
+        rng = np.random.default_rng(7)
+        v = rng.standard_normal((3, 5, N_ROWS)) \
+            * 10.0 ** rng.integers(-3, 4, (3, 5, N_ROWS))
+        expect = (v[..., 0] + v[..., 1] + (v[..., 2] + v[..., 3])
+                  + (v[..., 4] + v[..., 5])
+                  + (v[..., 6] + v[..., 7] + v[..., 8]))
+        assert lhs_total(v).tobytes() == expect.tobytes()
+        assert lhs_total(v[1, 2]).tobytes() == expect[1, 2].tobytes()
 
     def test_first_term_against_dense_trapezoid(self, domain, eta, theta,
                                                 params, grid64):
@@ -166,7 +178,7 @@ class TestLhsRhs:
         from beamctrl.torus import gauss_panels
         tg = gauss_panels(domain.T, np.array(theta.junctions), 128)
         w = eval_weights(eta, theta, params, grid64, tg)
-        first = lhs_terms(smp.derivs(grid64.nodes, tg.nodes), w).psi_sq
+        first = integrals(smp.derivs(grid64.nodes, tg.nodes), w)[0]
 
         N = 8192
         tt = domain.T * np.arange(1, N) / N
@@ -187,19 +199,18 @@ class TestLhsRhs:
             self, domain, grid64, weights64):
         smp = omega_bump_sample(domain)
         psi = smp.derivs(grid64.nodes, weights64.t_grid.nodes)
-        L = lhs_terms(psi, weights64)
-        R = rhs_terms(psi, weights64)
-        assert R.observation == pytest.approx(L.psi_sq, rel=1e-12)
+        values = integrals(psi, weights64)
+        assert values[-1] == pytest.approx(values[0], rel=1e-12)
         # the observation then dominates, so the ratio stays small
-        assert L.total / R.total < 50.0
+        assert lhs_total(values) / (values[-2] + values[-1]) < 50.0
 
     def test_corollary_reduces_to_plain_residual_without_potential(
             self, domain, grid64, weights64):
         psi = single_mode_sample(domain).derivs(grid64.nodes,
                                                 weights64.t_grid.nodes)
         zero_a = np.zeros((weights64.t_grid.nodes.size, grid64.n))
-        assert rhs_terms(psi, weights64, a=zero_a).residual == \
-            rhs_terms(psi, weights64).residual
+        assert integrals(psi, weights64, a=zero_a)[-2] == \
+            integrals(psi, weights64)[-2]
 
     def test_potential_residual_two_term_bound(self, domain, grid64,
                                                weights64):
@@ -212,8 +223,8 @@ class TestLhsRhs:
         sup_a = np.max(np.abs(a))
         for smp in fam.generate():
             psi = smp.derivs(grid64.nodes, weights64.t_grid.nodes)
-            with_a = rhs_terms(psi, weights64, a=a).residual
-            plain = rhs_terms(psi, weights64).residual
+            with_a = integrals(psi, weights64, a=a)[-2]
+            plain = integrals(psi, weights64)[-2]
             mass = float(np.sum(weights64.quad_weights()
                                 * weights64.kernel(0.0) * psi["00"] ** 2))
             assert with_a <= 2 * plain + 2 * sup_a**2 * mass + 1e-12
@@ -282,10 +293,10 @@ def check_rows_match_per_sample_terms(domain, eta, theta, params, grid,
             for role, fam in (("calibration", calib), ("heldout", held)):
                 for smp in fam.generate():
                     psi = smp.derivs(grid.nodes, t_grid.nodes)
-                    rhs = rhs_terms(psi, w, a)
+                    values = integrals(psi, w, a)
                     expected.append((role, smp.label, s, lam,
-                                     lhs_terms(psi, w).total,
-                                     rhs.residual, rhs.observation))
+                                     lhs_total(values), values[-2],
+                                     values[-1]))
     assert [(r.family, r.sample, r.s, r.lam) for r in report.rows] \
         == [e[:4] for e in expected]
     for row, e in zip(report.rows, expected):

@@ -1,5 +1,7 @@
 import ast
 import csv
+import hashlib
+import json
 import os
 import struct
 import subprocess
@@ -14,10 +16,21 @@ from beamctrl.cli import main
 from beamctrl.config import ConfigError, load_config
 from beamctrl.dynamics import solve_forward
 from beamctrl.experiments import EXPECTED_FILES, emit_plot_data, run
-from beamctrl.io import (FIELD_MAGIC, read_field_snapshot, read_flat_report,
-                         write_field_csv, write_field_snapshot,
-                         write_flat_report)
+from beamctrl.io import (FIELD_MAGIC, export_field_csv, read_field_snapshot,
+                         read_flat_report, write_field_csv,
+                         write_field_snapshot, write_flat_report)
 from beamctrl.torus import SpatialGrid
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# outputs of the shipped configs, taken on a 2-CPU x86-64 machine (numpy
+# 2.4.6, scipy 1.17.1): a SHA-256 per file, or the control manifest's rows
+SHIPPED = json.loads(Path(__file__).with_name("shipped_outputs.json")
+                     .read_text())
+# control metrics at the rounding floor move with any change of summation
+# order, so they are held under a bound instead of to a value
+FLOOR_BOUNDS = {"metrics.superposition_defect": 1e-13,
+                "metrics.cg_relative_residual": 1e-14,
+                "metrics.cg_true_relative_residual": 5e-8}
 
 BASE = """
 [experiment]
@@ -203,15 +216,13 @@ class TestConfig:
     ])
     def test_shipped_config_hashes(self, name, kind, config_hash):
         # the run directories of the shipped configs are named by these
-        cfg = load_config(Path(__file__).resolve().parents[1] / "configs"
-                          / name)
+        cfg = load_config(CONFIGS / name)
         assert (cfg.kind, cfg.config_hash) == (kind, config_hash)
 
     def test_carleman_audit_config_metrics_pinned(self, tmp_path):
         # values of the per-sample, per-term audit this one replaced; the
         # table path sums in another order, so they agree to roundoff only
-        cfg = load_config(Path(__file__).resolve().parents[1] / "configs"
-                          / "carleman_audit.ini")
+        cfg = load_config(CONFIGS / "carleman_audit.ini")
         metrics = run(cfg, out_root=tmp_path / "runs").metrics
         pinned = {
             "calibration_max_ratio": 1.4963636867615129,
@@ -221,6 +232,35 @@ class TestConfig:
         }
         for key, value in pinned.items():
             assert metrics[key] == pytest.approx(value, rel=1e-12), key
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED))
+    def test_shipped_config_outputs_pinned(self, tmp_path, name):
+        # a one-ulp change to any output of the five numpy-only configs
+        # changes its digest; control is held to its manifest rows, so its
+        # large snapshots are neither exported nor hashed
+        manifest = run(load_config(CONFIGS / name), out_root=tmp_path)
+        run_dir = manifest.run_dir
+        if manifest.kind == "control":
+            rows = {key: value for key, value
+                    in read_flat_report(run_dir / "manifest.txt").items()
+                    if key != "wall_time_s" and not key.startswith("timing.")}
+            pinned = dict(SHIPPED[name]["manifest"])
+            for key, bound in FLOOR_BOUNDS.items():
+                assert float(rows.pop(key)) <= bound, key
+                del pinned[key]
+            assert rows == pinned
+            return
+        for path in run_dir.glob("*.bin"):
+            export_field_csv(path)
+        digests = {}
+        for path in sorted(run_dir.iterdir()):
+            data = path.read_bytes()
+            if path.name == "manifest.txt":
+                data = b"".join(
+                    line for line in data.splitlines(keepends=True)
+                    if not line.startswith((b"wall_time_s ", b"timing.")))
+            digests[path.name] = hashlib.sha256(data).hexdigest()
+        assert digests == SHIPPED[name]["sha256"]
 
     def test_zeta_parsed_as_fraction(self, tmp_path):
         path = write_cfg(tmp_path, "zeta-ledger",
@@ -394,7 +434,10 @@ class TestCli:
 
     @pytest.mark.parametrize("kind, stages", [
         ("carleman-audit", ("kernels", "samples", "output")),
-        ("weights-audit", ("sweep", "weights", "output"))])
+        ("weights-audit", ("sweep", "weights", "output")),
+        ("forward", ("march", "output")),
+        ("spectrum", ("spectrum",)),
+        ("zeta-ledger", ("ledger",))])
     def test_audit_runs_report_stage_times(self, tmp_path, capsys, kind,
                                            stages):
         manifest = run(load_config(write_cfg(tmp_path, kind)),
@@ -406,6 +449,21 @@ class TestCli:
         assert [key for key, _ in timed] == [f"timing.{s}_s" for s in stages]
         assert all(float(value) >= 0.0 for _, value in timed)
         assert not {f"{s}_s" for s in stages} & set(manifest.metrics)
+
+    def test_forward_run_times_the_fixed_point_sweeps(self, tmp_path):
+        path = write_cfg(tmp_path, "forward", extra="""
+[potential]
+kind = random
+amplitude = 1.0
+seed = 3
+max_mode = 2
+""")
+        path.write_text(path.read_text().replace(
+            "[forward]\n", "[forward]\nfixed_point_kappa = 0.2\n"))
+        manifest = run(load_config(path), out_root=tmp_path / "runs")
+        assert "fp_windows" in manifest.metrics
+        assert list(manifest.timing) == ["march", "output", "fixed_point"]
+        assert all(seconds >= 0.0 for seconds in manifest.timing.values())
 
     def test_report_shows_audit_kernel_underflow(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "carleman-audit")
