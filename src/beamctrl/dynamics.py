@@ -8,13 +8,15 @@ second-order accuracy (Lawson two-stage scheme), so the integrator has no
 step-size restriction from the kappa^4 stiffness.
 
 The march keeps its state in rfft space, as the interleaved float view of
-the modes: the forcing is transformed once up front, a step applies the real
-propagator to the stacked pair (beta, beta_t), a*beta at the stage points
-goes through real DFT matrices (no FFT inside the loop), and the recorded
-states go back to nodes in one batched inverse transform at the end.  A
-4096-step march at n_x = 64 (one member, 2 vCPUs) costs 19-44 us per step
-with a potential, against 41-96 us with the earlier 4-FFT step, and 7-17 us
-without, against 16-37 us; the ranges span the machine's own speed drift.
+the modes: a step applies the real propagator to the stacked pair (beta,
+beta_t), and a*beta at the stage points goes through real DFT matrices (no
+FFT inside the loop).  It goes one block of _GUARD_BLOCK steps at a time:
+the block's forcing is transformed on entry, and its states go back to
+nodes, straight into the returned arrays, once the divergence guard has
+passed them.  So a march holds its output plus one block.  A 4096-step
+march at n_x = 64 (one member, 2 vCPUs, best of 7) costs 18-28 us per step
+with a potential and 5-8 us without; the ranges span the machine's own
+speed drift.
 """
 
 from __future__ import annotations
@@ -105,12 +107,16 @@ class BeamTrajectory:
     the norm helpers below take one member (see `member`).  `energy` and
     `dissipation` ([batch,] n_times) are derived from the states by
     `trajectory_energy`, together, the first time either is read.
+    `guard_margin` ([batch]) is the largest state norm over the divergence
+    guard of the march that recorded the states (`solve_forward`), None for
+    states put together otherwise.
     """
 
     grid: SpatialGrid
     times: np.ndarray
     beta: np.ndarray      # ([batch,] n_times, n_x)
     beta_t: np.ndarray
+    guard_margin: np.ndarray | None = None
 
     @cached_property
     def _energy_pair(self) -> tuple[np.ndarray, np.ndarray]:
@@ -126,8 +132,9 @@ class BeamTrajectory:
 
     def member(self, i: int) -> "BeamTrajectory":
         """Member i of a batched trajectory."""
-        return BeamTrajectory(self.grid, self.times, self.beta[i],
-                              self.beta_t[i])
+        return BeamTrajectory(
+            self.grid, self.times, self.beta[i], self.beta_t[i],
+            None if self.guard_margin is None else self.guard_margin[i])
 
     def terminal_norm(self) -> float:
         """L2 x L2 norm of (beta, beta_t) at the final time."""
@@ -186,16 +193,20 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
     a*beta through the real matrices of irfft/rfft (`dft_matrices`), no FFT:
     the second-stage point of step i and the beta it stores both meet
     a_{i+1}, so one stacked synthesis and one analysis product per step
-    serve both.  The returned trajectory computes its energy and dissipation
-    only when they are read.
+    serve both.  The march goes one block of _GUARD_BLOCK steps at a time:
+    it holds that block's modal states and transformed forcing, and writes
+    the block's states back to nodes into the returned arrays, so a march
+    holds its output plus one block.  The returned trajectory computes its
+    energy and dissipation only when they are read.
 
     Each member's divergence guard is divergence_factor times its data norm
     plus the trapezoid integral of its forcing's L2 norm; a state whose norm
     exceeds it, or is not finite, raises SolverDivergenceError at the first
-    such step.  The guard is checked once per block of _GUARD_BLOCK steps.
-    A member with zero data and zero forcing stays exactly zero, so its zero
-    guard never fires.  Non-finite inputs and mismatched shapes raise
-    ValueError.
+    such step.  The guard is checked once per block.  The trajectory's
+    `guard_margin` is each member's largest state norm over its guard, 0
+    where the guard is 0: a member with zero data and zero forcing stays
+    exactly zero, so its zero guard never fires.  Non-finite inputs and
+    mismatched shapes raise ValueError.
     """
     g = grid
     times = np.asarray(times, dtype=float)
@@ -215,19 +226,20 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
         a = np.asarray(a, dtype=float)
         if a.shape != (n_t, g.n):
             raise ValueError("a must have shape (n_times, n_x)")
-    forcing = (np.zeros(batch + (n_t, g.n)) if forcing is None
-               else np.asarray(forcing, dtype=float))
-    if forcing.shape != batch + (n_t, g.n):
-        raise ValueError(f"forcing has shape {forcing.shape}, but the data "
-                         f"batch needs {batch + (n_t, g.n)}")
+    if forcing is not None:
+        forcing = np.asarray(forcing, dtype=float)
+        if forcing.shape != batch + (n_t, g.n):
+            raise ValueError(f"forcing has shape {forcing.shape}, but the "
+                             f"data batch needs {batch + (n_t, g.n)}")
     for name, arr in (("beta0", data[0]), ("beta1", data[1]),
                       ("a", a), ("forcing", forcing)):
         if arr is not None and not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} is not finite")
 
     data = data.reshape(2, -1, g.n)                         # (2, B, n_x)
-    forcing = forcing.reshape(-1, n_t, g.n)                 # (B, n_t, n_x)
     n_b = data.shape[1]
+    if forcing is not None:
+        forcing = forcing.reshape(n_b, n_t, g.n)
     n_m = g.kappa.size
     w = 2 * n_m                        # float width of one modal field
     dt = float(steps[0])
@@ -235,12 +247,16 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
     trap[0] = trap[-1] = 0.5 * dt
     # the guard sees each member divided by its largest input, so that the
     # squared norms neither underflow nor overflow
-    scale = np.maximum(np.abs(data).max(axis=(0, 2)),
-                       np.abs(forcing).max(axis=(1, 2)))[:, None]   # (B, 1)
+    scale = np.abs(data).max(axis=(0, 2))                   # (B,)
+    if forcing is not None:
+        scale = np.maximum(scale, [max(fb.max(), -fb.min()) for fb in forcing])
     scale[scale == 0] = 1.0            # an all-zero member stays exactly zero
-    d, f = data / scale, forcing / scale[:, :, None]
-    guard_sq = (divergence_factor * (g.pair_norm(d[0], d[1])
-                                     + g.l2(f) @ trap)) ** 2
+    d = data / scale[:, None]
+    guard = g.pair_norm(d[0], d[1])
+    if forcing is not None:            # member by member: no scaled copy
+        guard += [g.l2(fb / s) @ trap for fb, s in zip(forcing, scale)]
+    guard_sq = (divergence_factor * guard) ** 2
+    scale = scale[:, None]                                  # (B, 1)
     # Parseval: |u|_L2^2 = circumference / n^2 * sum_k mult_k |u_hat_k|^2,
     # on the float view of one member's modal pair (beta, beta_t)
     mult = np.r_[1.0, np.full(n_m - 2, 2.0), 1.0]
@@ -254,39 +270,50 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
     # (dt e01, hdt e01) * n0 + e^{dt L} beta: the second-stage point and,
     # bit for bit, the beta the step stores; both are multiplied by a_{i+1}
     ahead = np.stack([dt * E[0, 1], lift[0]])
-    syn, ana = dft_matrices(g)
 
-    U = np.empty((n_t, n_b, 2, w))
+    # row 0 of a block is the last state of the previous one
+    U = np.empty((_GUARD_BLOCK + 1, n_b, 2, w))
     U.view(complex)[0] = g.to_modes(data.transpose(1, 0, 2))
-    f_hat = np.empty((n_t, n_b, 1, w))
-    f_hat.view(complex)[:, :, 0] = g.to_modes(forcing.transpose(1, 0, 2))
+    f_hat = None if forcing is None else np.empty((_GUARD_BLOCK + 1, n_b, 1, w))
     P = np.empty((n_b, 2, 2, w))
     P0, P1 = P[:, :, 0], P[:, :, 1]
-    pair = U[:, :, None]               # (n_t, B, 1, 2, w) against E
-    b_rows, bt_rows = U[:, :, :1], U[:, :, 1:]              # (n_t, B, 1, w)
+    pair = U[:, :, None]               # (rows, B, 1, 2, w) against E
+    b_rows, bt_rows = U[:, :, :1], U[:, :, 1:]              # (rows, B, 1, w)
+    out = np.empty((2, n_b, n_t, g.n))
+    out[:, :, 0] = g.to_nodes(U.view(complex)[0].transpose(1, 0, 2))
+    v = U[0].reshape(n_b, -1) / scale
+    peak_sq = (v * v) @ mult                                # (B,)
     if a is not None:
+        syn, ana = dft_matrices(g)
         ab = (b_rows[0] @ syn * a[0]) @ ana                 # a*beta, modal
     with np.errstate(over="ignore", invalid="ignore"):
         for i0 in range(0, n_t - 1, _GUARD_BLOCK):
-            i1 = min(i0 + _GUARD_BLOCK, n_t - 1)
-            if a is None:
-                F0 = lift * f_hat[i0:i1]
-                F1 = hdt * f_hat[i0 + 1:i1 + 1]
-            for i in range(i0, i1):
-                nxt, bt = U[i + 1], bt_rows[i + 1]
-                np.multiply(pair[i], E, out=P)
-                np.add(P0, P1, out=nxt)
+            n = min(_GUARD_BLOCK, n_t - 1 - i0)
+            if i0:
+                U[0] = U[_GUARD_BLOCK]
+            if f_hat is not None:
+                f_hat.view(complex)[:n + 1, :, 0] = g.to_modes(
+                    forcing[:, i0:i0 + n + 1].transpose(1, 0, 2))
                 if a is None:
-                    nxt += F0[i - i0]
-                    bt += F1[i - i0]
-                    continue
-                n0 = f_hat[i] - ab
-                pts = ahead * n0 + b_rows[i + 1]
-                prod = (pts @ syn * a[i + 1]) @ ana         # (B, 2, w)
-                n1, ab = f_hat[i + 1] - prod[:, :1], prod[:, 1:]
-                nxt += lift * n0
-                bt += hdt * n1
-            v = U[i0 + 1:i1 + 1].reshape(i1 - i0, n_b, -1) / scale
+                    F0 = lift * f_hat[:n]
+                    F1 = hdt * f_hat[1:n + 1]
+            for j in range(n):
+                nxt, bt = U[j + 1], bt_rows[j + 1]
+                np.multiply(pair[j], E, out=P)
+                np.add(P0, P1, out=nxt)
+                if a is not None:
+                    n0 = -ab if f_hat is None else f_hat[j] - ab
+                    pts = ahead * n0 + b_rows[j + 1]
+                    prod = (pts @ syn * a[i0 + j + 1]) @ ana    # (B, 2, w)
+                    ab = prod[:, 1:]
+                    n1 = (-prod[:, :1] if f_hat is None
+                          else f_hat[j + 1] - prod[:, :1])
+                    nxt += lift * n0
+                    bt += hdt * n1
+                elif f_hat is not None:
+                    nxt += F0[j]
+                    bt += F1[j]
+            v = U[1:n + 1].reshape(n, n_b, -1) / scale
             norm_sq = (v * v) @ mult                         # (steps, B)
             bad = np.flatnonzero(~(norm_sq <= guard_sq).all(axis=1))
             if bad.size:
@@ -297,10 +324,15 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
                     f"(data norm + forcing integral)) at step {step}, "
                     f"t = {times[step]:.6g}"
                 )
+            np.maximum(peak_sq, norm_sq.max(axis=0), out=peak_sq)
+            out[:, :, i0 + 1:i0 + n + 1] = g.to_nodes(
+                U.view(complex)[1:n + 1].transpose(2, 1, 0, 3))
+        margin = np.sqrt(peak_sq / guard_sq)
+    margin[guard_sq == 0] = 0.0
 
-    nodes = g.to_nodes(U.view(complex).transpose(2, 1, 0, 3))  # (2, B, n_t, n_x)
-    beta, beta_t = nodes.reshape((2,) + batch + (n_t, g.n))
-    return BeamTrajectory(grid=g, times=times, beta=beta, beta_t=beta_t)
+    beta, beta_t = out.reshape((2,) + batch + (n_t, g.n))
+    return BeamTrajectory(grid=g, times=times, beta=beta, beta_t=beta_t,
+                          guard_margin=margin.reshape(batch))
 
 
 # fixed-point treatment of the potential -------------------------------------

@@ -6,7 +6,8 @@ fields (trajectories, the control, the weights) are written once, as binary
 field snapshots that `beamctrl export` turns into CSV; small tables are CSV
 and reports flat text.  A manifest next to them records the headline
 metrics, the pass/fail state of the attached assertion suite and the wall
-time of each stage (`timing.*` rows, outside the metrics).  Identical
+time of each stage (`timing.*` rows, outside the metrics; a control run
+adds each stage's CPU time as `timing.<stage>_cpu_s`).  Identical
 configurations reproduce identical metrics bit for bit: all randomness is
 seeded from the configuration and reductions run in fixed order.
 
@@ -49,7 +50,7 @@ class RunManifest:
     outputs: list[str]
     metrics: dict[str, object]
     assertions: dict[str, bool]
-    timing: dict[str, float]   # wall seconds per stage, kept out of metrics
+    timing: dict[str, float]   # seconds per stage, kept out of metrics
 
     @property
     def overall_pass(self) -> bool:
@@ -242,6 +243,7 @@ def _run_forward(cfg: ExperimentConfig, run_dir: Path):
         "initial_energy": float(traj.energy[0]),
         "max_energy_defect": defect,
         "potential_sup": float(np.max(np.abs(a))) if a is not None else 0.0,
+        "guard_margin": float(traj.guard_margin),
     }
     assertions = {}
     if a is None:
@@ -376,7 +378,7 @@ def _run_control(cfg: ExperimentConfig, run_dir: Path):
         eps_scale=hum["eps_scale"], tol=hum["tol"], max_iter=hum["max_iter"],
         verify_steps=hum["verify_steps"])
 
-    start = time.perf_counter()
+    start, cpu = time.perf_counter(), time.process_time()
     controlled = runs["controlled"]
     norms = {name: grid.pair_norm(runs[name].beta, runs[name].beta_t)
              for name in ("controlled", "uncontrolled")}
@@ -393,6 +395,7 @@ def _run_control(cfg: ExperimentConfig, run_dir: Path):
                                                 "beta_t": controlled.beta_t}),
     ]
     timing["output"] = time.perf_counter() - start
+    timing["output_cpu"] = time.process_time() - cpu
     metrics = dict(report.rows())
     metrics.update({
         "cg_iterations": sol.iterations,
@@ -406,6 +409,8 @@ def _run_control(cfg: ExperimentConfig, run_dir: Path):
         # shares of the weight kernels that underflow to exactly 0
         "w1_underflow_frac": float(np.mean(system.W1 == 0.0)),
         "w2_underflow_frac": float(np.mean(system.W2[:, system.chi] == 0.0)),
+        "verification_guard_margin": max(float(r.guard_margin)
+                                         for r in runs.values()),
     })
     assertions = {
         "control_supported_in_omega": report.support_ok,

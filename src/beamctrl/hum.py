@@ -272,11 +272,26 @@ class QuadraticSystem:
     def band_shape(self) -> tuple[int, int]:
         """(half-bandwidth + 1, unknowns) of the time-major normal matrix.
 
-        Time blocks couple when one stencil row reaches both, the x-blocks
-        are dense, and no row of the reach-R stencil arrays spans over R + 1.
+        Time blocks couple through row t of L^T M W1 L when row t of L
+        reaches both, and the x-blocks are dense.  So the band holds one
+        more block than the widest span of the rows t of Dt and Dtt (t
+        itself included) over the time rows where M W1 has a nonzero
+        entry.  The centered rows span 4 blocks and the one-sided edge
+        rows 0, 1, n_t - 2, n_t - 1 span 5, so a weighted edge row gives
+        6 n_x rows.  At configs/control.ini W1 underflows to exactly 0 on
+        the edge rows: the band has 5 n_x = 320 rows (half-bandwidth 319,
+        41.9 MB) instead of 384 (50.3 MB).
         """
+        R = len(self.Dtt) // 2
+        reach = (self.Dt != 0) | (self.Dtt != 0)
+        reach[R] = True                 # B_t sits on the diagonal block
+        k = np.arange(-R, R + 1)[:, None]
+        span = np.where(reach, k, -R).max(axis=0) \
+            - np.where(reach, k, R).min(axis=0)             # per time row
+        weighted = np.any(self.M * self.W1 != 0, axis=1)
         nx = self.grid.n
-        return ((len(self.Dtt) // 2 + 1) * nx, self.t_grid.n * nx)
+        return ((int(span[weighted].max(initial=0)) + 1) * nx,
+                self.t_grid.n * nx)
 
     def normal_band(self) -> np.ndarray:
         """The matrix of `apply` in LAPACK lower band storage, time-major.
@@ -295,12 +310,16 @@ class QuadraticSystem:
         stencil sums act on vectors, and one product with Sxx per block and
         offset replaces the sum over t of Sxx diag(m_t) Sxx.  Stencil
         entries are read from the arrays Dt, Dtt, and the t = l, l + o terms
-        only on the runs of rows where they are nonzero.  Entry (p, q) of
-        block (l + o, l) sits at ab[o nx + p - q, l nx + q], so an offset's
-        blocks, indexed [l, q, p], are one strided view of the Fortran-order
-        buffer, written in chunks of `BAND_CHUNK` time blocks.  At o = 0
-        only p >= q is written: p < q addresses the last rows of the
-        previous column, which hold offset R entries or stay 0.  Fortran
+        only on the runs of rows where they are nonzero.  Only the offsets
+        o that fit in `band_shape` are written: the ones past it hold
+        exactly 0, since every term of theirs carries m_t on a time row
+        where it is 0 (at configs/control.ini offsets 0..4 of the stencil
+        reach R = 5, 320 of 384 rows).  Entry (p, q) of block (l + o, l)
+        sits at ab[o nx + p - q, l nx + q], so an offset's blocks, indexed
+        [l, q, p], are one strided view of the Fortran-order buffer,
+        written in chunks of `BAND_CHUNK` time blocks.  At o = 0 only
+        p >= q is written: p < q addresses the last rows of the previous
+        column, which hold entries of the widest offset or stay 0.  Fortran
         order lets LAPACK factor the array in place.
         """
         n_t, nx = self.t_grid.n, self.grid.n
@@ -320,7 +339,7 @@ class QuadraticSystem:
             return apply_stencil(P, m, transpose=True)[:n_t - o]
 
         offsets = []
-        for o in range(R + 1):
+        for o in range(len(ab) // nx):
             # (first row, end row, entries, F not E, transposed) of the
             # t = l and t = l + o terms, one per run of nonzero entries
             sides = [(lo, hi, coef, use_f, at_k)
@@ -750,16 +769,25 @@ def synthesize_control(grid: SpatialGrid, t_grid: TimeGrid, eta: EtaProfile,
     Returns (system, solution, report, runs, timing): the normal operator,
     the minimizer with the control on t_grid, the forward verification, and
     the wall seconds of each stage (weights, free march with its source,
-    assembly with the norm estimate, band, factor, CG, verification).  The
-    band and the factor are released before the verification march.
+    assembly with the norm estimate, band, factor, CG, verification), each
+    followed by its CPU seconds, summed over the process's threads, as
+    `<stage>_cpu`.  On 2 CPUs an unstalled factor at configs/control.ini
+    used 0.17-0.21 s of CPU in 0.09-0.11 s of wall time, its two BLAS
+    threads in parallel; a stalled one, its threads time-sliced on one
+    CPU, used 0.94 s of CPU in 0.88 s.  The band is as wide as the weights
+    reach (`QuadraticSystem.band_shape`): 5 n_x rows at configs/control.ini,
+    half-bandwidth 319 and 41.9 MB.  The band and the factor are released
+    before the verification march.
     """
     timing = {}
-    start = time.perf_counter()
+    start = time.perf_counter(), time.process_time()
 
     def lap(stage):
         nonlocal start
-        now = time.perf_counter()
-        timing[stage], start = now - start, now
+        now = time.perf_counter(), time.process_time()
+        timing[stage] = now[0] - start[0]
+        timing[f"{stage}_cpu"] = now[1] - start[1]
+        start = now
 
     w = eval_weights(eta, theta, params, grid, t_grid)
     lap("weights")

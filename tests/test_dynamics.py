@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -217,13 +218,15 @@ class TestSolveForward:
             solve_forward(grid, np.stack([b0, b0]), np.stack([b1, b1]), times,
                           forcing=np.zeros((3, 33, grid.n)))
 
-    def test_batch_members_equal_unbatched_bit_for_bit(self, grid):
-        times = np.linspace(0, 1.0, 129)
+    # 129 nodes march two whole guard blocks, 131 end in a partial one
+    @pytest.mark.parametrize("n_t", [129, 131])
+    def test_batch_members_equal_unbatched_bit_for_bit(self, grid, n_t):
+        times = np.linspace(0, 1.0, n_t)
         rng = np.random.default_rng(11)
         data = [smooth_data(grid, seed=s) for s in (1, 2, 3)]
         b0 = np.stack([d[0] for d in data])
         b1 = np.stack([d[1] for d in data])
-        f = rng.standard_normal((3, 129, grid.n))
+        f = rng.standard_normal((3, n_t, grid.n))
         a = (
             np.cos(grid.kappa[1] * grid.nodes)[None, :] * np.cos(times)[:, None])
         batch = solve_forward(grid, b0, b1, times, a=a, forcing=f)
@@ -232,6 +235,50 @@ class TestSolveForward:
             member = batch.member(i)
             for name in ("beta", "beta_t", "energy", "dissipation"):
                 assert np.array_equal(getattr(member, name), getattr(one, name))
+
+    def test_march_holds_its_output_plus_one_block(self, grid):
+        # the modal states and the forcing's transform are kept one guard
+        # block at a time, so the march's own allocations stay near the
+        # size of the trajectory it returns
+        n_t = 4097
+        times = np.linspace(0, 4.0, n_t)
+        rng = np.random.default_rng(16)
+        b0, b1 = rng.standard_normal((2, 3, grid.n))
+        a = np.cos(grid.kappa[1] * grid.nodes)[None, :] \
+            * np.cos(times)[:, None]
+        f = rng.standard_normal((3, n_t, grid.n))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = solve_forward(grid, b0, b1, times, a=a, forcing=f)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (traj.beta.nbytes + traj.beta_t.nbytes)
+
+    def test_guard_margin_is_largest_norm_over_guard(self, grid):
+        times = np.linspace(0, 1.0, 131)
+        rng = np.random.default_rng(17)
+        b0, b1 = (np.stack([d, d, np.zeros(grid.n)])
+                  for d in smooth_data(grid, seed=5))
+        f = rng.standard_normal((3, 131, grid.n))
+        f[1] = f[2] = 0.0           # member 2: zero data, zero forcing
+        a = 3.0 * np.cos(grid.kappa[2] * grid.nodes)[None, :] \
+            * np.sin(times)[:, None]
+        traj = solve_forward(grid, b0, b1, times, a=a, forcing=f,
+                             divergence_factor=1e3)
+        trap = np.full(times.size, times[1] - times[0])
+        trap[0] = trap[-1] = 0.5 * trap[0]
+        guard = 1e3 * (grid.pair_norm(b0, b1) + grid.l2(f) @ trap)
+        norms = grid.pair_norm(traj.beta, traj.beta_t).max(axis=1)
+        assert traj.guard_margin.shape == (3,)
+        assert traj.guard_margin[:2] == pytest.approx(norms[:2] / guard[:2],
+                                                      rel=1e-12)
+        assert traj.guard_margin[2] == 0.0
+        assert traj.member(0).guard_margin == traj.guard_margin[0]
+        one = solve_forward(grid, b0[0], b1[0], times, a=a, forcing=f[0],
+                            divergence_factor=1e3)
+        assert one.guard_margin == traj.guard_margin[0]
 
     def test_matches_nodal_lawson_reference(self, grid):
         # the same Lawson two-stage step, marched through nodes every step

@@ -415,12 +415,15 @@ class TestCli:
         assert f"metrics.precond_band_mb = {8e-6 * 96 * 48 * 16!r}\n" in out
         for key in ("cg_iterations", "cg_relative_residual",
                     "cg_true_relative_residual", "eps", "norm_estimate",
-                    "w1_underflow_frac", "w2_underflow_frac"):
+                    "w1_underflow_frac", "w2_underflow_frac",
+                    "verification_guard_margin"):
             assert f"metrics.{key} = " in out
 
     def test_report_shows_control_stage_times(self, tmp_path, capsys):
-        stages = ("weights", "free_march", "assembly", "band", "factor", "cg",
-                  "verification", "output")
+        # each stage's wall seconds, then its CPU seconds
+        stages = [f"{s}{clock}" for s in (
+            "weights", "free_march", "assembly", "band", "factor", "cg",
+            "verification", "output") for clock in ("", "_cpu")]
         manifest = run(load_config(write_cfg(tmp_path, "control")),
                        out_root=tmp_path / "runs")
         main(["report", str(manifest.run_dir)])
@@ -428,7 +431,8 @@ class TestCli:
         timed = [line.split(" = ") for line in lines
                  if line.startswith("timing.")]
         assert [key for key, _ in timed] == [f"timing.{s}_s" for s in stages]
-        assert all(float(value) >= 0.0 for _, value in timed)
+        assert all(np.isfinite(float(value)) and float(value) >= 0.0
+                   for _, value in timed)
         names = {n for s in stages for n in (s, f"{s}_s", f"timing.{s}_s")}
         assert not names & set(manifest.metrics)
 

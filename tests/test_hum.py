@@ -364,19 +364,14 @@ class TestNormalBand:
         assert system.eps > 0
         assert np.all(np.isfinite(banded_preconditioner(system, ab)(source)))
 
-    def test_band_at_control_size(self, domain, eta, theta, params, grid64):
-        # the configs/control.ini size, where the centered stencils fill the
-        # interior offsets: the stored band multiplies like apply, and holds
-        # exactly 0 between blocks 6 or more apart
-        n_time, nx = 256, grid64.n
-        tg = uniform_interior(domain.T, n_time)
-        w = eval_weights(eta, theta, params, grid64, tg)
-        a = np.outer(np.sin(np.pi * tg.nodes / domain.T),
-                     np.cos(grid64.kappa[1] * grid64.nodes))
-        system = assemble_hum_system(w, a_vals=a)
+    @staticmethod
+    def check_band_multiplies_like_apply(system, width):
+        # the stored band, every diagonal of it, multiplies like apply, and
+        # holds exactly 0 between blocks width // nx or more apart
+        n_time, nx = system.t_grid.n, system.grid.n
         ab = system.normal_band()
-        width, N = ab.shape
-        assert width == 6 * nx
+        assert ab.shape == system.band_shape == (width, n_time * nx)
+        N = ab.shape[1]
         rng = np.random.default_rng(15)
         for _ in range(3):
             psi = rng.standard_normal((n_time, nx))
@@ -391,6 +386,31 @@ class TestNormalBand:
         # l + (q + r) // nx
         r, q = np.arange(width)[:, None], np.arange(N)[None, :] % nx
         assert np.all(ab[r + q >= width] == 0.0)
+
+    @pytest.fixture(scope="class")
+    def control_size_system(self, domain, eta, theta, params, grid64):
+        # the configs/control.ini size, where the centered stencils fill the
+        # interior offsets and W1 is exactly 0 on the four edge time rows
+        tg = uniform_interior(domain.T, 256)
+        w = eval_weights(eta, theta, params, grid64, tg)
+        a = np.outer(np.sin(np.pi * tg.nodes / domain.T),
+                     np.cos(grid64.kappa[1] * grid64.nodes))
+        return assemble_hum_system(w, a_vals=a)
+
+    def test_band_at_control_size(self, control_size_system):
+        # only the centered rows carry weight, and they span 4 blocks
+        system = control_size_system
+        assert not np.any(system.W1[[0, 1, -2, -1]])
+        self.check_band_multiplies_like_apply(system, 5 * system.grid.n)
+
+    @pytest.mark.parametrize("row", [0, -2])
+    def test_band_widens_for_a_weighted_edge_row(self, control_size_system,
+                                                 row):
+        # a one-sided edge row of Dtt spans 5 blocks once it carries weight
+        W1 = control_size_system.W1.copy()
+        W1[row] = W1[128]
+        system = dataclasses.replace(control_size_system, W1=W1)
+        self.check_band_multiplies_like_apply(system, 6 * system.grid.n)
 
 
 class TestMinimize:
