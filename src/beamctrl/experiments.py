@@ -11,9 +11,9 @@ adds each stage's CPU time as `timing.<stage>_cpu_s`).  Identical
 configurations reproduce identical metrics bit for bit: all randomness is
 seeded from the configuration and reductions run in fixed order.
 
-Only control runs need scipy (the LAPACK band routines of `hum`), so `hum`
-is imported by the first control run of a process, not with this module:
-every other kind runs on numpy alone.
+Every kind runs on numpy alone.  `hum` (the control solve) is imported by
+the first control run of a process, not with this module, so the other
+kinds do not pay for it.
 """
 
 from __future__ import annotations
@@ -365,7 +365,7 @@ def _run_carleman_audit(cfg: ExperimentConfig, run_dir: Path):
 
 
 def _run_control(cfg: ExperimentConfig, run_dir: Path):
-    from .hum import build_theta1, synthesize_control   # loads scipy
+    from .hum import build_theta1, synthesize_control   # control runs only
 
     dom, grid, eta, params, theta = _carleman_setup(cfg)
     hum = cfg["hum"]

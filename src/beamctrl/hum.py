@@ -14,12 +14,13 @@ over space-time fields psi.  Discretely, L is spectral in x and a 4th-order
 stencil in t (one-sided closures at the grid edges), stored as numpy diagonal
 arrays; the operator, its exact transpose and the band of its matrix all read
 those arrays, so the discrete system is symmetric positive definite up to the
-Tikhonov term.  In time-major order the matrix is banded (the time stencils
-reach 5 rows, the spectral x-blocks are dense), so it is factored exactly by
-banded Cholesky, and preconditioned conjugate gradients refine that direct
-solve in one or two iterations.  The band is built straight into LAPACK
-storage: the spectral Sxx is the same at every time node, so the stencil
-sums act on weight vectors and each block needs one product with Sxx.  The
+Tikhonov term.  In time-major order the matrix is block banded (the time
+stencils reach 5 rows, the spectral x-blocks are dense), so it is factored
+exactly by block Cholesky with numpy's own LAPACK and BLAS, and
+preconditioned conjugate gradients refine that direct solve in one or two
+iterations.  The band is built as an array of its dense blocks: the
+spectral Sxx is the same at every time node, so the stencil sums act on
+weight vectors and each block needs one product with Sxx.  The
 minimizer yields the weighted residual g_tilde = e^{-2 s phi} L psi_min and
 the control v = -s^7 lam^8 xi^7 chi_omega psi_min e^{-2 s phi}, which is
 then validated by forward simulation.
@@ -39,7 +40,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
 
 from ._bumps import smoothstep
 from .dynamics import BeamTrajectory, solve_forward
@@ -61,7 +61,8 @@ class CurvatureError(RuntimeError):
 
 
 class FactorizationError(RuntimeError):
-    """The banded Cholesky factorization of the normal operator broke down."""
+    """The block Cholesky factor of the normal operator broke down or is
+    not finite."""
 
 
 # time cutoff ----------------------------------------------------------------
@@ -280,7 +281,8 @@ class QuadraticSystem:
         rows 0, 1, n_t - 2, n_t - 1 span 5, so a weighted edge row gives
         6 n_x rows.  At configs/control.ini W1 underflows to exactly 0 on
         the edge rows: the band has 5 n_x = 320 rows (half-bandwidth 319,
-        41.9 MB) instead of 384 (50.3 MB).
+        41.9 MB) instead of 384 (50.3 MB), K = 5 blocks per time block in
+        `normal_band`.
         """
         R = len(self.Dtt) // 2
         reach = (self.Dt != 0) | (self.Dtt != 0)
@@ -294,7 +296,10 @@ class QuadraticSystem:
                 self.t_grid.n * nx)
 
     def normal_band(self) -> np.ndarray:
-        """The matrix of `apply` in LAPACK lower band storage, time-major.
+        """The lower block band of the time-major matrix of `apply`, shape
+        (n_t, K, n_x, n_x) with K = band_shape[0] // n_x: slot [l, o] holds
+        block (l + o, l), entry (p, q) of it row (l + o) n_x + p and column
+        l n_x + q of the matrix.
 
         Row block t of L is L_{t,k} = Dtt[t,k] I + Dt[t,k] Sxx + delta_tk B_t
         with B_t = Sx4 + diag(a_t) and dense spectral Sxx, Sx4.  With
@@ -314,13 +319,10 @@ class QuadraticSystem:
         o that fit in `band_shape` are written: the ones past it hold
         exactly 0, since every term of theirs carries m_t on a time row
         where it is 0 (at configs/control.ini offsets 0..4 of the stencil
-        reach R = 5, 320 of 384 rows).  Entry (p, q) of block (l + o, l)
-        sits at ab[o nx + p - q, l nx + q], so an offset's blocks, indexed
-        [l, q, p], are one strided view of the Fortran-order buffer,
-        written in chunks of `BAND_CHUNK` time blocks.  At o = 0 only
-        p >= q is written: p < q addresses the last rows of the previous
-        column, which hold entries of the widest offset or stay 0.  Fortran
-        order lets LAPACK factor the array in place.
+        reach R = 5).  Each offset's blocks are written transposed into
+        their slots in chunks of `BAND_CHUNK` time blocks; the diagonal
+        blocks are stored whole.  `banded_preconditioner` factors the array
+        in place.
         """
         n_t, nx = self.t_grid.n, self.grid.n
         eye = np.eye(nx)
@@ -328,8 +330,7 @@ class QuadraticSystem:
         m = self.M * self.W1
         C, D = self.Dtt, self.Dt
         R = len(C) // 2
-        ab = np.zeros(self.band_shape, order="F")
-        col = ab.strides[1]
+        ab = np.zeros((n_t, self.band_shape[0] // nx, nx, nx))
 
         def pair(X, Y, o):
             # P_XY: sum over t of X[t, l] Y[t, l + o] m[t], for each l, as
@@ -339,7 +340,7 @@ class QuadraticSystem:
             return apply_stencil(P, m, transpose=True)[:n_t - o]
 
         offsets = []
-        for o in range(len(ab) // nx):
+        for o in range(ab.shape[1]):
             # (first row, end row, entries, F not E, transposed) of the
             # t = l and t = l + o terms, one per run of nonzero entries
             sides = [(lo, hi, coef, use_f, at_k)
@@ -349,10 +350,7 @@ class QuadraticSystem:
                      for lo, hi in _runs(coef)]
             offsets.append((
                 pair(D, D, o), pair(C, D, o), pair(D, C, o), pair(C, C, o),
-                sides, np.lib.stride_tricks.as_strided(
-                    ab[o * nx:], shape=(n_t - o, nx, nx),
-                    strides=(nx * col, col - ab.itemsize, ab.itemsize))))
-        lower = np.triu(np.ones((nx, nx), dtype=bool))  # p >= q in [q, p]
+                sides))
         X, U = (np.empty((BAND_CHUNK, nx, nx)) for _ in range(2))
         E, F = (np.empty((BAND_CHUNK + R, nx, nx)) for _ in range(2))
         am = None if self.a_vals is None else self.a_vals * m
@@ -369,7 +367,7 @@ class QuadraticSystem:
             if am is not None:
                 diagonal(e)[:] += am[c0:c0 + nt]
             np.matmul(e, Sxx, out=f)
-            for o, (dd, cd, dc, cc, sides, view) in enumerate(offsets):
+            for o, (dd, cd, dc, cc, sides) in enumerate(offsets):
                 n = min(c0 + BAND_CHUNK, n_t - o) - c0
                 if n <= 0:
                     break
@@ -401,7 +399,8 @@ class QuadraticSystem:
                         np.multiply(e[:n], self.a_vals[rows, None, :], out=x)
                         u += x
                     diagonal(u)[:] += (self.M * self.W2)[rows] + self.eps
-                np.copyto(view[rows], u, where=lower if o == 0 else True)
+                # u holds blocks (l, l + o); their transposes are (l + o, l)
+                np.copyto(ab[rows, o], u.transpose(0, 2, 1))
         return ab
 
     def quadratic_value(self, psi: np.ndarray, b: np.ndarray) -> float:
@@ -466,23 +465,73 @@ def assemble_hum_system(w: WeightField, a_vals: np.ndarray | None = None,
     return sys
 
 
-def banded_preconditioner(sys: QuadraticSystem, ab: np.ndarray):
-    """r -> A^{-1} r by the exact banded Cholesky factor of the operator A.
+def _tri_inv(L: np.ndarray) -> np.ndarray:
+    """The inverse of a lower-triangular L by halves: inverting the two
+    diagonal halves and two products cost less than a general inverse."""
+    h = len(L) // 2
+    out = np.zeros_like(L)
+    out[:h, :h] = np.linalg.inv(L[:h, :h])
+    out[h:, h:] = np.linalg.inv(L[h:, h:])
+    out[h:, :h] = -(out[h:, h:] @ L[h:, :h]) @ out[:h, :h]
+    return out
 
-    ab is the band of A (`sys.normal_band()`), factored in place; the
-    returned solve serves any number of right-hand sides.  Raises
-    FactorizationError when A is not numerically positive definite.
+
+def banded_preconditioner(sys: QuadraticSystem, ab: np.ndarray):
+    """r -> A^{-1} r by the exact block Cholesky factor of the operator A.
+
+    ab is the block band of A (`sys.normal_band()`), factored in place by a
+    right-looking block Cholesky (Golub & Van Loan, "Matrix Computations",
+    4.3): per time block l, slot [l, 0] becomes the inverse of the Cholesky
+    factor of the diagonal block, the panel below it becomes W = A_sub
+    Linv^T, and the trailing blocks take one stacked product per block
+    offset d, W[d:] W[:m - d]^T.  Every product is of n_x x n_x blocks.
+    Raises FactorizationError when A is not numerically positive definite
+    or its band is not finite: a non-finite entry reaches a later diagonal
+    slot, so the check reads those.  The returned solve serves any number
+    of right-hand sides, an (n_t, n_x) field or an (n_t, n_x, k) stack of k.
     """
-    try:
-        chol = cholesky_banded(ab, overwrite_ab=True, lower=True)
-    except np.linalg.LinAlgError as exc:
+    n_t, K, nx, _ = ab.shape
+    with np.errstate(over="ignore", invalid="ignore"):   # named below
+        for l in range(n_t):
+            m = min(K - 1, n_t - 1 - l)
+            try:
+                Linv = _tri_inv(np.linalg.cholesky(ab[l, 0]))
+            except np.linalg.LinAlgError as exc:
+                raise FactorizationError(
+                    f"block Cholesky of the {n_t * nx}-unknown normal "
+                    f"operator broke down at time block {l} "
+                    f"(eps = {sys.eps:.3e}): {exc}") from exc
+            ab[l, 0] = Linv
+            # the transposed factors are copied: products of C-contiguous
+            # blocks ran about a third faster than of transposed views
+            W = ab[l, 1:1 + m]
+            W[:] = W @ Linv.T.copy()
+            Wt = W.transpose(0, 2, 1).copy()
+            for d in range(m):
+                ab[l + 1:l + 1 + m - d, d] -= W[d:] @ Wt[:m - d]
+    if not np.all(np.isfinite(ab[:, 0])):
         raise FactorizationError(
-            f"banded Cholesky of the {ab.shape[1]}-unknown normal "
-            f"operator broke down (eps = {sys.eps:.3e}): {exc}") from exc
+            f"the block Cholesky factor of the {n_t * nx}-unknown normal "
+            f"operator is not finite (eps = {sys.eps:.3e})")
+    diag = ab[:, 0]
+    panel = ab.reshape(n_t, K * nx, nx)[:, nx:]      # W of each block column
 
     def solve(r):
-        return cho_solve_banded((chol, True), r.ravel(),
-                                check_finite=False).reshape(r.shape)
+        # forward: z_l = Linv_l y_l, then y below it -= W z_l; backward:
+        # x_l = Linv_l^T (z_l - W^T x below it).  y holds x once solved.
+        y = np.array(r, dtype=float).reshape(n_t * nx, *r.shape[2:])
+        z, t = np.empty_like(y), np.empty_like(y[:(K - 1) * nx])
+        for l in range(n_t):
+            b, n = l * nx, (min(K, n_t - l) - 1) * nx     # n rows below
+            np.dot(diag[l], y[b:b + nx], out=z[b:b + nx])
+            np.dot(panel[l, :n], z[b:b + nx], out=t[:n])
+            y[b + nx:b + nx + n] -= t[:n]
+        for l in range(n_t - 1, -1, -1):
+            b, n = l * nx, (min(K, n_t - l) - 1) * nx
+            np.dot(panel[l, :n].T, y[b + nx:b + nx + n], out=t[:nx])
+            z[b:b + nx] -= t[:nx]
+            np.dot(diag[l].T, z[b:b + nx], out=y[b:b + nx])
+        return y.reshape(r.shape)
     return solve
 
 
@@ -506,12 +555,12 @@ def minimize_J(sys: QuadraticSystem, f: np.ndarray, precond,
 
     b = M f pairs the commutator source f (`free_source`, shape (n_t, n_x))
     with psi by plain quadrature.  precond maps r to about A^{-1} r: with
-    the exact banded factor (`banded_preconditioner`) PCG only refines the
+    the exact block factor (`banded_preconditioner`) PCG only refines the
     direct solve (2 iterations to 1e-10 at configs/control.ini), and
     `lambda r: r` gives plain CG.  A source off the system grid, or a
     non-finite source or right-hand side, raises ValueError naming it.
     tol bounds CG's recursive residual |r_k| / |b|; the true residual
-    |b - A x| / |b| (true_relative_residual) has a rounding floor, 2.88e-8
+    |b - A x| / |b| (true_relative_residual) has a rounding floor, 2.56e-8
     at configs/control.ini, that no smaller tol lowers.
     CurvatureError (p.Ap <= 0) means the operator is not positive definite.
     CGConvergenceError (with the residual history attached) signals
@@ -612,17 +661,25 @@ def not_a_knot_spline(x: np.ndarray, y: np.ndarray, t: np.ndarray
     h = np.diff(x)
     slope = np.diff(y, axis=0) / h[:, None]
     d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    # LAPACK band storage: rows hold the super-, main and sub-diagonal
-    ab = np.zeros((3, n))
-    ab[0, 1:] = np.r_[d0, h[:-1]]
-    ab[1] = np.r_[h[1], 2.0 * (h[:-1] + h[1:]), h[-2]]
-    ab[2, :-1] = np.r_[h[1:], d1]
-    rhs = np.empty_like(y)
-    rhs[1:-1] = 3.0 * (h[1:, None] * slope[:-1] + h[:-1, None] * slope[1:])
-    rhs[0] = ((h[0] + 2.0 * d0) * h[1] * slope[0] + h[0]**2 * slope[1]) / d0
-    rhs[-1] = (h[-1]**2 * slope[-2]
-               + (2.0 * d1 + h[-1]) * h[-2] * slope[-1]) / d1
-    s = solve_banded((1, 1), ab, rhs, check_finite=False)
+    # row i: sub[i - 1] s[i - 1] + diag[i] s[i] + sup[i] s[i + 1] = rhs[i]
+    sup = [d0, *h[:-1].tolist()]
+    diag = [h[1], *(2.0 * (h[:-1] + h[1:])).tolist(), h[-2]]
+    sub = [*h[1:].tolist(), d1]
+    s = np.empty_like(y)
+    s[1:-1] = 3.0 * (h[1:, None] * slope[:-1] + h[:-1, None] * slope[1:])
+    s[0] = ((h[0] + 2.0 * d0) * h[1] * slope[0] + h[0]**2 * slope[1]) / d0
+    s[-1] = (h[-1]**2 * slope[-2]
+             + (2.0 * d1 + h[-1]) * h[-2] * slope[-1]) / d1
+    # Thomas elimination in place of the right-hand side; the pivots stay
+    # positive for increasing nodes, so no row is exchanged
+    for i in range(1, n):
+        c = sub[i - 1] / diag[i - 1]
+        diag[i] -= c * sup[i - 1]
+        s[i] -= c * s[i - 1]
+    s[-1] /= diag[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] -= sup[i] * s[i + 1]
+        s[i] /= diag[i]
 
     curv = (s[:-1] + s[1:] - 2.0 * slope) / h[:, None]
     piece = np.clip(np.searchsorted(x, t, side="right") - 1, 0, n - 2)
@@ -704,16 +761,28 @@ def verify_null_control(beta0: np.ndarray, beta1: np.ndarray,
     times = np.linspace(0.0, sys.t_grid.T, n_steps + 1)
     a = a_sampler(times) if a_sampler else None
 
-    v_vals = control_on_times(sol, sys, times)
+    # the forcings v, -f and v + f of the batched march, written in place;
+    # v's metrics are taken first, so all three go once the march is done
+    forcing = np.empty((3, times.size, grid.n))
+    v_vals = forcing[0]
+    v_vals[:] = control_on_times(sol, sys, times)
     support_ok = bool(np.all(v_vals[:, ~sys.chi] == 0.0))
+    dt = times[1] - times[0]
+    trap = np.full(times.size, dt)
+    trap[0] = trap[-1] = 0.5 * dt
+    control_l2 = float(np.sqrt(np.sum(trap * grid.l2_sq(v_vals))))
 
     q_run = solve_forward(grid, beta0, beta1, times, a=a)
     f_vals = assemble_source(theta1, q_run)
+    np.negative(f_vals, out=forcing[1])
+    np.add(v_vals, f_vals, out=forcing[2])
+    del f_vals, v_vals
 
     zero = np.zeros(grid.n)
     batch = solve_forward(grid, np.stack([beta0, beta0, zero]),
                           np.stack([beta1, beta1, zero]), times, a=a,
-                          forcing=np.stack([v_vals, -f_vals, v_vals + f_vals]))
+                          forcing=forcing)
+    del forcing
     controlled, cutoff_run, g_run = (batch.member(i) for i in range(3))
 
     scale = max(np.max(grid.pair_norm(controlled.beta, controlled.beta_t)),
@@ -732,10 +801,6 @@ def verify_null_control(beta0: np.ndarray, beta1: np.ndarray,
     uncontrolled_T = q_run.terminal_norm()
     suppression = controlled_T / uncontrolled_T if uncontrolled_T > 0 else 1.0
 
-    dt = times[1] - times[0]
-    trap = np.full(times.size, dt)
-    trap[0] = trap[-1] = 0.5 * dt
-    control_l2 = float(np.sqrt(np.sum(trap * grid.l2_sq(v_vals))))
     data_norm = float(np.sqrt(grid.sobolev_sq(beta0, 3)
                               + grid.sobolev_sq(beta1, 1)))
 
@@ -771,10 +836,11 @@ def synthesize_control(grid: SpatialGrid, t_grid: TimeGrid, eta: EtaProfile,
     the wall seconds of each stage (weights, free march with its source,
     assembly with the norm estimate, band, factor, CG, verification), each
     followed by its CPU seconds, summed over the process's threads, as
-    `<stage>_cpu`.  On 2 CPUs an unstalled factor at configs/control.ini
-    used 0.17-0.21 s of CPU in 0.09-0.11 s of wall time, its two BLAS
-    threads in parallel; a stalled one, its threads time-sliced on one
-    CPU, used 0.94 s of CPU in 0.88 s.  The band is as wide as the weights
+    `<stage>_cpu`.  The factor's products are of n_x x n_x blocks, which
+    OpenBLAS runs on one thread: in 30 fresh configs/control.ini runs on 2
+    CPUs it took 0.08-0.17 s of wall time and 0.08-0.14 s of CPU, and none
+    stalled (a stall, two BLAS threads time-sliced on one CPU, shows as
+    about 1 s of CPU in about 1 s).  The band is as wide as the weights
     reach (`QuadraticSystem.band_shape`): 5 n_x rows at configs/control.ini,
     half-bandwidth 319 and 41.9 MB.  The band and the factor are released
     before the verification march.

@@ -115,8 +115,8 @@ def test_expit_is_finite_at_extremes():
 
 
 def test_package_import_needs_no_symbolic_or_quadrature_module():
-    # nor any scipy module: the package imports only numpy, and only a
-    # control run loads scipy (its LAPACK band routines, through hum)
+    # nor any scipy module: the package needs only numpy, and no run of any
+    # kind loads scipy (test_experiments_cli.TestImportBoundary)
     code = ("import sys, beamctrl.cli, beamctrl.experiments; "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('sympy', 'scipy')))")

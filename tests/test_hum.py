@@ -48,7 +48,7 @@ def small_system(domain, grid8, weights8):
 
 
 def factor(system):
-    """The exact banded Cholesky solve of the system's operator."""
+    """The exact block Cholesky solve of the system's operator."""
     return banded_preconditioner(system, system.normal_band())
 
 
@@ -318,13 +318,18 @@ class TestQuadraticSystem:
             assemble_hum_system(w)
 
 
-def dense_from_band(ab):
-    """Symmetric dense matrix from LAPACK lower band storage."""
-    n = ab.shape[1]
-    A = np.zeros((n, n))
-    for d in range(ab.shape[0]):
-        i = np.arange(n - d)
-        A[i + d, i] = A[i, i + d] = ab[d, :n - d]
+def dense_from_blocks(ab):
+    """Symmetric dense matrix from the block band: slot [l, o] holds block
+    (l + o, l), and its transpose is block (l, l + o)."""
+    n_t, K, nx, _ = ab.shape
+    A = np.zeros((n_t * nx, n_t * nx))
+    for l in range(n_t):
+        for o in range(min(K, n_t - l)):
+            r, c = slice((l + o) * nx, (l + o + 1) * nx), \
+                slice(l * nx, (l + 1) * nx)
+            A[r, c] = ab[l, o]
+            if o:
+                A[c, r] = ab[l, o].T
     return A
 
 
@@ -348,15 +353,16 @@ class TestNormalBand:
         system = assemble_hum_system(w, a_vals=a)
 
         ab = system.normal_band()
-        assert ab.shape == system.band_shape == (6 * nx, n_time * nx)
-        A = dense_from_band(ab)
+        assert ab.shape == (n_time, 6, nx, nx)
+        assert system.band_shape == (6 * nx, n_time * nx)
+        A = dense_from_blocks(ab)
         psi = rng.standard_normal((n_time, nx))
         ref = system.apply(psi).ravel()
         assert np.max(np.abs(A @ psi.ravel() - ref)) \
             <= 1e-13 * np.max(np.abs(ref))
-        # every column of apply, upper triangle included, matches the
-        # symmetric expansion of the stored lower band, and nothing of the
-        # operator lies outside the band
+        # every column of apply matches the blocks, the diagonal blocks in
+        # full and the others with their transposes above the diagonal, and
+        # nothing of the operator lies outside the band
         cols = np.stack([system.apply(e.reshape(n_time, nx)).ravel()
                          for e in np.eye(n_time * nx)], axis=1)
         assert np.max(np.abs(cols - A)) <= 1e-13 * np.max(np.abs(cols))
@@ -365,27 +371,27 @@ class TestNormalBand:
         assert np.all(np.isfinite(banded_preconditioner(system, ab)(source)))
 
     @staticmethod
-    def check_band_multiplies_like_apply(system, width):
-        # the stored band, every diagonal of it, multiplies like apply, and
-        # holds exactly 0 between blocks width // nx or more apart
+    def check_band_multiplies_like_apply(system, K):
+        # the stored blocks multiply like apply, the widest of the K offsets
+        # holds entries, and the slots past the last time block hold none
         n_time, nx = system.t_grid.n, system.grid.n
         ab = system.normal_band()
-        assert ab.shape == system.band_shape == (width, n_time * nx)
-        N = ab.shape[1]
+        assert ab.shape == (n_time, K, nx, nx)
+        assert system.band_shape == (K * nx, n_time * nx)
         rng = np.random.default_rng(15)
         for _ in range(3):
             psi = rng.standard_normal((n_time, nx))
-            x = psi.ravel()
-            y = ab[0] * x
-            for d in range(1, width):
-                y[d:] += ab[d, :N - d] * x[:N - d]
-                y[:N - d] += ab[d, :N - d] * x[d:]
-            ref = system.apply(psi).ravel()
+            y = np.einsum("lpq,lq->lp", ab[:, 0], psi)
+            for o in range(1, K):
+                y[o:] += np.einsum("lpq,lq->lp", ab[:n_time - o, o],
+                                   psi[:n_time - o])
+                y[:n_time - o] += np.einsum("lqp,lq->lp", ab[:n_time - o, o],
+                                            psi[o:])
+            ref = system.apply(psi)
             assert np.max(np.abs(y - ref)) <= 1e-13 * np.max(np.abs(ref))
-        # in column l nx + q, row r of the band couples blocks l and
-        # l + (q + r) // nx
-        r, q = np.arange(width)[:, None], np.arange(N)[None, :] % nx
-        assert np.all(ab[r + q >= width] == 0.0)
+        assert np.any(ab[:, K - 1])
+        for o in range(1, K):
+            assert not np.any(ab[n_time - o:, o])
 
     @pytest.fixture(scope="class")
     def control_size_system(self, domain, eta, theta, params, grid64):
@@ -401,7 +407,7 @@ class TestNormalBand:
         # only the centered rows carry weight, and they span 4 blocks
         system = control_size_system
         assert not np.any(system.W1[[0, 1, -2, -1]])
-        self.check_band_multiplies_like_apply(system, 5 * system.grid.n)
+        self.check_band_multiplies_like_apply(system, 5)
 
     @pytest.mark.parametrize("row", [0, -2])
     def test_band_widens_for_a_weighted_edge_row(self, control_size_system,
@@ -410,7 +416,20 @@ class TestNormalBand:
         W1 = control_size_system.W1.copy()
         W1[row] = W1[128]
         system = dataclasses.replace(control_size_system, W1=W1)
-        self.check_band_multiplies_like_apply(system, 6 * system.grid.n)
+        self.check_band_multiplies_like_apply(system, 6)
+
+    def test_stacked_solve_equals_single_solves(self, control_size_system):
+        # one solve of an (n_t, n_x, k) stack gives the k single solves
+        system = control_size_system
+        solve = banded_preconditioner(system, system.normal_band())
+        rng = np.random.default_rng(19)
+        r = rng.standard_normal((system.t_grid.n, system.grid.n, 3))
+        x = solve(r)
+        assert x.shape == r.shape
+        for j in range(3):
+            single = solve(r[..., j])
+            assert np.max(np.abs(x[..., j] - single)) \
+                <= 1e-14 * np.max(np.abs(single))
 
 
 class TestMinimize:
@@ -457,7 +476,7 @@ class TestMinimize:
         dense = np.linalg.solve(A, (system.M * source).ravel())
         rel = np.linalg.norm(sol.psi_min.ravel() - dense) / np.linalg.norm(dense)
         assert rel < 1e-8
-        # the banded Cholesky preconditioner is exact; PCG only refines
+        # the block Cholesky preconditioner is exact; PCG only refines
         assert sol.iterations <= 2
 
     def test_minimum_properties(self, small_system, small_precond):
@@ -501,6 +520,20 @@ class TestMinimize:
         broken.eps = -1e3 * system.norm_estimate
         with pytest.raises(FactorizationError, match="eps"):
             factor(broken)
+
+    @pytest.mark.parametrize("bad, message", [(np.nan, "not finite"),
+                                              (np.inf, "eps")])
+    @pytest.mark.parametrize("slot", [(0, 0, 1, 0), (3, 2, 0, 5),
+                                      (14, 1, 7, 7)])
+    def test_nonfinite_band_raises_named_error(self, small_system, slot,
+                                               bad, message):
+        # a NaN anywhere in the band reaches a later diagonal slot, which
+        # the factor checks; an inf may break the Cholesky of a block first
+        *_, system = small_system
+        ab = system.normal_band()
+        ab[slot] = bad
+        with pytest.raises(FactorizationError, match=message):
+            banded_preconditioner(system, ab)
 
     def test_nonpositive_curvature_raises(self, small_system):
         *_, source, system = small_system
