@@ -8,21 +8,24 @@ second-order accuracy (Lawson two-stage scheme), so the integrator has no
 step-size restriction from the kappa^4 stiffness.
 
 The march keeps its state in rfft space, as the interleaved float view of
-the modes: a step applies the real propagator to the stacked pair (beta,
-beta_t), and a*beta at the stage points goes through real DFT matrices (no
-FFT inside the loop).  It goes one block of _GUARD_BLOCK steps at a time:
-the block's forcing is transformed on entry, and its states go back to
-nodes, straight into the returned arrays, once the divergence guard has
-passed them.  So a march holds its output plus one block.  A 4096-step
-march at n_x = 64 (one member, 2 vCPUs, best of 7) costs 18-28 us per step
-with a potential and 5-8 us without; the ranges span the machine's own
-speed drift.
+the modes, and goes one block of _GUARD_BLOCK steps at a time: the block's
+forcing is transformed on entry, and its states go back to nodes, straight
+into the returned arrays, once the divergence guard has passed them.  So a
+march holds its output plus one block.  With a potential a step applies the
+real propagator to the stacked pair (beta, beta_t), and a*beta at the stage
+points goes through real DFT matrices (no FFT inside the loop).  Without
+one a step is a fixed affine map per mode, and _SUB_BLOCK steps are one
+stacked product against the powers of the propagator.  A 4096-step march
+at n_x = 64 (one member, 2 vCPUs, best of 7) costs 15-16 us per step with a
+potential, and 1.8 us without (2.6 us forced), where stepping without a
+potential cost 4.4 us (6.4 us forced); the machine's own speed drifts by up
+to 1.7x between runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,6 +38,9 @@ class SolverDivergenceError(RuntimeError):
 
 # steps marched between two vectorized checks of the divergence guard
 _GUARD_BLOCK = 64
+# steps of one block product in a march without a potential; divides
+# _GUARD_BLOCK
+_SUB_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -188,16 +194,25 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
     for bit.
 
     The state lives in rfft space, held as the interleaved float view of the
-    modes.  A step applies the real modal propagator to the stacked pair
-    (beta, beta_t) with one multiply and one add.  With a potential it forms
-    a*beta through the real matrices of irfft/rfft (`dft_matrices`), no FFT:
-    the second-stage point of step i and the beta it stores both meet
-    a_{i+1}, so one stacked synthesis and one analysis product per step
-    serve both.  The march goes one block of _GUARD_BLOCK steps at a time:
-    it holds that block's modal states and transformed forcing, and writes
-    the block's states back to nodes into the returned arrays, so a march
-    holds its output plus one block.  The returned trajectory computes its
-    energy and dissipation only when they are read.
+    modes, and the march goes one block of _GUARD_BLOCK steps at a time: it
+    holds that block's modal states and transformed forcing, and writes the
+    block's states back to nodes into the returned arrays, so a march holds
+    its output plus one block.  How a block's states are found depends on
+    the potential:
+
+    - With a potential, step by step.  A step applies the real modal
+      propagator to the stacked pair (beta, beta_t) with one multiply and
+      one add, and forms a*beta through the real matrices of irfft/rfft
+      (`dft_matrices`), no FFT: the second-stage point of step i and the
+      beta it stores both meet a_{i+1}, so one stacked synthesis and one
+      analysis product per step serve both.
+    - Without one, a step is the same affine map of the state on every
+      mode, so _SUB_BLOCK steps are one stacked matrix product: each mode's
+      start state and forcing values against the powers of its propagator
+      (`_march_tables`), with members and modes on the product's stack axis.
+
+    The returned trajectory computes its energy and dissipation only when
+    they are read.
 
     Each member's divergence guard is divergence_factor times its data norm
     plus the trapezoid integral of its forcing's L2 norm; a state whose norm
@@ -212,7 +227,7 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
     times = np.asarray(times, dtype=float)
     steps = np.diff(times)
     if (times.size < 2 or not steps[0] > 0
-            or not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0)):
+            or not (np.abs(steps - steps[0]) <= 1e-12 * steps[0]).all()):
         raise ValueError("times must be an increasing uniform grid with at "
                          "least two nodes")
     data = np.stack([np.asarray(beta0, dtype=float),
@@ -257,33 +272,31 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
         guard += [g.l2(fb / s) @ trap for fb, s in zip(forcing, scale)]
     guard_sq = (divergence_factor * guard) ** 2
     scale = scale[:, None]                                  # (B, 1)
-    # Parseval: |u|_L2^2 = circumference / n^2 * sum_k mult_k |u_hat_k|^2,
-    # on the float view of one member's modal pair (beta, beta_t)
-    mult = np.r_[1.0, np.full(n_m - 2, 2.0), 1.0]
-    mult = np.tile(np.repeat(mult, 2), 2) * g.circumference / g.n ** 2
-
-    # E[r, c] multiplies component c of the pair into component r; the
-    # lift adds the Lawson stage terms (hdt e01, hdt e11) * n0
-    E = np.repeat(propagator(g, dt), 2, axis=0).transpose(1, 2, 0)  # (2, 2, w)
+    E, lift, ahead, mult, K = _march_tables(g.n, g.circumference, dt)
     hdt = 0.5 * dt
-    lift = hdt * E[:, 1]
-    # (dt e01, hdt e01) * n0 + e^{dt L} beta: the second-stage point and,
-    # bit for bit, the beta the step stores; both are multiplied by a_{i+1}
-    ahead = np.stack([dt * E[0, 1], lift[0]])
 
     # row 0 of a block is the last state of the previous one
     U = np.empty((_GUARD_BLOCK + 1, n_b, 2, w))
     U.view(complex)[0] = g.to_modes(data.transpose(1, 0, 2))
-    f_hat = None if forcing is None else np.empty((_GUARD_BLOCK + 1, n_b, 1, w))
-    P = np.empty((n_b, 2, 2, w))
-    P0, P1 = P[:, :, 0], P[:, :, 1]
-    pair = U[:, :, None]               # (rows, B, 1, 2, w) against E
-    b_rows, bt_rows = U[:, :, :1], U[:, :, 1:]              # (rows, B, 1, w)
     out = np.empty((2, n_b, n_t, g.n))
     out[:, :, 0] = g.to_nodes(U.view(complex)[0].transpose(1, 0, 2))
     v = U[0].reshape(n_b, -1) / scale
     peak_sq = (v * v) @ mult                                # (B,)
-    if a is not None:
+    f_hat = (None if forcing is None
+             else np.empty((_GUARD_BLOCK + 1, n_b, 1, w)))
+    if a is None:
+        # per member and mode: a sub-block's start state, then its forcing
+        # at the sub-block's nodes; real and imaginary lanes on the last axis
+        X = np.empty((n_b, n_m, 2 if f_hat is None else _SUB_BLOCK + 3),
+                     complex)
+        X_lanes = X.view(float).reshape(X.shape + (2,))
+        # U's rows as (row, B, 2, n_m, lane), the layout of a product's rows
+        U_lanes = U.reshape(_GUARD_BLOCK + 1, n_b, 2, n_m, 2)
+    else:
+        P = np.empty((n_b, 2, 2, w))
+        P0, P1 = P[:, :, 0], P[:, :, 1]
+        pair = U[:, :, None]           # (rows, B, 1, 2, w) against E
+        b_rows, bt_rows = U[:, :, :1], U[:, :, 1:]          # (rows, B, 1, w)
         syn, ana = dft_matrices(g)
         ab = (b_rows[0] @ syn * a[0]) @ ana                 # a*beta, modal
     with np.errstate(over="ignore", invalid="ignore"):
@@ -294,14 +307,22 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
             if f_hat is not None:
                 f_hat.view(complex)[:n + 1, :, 0] = g.to_modes(
                     forcing[:, i0:i0 + n + 1].transpose(1, 0, 2))
-                if a is None:
-                    F0 = lift * f_hat[:n]
-                    F1 = hdt * f_hat[1:n + 1]
-            for j in range(n):
-                nxt, bt = U[j + 1], bt_rows[j + 1]
-                np.multiply(pair[j], E, out=P)
-                np.add(P0, P1, out=nxt)
-                if a is not None:
+            if a is None:
+                for s0 in range(0, n, _SUB_BLOCK):
+                    m = min(_SUB_BLOCK, n - s0)
+                    cols = 2 if f_hat is None else m + 3
+                    X[:, :, :2] = U.view(complex)[s0].transpose(0, 2, 1)
+                    if f_hat is not None:
+                        X[:, :, 2:cols] = f_hat.view(complex)[
+                            s0:s0 + m + 1, :, 0].transpose(1, 2, 0)
+                    Y = np.matmul(K[:, :2 * m, :cols], X_lanes[:, :, :cols])
+                    U_lanes[s0 + 1:s0 + m + 1] = Y.reshape(
+                        n_b, n_m, m, 2, 2).transpose(2, 0, 3, 1, 4)
+            else:
+                for j in range(n):
+                    nxt, bt = U[j + 1], bt_rows[j + 1]
+                    np.multiply(pair[j], E, out=P)
+                    np.add(P0, P1, out=nxt)
                     n0 = -ab if f_hat is None else f_hat[j] - ab
                     pts = ahead * n0 + b_rows[j + 1]
                     prod = (pts @ syn * a[i0 + j + 1]) @ ana    # (B, 2, w)
@@ -310,9 +331,6 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
                           else f_hat[j + 1] - prod[:, :1])
                     nxt += lift * n0
                     bt += hdt * n1
-                elif f_hat is not None:
-                    nxt += F0[j]
-                    bt += F1[j]
             v = U[1:n + 1].reshape(n, n_b, -1) / scale
             norm_sq = (v * v) @ mult                         # (steps, B)
             bad = np.flatnonzero(~(norm_sq <= guard_sq).all(axis=1))
@@ -333,6 +351,57 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
     beta, beta_t = out.reshape((2,) + batch + (n_t, g.n))
     return BeamTrajectory(grid=g, times=times, beta=beta, beta_t=beta_t,
                           guard_margin=margin.reshape(batch))
+
+
+@lru_cache(maxsize=1)
+def _march_tables(n: int, circumference: float, dt: float):
+    """The step tables of a march on an n-node grid of the given
+    circumference with step dt, and its block-product matrix K.
+
+    On the interleaved float view of the modes: E (2, 2, w), where E[r, c]
+    multiplies component c of the pair (beta, beta_t) into component r; the
+    lift hdt E[:, 1], which adds the Lawson stage terms (hdt e01, hdt e11) *
+    n0; `ahead` = (dt e01, hdt e01), whose product with n0 plus e^{dt L}
+    beta is the second-stage point and, bit for bit, the beta the step
+    stores; and the Parseval weights `mult`: |u|_L2^2 = circumference / n^2
+    * sum_k mult_k |u_hat_k|^2 on the float view of one member's pair.
+
+    Without a potential a step maps U_j to E U_j + hdt E[:, 1] f_j + hdt e_1
+    f_{j+1} on each mode, so m steps give E^m U_0 + hdt sum_l c_{m,l}
+    E^{m-l}[:, 1] f_l over l = 0..m, with c = 1 at both ends and 2 between.
+    K (n_m, 2 _SUB_BLOCK, _SUB_BLOCK + 3) holds those coefficients: row
+    2 (m - 1) + r is component r after m steps, its first two columns the
+    row of E^m and column 2 + l the weight of f_l.  Its first 2m rows and
+    m + 3 columns march m steps.  The powers are repeated products of the
+    one-step propagator; they stay bounded, as the eigenvalues of every mode
+    but k = 0 lie inside the unit disc and its Jordan block grows linearly.
+
+    One entry is kept: the windows of a fixed-point solve share it, and K
+    is about 0.6 MB at n = 64.
+    """
+    E1 = propagator(SpatialGrid(n, circumference), dt)      # (n_m, 2, 2)
+    n_m = E1.shape[0]
+    E = np.repeat(E1, 2, axis=0).transpose(1, 2, 0)         # (2, 2, w)
+    hdt = 0.5 * dt
+    lift = hdt * E[:, 1]
+    ahead = np.stack([dt * E[0, 1], lift[0]])
+    mult = np.r_[1.0, np.full(n_m - 2, 2.0), 1.0]
+    mult = np.tile(np.repeat(mult, 2), 2) * circumference / n ** 2
+
+    powers = np.empty((_SUB_BLOCK + 1, n_m, 2, 2))
+    powers[0] = np.eye(2)
+    for m in range(_SUB_BLOCK):
+        np.matmul(E1, powers[m], out=powers[m + 1])
+    K = np.zeros((n_m, _SUB_BLOCK, 2, _SUB_BLOCK + 3))
+    K[..., :2] = powers[1:].transpose(1, 0, 2, 3)
+    col = hdt * powers[..., 1].transpose(1, 2, 0)           # (n_m, 2, S + 1)
+    for m in range(1, _SUB_BLOCK + 1):
+        K[:, m - 1, :, 2:m + 3] = col[..., m::-1]
+        K[:, m - 1, :, 3:m + 2] *= 2.0
+    tables = E, lift, ahead, mult, K.reshape(n_m, 2 * _SUB_BLOCK, -1)
+    for t in tables:                   # every march shares them
+        t.flags.writeable = False
+    return tables
 
 
 # fixed-point treatment of the potential -------------------------------------

@@ -142,19 +142,19 @@ def make_potential_sampler(cfg: ExperimentConfig, grid: SpatialGrid):
     rng = np.random.default_rng(spec["seed"])
     kmax = spec["max_mode"]
     c = rng.standard_normal((kmax + 1, kmax + 1, 4))
+    # the sum over (k, m) of (c0 cos wt + c1 sin wt) cos kx + (c2 cos wt +
+    # c3 sin wt) sin kx as [cos wt, sin wt] @ C @ [cos kx, sin kx]^T
+    C = np.block([[c[..., 0].T, c[..., 2].T], [c[..., 1].T, c[..., 3].T]])
+    modes = np.arange(kmax + 1)
+
+    def basis(angles):
+        return np.hstack([np.cos(angles), np.sin(angles)])
 
     def raw(xv, times):
         tt = np.atleast_1d(np.asarray(times, dtype=float))[:, None]
-        out = np.zeros((tt.size, xv.size))
-        for k in range(kmax + 1):
-            kap = 2.0 * np.pi * k / dom.circumference
-            cx, sx = np.cos(kap * xv), np.sin(kap * xv)
-            for m in range(kmax + 1):
-                ang = 2.0 * np.pi * m * tt / dom.T
-                ct, st = np.cos(ang), np.sin(ang)
-                out += (c[k, m, 0] * ct + c[k, m, 1] * st) * cx[None, :] \
-                    + (c[k, m, 2] * ct + c[k, m, 3] * st) * sx[None, :]
-        return out
+        kap = 2.0 * np.pi * modes / dom.circumference
+        return basis(2.0 * np.pi * modes * tt / dom.T) @ C \
+            @ basis(kap * xv[:, None]).T
 
     x_ref = -dom.L + dom.circumference * np.arange(256) / 256
     t_ref = dom.T * (np.arange(257)) / 256

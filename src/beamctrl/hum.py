@@ -647,13 +647,20 @@ def control_weight_factor(w: WeightField, t_interior: np.ndarray
 def not_a_knot_spline(x: np.ndarray, y: np.ndarray, t: np.ndarray
                       ) -> np.ndarray:
     """The not-a-knot cubic spline through the rows of y (n, m) at the
-    nodes x, sampled at the times t; shape (t.size, m).
+    nodes x, sampled at the times t; shape (t.size, m).  See
+    `spline_pieces` and `sample_pieces`.
+    """
+    return sample_pieces(x, spline_pieces(x, y), t)
+
+
+def spline_pieces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients (n - 1, 4, m) of the not-a-knot cubic spline through the
+    rows of y (n, m) at the nodes x: piece i is the cubic in t - x_i with
+    these coefficients, highest power first.
 
     Second derivatives match at the interior nodes and third derivatives at
     x[1] and x[-2], one tridiagonal system for the nodal slopes of all m
-    columns.  Each piece is a cubic in t - x_i, evaluated by Horner's rule
-    on the piece holding t (the right one at a node, the last at x[-1]); the
-    end pieces extend past x[0] and x[-1].
+    columns.
     """
     n = x.size
     if n < 4:
@@ -682,14 +689,28 @@ def not_a_knot_spline(x: np.ndarray, y: np.ndarray, t: np.ndarray
         s[i] /= diag[i]
 
     curv = (s[:-1] + s[1:] - 2.0 * slope) / h[:, None]
-    piece = np.clip(np.searchsorted(x, t, side="right") - 1, 0, n - 2)
-    coef = np.stack([curv / h[:, None], (slope - s[:-1]) / h[:, None] - curv,
-                     s[:-1], y[:-1]], axis=1)[piece]
+    return np.stack([curv / h[:, None], (slope - s[:-1]) / h[:, None] - curv,
+                     s[:-1], y[:-1]], axis=1)
+
+
+def sample_pieces(x: np.ndarray, pieces: np.ndarray, t: np.ndarray
+                  ) -> np.ndarray:
+    """The spline with the given `spline_pieces` at the times t, each by
+    Horner's rule on the piece holding it (the right one at a node, the
+    last at x[-1]); the end pieces extend past x[0] and x[-1].  Each row
+    depends on its own time only."""
+    piece = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
+    coef = pieces[piece]
     z = (t - x[piece])[:, None]
     out = coef[:, 0]
     for k in (1, 2, 3):
         out = out * z + coef[:, k]
     return out
+
+
+# times sampled together by control_on_times: its temporaries stay a few
+# chunks of rows, not several copies of the result
+_CONTROL_CHUNK = 256
 
 
 def control_on_times(sol: HumSolution, sys: QuadraticSystem,
@@ -699,15 +720,20 @@ def control_on_times(sol: HumSolution, sys: QuadraticSystem,
     The minimizer is interpolated in time by the not-a-knot cubic spline;
     the exponential weight factor is evaluated analytically from the
     system's weight profiles.  Rows at t = 0 and t = T are exactly zero (the
-    weight vanishes there), as are all nodes outside omega.
+    weight vanishes there), as are all nodes outside omega.  Rows are
+    sampled _CONTROL_CHUNK times at a time, with the bits of one evaluation
+    over all times.
     """
     times = np.asarray(times, dtype=float)
     T = sys.t_grid.T
-    interior = (times > 0.0) & (times < T)
+    rows = np.flatnonzero((times > 0.0) & (times < T))
+    nodes = sys.t_grid.nodes
+    pieces = spline_pieces(nodes, sol.psi_min)
     out = np.zeros((times.size, sys.grid.n))
-    factor = control_weight_factor(sys.weights, times[interior])
-    psi = not_a_knot_spline(sys.t_grid.nodes, sol.psi_min, times[interior])
-    out[interior] = -factor * psi * sys.chi
+    for i in range(0, rows.size, _CONTROL_CHUNK):
+        r = rows[i:i + _CONTROL_CHUNK]
+        out[r] = -control_weight_factor(sys.weights, times[r]) \
+            * sample_pieces(nodes, pieces, times[r]) * sys.chi
     return out
 
 

@@ -378,6 +378,95 @@ class TestSolveForward:
             solve_forward(grid, np.zeros(grid.n), np.zeros(grid.n), times)
 
 
+
+class TestFreeMarch:
+    """Marches without a potential, which go by block products."""
+
+    # 129 nodes march two whole guard blocks, 131 end in a partial one, 105
+    # end 8 steps into the second sub-block of a guard block
+    @pytest.mark.parametrize("n_t", [129, 131, 105])
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_batch_members_equal_unbatched_bit_for_bit(self, grid, n_t,
+                                                       forced):
+        times = np.linspace(0, 1.0, n_t)
+        data = [smooth_data(grid, seed=s) for s in (1, 2, 3)]
+        b0 = np.stack([d[0] for d in data])
+        b1 = np.stack([d[1] for d in data])
+        f = (np.random.default_rng(11).standard_normal((3, n_t, grid.n))
+             if forced else None)
+        batch = solve_forward(grid, b0, b1, times, forcing=f)
+        for i in range(3):
+            one = solve_forward(grid, b0[i], b1[i], times,
+                                forcing=None if f is None else f[i])
+            member = batch.member(i)
+            for name in ("beta", "beta_t"):
+                assert np.array_equal(getattr(member, name), getattr(one, name))
+
+    @pytest.mark.parametrize("onset", [0, 100])
+    def test_divergence_raised_at_first_failing_step(self, grid, onset):
+        b0, b1 = smooth_data(grid, seed=6)
+        times = np.linspace(0, 2.0, 257)[:onset + 41]
+        f = np.zeros((times.size, grid.n))
+        f[onset:] = 200.0 * np.cos(grid.kappa[1] * grid.nodes)
+        free = solve_forward(grid, b0, b1, times, forcing=f,
+                             divergence_factor=np.inf)
+        norms = grid.pair_norm(free.beta, free.beta_t)
+        trap = np.full(times.size, times[1] - times[0])
+        trap[0] = trap[-1] = 0.5 * trap[0]
+        guard = 0.2 * (grid.pair_norm(b0, b1) + grid.l2(f) @ trap)
+        step = np.flatnonzero(norms > guard)[0]
+        assert 0 < step < times.size - 1
+        with pytest.raises(SolverDivergenceError, match=f"at step {step},"):
+            solve_forward(grid, b0, b1, times, forcing=f,
+                          divergence_factor=0.2)
+
+    def test_guard_margin_is_largest_norm_over_guard(self, grid):
+        times = np.linspace(0, 1.0, 131)
+        rng = np.random.default_rng(17)
+        b0, b1 = (np.stack([d, d, np.zeros(grid.n)])
+                  for d in smooth_data(grid, seed=5))
+        f = rng.standard_normal((3, 131, grid.n))
+        f[1] = f[2] = 0.0           # member 2: zero data, zero forcing
+        traj = solve_forward(grid, b0, b1, times, forcing=f,
+                             divergence_factor=1e3)
+        trap = np.full(times.size, times[1] - times[0])
+        trap[0] = trap[-1] = 0.5 * trap[0]
+        guard = 1e3 * (grid.pair_norm(b0, b1) + grid.l2(f) @ trap)
+        norms = grid.pair_norm(traj.beta, traj.beta_t).max(axis=1)
+        assert traj.guard_margin[:2] == pytest.approx(norms[:2] / guard[:2],
+                                                      rel=1e-12)
+        assert traj.guard_margin[2] == 0.0
+        assert np.all(traj.beta[2] == 0.0) and np.all(traj.beta_t[2] == 0.0)
+
+    def test_march_holds_its_output_plus_one_block(self, grid):
+        n_t = 4097
+        times = np.linspace(0, 4.0, n_t)
+        rng = np.random.default_rng(16)
+        b0, b1 = rng.standard_normal((2, 3, grid.n))
+        f = rng.standard_normal((3, n_t, grid.n))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = solve_forward(grid, b0, b1, times, forcing=f)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (traj.beta.nbytes + traj.beta_t.nbytes)
+
+    def test_matches_closed_form_propagator(self, grid):
+        # the block products against exp(t_k L) applied to the data
+        b0, b1 = smooth_data(grid, seed=18, max_mode=6)
+        times = np.linspace(0, 2.0, 4097)
+        traj = solve_forward(grid, b0, b1, times)
+        U0 = np.stack([grid.to_modes(b0), grid.to_modes(b1)])
+        for k in range(0, times.size, 7):
+            Uk = np.einsum("mrc,cm->rm", propagator(grid, times[k]), U0)
+            for got, want in ((traj.beta[k], grid.to_nodes(Uk[0])),
+                              (traj.beta_t[k], grid.to_nodes(Uk[1]))):
+                assert (np.max(np.abs(got - want))
+                        <= 1e-13 * np.max(np.abs(want)))
+
+
 class TestEnergy:
     def test_zero_state(self, grid):
         e, d = trajectory_energy(grid, np.zeros(grid.n), np.zeros(grid.n))

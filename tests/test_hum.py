@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.interpolate import CubicSpline
 from beamctrl import dynamics
 from beamctrl.dynamics import BeamTrajectory, solve_forward
 from beamctrl.hum import (CGConvergenceError, CurvatureError,
-                          FactorizationError, apply_stencil,
+                          FactorizationError, HumSolution, apply_stencil,
                           assemble_hum_system, assemble_source,
                           banded_preconditioner, build_theta1,
                           control_on_times, control_weight_factor,
@@ -55,6 +56,17 @@ def factor(system):
 @pytest.fixture(scope="module")
 def small_precond(small_system):
     return factor(small_system[-1])
+
+
+@pytest.fixture(scope="module")
+def control_size_system(domain, eta, theta, params, grid64):
+    # the configs/control.ini size, where the centered stencils fill the
+    # interior offsets and W1 is exactly 0 on the four edge time rows
+    tg = uniform_interior(domain.T, 256)
+    w = eval_weights(eta, theta, params, grid64, tg)
+    a = np.outer(np.sin(np.pi * tg.nodes / domain.T),
+                 np.cos(grid64.kappa[1] * grid64.nodes))
+    return assemble_hum_system(w, a_vals=a)
 
 
 def plain_cg(r):
@@ -393,16 +405,6 @@ class TestNormalBand:
         for o in range(1, K):
             assert not np.any(ab[n_time - o:, o])
 
-    @pytest.fixture(scope="class")
-    def control_size_system(self, domain, eta, theta, params, grid64):
-        # the configs/control.ini size, where the centered stencils fill the
-        # interior offsets and W1 is exactly 0 on the four edge time rows
-        tg = uniform_interior(domain.T, 256)
-        w = eval_weights(eta, theta, params, grid64, tg)
-        a = np.outer(np.sin(np.pi * tg.nodes / domain.T),
-                     np.cos(grid64.kappa[1] * grid64.nodes))
-        return assemble_hum_system(w, a_vals=a)
-
     def test_band_at_control_size(self, control_size_system):
         # only the centered rows carry weight, and they span 4 blocks
         system = control_size_system
@@ -610,6 +612,33 @@ class TestVerification:
         assert np.array_equal(v[:-1], sol.v[:-1])
         assert np.max(np.abs(v[-1] - sol.v[-1])) \
             <= 1e-14 * np.max(np.abs(sol.v[-1]))
+
+    def test_control_on_times_samples_in_chunks(self, control_size_system):
+        # the configs/control.ini verification grid: sampled a chunk of
+        # times at a time, the control has the bits of one evaluation over
+        # every time, and the sampling's own allocations stay near the size
+        # of the control it returns
+        system = control_size_system
+        rng = np.random.default_rng(20)
+        sol = HumSolution(
+            psi_min=rng.standard_normal((system.t_grid.n, system.grid.n)),
+            g_tilde=None, v=None, J_value=0.0, residual_history=[],
+            iterations=0, relative_residual=0.0, true_relative_residual=0.0)
+        times = np.linspace(0.0, system.t_grid.T, 4097)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            v = control_on_times(sol, system, times)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * v.nbytes
+        t = times[1:-1]
+        whole = -control_weight_factor(system.weights, t) \
+            * not_a_knot_spline(system.t_grid.nodes, sol.psi_min, t) \
+            * system.chi
+        assert np.array_equal(v[1:-1], whole)
+        assert np.all(v[[0, -1]] == 0.0)
 
     def test_synthesize_control_chains_the_stages(self, grid8, eta, theta,
                                                   params, tgrid16,
