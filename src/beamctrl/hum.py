@@ -639,8 +639,8 @@ def control_weight_factor(w: WeightField, t_interior: np.ndarray
     """The control weight from the profiles of w at its space nodes, at
     arbitrary interior times."""
     _, _, log_xi, neg2s_phi = weight_formulas(
-        w.eta.derivs(w.grid.nodes, max_order=0)[:, 0], w.eta.eta_max,
-        w.theta.eval(t_interior, 0)[:, None], w.params.lam, w.params.s)
+        w.eta_nodes, w.eta.eta_max, w.theta.eval(t_interior, 0)[:, None],
+        w.params.lam, w.params.s)
     return _control_weight(w.params, log_xi, neg2s_phi)
 
 

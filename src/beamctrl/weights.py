@@ -197,8 +197,8 @@ def build_eta(domain: DomainSpec, eta_scale: float = 0.1,
     scale = eta_scale / (mx - mn)
     # the scaled minimum lands on the positivity offset
     profile = replace(proto, scale=scale, shift=offset - scale * mn)
-    scan = profile.derivs(x_scan, max_order=1)
-    eta_vals, eta_slope = scan[:, 0], scan[:, 1]
+    # profile.derivs(x_scan, 1), from the unit scan in the same operations
+    eta_vals, eta_slope = raw[:, 0] * scale + profile.shift, raw[:, 1] * scale
 
     if eta_vals.min() <= 0.0:
         raise ConstructionError("profile is not strictly positive")
@@ -229,8 +229,9 @@ class ThetaProfile:
     T: float
     T0: float
     T1: float
-    _blend_down: Polynomial = field(repr=False)
-    _blend_up: Polynomial = field(repr=False)
+    # each blend's derivatives of orders 0..4, built once
+    _blend_down: tuple[Polynomial, ...] = field(repr=False)
+    _blend_up: tuple[Polynomial, ...] = field(repr=False)
 
     @property
     def junctions(self) -> tuple[float, float, float, float]:
@@ -248,11 +249,11 @@ class ThetaProfile:
         m = t <= j1
         out[m] = _inv_sq(t[m], order)
         m = (t > j1) & (t < j2)
-        out[m] = self._blend_down.deriv(order)(t[m])
+        out[m] = self._blend_down[order](t[m])
         m = (t >= j2) & (t <= j3)
         out[m] = 1.0 if order == 0 else 0.0
         m = (t > j3) & (t < j4)
-        out[m] = self._blend_up.deriv(order)(t[m])
+        out[m] = self._blend_up[order](t[m])
         m = t >= j4
         out[m] = _inv_sq_mirror(self.T, t[m], order)
         return out
@@ -315,8 +316,9 @@ def build_theta(params: CarlemanParams, T: float) -> ThetaProfile:
         if np.any(blend(ts) < 1.0):
             raise ConstructionError("theta blend dips below the plateau value 1")
 
-    return ThetaProfile(T=T, T0=T0, T1=T1,
-                        _blend_down=blend_down, _blend_up=blend_up)
+    down, up = (tuple(blend.deriv(j) for j in range(5))
+                for blend in (blend_down, blend_up))
+    return ThetaProfile(T=T, T0=T0, T1=T1, _blend_down=down, _blend_up=up)
 
 
 # weight-field assembly ------------------------------------------------------
@@ -363,6 +365,7 @@ class WeightField:
     params: CarlemanParams
     grid: SpatialGrid        # the sampling grids
     t_grid: TimeGrid
+    eta_nodes: np.ndarray    # eta at the grid's nodes
     phi: np.ndarray
     xi: np.ndarray
     ledger: dict[str, np.ndarray]
@@ -427,7 +430,8 @@ def eval_weights(eta: EtaProfile, theta: ThetaProfile, params: CarlemanParams,
               for name, fam, i, j in LEDGER}
     return WeightField(
         eta=eta, theta=theta, params=params, grid=grid, t_grid=t_grid,
-        phi=phi, xi=xi, ledger=ledger, log_xi=log_xi, neg2s_phi=neg2s_phi,
+        eta_nodes=ed[:, 0], phi=phi, xi=xi, ledger=ledger, log_xi=log_xi,
+        neg2s_phi=neg2s_phi,
     )
 
 
@@ -526,6 +530,7 @@ class LambdaSweep:
     reports: list[BoundReport]
     growth: dict[str, float]          # max over adjacent lam pairs of C_hi/C_lo
     positivity_threshold: float | None  # smallest lam with all floors positive
+    base: WeightField | None = None   # the field at params.lam, if swept
 
     def stable(self, factor: float = 2.0) -> bool:
         return all(g < factor for g in self.growth.values())
@@ -537,15 +542,18 @@ def sweep_lambda_bounds(eta: EtaProfile, theta: ThetaProfile,
     """Audit the bound ledger for each lam and flag any growing constant.
 
     Point lam samples the weights with `replace(params, lam=lam)` on grid
-    and t_grid.  A constant growing without bound along the sweep signals a
-    defect in the eta/theta construction; the reported growth factor is the
-    largest adjacent-step increase.
+    and t_grid, once per distinct lam.  params.lam, when swept, comes last,
+    and its field is kept as `base`, so no other field outlives its point.
+    A constant growing without bound along the sweep signals a defect in
+    the eta/theta construction; the reported growth factor is the largest
+    adjacent-step increase.
     """
     lams = sorted(float(l) for l in lams)
-    reports = []
-    for lam in lams:
+    by_lam = {}
+    for lam in sorted(dict.fromkeys(lams), key=lambda lam: lam == params.lam):
         w = eval_weights(eta, theta, replace(params, lam=lam), grid, t_grid)
-        reports.append(audit_derivative_bounds(w))
+        by_lam[lam] = audit_derivative_bounds(w)
+    reports = [by_lam[lam] for lam in lams]
 
     growth: dict[str, float] = {}
     for name in reports[0].by_name():
@@ -561,4 +569,5 @@ def sweep_lambda_bounds(eta: EtaProfile, theta: ThetaProfile,
             threshold = lam
             break
     return LambdaSweep(lams=lams, reports=reports, growth=growth,
-                       positivity_threshold=threshold)
+                       positivity_threshold=threshold,
+                       base=w if params.lam in by_lam else None)

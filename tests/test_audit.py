@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamctrl.audit import (CHUNK, DERIV_KEYS, LADDER, N_ROWS,
+from beamctrl.audit import (_SERIAL_MNK, DERIV_KEYS, LADDER, N_ROWS,
                             SeparableTerm, SpaceTimeSample,
-                            TestFunctionFamily, adjoint_residual,
-                            audit_inequality, derivative_tables, integrals,
+                            TestFunctionFamily, _family_integrals,
+                            adjoint_residual, audit_inequality,
+                            derivative_tables, integrals, kernel_stack,
                             lhs_total, sample_fields)
 from beamctrl.torus import TimeGrid, gauss_panels
 from beamctrl.weights import CarlemanParams, eval_weights
@@ -313,18 +314,53 @@ class TestStreamedAudit:
                                           tgrid128, with_potential,
                                           n_samples=3)
 
-    # family sizes off a multiple of CHUNK, so the last chunk is partial,
-    # with samples of one and of three terms only
+    # one- and three-term samples, 5 and 11 per family; then term pairs
+    # just past one 31-pair product block (32), a sample whose pairs
+    # (30-35) straddle two blocks, and mixed sizes
     @pytest.mark.parametrize("n_samples, n_terms", [
-        (CHUNK + 1, (1, 1)), (2 * CHUNK + 3, (3, 3))])
+        (5, (1, 1)), (11, (3, 3)), (32, (1, 1)), (6, (3, 3)), (20, (1, 3))])
     @pytest.mark.parametrize("with_potential", [False, True])
     def test_rows_match_per_sample_terms_across_chunks(
             self, domain, eta, theta, params, grid64, tgrid128,
             with_potential, n_samples, n_terms):
+        assert (_SERIAL_MNK - 1) // (tgrid128.nodes.size * grid64.n) == 31
         check_rows_match_per_sample_terms(domain, eta, theta, params, grid64,
                                           tgrid128, with_potential,
                                           n_samples=n_samples,
                                           n_terms=n_terms)
+
+    @pytest.mark.parametrize("with_potential", [False, True])
+    def test_nearly_cancelling_terms_within_expansion_bound(
+            self, domain, grid64, weights64, with_potential):
+        # psi = A + B with B = -(1 - 1e-3) A up to a sharper envelope, so
+        # each squared row is under 1e-6 of S = (sum_k sqrt(I_kk))^2, which
+        # bounds sum |c_kl I_kl|.  The quadratic form errs by about eps * S
+        # there: measured at most 0.51 eps S, 5.2e-10 relative to the
+        # one-sample fields; the materialized residual 1.7e-15.
+        w = weights64
+        x, t = grid64.nodes, w.t_grid.nodes
+        base = single_mode_sample(domain, k=3).terms[0]
+        terms = (base, SeparableTerm(
+            x_coeffs_cos=base.x_coeffs_cos,
+            x_coeffs_sin=-(1 - 1e-3) * base.x_coeffs_sin,
+            circumference=base.circumference, gamma=base.gamma * 1.0001,
+            t_poly=base.t_poly, T=base.T))
+        smp = SpaceTimeSample(terms=terms)
+        a = (np.random.default_rng(4).uniform(-1, 1, (t.size, grid64.n))
+             if with_potential else None)
+        got = _family_integrals(kernel_stack(w)[0][:, None], [smp], x, t,
+                                a)[0, 0]
+        expected = integrals(smp.derivs(x, t), w, a)
+        scale = sum(np.sqrt(integrals(
+            SpaceTimeSample(terms=(term,)).derivs(x, t), w))
+            for term in terms) ** 2
+        eps = np.finfo(float).eps
+        squares = [r for r in range(N_ROWS) if r != len(LADDER)]
+        assert np.all(expected[squares] < 1e-6 * scale[squares])
+        assert np.all(np.abs(got - expected)[squares]
+                      <= 2 * eps * scale[squares])
+        assert got[len(LADDER)] == pytest.approx(expected[len(LADDER)],
+                                                 rel=1e-13)
 
     def test_memory_holds_one_sample_at_a_time(self, domain, eta, theta,
                                                params, grid64):

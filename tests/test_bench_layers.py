@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from beamctrl.config import load_config
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -27,6 +29,45 @@ def test_layers_bench_smoke(tmp_path):
     for entry in result["summary"].values():
         assert entry["change"]["median"] > 0 and entry["parent_iqr"] == 0.0
         assert entry["change_wins"] in (0, 1)
+
+
+def test_layers_bench_audit_slice_smoke(tmp_path):
+    # one round of the audit slice on both sides, without the config runs;
+    # each call is timed in wall and CPU time
+    layers = load_layers()
+    out = tmp_path / "layers.json"
+    layers.main(["--slice", "audit", "--rounds", "1", "--repeats", "1",
+                 "--no-config", "--parent", str(ROOT), "--out", str(out)])
+    result = json.loads(out.read_text())
+    assert result["slice"] == "audit" and "steps" not in result
+    assert set(result["summary"]) == {
+        f"{name}{clock}_ms" for name in ("build_eta", "audit_inequality")
+        for clock in ("", ".cpu")}
+    for entry in result["summary"].values():
+        assert entry["change"]["median"] > 0 and entry["parent_iqr"] == 0.0
+
+
+def test_audit_configs_are_the_workload_entry(tmp_path):
+    # the audit slice runs the perfbench audit workload's pool entry 0 and
+    # copies laps its manifests have
+    layers = load_layers()
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    entry = workloads.CONFIGS["audit"](0)
+
+    def loaded(name, text):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(text)
+        return load_config(path)
+
+    for name, text in layers.AUDIT_CONFIGS.items():
+        kind = name.replace("_", "-")
+        assert loaded(name, text).config_hash \
+            == loaded(kind, entry[kind]).config_hash
+        assert set(layers.AUDIT_LAPS[name]) <= set(
+            layers.run_config(text, name))
 
 
 def test_summary_pairs_rounds():

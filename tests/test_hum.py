@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from numpy.polynomial import Polynomial
 from scipy.interpolate import CubicSpline
 
 from beamctrl import dynamics
@@ -19,7 +20,7 @@ from beamctrl.hum import (CGConvergenceError, CurvatureError,
                           time_stencil, verify_null_control)
 from beamctrl.torus import SpatialGrid, TimeGrid, gauss_panels, \
     uniform_interior
-from beamctrl.weights import eval_weights
+from beamctrl.weights import EtaProfile, eval_weights
 
 
 @pytest.fixture(scope="module")
@@ -639,6 +640,26 @@ class TestVerification:
             * system.chi
         assert np.array_equal(v[1:-1], whole)
         assert np.all(v[[0, -1]] == 0.0)
+
+    def test_control_on_times_rebuilds_no_profile(self, control_size_system,
+                                                  monkeypatch):
+        # its 16 chunks of times read eta at the nodes from the weight field
+        # and build no polynomial of theta
+        system = control_size_system
+        sol = HumSolution(
+            psi_min=np.ones((system.t_grid.n, system.grid.n)), g_tilde=None,
+            v=None, J_value=0.0, residual_history=[], iterations=0,
+            relative_residual=0.0, true_relative_residual=0.0)
+        times = np.linspace(0.0, system.t_grid.T, 4097)
+        expected = control_on_times(sol, system, times)
+        calls = []
+        derivs = EtaProfile.derivs
+        monkeypatch.setattr(EtaProfile, "derivs", lambda self, *args, **kw:
+                            calls.append(args) or derivs(self, *args, **kw))
+        monkeypatch.setattr(Polynomial, "deriv", None)
+        v = control_on_times(sol, system, times)
+        assert calls == []
+        assert v.tobytes() == expected.tobytes()
 
     def test_synthesize_control_chains_the_stages(self, grid8, eta, theta,
                                                   params, tgrid16,

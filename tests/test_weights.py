@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import BPoly
 
+from beamctrl import weights
 from beamctrl.hum import fd_weights
 from beamctrl.torus import SpatialGrid, gauss_panels, uniform_interior
 from beamctrl.weights import (LEDGER, CarlemanParams, ConstructionError,
@@ -267,6 +268,34 @@ class TestBoundAudit:
                                     grid64, tgrid128)
         assert sweep.stable(2.0)
         assert sweep.positivity_threshold == 1.0
+
+    def test_lambda_sweep_evaluates_each_lambda_once(self, eta, theta,
+                                                     params, grid64,
+                                                     tgrid128, monkeypatch):
+        # params.lam (2) comes last and its field is kept; a repeated lam
+        # is evaluated once and reported at each of its places
+        seen = []
+        real = weights.eval_weights
+
+        def counted(eta, theta, params, *grids):
+            seen.append(params.lam)
+            return real(eta, theta, params, *grids)
+
+        monkeypatch.setattr(weights, "eval_weights", counted)
+        sweep = sweep_lambda_bounds(eta, theta, params, [4.0, 2.0, 1.0, 4.0],
+                                    grid64, tgrid128)
+        assert seen == [1.0, 4.0, 2.0]
+        assert sweep.lams == [1.0, 2.0, 4.0, 4.0]
+        assert sweep.reports[2] is sweep.reports[3]
+        w = real(eta, theta, params, grid64, tgrid128)
+        assert sweep.base.params == params
+        for name in ("phi", "xi", "log_xi", "neg2s_phi"):
+            assert getattr(sweep.base, name).tobytes() \
+                == getattr(w, name).tobytes()
+        # repr, since a NaN t_at is unequal to itself
+        assert repr(sweep.reports[1]) == repr(audit_derivative_bounds(w))
+        assert sweep_lambda_bounds(eta, theta, params, [1.0, 4.0], grid64,
+                                   tgrid128).base is None
 
     def test_constants_stabilize_under_refinement(self, eta, theta, params,
                                                   domain):
