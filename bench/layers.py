@@ -11,12 +11,15 @@ Each round starts one fresh process per checkout.  With `--slice forward`
 with 1 and 3 members at 206, 1024 and 4096 steps of 1/1024, each the median
 of --repeats calls after one warm-up call:
 
-- `free`: forced, without a potential, as in a fixed-point sweep;
+- `free`: forced, without a potential, on the block-product core that the
+  fixed-point sweeps also march on;
 - `potential`: unforced, with a potential, as in the direct march.
 
-It then runs the forward workload's config (T = 1, 1024 steps, random
-potential, fixed-point windows of 0.2) once into a temporary directory and
-copies the `timing.*` laps of its manifest.
+It times `dynamics.fixed_point_solve` at the forward workload's size (the
+config below: T = 1, 1024 steps, random potential, fixed-point windows of
+0.2) the same way, in wall and CPU time and per sweep (`.iteration_ms`,
+the wall time over the sweeps of one call).  It then runs that config once
+into a temporary directory and copies the `timing.*` laps of its manifest.
 
 With `--slice audit` the process builds the audit workload's first
 carleman-audit config (64 modes, 256 Gauss times, 64 + 64 samples of up to
@@ -123,15 +126,21 @@ STEPS = (206, 1024, 4096)
 MEMBERS = (1, 3)
 
 
-def run_config(text: str, name: str) -> dict[str, float]:
-    """The `timing.<lap>_s` rows of one config run, in s by lap."""
+def load_text(text: str, name: str):
+    """The config of the INI text, loaded through a temporary file."""
     from beamctrl.config import load_config
-    from beamctrl.experiments import run
-    from beamctrl.io import read_flat_report
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"{name}.ini"
         path.write_text(text)
-        manifest = run(load_config(path), out_root=Path(tmp) / "runs")
+        return load_config(path)
+
+
+def run_config(text: str, name: str) -> dict[str, float]:
+    """The `timing.<lap>_s` rows of one config run, in s by lap."""
+    from beamctrl.experiments import run
+    from beamctrl.io import read_flat_report
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = run(load_text(text, name), out_root=Path(tmp) / "runs")
         rows = read_flat_report(manifest.run_dir / "manifest.txt")
     return {key[len("timing."):-2]: float(value)
             for key, value in rows.items() if key.startswith("timing.")}
@@ -151,15 +160,11 @@ def time_calls(call, repeats: int) -> tuple[float, float]:
 def measure_audit(repeats: int, config: bool) -> dict[str, float]:
     """The audit slice of one side, with its `beamctrl` imported."""
     from beamctrl.audit import TestFunctionFamily, audit_inequality
-    from beamctrl.config import load_config
     from beamctrl.experiments import make_grid, make_potential_sampler
     from beamctrl.torus import gauss_panels
     from beamctrl.weights import build_eta, build_theta
 
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "carleman_audit.ini"
-        path.write_text(AUDIT_CONFIGS["carleman_audit"])
-        cfg = load_config(path)
+    cfg = load_text(AUDIT_CONFIGS["carleman_audit"], "carleman_audit")
     dom, car, aud = cfg.domain(), cfg["carleman"], cfg["audit"]
     grid = make_grid(cfg)
     params = cfg.carleman_params()
@@ -193,6 +198,28 @@ def measure_audit(repeats: int, config: bool) -> dict[str, float]:
     return out
 
 
+def measure_fixed_point(repeats: int) -> dict[str, float]:
+    """`fixed_point_solve` on the forward workload's config, as its run
+    calls it."""
+    from beamctrl.dynamics import fixed_point_solve
+    from beamctrl.experiments import (make_data, make_grid,
+                                      make_potential_sampler)
+
+    cfg = load_text(FORWARD_CONFIG, "forward")
+    grid = make_grid(cfg)
+    b0, b1 = make_data(cfg, grid)
+    times = np.linspace(0.0, cfg.domain().T, cfg["forward"]["n_steps"] + 1)
+    a = make_potential_sampler(cfg, grid)(times)
+    kappa = cfg["forward"]["fixed_point_kappa"]
+    _, report = fixed_point_solve(grid, b0, b1, times, a, kappa)
+    wall, cpu = time_calls(
+        lambda: fixed_point_solve(grid, b0, b1, times, a, kappa), repeats)
+    return {"fixed_point_solve_ms": 1e3 * wall,
+            "fixed_point_solve.cpu_ms": 1e3 * cpu,
+            "fixed_point_solve.iteration_ms":
+                1e3 * wall / report.iterations_total}
+
+
 def measure(src: str, slice_: str, steps: tuple[int, ...], repeats: int,
             config: bool) -> dict[str, float]:
     """One side of a round, in this process: the checkout's `src` on the
@@ -219,6 +246,7 @@ def measure(src: str, slice_: str, steps: tuple[int, ...], repeats: int,
                 wall, _ = time_calls(lambda: solve_forward(
                     grid, data[0], data[1], times, **kw), repeats)
                 out[f"solve_forward.{kind}.m{b}.s{n}_ms"] = 1e3 * wall
+    out.update(measure_fixed_point(repeats))
     if config:
         for lap, seconds in run_config(FORWARD_CONFIG, "forward").items():
             out[f"forward_config.timing.{lap}_ms"] = 1e3 * seconds

@@ -8,18 +8,17 @@ second-order accuracy (Lawson two-stage scheme), so the integrator has no
 step-size restriction from the kappa^4 stiffness.
 
 The march keeps its state in rfft space, as the interleaved float view of
-the modes, and goes one block of _GUARD_BLOCK steps at a time: the block's
-forcing is transformed on entry, and its states go back to nodes, straight
-into the returned arrays, once the divergence guard has passed them.  So a
-march holds its output plus one block.  With a potential a step applies the
-real propagator to the stacked pair (beta, beta_t), and a*beta at the stage
-points goes through real DFT matrices (no FFT inside the loop).  Without
-one a step is a fixed affine map per mode, and _SUB_BLOCK steps are one
-stacked product against the powers of the propagator.  A 4096-step march
-at n_x = 64 (one member, 2 vCPUs, best of 7) costs 15-16 us per step with a
-potential, and 1.8 us without (2.6 us forced), where stepping without a
-potential cost 4.4 us (6.4 us forced); the machine's own speed drifts by up
-to 1.7x between runs.
+the modes, one block of _GUARD_BLOCK steps at a time, whose states go back
+to nodes once the divergence guard has passed them.  With a potential a
+step applies the real propagator to the pair (beta, beta_t), and a*beta at
+the stage points goes through real DFT matrices.  Without one a step is a
+fixed affine map per mode, and _SUB_BLOCK steps are one stacked product
+against the powers of the propagator (`_free_march`); the fixed-point
+sweeps iterate a window's modal states on that same core.  At n_x = 64
+(one member, 2 vCPUs, best of 7) a 4096-step march costs 17-19 us per step
+with a potential and 1.6-1.7 us without (2.3-2.5 us forced), and a sweep of
+a 206-step window 0.39-0.43 ms (1.9-2.1 us per step), against 0.82-1.15 ms
+as a `solve_forward` call; the machine's speed drifts by up to 1.7x.
 """
 
 from __future__ import annotations
@@ -190,15 +189,12 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
     the trajectory's own time nodes; each step uses the node values at its two
     ends.  `beta0`/`beta1` may carry a leading batch axis, which `forcing`
     (shape ([batch,] n_times, n_x)) must then share; the potential is shared
-    by every member, and each member's march equals its unbatched march bit
-    for bit.
+    by every member, and each member's march, guard margin included, equals
+    its unbatched march bit for bit.
 
-    The state lives in rfft space, held as the interleaved float view of the
-    modes, and the march goes one block of _GUARD_BLOCK steps at a time: it
-    holds that block's modal states and transformed forcing, and writes the
-    block's states back to nodes into the returned arrays, so a march holds
-    its output plus one block.  How a block's states are found depends on
-    the potential:
+    The march holds its output plus one block of _GUARD_BLOCK modal states
+    and transformed forcing.  How a block's states are found depends on the
+    potential:
 
     - With a potential, step by step.  A step applies the real modal
       propagator to the stacked pair (beta, beta_t) with one multiply and
@@ -207,12 +203,7 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
       beta it stores both meet a_{i+1}, so one stacked synthesis and one
       analysis product per step serve both.
     - Without one, a step is the same affine map of the state on every
-      mode, so _SUB_BLOCK steps are one stacked matrix product: each mode's
-      start state and forcing values against the powers of its propagator
-      (`_march_tables`), with members and modes on the product's stack axis.
-
-    The returned trajectory computes its energy and dissipation only when
-    they are read.
+      mode, so _SUB_BLOCK steps are one stacked matrix product (`_free_march`).
 
     Each member's divergence guard is divergence_factor times its data norm
     plus the trapezoid integral of its forcing's L2 norm; a state whose norm
@@ -224,6 +215,66 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
     mismatched shapes raise ValueError.
     """
     g = grid
+    times, data, a, forcing, batch = _checked_inputs(g, times, beta0, beta1,
+                                                     a, forcing)
+    n_t, n_b = times.size, data.shape[1]
+    w = 2 * g.kappa.size               # float width of one modal field
+    dt = float(times[1] - times[0])
+    E, lift, ahead, mult, K = _march_tables(g.n, g.circumference, dt)
+    guard = _Guard(g, data, forcing, times, mult, divergence_factor)
+    # row 0 of a block is the last state of the previous one
+    U = np.empty((_GUARD_BLOCK + 1, n_b, 2, w))
+    U.view(complex)[0] = g.to_modes(data.transpose(1, 0, 2))
+    out = np.empty((2, n_b, n_t, g.n))
+    out[:, :, 0] = g.to_nodes(U.view(complex)[0].transpose(1, 0, 2))
+    peak_sq = guard.check(U[:1], None)[0]                   # (B,)
+    f_hat = (None if forcing is None
+             else np.empty((_GUARD_BLOCK + 1, n_b, 1, w)))
+    if a is not None:
+        P = np.empty((n_b, 2, 2, w))
+        P0, P1 = P[:, :, 0], P[:, :, 1]
+        pair = U[:, :, None]           # (rows, B, 1, 2, w) against E
+        b_rows, bt_rows = U[:, :, :1], U[:, :, 1:]          # (rows, B, 1, w)
+        syn, ana = dft_matrices(g)
+        ab = (b_rows[0] @ syn * a[0]) @ ana                 # a*beta, modal
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0 in range(0, n_t - 1, _GUARD_BLOCK):
+            n = min(_GUARD_BLOCK, n_t - 1 - i0)
+            if i0:
+                U[0] = U[_GUARD_BLOCK]
+            if f_hat is not None:
+                f_hat.view(complex)[:n + 1, :, 0] = g.to_modes(
+                    forcing[:, i0:i0 + n + 1].transpose(1, 0, 2))
+            if a is None:
+                norm_sq = _free_march(K, U, f_hat, n, guard, i0)
+            else:
+                for j in range(n):
+                    nxt, bt = U[j + 1], bt_rows[j + 1]
+                    np.multiply(pair[j], E, out=P)
+                    np.add(P0, P1, out=nxt)
+                    n0 = -ab if f_hat is None else f_hat[j] - ab
+                    pts = ahead * n0 + b_rows[j + 1]
+                    prod = (pts @ syn * a[i0 + j + 1]) @ ana    # (B, 2, w)
+                    ab = prod[:, 1:]
+                    n1 = (-prod[:, :1] if f_hat is None
+                          else f_hat[j + 1] - prod[:, :1])
+                    nxt += lift * n0
+                    bt += 0.5 * dt * n1
+                norm_sq = guard.check(U[1:n + 1], i0)
+            np.maximum(peak_sq, norm_sq.max(axis=0), out=peak_sq)
+            out[:, :, i0 + 1:i0 + n + 1] = g.to_nodes(
+                U.view(complex)[1:n + 1].transpose(2, 1, 0, 3))
+        margin = np.sqrt(peak_sq / guard.guard_sq)
+    margin[guard.guard_sq == 0] = 0.0
+
+    beta, beta_t = out.reshape((2,) + batch + (n_t, g.n))
+    return BeamTrajectory(grid=g, times=times, beta=beta, beta_t=beta_t,
+                          guard_margin=margin.reshape(batch))
+
+
+def _checked_inputs(g: SpatialGrid, times, beta0, beta1, a, forcing=None):
+    """times, data (2, B, n_x), a, forcing (B, n_times, n_x) and batch shape;
+    ValueError for non-uniform times, bad shapes or non-finite values."""
     times = np.asarray(times, dtype=float)
     steps = np.diff(times)
     if (times.size < 2 or not steps[0] > 0
@@ -250,107 +301,69 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
                       ("a", a), ("forcing", forcing)):
         if arr is not None and not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} is not finite")
+    return (times, data.reshape(2, -1, g.n), a, None if forcing is None
+            else forcing.reshape(-1, n_t, g.n), batch)
 
-    data = data.reshape(2, -1, g.n)                         # (2, B, n_x)
-    n_b = data.shape[1]
-    if forcing is not None:
-        forcing = forcing.reshape(n_b, n_t, g.n)
-    n_m = g.kappa.size
-    w = 2 * n_m                        # float width of one modal field
-    dt = float(steps[0])
-    trap = np.full(n_t, dt)
-    trap[0] = trap[-1] = 0.5 * dt
-    # the guard sees each member divided by its largest input, so that the
-    # squared norms neither underflow nor overflow
-    scale = np.abs(data).max(axis=(0, 2))                   # (B,)
-    if forcing is not None:
-        scale = np.maximum(scale, [max(fb.max(), -fb.min()) for fb in forcing])
-    scale[scale == 0] = 1.0            # an all-zero member stays exactly zero
-    d = data / scale[:, None]
-    guard = g.pair_norm(d[0], d[1])
-    if forcing is not None:            # member by member: no scaled copy
-        guard += [g.l2(fb / s) @ trap for fb, s in zip(forcing, scale)]
-    guard_sq = (divergence_factor * guard) ** 2
-    scale = scale[:, None]                                  # (B, 1)
-    E, lift, ahead, mult, K = _march_tables(g.n, g.circumference, dt)
-    hdt = 0.5 * dt
 
-    # row 0 of a block is the last state of the previous one
-    U = np.empty((_GUARD_BLOCK + 1, n_b, 2, w))
-    U.view(complex)[0] = g.to_modes(data.transpose(1, 0, 2))
-    out = np.empty((2, n_b, n_t, g.n))
-    out[:, :, 0] = g.to_nodes(U.view(complex)[0].transpose(1, 0, 2))
-    v = U[0].reshape(n_b, -1) / scale
-    peak_sq = (v * v) @ mult                                # (B,)
-    f_hat = (None if forcing is None
-             else np.empty((_GUARD_BLOCK + 1, n_b, 1, w)))
-    if a is None:
-        # per member and mode: a sub-block's start state, then its forcing
-        # at the sub-block's nodes; real and imaginary lanes on the last axis
-        X = np.empty((n_b, n_m, 2 if f_hat is None else _SUB_BLOCK + 3),
-                     complex)
-        X_lanes = X.view(float).reshape(X.shape + (2,))
-        # U's rows as (row, B, 2, n_m, lane), the layout of a product's rows
-        U_lanes = U.reshape(_GUARD_BLOCK + 1, n_b, 2, n_m, 2)
-    else:
-        P = np.empty((n_b, 2, 2, w))
-        P0, P1 = P[:, :, 0], P[:, :, 1]
-        pair = U[:, :, None]           # (rows, B, 1, 2, w) against E
-        b_rows, bt_rows = U[:, :, :1], U[:, :, 1:]          # (rows, B, 1, w)
-        syn, ana = dft_matrices(g)
-        ab = (b_rows[0] @ syn * a[0]) @ ana                 # a*beta, modal
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i0 in range(0, n_t - 1, _GUARD_BLOCK):
-            n = min(_GUARD_BLOCK, n_t - 1 - i0)
-            if i0:
-                U[0] = U[_GUARD_BLOCK]
-            if f_hat is not None:
-                f_hat.view(complex)[:n + 1, :, 0] = g.to_modes(
-                    forcing[:, i0:i0 + n + 1].transpose(1, 0, 2))
-            if a is None:
-                for s0 in range(0, n, _SUB_BLOCK):
-                    m = min(_SUB_BLOCK, n - s0)
-                    cols = 2 if f_hat is None else m + 3
-                    X[:, :, :2] = U.view(complex)[s0].transpose(0, 2, 1)
-                    if f_hat is not None:
-                        X[:, :, 2:cols] = f_hat.view(complex)[
-                            s0:s0 + m + 1, :, 0].transpose(1, 2, 0)
-                    Y = np.matmul(K[:, :2 * m, :cols], X_lanes[:, :, :cols])
-                    U_lanes[s0 + 1:s0 + m + 1] = Y.reshape(
-                        n_b, n_m, m, 2, 2).transpose(2, 0, 3, 1, 4)
-            else:
-                for j in range(n):
-                    nxt, bt = U[j + 1], bt_rows[j + 1]
-                    np.multiply(pair[j], E, out=P)
-                    np.add(P0, P1, out=nxt)
-                    n0 = -ab if f_hat is None else f_hat[j] - ab
-                    pts = ahead * n0 + b_rows[j + 1]
-                    prod = (pts @ syn * a[i0 + j + 1]) @ ana    # (B, 2, w)
-                    ab = prod[:, 1:]
-                    n1 = (-prod[:, :1] if f_hat is None
-                          else f_hat[j + 1] - prod[:, :1])
-                    nxt += lift * n0
-                    bt += hdt * n1
-            v = U[1:n + 1].reshape(n, n_b, -1) / scale
-            norm_sq = (v * v) @ mult                         # (steps, B)
-            bad = np.flatnonzero(~(norm_sq <= guard_sq).all(axis=1))
-            if bad.size:
-                step = i0 + 1 + bad[0]
-                norm = np.max(np.sqrt(norm_sq[bad[0]]) * scale[:, 0])
-                raise SolverDivergenceError(
-                    f"norm grew to {norm:.3e} (>{divergence_factor:.0e} x "
-                    f"(data norm + forcing integral)) at step {step}, "
-                    f"t = {times[step]:.6g}"
-                )
-            np.maximum(peak_sq, norm_sq.max(axis=0), out=peak_sq)
-            out[:, :, i0 + 1:i0 + n + 1] = g.to_nodes(
-                U.view(complex)[1:n + 1].transpose(2, 1, 0, 3))
-        margin = np.sqrt(peak_sq / guard_sq)
-    margin[guard_sq == 0] = 0.0
+class _Guard:
+    """The divergence guard (see `solve_forward`) for the data (2, B, n_x)
+    and forcing (B, n_t, n_x) or None.  Each member's norms are taken on
+    their own, divided by its largest input against under- and overflow."""
 
-    beta, beta_t = out.reshape((2,) + batch + (n_t, g.n))
-    return BeamTrajectory(grid=g, times=times, beta=beta, beta_t=beta_t,
-                          guard_margin=margin.reshape(batch))
+    def __init__(self, g: SpatialGrid, data, forcing, times, mult, factor):
+        trap = np.full(times.size, times[1] - times[0])
+        trap[0] = trap[-1] = 0.5 * trap[0]
+        scale = np.abs(data).max(axis=(0, 2))               # (B,)
+        if forcing is not None:
+            scale = np.maximum(scale,
+                               [max(fb.max(), -fb.min()) for fb in forcing])
+        scale[scale == 0] = 1.0        # an all-zero member stays exactly zero
+        d = data / scale[:, None]
+        guard = g.pair_norm(d[0], d[1])
+        if forcing is not None:        # member by member: no scaled copy
+            guard += [g.l2(fb / s) @ trap for fb, s in zip(forcing, scale)]
+        self.guard_sq, self.scale = (factor * guard) ** 2, scale[:, None, None]
+        self.times, self.mult, self.factor = times, mult, factor
+
+    def check(self, rows: np.ndarray, i0: int | None) -> np.ndarray:
+        """Scaled squared norms (steps, B) of states (steps, B, 2, w) of steps
+        i0 + 1, ...: SolverDivergenceError at the first beyond the guard."""
+        v = rows.reshape(len(rows), -1, 1, self.mult.size) / self.scale
+        norm_sq = (np.multiply(v, v, out=v) @ self.mult)[..., 0]
+        bad = np.flatnonzero(~(norm_sq <= self.guard_sq).all(axis=1))
+        if bad.size and i0 is not None:        # None: step 0, unchecked
+            step = i0 + 1 + bad[0]
+            norm = np.max(np.sqrt(norm_sq[bad[0]]) * self.scale[:, 0, 0])
+            raise SolverDivergenceError(
+                f"norm grew to {norm:.3e} (>{self.factor:.0e} x (data norm "
+                f"+ forcing integral)) at step {step}, t = "
+                f"{self.times[step]:.6g}")
+        return norm_sq
+
+
+def _free_march(K: np.ndarray, U: np.ndarray, f_hat: np.ndarray | None,
+                n: int, guard: _Guard | None = None, i0: int = 0):
+    """March n steps without a potential from the modal states U[0] (rows,
+    B, 2, w) with the forcing f_hat[:n + 1] (rows, B, 1, w; None: unforced)
+    into U[1:n + 1], and return `guard.check` of them as steps i0 + 1, ...
+    (None without a guard): _SUB_BLOCK steps are one stacked product
+    against K (`_march_tables`), with members and modes on its stack axis."""
+    n_b, n_m = U.shape[1], K.shape[0]
+    # per member and mode: a sub-block's start state, then its forcing at
+    # the sub-block's nodes; real and imaginary lanes on the last axis
+    X = np.empty((n_b, n_m, 2 if f_hat is None else _SUB_BLOCK + 3), complex)
+    X_lanes = X.view(float).reshape(X.shape + (2,))
+    for s0 in range(0, n, _SUB_BLOCK):
+        m = min(_SUB_BLOCK, n - s0)
+        cols = 2 if f_hat is None else m + 3
+        X[:, :, :2] = U.view(complex)[s0].transpose(0, 2, 1)
+        if f_hat is not None:
+            X[:, :, 2:cols] = f_hat.view(complex)[
+                s0:s0 + m + 1, :, 0].transpose(1, 2, 0)
+        Y = np.matmul(K[:, :2 * m, :cols], X_lanes[:, :, :cols])
+        U.view(complex)[s0 + 1:s0 + m + 1] = Y.view(complex).reshape(
+            n_b, n_m, m, 2).transpose(2, 0, 3, 1)
+    return None if guard is None else guard.check(U[1:n + 1], i0)
 
 
 @lru_cache(maxsize=1)
@@ -431,40 +444,60 @@ def fixed_point_solve(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
     the sup-in-time distance of successive iterates, measured on the state
     pair (beta, beta_t) in L2 x L2, drops below tol.
 
+    An iterate is the window's modal states, marched by `_free_march` from
+    one rfft of the source; one irfft gives the nodes for the distance and
+    the next source.  It equals `solve_forward` of the window bit for bit
+    and diverges where that would, but the inputs are checked once.
+
     A non-contracting window (distances growing) is an expected outcome for
     kappa too large: the returned trajectory is None and the report carries
     the observed factor >= 1.
     """
-    times = np.asarray(times, dtype=float)
-    dt = times[1] - times[0]
-    seg_steps = max(2, int(round(kappa / dt)))
+    g = grid
+    times, data, a, _, batch = _checked_inputs(g, times, beta0, beta1, a)
+    if batch:
+        raise ValueError("beta0 and beta1 must have shape (n_x,)")
+    seg_steps = max(2, int(round(kappa / (times[1] - times[0]))))
     seg_steps += seg_steps % 2
     half = seg_steps // 2
-
     n_t = times.size
-    beta = np.empty((n_t, grid.n))
-    beta_t = np.empty((n_t, grid.n))
-    data = (np.asarray(beta0, dtype=float), np.asarray(beta1, dtype=float))
-
+    out = np.empty((2, n_t, g.n))
+    # a full window's modal states and source, and the nodes (2, rows, n_x)
+    # of its last two iterates, so that no sweep allocates a field
+    rows, w = min(seg_steps, n_t - 1) + 1, 2 * g.kappa.size
+    U_all, f_all = np.empty((rows, 1, 2, w)), np.empty((rows, 1, 1, w))
+    forcing_all, iterates = np.empty((rows, g.n)), np.empty((2, 2, rows, g.n))
     first_distances: list[float] = []
     total_iters = windows = start = 0
     converged = True
     while start < n_t - 1:
         windows += 1
         stop = min(start + seg_steps, n_t - 1)
-        w_times = times[start:stop + 1]
-        w_a = a[start:stop + 1]
-
-        prev = np.zeros((w_times.size, grid.n))
-        prev_t = np.zeros((w_times.size, grid.n))
-        traj = None
+        w_times, neg_a = times[start:stop + 1], -a[start:stop + 1]
+        rows = w_times.size
+        U, f_hat, forcing = U_all[:rows], f_all[:rows], forcing_all[:rows]
+        prev, nodes = iterates[:, :, :rows]
+        nodes.fill(0.0)                # the seed iterate
+        g.to_modes(data[:, 0], out=U.view(complex)[0, 0])
+        *_, mult, K = _march_tables(g.n, g.circumference,
+                                    float(w_times[1] - w_times[0]))
         dist_prev = None
-        scale = max(float(grid.pair_norm(*data)), 1e-300)
+        scale = max(float(g.pair_norm(*data)[0]), 1e-300)
+        floor = 0.25 * (1e6 * scale) ** 2
         for it in range(max_iter):
-            traj = solve_forward(grid, data[0], data[1], w_times,
-                                 forcing=-w_a * prev)
-            dist = float(np.max(grid.pair_norm(traj.beta - prev,
-                                               traj.beta_t - prev_t)))
+            prev, nodes = nodes, prev
+            np.multiply(neg_a, prev[0], out=forcing)
+            with np.errstate(over="ignore", invalid="ignore"):
+                g.to_modes(forcing, out=f_hat.view(complex)[:, 0, 0])
+                _free_march(K, U, f_hat, rows - 1)
+                # norm^2 <= sum(mult) x largest entry^2, guard >= 1e6 x data
+                # norm: the guard is built only where this bound fails
+                if not max(U.max(), -U.min()) ** 2 * mult.sum() < floor:
+                    _Guard(g, data, forcing[None], w_times, mult,
+                           1e6).check(U[1:], 0)
+            g.to_nodes(U.view(complex)[:, 0].transpose(1, 0, 2), out=nodes)
+            change = np.subtract(nodes, prev, out=prev)
+            dist = float(np.max(g.pair_norm(*change)))
             total_iters += 1
             if windows == 1:
                 first_distances.append(dist)
@@ -474,14 +507,11 @@ def fixed_point_solve(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
                 converged = False
                 break
             dist_prev = dist
-            prev, prev_t = traj.beta, traj.beta_t
         if not converged:
             break
-
         keep = stop - start if stop == n_t - 1 else half
-        beta[start:start + keep + 1] = traj.beta[:keep + 1]
-        beta_t[start:start + keep + 1] = traj.beta_t[:keep + 1]
-        data = (traj.beta[keep], traj.beta_t[keep])
+        out[:, start:start + keep + 1] = nodes[:, :keep + 1]
+        data = nodes[:, keep, None].copy()
         start += keep
 
     factors = [b / a_ for a_, b in zip(first_distances[:-1], first_distances[1:])]
@@ -492,6 +522,6 @@ def fixed_point_solve(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
     report = ContractionReport(
         distances=first_distances, factors=factors, observed_factor=observed,
         converged=converged, windows=windows, iterations_total=total_iters)
-    full = (BeamTrajectory(grid=grid, times=times, beta=beta, beta_t=beta_t)
+    full = (BeamTrajectory(grid=g, times=times, beta=out[0], beta_t=out[1])
             if converged else None)
     return full, report

@@ -262,6 +262,7 @@ def _run_forward(cfg: ExperimentConfig, run_dir: Path):
         metrics["fp_observed_factor"] = report.observed_factor
         metrics["fp_converged"] = str(report.converged).lower()
         metrics["fp_windows"] = report.windows
+        metrics["fp_iterations"] = report.iterations_total
         assertions["fixed_point_contracts"] = report.converged
         if fp is not None:
             diff = np.max(np.abs(fp.beta - traj.beta)) \

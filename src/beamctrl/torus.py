@@ -40,11 +40,13 @@ class SpatialGrid:
         """Angular wavenumbers 2*pi*k/circumference for the rfft modes."""
         return 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.h)
 
-    def to_modes(self, u: np.ndarray) -> np.ndarray:
-        return np.fft.rfft(u, axis=-1)
+    def to_modes(self, u: np.ndarray, out: np.ndarray | None = None
+                 ) -> np.ndarray:
+        return np.fft.rfft(u, axis=-1, out=out)
 
-    def to_nodes(self, u_hat: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(u_hat, n=self.n, axis=-1)
+    def to_nodes(self, u_hat: np.ndarray, out: np.ndarray | None = None
+                 ) -> np.ndarray:
+        return np.fft.irfft(u_hat, n=self.n, axis=-1, out=out)
 
     def deriv(self, u: np.ndarray, order: int) -> np.ndarray:
         """Spectral derivative of the given order along the last axis."""

@@ -16,8 +16,8 @@ def load_layers():
 
 
 def test_layers_bench_smoke(tmp_path):
-    # one round of tiny marches on both sides, this checkout as its own
-    # parent, without the config run
+    # one round of tiny marches and the workload-sized fixed-point solve on
+    # both sides, this checkout as its own parent, without the config run
     layers = load_layers()
     out = tmp_path / "layers.json"
     layers.main(["--rounds", "1", "--repeats", "1", "--steps", "8",
@@ -25,6 +25,8 @@ def test_layers_bench_smoke(tmp_path):
     result = json.loads(out.read_text())
     names = {f"solve_forward.{kind}.m{b}.s8_ms"
              for kind in ("free", "potential") for b in (1, 3)}
+    names |= {f"fixed_point_solve{field}_ms"
+              for field in ("", ".cpu", ".iteration")}
     assert set(result["summary"]) == names
     for entry in result["summary"].values():
         assert entry["change"]["median"] > 0 and entry["parent_iqr"] == 0.0

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -233,7 +234,8 @@ class TestSolveForward:
         for i in range(3):
             one = solve_forward(grid, b0[i], b1[i], times, a=a, forcing=f[i])
             member = batch.member(i)
-            for name in ("beta", "beta_t", "energy", "dissipation"):
+            for name in ("beta", "beta_t", "energy", "dissipation",
+                         "guard_margin"):
                 assert np.array_equal(getattr(member, name), getattr(one, name))
 
     def test_march_holds_its_output_plus_one_block(self, grid):
@@ -399,7 +401,7 @@ class TestFreeMarch:
             one = solve_forward(grid, b0[i], b1[i], times,
                                 forcing=None if f is None else f[i])
             member = batch.member(i)
-            for name in ("beta", "beta_t"):
+            for name in ("beta", "beta_t", "guard_margin"):
                 assert np.array_equal(getattr(member, name), getattr(one, name))
 
     @pytest.mark.parametrize("onset", [0, 100])
@@ -578,3 +580,123 @@ class TestFixedPoint:
         traj, report = fixed_point_solve(grid, b0, b1, times, a, 0.25)
         assert report.converged and report.windows > 1
         assert calls == []
+
+    # the windows' layouts: a last window shorter than a full one (109
+    # steps, not a multiple of the 32-step sub-block), a single window
+    # shorter than half of one (19 steps), an odd kappa / dt rounded up to
+    # 24 steps, and a window that does not contract
+    @pytest.mark.parametrize("n_t, kappa, amp, max_iter", [
+        (129, 0.25, 1.0, 60), (110, 0.25, 2.0, 60), (20, 0.25, 3.0, 60),
+        (200, 0.09, 1.5, 60), (1025, 8.0, 4.0, 12)])
+    def test_matches_one_solve_per_sweep_bit_for_bit(self, grid, n_t, kappa,
+                                                     amp, max_iter):
+        b0, b1 = smooth_data(grid, seed=n_t)
+        times = np.arange(n_t) / 256 * (32.0 if kappa > 1 else 1.0)
+        a = amp * (1.0 + np.cos(grid.kappa[1] * grid.nodes)[None, :]
+                   * np.cos(3 * times)[:, None])
+        want = reference_fixed_point(grid, b0, b1, times, a, kappa, max_iter)
+        fp, report = fixed_point_solve(grid, b0, b1, times, a, kappa,
+                                       max_iter=max_iter)
+        assert report.converged == want["converged"] == (fp is not None)
+        assert report.windows == want["windows"]
+        assert report.iterations_total == want["iterations"]
+        assert report.distances == want["distances"]
+        if fp is not None:
+            assert np.array_equal(fp.beta, want["beta"])
+            assert np.array_equal(fp.beta_t, want["beta_t"])
+        assert want["converged"] == (max_iter == 60)
+
+    def test_rejects_bad_inputs_once(self, grid):
+        b0, b1 = smooth_data(grid, seed=3)
+        times = np.linspace(0, 0.5, 129)
+        a = np.ones((129, grid.n))
+        a[100, 7] = np.inf
+        with pytest.raises(ValueError, match="^a is not finite"):
+            fixed_point_solve(grid, b0, b1, times, a, 0.25)
+        with pytest.raises(ValueError, match="^a must have shape"):
+            fixed_point_solve(grid, b0, b1, times, np.ones((128, grid.n)),
+                              0.25)
+        uneven = times.copy()
+        uneven[60] += 1e-4
+        with pytest.raises(ValueError, match="^times must be"):
+            fixed_point_solve(grid, b0, b1, uneven, np.ones((129, grid.n)),
+                              0.25)
+        with pytest.raises(ValueError, match="shape"):
+            fixed_point_solve(grid, np.stack([b0, b0]), np.stack([b1, b1]),
+                              times, np.ones((129, grid.n)), 0.25)
+
+    # a potential near the float limit from t = 0.3 on: the second sweep of
+    # the second window overflows, so the error names a step within that
+    # window and the absolute time; and a top mode on a short circle, whose
+    # velocity outgrows 1e6 x the data's norm within the first window
+    @pytest.mark.parametrize("case", ["overflow", "guard"])
+    def test_diverging_window_raises_where_one_solve_per_sweep_does(
+            self, grid, case):
+        if case == "overflow":
+            b0, b1 = (0.1 * d for d in smooth_data(grid, seed=3))
+            times = np.linspace(0, 0.5, 129)
+            a = np.zeros((129, grid.n))
+            a[times >= 0.3] = 1e308
+            kappa = 0.25
+        else:
+            grid = SpatialGrid(64, 0.02)
+            b0, b1 = np.cos(grid.kappa[30] * grid.nodes), np.zeros(grid.n)
+            times = 1.0 + np.arange(65) * 2.0**-36
+            a = np.zeros((65, grid.n))
+            kappa = 16 * 2.0**-36
+        with pytest.raises(SolverDivergenceError) as want:
+            reference_fixed_point(grid, b0, b1, times, a, kappa)
+        step = re.search(r"at step (\d+), t = (\S+)$", str(want.value))
+        assert int(step[1]) > 1
+        if case == "overflow":
+            assert "nan" in str(want.value)
+            assert int(step[1]) < float(step[2]) * 256   # a later window
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverDivergenceError,
+                               match=re.escape(str(want.value))):
+                fixed_point_solve(grid, b0, b1, times, a, kappa)
+
+
+def reference_fixed_point(grid, beta0, beta1, times, a, kappa, max_iter=60,
+                          tol=1e-12):
+    """The sweeps as one `solve_forward` per iteration, with the distance
+    taken on the returned nodes."""
+    dt = times[1] - times[0]
+    seg_steps = max(2, int(round(kappa / dt)))
+    seg_steps += seg_steps % 2
+    half = seg_steps // 2
+    n_t = times.size
+    beta, beta_t = np.empty((2, n_t, grid.n))
+    data = (beta0, beta1)
+    distances = []
+    iterations = windows = start = 0
+    while start < n_t - 1:
+        windows += 1
+        stop = min(start + seg_steps, n_t - 1)
+        w_a = a[start:stop + 1]
+        prev = prev_t = np.zeros((stop - start + 1, grid.n))
+        dist_prev = None
+        scale = max(float(grid.pair_norm(*data)), 1e-300)
+        for it in range(max_iter):
+            traj = solve_forward(grid, data[0], data[1],
+                                 times[start:stop + 1], forcing=-w_a * prev)
+            dist = float(np.max(grid.pair_norm(traj.beta - prev,
+                                               traj.beta_t - prev_t)))
+            iterations += 1
+            if windows == 1:
+                distances.append(dist)
+            if dist <= tol * scale:
+                break
+            if dist_prev is not None and dist > dist_prev and it >= 2:
+                return dict(converged=False, windows=windows,
+                            iterations=iterations, distances=distances)
+            dist_prev = dist
+            prev, prev_t = traj.beta, traj.beta_t
+        keep = stop - start if stop == n_t - 1 else half
+        beta[start:start + keep + 1] = traj.beta[:keep + 1]
+        beta_t[start:start + keep + 1] = traj.beta_t[:keep + 1]
+        data = (traj.beta[keep], traj.beta_t[keep])
+        start += keep
+    return dict(converged=True, windows=windows, iterations=iterations,
+                distances=distances, beta=beta, beta_t=beta_t)

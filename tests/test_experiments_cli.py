@@ -453,7 +453,8 @@ class TestCli:
         assert all(float(value) >= 0.0 for _, value in timed)
         assert not {f"{s}_s" for s in stages} & set(manifest.metrics)
 
-    def test_forward_run_times_the_fixed_point_sweeps(self, tmp_path):
+    def test_forward_run_times_the_fixed_point_sweeps(self, tmp_path,
+                                                      capsys):
         path = write_cfg(tmp_path, "forward", extra="""
 [potential]
 kind = random
@@ -464,9 +465,17 @@ max_mode = 2
         path.write_text(path.read_text().replace(
             "[forward]\n", "[forward]\nfixed_point_kappa = 0.2\n"))
         manifest = run(load_config(path), out_root=tmp_path / "runs")
-        assert "fp_windows" in manifest.metrics
+        keys = list(manifest.metrics)
+        # the sweeps' count follows their windows: at least one per window
+        assert keys[keys.index("fp_windows") + 1] == "fp_iterations"
+        assert manifest.metrics["fp_iterations"] \
+            >= manifest.metrics["fp_windows"] > 1
         assert list(manifest.timing) == ["march", "output", "fixed_point"]
         assert all(seconds >= 0.0 for seconds in manifest.timing.values())
+        main(["report", str(manifest.run_dir)])
+        out = capsys.readouterr().out
+        assert (f"metrics.fp_iterations = "
+                f"{manifest.metrics['fp_iterations']}\n") in out
 
     def test_report_shows_audit_kernel_underflow(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "carleman-audit")
