@@ -15,11 +15,12 @@ of --repeats calls after one warm-up call:
   fixed-point sweeps also march on;
 - `potential`: unforced, with a potential, as in the direct march.
 
-It times `dynamics.fixed_point_solve` at the forward workload's size (the
-config below: T = 1, 1024 steps, random potential, fixed-point windows of
+It times `dynamics.fixed_point_solve` on the perfbench forward workload's
+first config (T = 1, 1024 steps, random potential, fixed-point windows of
 0.2) the same way, in wall and CPU time and per sweep (`.iteration_ms`,
-the wall time over the sweeps of one call).  It then runs that config once
-into a temporary directory and copies the `timing.*` laps of its manifest.
+the wall time over the sweeps of one call).  It then runs that config
+--repeats times into a temporary directory and reports the median of each
+`timing.*` lap of its manifests.
 
 With `--slice audit` the process builds the audit workload's first
 carleman-audit config (64 modes, 256 Gauss times, 64 + 64 samples of up to
@@ -28,8 +29,9 @@ carleman-audit config (64 modes, 256 Gauss times, 64 + 64 samples of up to
 --repeats calls after one warm-up call, in wall time (`_ms`) and in the
 process's CPU time over all threads (`.cpu_ms`), so a threaded or stalled
 product shows as the two drifting apart.  It then runs that config and the
-workload's weights-audit config (lambda 1, 2, 4) once each and copies the
-`kernels`, `samples`, `sweep` and `weights` laps of their manifests.
+workload's weights-audit config (lambda 1, 2, 4) --repeats times each and
+reports the median of the `kernels`, `samples`, `sweep` and `weights` laps
+of their manifests.
 
 All metrics are in ms, lower is better.  With --parent DIR the checkout at
 DIR runs in the same rounds, the two sides alternating which goes first.
@@ -42,6 +44,7 @@ JSON summary goes to --out, or stdout.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -53,71 +56,17 @@ from pathlib import Path
 
 import numpy as np
 
-FORWARD_CONFIG = """[experiment]
-kind = forward
-seed = 201
-
-[domain]
-d = 1.0
-L = 1.0
-T = 1.0
-
-[grid]
-n_modes = 64
-
-[potential]
-kind = random
-amplitude = 1.0
-seed = 301
-max_mode = 2
-
-[data]
-kind = random
-seed = 401
-max_mode = 2
-
-[forward]
-n_steps = 1024
-fixed_point_kappa = 0.2
-"""
-
-AUDIT_HEAD = """[experiment]
-kind = {kind}
-
-[domain]
-d = 1.0
-L = 1.0
-T = 4.0
-
-[grid]
-n_modes = 64
-n_time = 256
-
-[carleman]
-s = 4.0
-lambda = 2.0
-eta_scale = 0.1
-mollify_radius = 0.1
-"""
-AUDIT_CONFIGS = {
-    "carleman_audit": AUDIT_HEAD.format(kind="carleman-audit") + """
-[potential]
-kind = separable
-amplitude = 1.0
-
-[audit]
-n_samples = 64
-calib_seed = 501
-heldout_seed = 601
-max_mode = 16
-s_grid = 4,8
-lambda_grid = 2
-""",
-    "weights_audit": AUDIT_HEAD.format(kind="weights-audit") + """
-[audit]
-lambda_grid = 1,2,4
-""",
-}
+# the configs are pool entry 0 of perfbench's forward and audit workloads,
+# read from its workload module, which this script leaves as it is
+_spec = importlib.util.spec_from_file_location(
+    "workloads", Path(__file__).resolve().parents[1] / "perfbench"
+    / "workloads.py")
+_workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_workloads)
+FORWARD_CONFIG = _workloads.CONFIGS["forward"](0)["forward"]
+AUDIT_CONFIGS = {kind.replace("-", "_"): text for kind, text
+                 in _workloads.CONFIGS["audit"](0).items()
+                 if kind in ("carleman-audit", "weights-audit")}
 # the manifest laps each audit config contributes
 AUDIT_LAPS = {"carleman_audit": ("kernels", "samples"),
               "weights_audit": ("sweep", "weights")}
@@ -135,15 +84,22 @@ def load_text(text: str, name: str):
         return load_config(path)
 
 
-def run_config(text: str, name: str) -> dict[str, float]:
-    """The `timing.<lap>_s` rows of one config run, in s by lap."""
+def run_config(text: str, name: str, repeats: int) -> dict[str, float]:
+    """The median over `repeats` runs of the config of each `timing.<lap>_s`
+    manifest row, in s by lap."""
     from beamctrl.experiments import run
     from beamctrl.io import read_flat_report
+    cfg = load_text(text, name)
+    laps = []
     with tempfile.TemporaryDirectory() as tmp:
-        manifest = run(load_text(text, name), out_root=Path(tmp) / "runs")
-        rows = read_flat_report(manifest.run_dir / "manifest.txt")
-    return {key[len("timing."):-2]: float(value)
-            for key, value in rows.items() if key.startswith("timing.")}
+        for k in range(repeats):
+            manifest = run(cfg, out_root=Path(tmp) / f"runs{k}")
+            rows = read_flat_report(manifest.run_dir / "manifest.txt")
+            laps.append({key[len("timing."):-2]: float(value)
+                         for key, value in rows.items()
+                         if key.startswith("timing.")})
+    return {lap: float(np.median([run_laps[lap] for run_laps in laps]))
+            for lap in laps[0]}
 
 
 def time_calls(call, repeats: int) -> tuple[float, float]:
@@ -192,7 +148,7 @@ def measure_audit(repeats: int, config: bool) -> dict[str, float]:
         out[f"{name}_ms"], out[f"{name}.cpu_ms"] = 1e3 * wall, 1e3 * cpu
     if config:
         for name, laps in AUDIT_LAPS.items():
-            timing = run_config(AUDIT_CONFIGS[name], name)
+            timing = run_config(AUDIT_CONFIGS[name], name, repeats)
             for lap in laps:
                 out[f"{name}_config.timing.{lap}_ms"] = 1e3 * timing[lap]
     return out
@@ -248,7 +204,8 @@ def measure(src: str, slice_: str, steps: tuple[int, ...], repeats: int,
                 out[f"solve_forward.{kind}.m{b}.s{n}_ms"] = 1e3 * wall
     out.update(measure_fixed_point(repeats))
     if config:
-        for lap, seconds in run_config(FORWARD_CONFIG, "forward").items():
+        for lap, seconds in run_config(FORWARD_CONFIG, "forward",
+                                       repeats).items():
             out[f"forward_config.timing.{lap}_ms"] = 1e3 * seconds
     return out
 

@@ -11,13 +11,13 @@ numerical differentiation enters.
 Each formula has one home, which every caller goes through:
 `derivative_tables` differentiates all terms of any number of samples at
 once and `kernel_stack` weights the kernel of every integral at one (s, lam)
-point.  One sample's integrals (`integrals`) form its fields with
-`sample_fields`, square them and contract them with `_contract`; that path
-is the reference.  A family's (`audit_inequality`) expand each squared
-field of a sum of separable terms as a quadratic form over the sample's
-term pairs, so each product runs over the whole family; only the residual,
-which mixes derivatives and the potential, is still formed as one field per
-sample.  Results stay in one form: an (..., 11) array of integrals in
+point, each row one `weights.weighted_kernel` like HUM's weights.  One
+sample's integrals (`integrals`) form its fields with `sample_fields`,
+square them and contract them with `_contract`; that path is the
+reference.  A family's (`audit_inequality`) expand each squared field of
+a sum of separable terms as a quadratic form over the sample's term pairs,
+so each product runs over the whole family; only the residual, which mixes
+derivatives and the potential, is still formed as one field per sample.  Results stay in one form: an (..., 11) array of integrals in
 `kernel_stack` row order, the LADDER rows, then the residual, then the
 observation.  `lhs_total` sums the left side of any such array.
 
@@ -38,14 +38,15 @@ import numpy as np
 
 from ._bumps import bump
 from .torus import SpatialGrid, TimeGrid
-from .weights import CarlemanParams, EtaProfile, ThetaProfile, \
-    WeightField, eval_weights
+from .weights import OBSERVATION, CarlemanParams, EtaProfile, \
+    ThetaProfile, WeightField, eval_weights, weighted_kernel
 
 # The estimate's left side, one row per weighted integral: (name, derivative
 # key "ij" with i x- and j t-derivatives, xi power p, s exponent a, lam
-# exponent b), so the row is s^a lam^b int xi^p |d psi|^2 e^{-2 s phi}.
+# exponent b), so the row is s^a lam^b int xi^p |d psi|^2 e^{-2 s phi}; the
+# psi row carries the observation's weight.
 LADDER = (
-    ("psi", "00", 7, 7, 8),
+    ("psi", "00", *OBSERVATION),
     ("psi_x", "10", 5, 5, 6),
     ("psi_xx", "20", 3, 3, 4),
     ("psi_t", "01", 3, 3, 4),
@@ -236,24 +237,27 @@ def kernel_stack(w: WeightField, out: np.ndarray | None = None
                  ) -> tuple[np.ndarray, float]:
     """Quadrature-weighted kernels of every integral, shape (11, n_t * n_x).
 
-    Rows: LADDER with s^a lam^b folded in, the residual's e^{-2 s phi}, and
-    s^7 lam^8 xi^7 e^{-2 s phi} on omega (cells split at its endpoints).
+    Every row is one `weighted_kernel` of w: the LADDER rows with their
+    exponents and the residual's e^{-2 s phi} on the space-time quadrature
+    weights, and the OBSERVATION on omega's (cells split at its endpoints).
     They are written into `out` when given, such as one point's
     `kernels[:, p]` of an (11, points, n_t * n_x) stack.  Also returns the
     share of grid entries where e^{-2 s phi} is exactly 0.
     """
-    s, lam = w.params.s, w.params.lam
     quad = w.quad_weights()
     omega_quad = w.t_grid.weights[:, None] * w.domain.omega_cell_weights(
         w.grid.nodes, w.grid.h)
-    scaled = [(s**a * lam**b * quad, p) for _, _, p, a, b in LADDER]
-    scaled += [(quad, 0), (s**7 * lam**8 * omega_quad, 7)]
+    # the residual row takes quad after the underflow count, which quad
+    # could inflate, with the same bits as cells=quad
+    rows = [(row[2:], quad) for row in LADDER]
+    rows += [((0, 0, 0), 1.0), (OBSERVATION, omega_quad)]
     out = np.empty((N_ROWS, w.phi.size)) if out is None else out
-    for r, (scale, p) in enumerate(scaled):
-        kernel = w.kernel(p)
-        np.multiply(scale, kernel, out=out[r].reshape(w.phi.shape))
-        if r == len(LADDER):   # the residual's e^{-2 s phi}
-            underflow = float(np.mean(kernel == 0.0))
+    for r, (exponents, cells) in enumerate(rows):
+        weighted_kernel(w.params, w.log_xi, w.neg2s_phi, exponents, cells,
+                        out=out[r].reshape(w.phi.shape))
+    residual = out[len(LADDER)].reshape(w.phi.shape)
+    underflow = float(np.mean(residual == 0.0))
+    residual *= quad
     return out, underflow
 
 
@@ -413,12 +417,11 @@ def audit_inequality(calibration: TestFunctionFamily,
     tables (5 n_x + 3 n_t entries per term, plus their evaluation's
     temporaries), one t pair table (n_t per term pair) and one field.  At
     the perfbench audit size (64 + 64 samples, 2 points, 256 times, 64
-    nodes) the kernel stack is 2.9 MB, tracemalloc's peak over the whole
-    call 7.5 MB, and the samples take about 35 ms on one core.  The
-    integrals of all samples form one (points, samples, 11) array,
-    calibration samples first, from which the left sides, ratios and
-    family maxima are array operations.  Rows come out in (s, lam, role,
-    sample) order; ratios are deterministic given the family seeds.
+    nodes) the kernel stack is 2.9 MB and tracemalloc's peak over the whole
+    call 7.5 MB.  The integrals of all samples form one (points, samples,
+    11) array, calibration samples first, from which the left sides, ratios
+    and family maxima are array operations.  Rows come out in (s, lam,
+    role, sample) order; ratios are deterministic given the family seeds.
     `timing` holds the wall seconds of the kernel stack (weights included)
     and of the samples.
     """

@@ -183,30 +183,27 @@ def load_config(path: str | Path) -> ExperimentConfig:
             else:
                 values[section][key] = default
 
-    _validate(values)
-    return ExperimentConfig(kind=values["experiment"]["kind"], values=values,
-                            config_hash=hash_config(values))
+    cfg = ExperimentConfig(kind=values["experiment"]["kind"], values=values,
+                           config_hash=hash_config(values))
+    _validate(cfg)
+    return cfg
 
 
-def _validate(values: dict[str, dict[str, object]]) -> None:
-    kind = values["experiment"]["kind"]
+def _validate(cfg: ExperimentConfig) -> None:
+    kind, values = cfg.kind, cfg.values
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(
             f"experiment.kind must be one of {', '.join(EXPERIMENT_KINDS)}")
 
     try:
-        dom = DomainSpec(d=values["domain"]["d"], L=values["domain"]["L"],
-                         T=values["domain"]["T"])
+        dom = cfg.domain()
     except ValueError as exc:
         raise ConfigError(f"invalid domain: {exc}") from exc
 
     if kind in ("weights-audit", "carleman-audit", "control"):
         car = values["carleman"]
         try:
-            params = CarlemanParams(s=car["s"], lam=car["lambda"],
-                                    T0=car["T0"], T1=car["T1"],
-                                    zeta=car["zeta"])
-            params.validate_horizon(dom.T)
+            cfg.carleman_params().validate_horizon(dom.T)
         except ValueError as exc:
             raise ConfigError(f"invalid carleman parameters: {exc}") from exc
         if car["eta_scale"] <= 0:

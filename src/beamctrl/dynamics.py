@@ -9,16 +9,14 @@ step-size restriction from the kappa^4 stiffness.
 
 The march keeps its state in rfft space, as the interleaved float view of
 the modes, one block of _GUARD_BLOCK steps at a time, whose states go back
-to nodes once the divergence guard has passed them.  With a potential a
-step applies the real propagator to the pair (beta, beta_t), and a*beta at
-the stage points goes through real DFT matrices.  Without one a step is a
-fixed affine map per mode, and _SUB_BLOCK steps are one stacked product
-against the powers of the propagator (`_free_march`); the fixed-point
-sweeps iterate a window's modal states on that same core.  At n_x = 64
-(one member, 2 vCPUs, best of 7) a 4096-step march costs 17-19 us per step
-with a potential and 1.6-1.7 us without (2.3-2.5 us forced), and a sweep of
-a 206-step window 0.39-0.43 ms (1.9-2.1 us per step), against 0.82-1.15 ms
-as a `solve_forward` call; the machine's speed drifts by up to 1.7x.
+to nodes once the divergence guard has passed them.  Each of its two cores
+builds the tables it reads, cached per (grid, dt).  With a potential a step
+applies the real propagator to the pair (beta, beta_t), and a*beta at the
+stage points goes through real DFT matrices (`_step_tables`).  Without one
+a step is a fixed affine map per mode, and _SUB_BLOCK steps are one stacked
+product against the powers of the propagator (`_free_march` on
+`_block_matrix`); the fixed-point sweeps iterate a window's modal states on
+that same core.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .torus import SpatialGrid
+from .torus import SpatialGrid, trapezoid_weights
 
 
 class SolverDivergenceError(RuntimeError):
@@ -40,35 +38,19 @@ _GUARD_BLOCK = 64
 # steps of one block product in a march without a potential; divides
 # _GUARD_BLOCK
 _SUB_BLOCK = 32
+# the divergence guard's multiple of the data norm plus forcing integral
+_DIVERGENCE_FACTOR = 1e6
 
 
-@dataclass(frozen=True)
-class ModePair:
-    """Analytic eigenstructure of one Fourier block.
-
-    Eigenvalues are (-kappa^2 +/- sqrt(3) i kappa^2) / 2; the corresponding
-    modes are e^{i kappa x} paired with lam * e^{i kappa x} in the velocity
-    slot.  With unit normalization (kappa = k) this is the textbook integer
-    spectrum; the physical normalization uses kappa = 2 pi k / circumference.
-    """
-
-    k: int
-    kappa: float
-
-    @property
-    def lam_plus(self) -> complex:
-        return 0.5 * (-self.kappa**2 + np.sqrt(3.0) * 1j * self.kappa**2)
-
-    @property
-    def lam_minus(self) -> complex:
-        return 0.5 * (-self.kappa**2 - np.sqrt(3.0) * 1j * self.kappa**2)
-
-
-def analytic_eigenpairs(k: int, circumference: float | None = None) -> ModePair:
-    """Eigenpair of mode k; unit normalization (kappa = k) when no
-    circumference is given."""
+def analytic_eigenpairs(k: int, circumference: float | None = None
+                        ) -> tuple[complex, complex]:
+    """The eigenvalues (lam_plus, lam_minus) = (-kappa^2 +/- sqrt(3) i
+    kappa^2) / 2 of mode k's block, with kappa = k (the textbook integer
+    spectrum) when no circumference is given, else 2 pi k / circumference;
+    their modes pair e^{i kappa x} with lam * e^{i kappa x}."""
     kappa = float(k) if circumference is None else 2.0 * np.pi * k / circumference
-    return ModePair(k=k, kappa=kappa)
+    return (0.5 * (-kappa**2 + np.sqrt(3.0) * 1j * kappa**2),
+            0.5 * (-kappa**2 - np.sqrt(3.0) * 1j * kappa**2))
 
 
 def assemble_operator(grid: SpatialGrid) -> np.ndarray:
@@ -182,7 +164,8 @@ def dft_matrices(grid: SpatialGrid) -> tuple[np.ndarray, np.ndarray]:
 def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
                   times: np.ndarray, a: np.ndarray | None = None,
                   forcing: np.ndarray | None = None,
-                  divergence_factor: float = 1e6) -> BeamTrajectory:
+                  divergence_factor: float = _DIVERGENCE_FACTOR
+                  ) -> BeamTrajectory:
     """March the beam over a uniform time grid, recording every state.
 
     The potential `a` (an (n_times, n_x) array) and `forcing` are sampled at
@@ -197,10 +180,10 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
     potential:
 
     - With a potential, step by step.  A step applies the real modal
-      propagator to the stacked pair (beta, beta_t) with one multiply and
-      one add, and forms a*beta through the real matrices of irfft/rfft
-      (`dft_matrices`), no FFT: the second-stage point of step i and the
-      beta it stores both meet a_{i+1}, so one stacked synthesis and one
+      propagator (`_step_tables`) to the stacked pair (beta, beta_t) with
+      one multiply and one add, and forms a*beta through the real matrices
+      of irfft/rfft, no FFT: the second-stage point of step i and the beta
+      it stores both meet a_{i+1}, so one stacked synthesis and one
       analysis product per step serve both.
     - Without one, a step is the same affine map of the state on every
       mode, so _SUB_BLOCK steps are one stacked matrix product (`_free_march`).
@@ -220,8 +203,7 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
     n_t, n_b = times.size, data.shape[1]
     w = 2 * g.kappa.size               # float width of one modal field
     dt = float(times[1] - times[0])
-    E, lift, ahead, mult, K = _march_tables(g.n, g.circumference, dt)
-    guard = _Guard(g, data, forcing, times, mult, divergence_factor)
+    guard = _Guard(g, data, forcing, times, divergence_factor)
     # row 0 of a block is the last state of the previous one
     U = np.empty((_GUARD_BLOCK + 1, n_b, 2, w))
     U.view(complex)[0] = g.to_modes(data.transpose(1, 0, 2))
@@ -231,11 +213,11 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
     f_hat = (None if forcing is None
              else np.empty((_GUARD_BLOCK + 1, n_b, 1, w)))
     if a is not None:
+        E, lift, ahead, syn, ana = _step_tables(g, dt)
         P = np.empty((n_b, 2, 2, w))
         P0, P1 = P[:, :, 0], P[:, :, 1]
         pair = U[:, :, None]           # (rows, B, 1, 2, w) against E
         b_rows, bt_rows = U[:, :, :1], U[:, :, 1:]          # (rows, B, 1, w)
-        syn, ana = dft_matrices(g)
         ab = (b_rows[0] @ syn * a[0]) @ ana                 # a*beta, modal
     with np.errstate(over="ignore", invalid="ignore"):
         for i0 in range(0, n_t - 1, _GUARD_BLOCK):
@@ -246,7 +228,7 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
                 f_hat.view(complex)[:n + 1, :, 0] = g.to_modes(
                     forcing[:, i0:i0 + n + 1].transpose(1, 0, 2))
             if a is None:
-                norm_sq = _free_march(K, U, f_hat, n, guard, i0)
+                norm_sq = _free_march(g, dt, U, f_hat, n, guard, i0)
             else:
                 for j in range(n):
                     nxt, bt = U[j + 1], bt_rows[j + 1]
@@ -310,9 +292,7 @@ class _Guard:
     and forcing (B, n_t, n_x) or None.  Each member's norms are taken on
     their own, divided by its largest input against under- and overflow."""
 
-    def __init__(self, g: SpatialGrid, data, forcing, times, mult, factor):
-        trap = np.full(times.size, times[1] - times[0])
-        trap[0] = trap[-1] = 0.5 * trap[0]
+    def __init__(self, g: SpatialGrid, data, forcing, times, factor):
         scale = np.abs(data).max(axis=(0, 2))               # (B,)
         if forcing is not None:
             scale = np.maximum(scale,
@@ -321,9 +301,10 @@ class _Guard:
         d = data / scale[:, None]
         guard = g.pair_norm(d[0], d[1])
         if forcing is not None:        # member by member: no scaled copy
+            trap = trapezoid_weights(times)
             guard += [g.l2(fb / s) @ trap for fb, s in zip(forcing, scale)]
         self.guard_sq, self.scale = (factor * guard) ** 2, scale[:, None, None]
-        self.times, self.mult, self.factor = times, mult, factor
+        self.times, self.mult, self.factor = times, _pair_mult(g), factor
 
     def check(self, rows: np.ndarray, i0: int | None) -> np.ndarray:
         """Scaled squared norms (steps, B) of states (steps, B, 2, w) of steps
@@ -341,13 +322,16 @@ class _Guard:
         return norm_sq
 
 
-def _free_march(K: np.ndarray, U: np.ndarray, f_hat: np.ndarray | None,
-                n: int, guard: _Guard | None = None, i0: int = 0):
-    """March n steps without a potential from the modal states U[0] (rows,
-    B, 2, w) with the forcing f_hat[:n + 1] (rows, B, 1, w; None: unforced)
-    into U[1:n + 1], and return `guard.check` of them as steps i0 + 1, ...
-    (None without a guard): _SUB_BLOCK steps are one stacked product
-    against K (`_march_tables`), with members and modes on its stack axis."""
+def _free_march(g: SpatialGrid, dt: float, U: np.ndarray,
+                f_hat: np.ndarray | None, n: int, guard: _Guard | None = None,
+                i0: int = 0):
+    """March n steps of dt without a potential from the modal states U[0]
+    (rows, B, 2, w) with the forcing f_hat[:n + 1] (rows, B, 1, w; None:
+    unforced) into U[1:n + 1], and return `guard.check` of them as steps
+    i0 + 1, ... (None without a guard): _SUB_BLOCK steps are one stacked
+    product against `_block_matrix`, with members and modes on its stack
+    axis."""
+    K = _block_matrix(g, dt)
     n_b, n_m = U.shape[1], K.shape[0]
     # per member and mode: a sub-block's start state, then its forcing at
     # the sub-block's nodes; real and imaginary lanes on the last axis
@@ -366,55 +350,60 @@ def _free_march(K: np.ndarray, U: np.ndarray, f_hat: np.ndarray | None,
     return None if guard is None else guard.check(U[1:n + 1], i0)
 
 
-@lru_cache(maxsize=1)
-def _march_tables(n: int, circumference: float, dt: float):
-    """The step tables of a march on an n-node grid of the given
-    circumference with step dt, and its block-product matrix K.
+def _pair_mult(g: SpatialGrid) -> np.ndarray:
+    """Parseval weights of |(beta, beta_t)|^2 on one pair's float view."""
+    return (np.tile(np.repeat(g.mode_mult, 2), 2)
+            * g.circumference / g.n ** 2)
 
-    On the interleaved float view of the modes: E (2, 2, w), where E[r, c]
+
+@lru_cache(maxsize=4)
+def _step_tables(g: SpatialGrid, dt: float):
+    """The tables of a march with a potential on the grid g with step dt,
+    on the interleaved float view of the modes: E (2, 2, w), where E[r, c]
     multiplies component c of the pair (beta, beta_t) into component r; the
-    lift hdt E[:, 1], which adds the Lawson stage terms (hdt e01, hdt e11) *
-    n0; `ahead` = (dt e01, hdt e01), whose product with n0 plus e^{dt L}
+    lift hdt E[:, 1], which adds the Lawson stage terms (hdt e01, hdt e11)
+    * n0; `ahead` = (dt e01, hdt e01), whose product with n0 plus e^{dt L}
     beta is the second-stage point and, bit for bit, the beta the step
-    stores; and the Parseval weights `mult`: |u|_L2^2 = circumference / n^2
-    * sum_k mult_k |u_hat_k|^2 on the float view of one member's pair.
+    stores; and `dft_matrices`.  Every such march shares them."""
+    E = np.repeat(propagator(g, dt), 2, axis=0).transpose(1, 2, 0)
+    lift = 0.5 * dt * E[:, 1]
+    tables = E, lift, np.stack([dt * E[0, 1], lift[0]]), *dft_matrices(g)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
-    Without a potential a step maps U_j to E U_j + hdt E[:, 1] f_j + hdt e_1
-    f_{j+1} on each mode, so m steps give E^m U_0 + hdt sum_l c_{m,l}
-    E^{m-l}[:, 1] f_l over l = 0..m, with c = 1 at both ends and 2 between.
-    K (n_m, 2 _SUB_BLOCK, _SUB_BLOCK + 3) holds those coefficients: row
-    2 (m - 1) + r is component r after m steps, its first two columns the
-    row of E^m and column 2 + l the weight of f_l.  Its first 2m rows and
-    m + 3 columns march m steps.  The powers are repeated products of the
-    one-step propagator; they stay bounded, as the eigenvalues of every mode
-    but k = 0 lie inside the unit disc and its Jordan block grows linearly.
 
-    One entry is kept: the windows of a fixed-point solve share it, and K
-    is about 0.6 MB at n = 64.
+@lru_cache(maxsize=4)
+def _block_matrix(g: SpatialGrid, dt: float) -> np.ndarray:
+    """The block-product matrix K of a march without a potential on the
+    grid g with step dt.
+
+    Such a march maps U_j to E U_j + hdt E[:, 1] f_j + hdt e_1 f_{j+1} on
+    each mode, so m steps give E^m U_0 + hdt sum_l c_{m,l} E^{m-l}[:, 1]
+    f_l over l = 0..m, with c = 1 at both ends and 2 between.  K (n_m,
+    2 _SUB_BLOCK, _SUB_BLOCK + 3) holds those coefficients: row 2 (m - 1)
+    + r is component r after m steps, its first two columns the row of E^m
+    and column 2 + l the weight of f_l.  Its first 2m rows and m + 3
+    columns march m steps.  The powers are repeated products of the
+    one-step propagator; they stay bounded, as the eigenvalues of every
+    mode but k = 0 lie inside the unit disc and its Jordan block grows
+    linearly.  K is about 0.6 MB at n = 64; every such march shares it.
     """
-    E1 = propagator(SpatialGrid(n, circumference), dt)      # (n_m, 2, 2)
+    E1 = propagator(g, dt)                                  # (n_m, 2, 2)
     n_m = E1.shape[0]
-    E = np.repeat(E1, 2, axis=0).transpose(1, 2, 0)         # (2, 2, w)
-    hdt = 0.5 * dt
-    lift = hdt * E[:, 1]
-    ahead = np.stack([dt * E[0, 1], lift[0]])
-    mult = np.r_[1.0, np.full(n_m - 2, 2.0), 1.0]
-    mult = np.tile(np.repeat(mult, 2), 2) * circumference / n ** 2
-
     powers = np.empty((_SUB_BLOCK + 1, n_m, 2, 2))
     powers[0] = np.eye(2)
     for m in range(_SUB_BLOCK):
         np.matmul(E1, powers[m], out=powers[m + 1])
     K = np.zeros((n_m, _SUB_BLOCK, 2, _SUB_BLOCK + 3))
     K[..., :2] = powers[1:].transpose(1, 0, 2, 3)
-    col = hdt * powers[..., 1].transpose(1, 2, 0)           # (n_m, 2, S + 1)
+    col = 0.5 * dt * powers[..., 1].transpose(1, 2, 0)      # (n_m, 2, S + 1)
     for m in range(1, _SUB_BLOCK + 1):
         K[:, m - 1, :, 2:m + 3] = col[..., m::-1]
         K[:, m - 1, :, 3:m + 2] *= 2.0
-    tables = E, lift, ahead, mult, K.reshape(n_m, 2 * _SUB_BLOCK, -1)
-    for t in tables:                   # every march shares them
-        t.flags.writeable = False
-    return tables
+    K = K.reshape(n_m, 2 * _SUB_BLOCK, -1)
+    K.flags.writeable = False
+    return K
 
 
 # fixed-point treatment of the potential -------------------------------------
@@ -467,6 +456,7 @@ def fixed_point_solve(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
     rows, w = min(seg_steps, n_t - 1) + 1, 2 * g.kappa.size
     U_all, f_all = np.empty((rows, 1, 2, w)), np.empty((rows, 1, 1, w))
     forcing_all, iterates = np.empty((rows, g.n)), np.empty((2, 2, rows, g.n))
+    mult_sum = _pair_mult(g).sum()
     first_distances: list[float] = []
     total_iters = windows = start = 0
     converged = True
@@ -479,22 +469,22 @@ def fixed_point_solve(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
         prev, nodes = iterates[:, :, :rows]
         nodes.fill(0.0)                # the seed iterate
         g.to_modes(data[:, 0], out=U.view(complex)[0, 0])
-        *_, mult, K = _march_tables(g.n, g.circumference,
-                                    float(w_times[1] - w_times[0]))
+        dt = float(w_times[1] - w_times[0])
         dist_prev = None
         scale = max(float(g.pair_norm(*data)[0]), 1e-300)
-        floor = 0.25 * (1e6 * scale) ** 2
+        floor = 0.25 * (_DIVERGENCE_FACTOR * scale) ** 2
         for it in range(max_iter):
             prev, nodes = nodes, prev
             np.multiply(neg_a, prev[0], out=forcing)
             with np.errstate(over="ignore", invalid="ignore"):
                 g.to_modes(forcing, out=f_hat.view(complex)[:, 0, 0])
-                _free_march(K, U, f_hat, rows - 1)
-                # norm^2 <= sum(mult) x largest entry^2, guard >= 1e6 x data
-                # norm: the guard is built only where this bound fails
-                if not max(U.max(), -U.min()) ** 2 * mult.sum() < floor:
-                    _Guard(g, data, forcing[None], w_times, mult,
-                           1e6).check(U[1:], 0)
+                _free_march(g, dt, U, f_hat, rows - 1)
+                # norm^2 <= mult_sum x largest entry^2, and the guard is at
+                # least the factor times the data norm: the guard is built
+                # only where this bound fails
+                if not max(U.max(), -U.min()) ** 2 * mult_sum < floor:
+                    _Guard(g, data, forcing[None], w_times,
+                           _DIVERGENCE_FACTOR).check(U[1:], 0)
             g.to_nodes(U.view(complex)[:, 0].transpose(1, 0, 2), out=nodes)
             change = np.subtract(nodes, prev, out=prev)
             dist = float(np.max(g.pair_norm(*change)))

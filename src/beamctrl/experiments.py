@@ -175,8 +175,8 @@ def _run_spectrum(cfg: ExperimentConfig, run_dir: Path):
     worst = 0.0
     for k, kap in enumerate(grid.kappa):
         numeric = np.sort_complex(np.linalg.eigvals(blocks[k]))
-        pair = analytic_eigenpairs(k, circumference=grid.circumference)
-        exact = np.sort_complex(np.array([pair.lam_plus, pair.lam_minus]))
+        exact = np.sort_complex(np.array(analytic_eigenpairs(
+            k, circumference=grid.circumference)))
         denom = np.maximum(np.abs(exact), 1.0)
         err = float(np.max(np.abs(numeric - exact) / denom))
         worst = max(worst, err)

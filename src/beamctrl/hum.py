@@ -29,9 +29,11 @@ The normal operator depends on the weights, the potential and eps, not on
 the data: `assemble_hum_system` builds it, `banded_preconditioner` factors
 its band (`QuadraticSystem.normal_band`) into a solve the caller holds, and
 `minimize_J(sys, f, precond)` solves for one source f, so one factor serves
-any number of sources.  `synthesize_control` chains the weights, the free
-march with its source (`free_source`), those steps and the verification
-(`verify_null_control`), and is the one place that times them.
+any number of sources.  W1 = e^{-2 s phi}, W2 (on omega's nodes) and the
+control's weight are `weights.weighted_kernel`s, like the audit's rows.
+`synthesize_control` chains the weights, the free march with its source
+(`free_source`), those steps and the verification (`verify_null_control`),
+and is the one place that times them.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ import numpy as np
 
 from ._bumps import smoothstep
 from .dynamics import BeamTrajectory, solve_forward
-from .torus import SpatialGrid, TimeGrid
-from .weights import CarlemanParams, EtaProfile, ThetaProfile, WeightField, \
-    eval_weights, weight_formulas
+from .torus import SpatialGrid, TimeGrid, trapezoid_weights
+from .weights import OBSERVATION, CarlemanParams, EtaProfile, \
+    ThetaProfile, WeightField, eval_weights, weight_formulas, weighted_kernel
 
 
 class CGConvergenceError(RuntimeError):
@@ -451,8 +453,9 @@ def assemble_hum_system(w: WeightField, a_vals: np.ndarray | None = None,
     Dt, Dtt = (time_stencil(n_t, dt, order) for order in (1, 2))
     chi = w.domain.in_omega(grid.nodes)
     with np.errstate(over="ignore", invalid="ignore"):   # named below
-        W1 = w.kernel(0.0)
-        W2 = chi * _control_weight(w.params, w.log_xi, w.neg2s_phi)
+        W1 = weighted_kernel(w.params, w.log_xi, w.neg2s_phi, (0, 0, 0))
+        W2 = weighted_kernel(w.params, w.log_xi, w.neg2s_phi, OBSERVATION,
+                             chi)
     for name, vals in (("W1", W1), ("W2", W2)):
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"{name} is not finite")
@@ -627,30 +630,15 @@ def minimize_J(sys: QuadraticSystem, f: np.ndarray, precond,
 
 # a-posteriori verification ---------------------------------------------------
 
-def _control_weight(params: CarlemanParams, log_xi: np.ndarray,
-                    neg2s_phi: np.ndarray) -> np.ndarray:
-    """s^7 lam^8 xi^7 e^{-2 s phi} from log(xi) and -2 s phi: the weight of
-    W2 on omega and of the control."""
-    return (params.s**7 * params.lam**8) * np.exp(7.0 * log_xi + neg2s_phi)
-
-
 def control_weight_factor(w: WeightField, t_interior: np.ndarray
                           ) -> np.ndarray:
-    """The control weight from the profiles of w at its space nodes, at
+    """The control weight, W2 without the omega indicator: the OBSERVATION
+    `weighted_kernel` from the profiles of w at its space nodes, at
     arbitrary interior times."""
     _, _, log_xi, neg2s_phi = weight_formulas(
         w.eta_nodes, w.eta.eta_max, w.theta.eval(t_interior, 0)[:, None],
         w.params.lam, w.params.s)
-    return _control_weight(w.params, log_xi, neg2s_phi)
-
-
-def not_a_knot_spline(x: np.ndarray, y: np.ndarray, t: np.ndarray
-                      ) -> np.ndarray:
-    """The not-a-knot cubic spline through the rows of y (n, m) at the
-    nodes x, sampled at the times t; shape (t.size, m).  See
-    `spline_pieces` and `sample_pieces`.
-    """
-    return sample_pieces(x, spline_pieces(x, y), t)
+    return weighted_kernel(w.params, log_xi, neg2s_phi, OBSERVATION)
 
 
 def spline_pieces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -793,10 +781,8 @@ def verify_null_control(beta0: np.ndarray, beta1: np.ndarray,
     v_vals = forcing[0]
     v_vals[:] = control_on_times(sol, sys, times)
     support_ok = bool(np.all(v_vals[:, ~sys.chi] == 0.0))
-    dt = times[1] - times[0]
-    trap = np.full(times.size, dt)
-    trap[0] = trap[-1] = 0.5 * dt
-    control_l2 = float(np.sqrt(np.sum(trap * grid.l2_sq(v_vals))))
+    control_l2 = float(np.sqrt(np.sum(trapezoid_weights(times)
+                                      * grid.l2_sq(v_vals))))
 
     q_run = solve_forward(grid, beta0, beta1, times, a=a)
     f_vals = assemble_source(theta1, q_run)
@@ -863,13 +849,12 @@ def synthesize_control(grid: SpatialGrid, t_grid: TimeGrid, eta: EtaProfile,
     assembly with the norm estimate, band, factor, CG, verification), each
     followed by its CPU seconds, summed over the process's threads, as
     `<stage>_cpu`.  The factor's products are of n_x x n_x blocks, which
-    OpenBLAS runs on one thread: in 30 fresh configs/control.ini runs on 2
-    CPUs it took 0.08-0.17 s of wall time and 0.08-0.14 s of CPU, and none
-    stalled (a stall, two BLAS threads time-sliced on one CPU, shows as
-    about 1 s of CPU in about 1 s).  The band is as wide as the weights
-    reach (`QuadraticSystem.band_shape`): 5 n_x rows at configs/control.ini,
-    half-bandwidth 319 and 41.9 MB.  The band and the factor are released
-    before the verification march.
+    OpenBLAS runs on one thread; a stall, two BLAS threads time-sliced on
+    one CPU, shows as a factor lap many times its usual length with as many
+    CPU seconds (measured in `BENCH_19.json`).  The band is as wide as the
+    weights reach (`QuadraticSystem.band_shape`): 5 n_x rows at
+    configs/control.ini, half-bandwidth 319 and 41.9 MB.  The band and the
+    factor are released before the verification march.
     """
     timing = {}
     start = time.perf_counter(), time.process_time()

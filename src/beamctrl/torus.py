@@ -71,15 +71,18 @@ class SpatialGrid:
         """L2 x L2 norm of the state pair (beta, beta_t), one per row."""
         return np.sqrt(self.l2_sq(beta) + self.l2_sq(beta_t))
 
+    @property
+    def mode_mult(self) -> np.ndarray:
+        """Each rfft mode's multiplicity in the full spectrum (Parseval):
+        |u|_L2^2 = circumference / n^2 * sum_k mode_mult_k |rfft(u)_k|^2."""
+        return np.r_[1.0, np.full(self.n // 2 - 1, 2.0), 1.0]
+
     def sobolev_sq(self, u: np.ndarray, order: int) -> float:
         """Squared H^order norm via the modal sum of (1 + kappa^2)^order."""
         u_hat = self.to_modes(np.asarray(u, dtype=float)) / self.n
-        mult = np.full(u_hat.shape[-1], 2.0)
-        mult[0] = 1.0
-        if self.n % 2 == 0:
-            mult[-1] = 1.0
         weight = (1.0 + self.kappa**2) ** order
-        return float(self.circumference * np.sum(mult * weight * np.abs(u_hat) ** 2))
+        return float(self.circumference * np.sum(
+            self.mode_mult * weight * np.abs(u_hat) ** 2))
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,13 @@ class TimeGrid:
     @property
     def n(self) -> int:
         return self.nodes.size
+
+
+def trapezoid_weights(times: np.ndarray) -> np.ndarray:
+    """Trapezoid weights on the uniform grid `times`, halved at both ends."""
+    trap = np.full(times.size, times[1] - times[0])
+    trap[0] = trap[-1] = 0.5 * trap[0]
+    return trap
 
 
 def uniform_interior(T: float, n: int) -> TimeGrid:

@@ -12,6 +12,8 @@ whose derivative fields obey a ledger of pointwise bounds of the form
 |d phi| <= C lam^i xi^p.  `audit_derivative_bounds` measures the empirical
 constants of that ledger on a grid and the positivity floor of the spatial
 xi-derivatives on [0, d].
+`weighted_kernel` forms every weight s^a lam^b xi^p e^{-2 s phi} of the
+estimate and of its HUM functional.
 """
 
 from __future__ import annotations
@@ -337,6 +339,22 @@ def weight_formulas(eta_val, eta_max: float, theta_val, lam: float,
     return phi, theta_val * G, np.log(theta_val) + expo, -2.0 * s * phi
 
 
+# (p, a, b) of the observation term, of W2 and of the control's weight
+OBSERVATION = (7, 7, 8)
+
+
+def weighted_kernel(params: CarlemanParams, log_xi, neg2s_phi, exponents,
+                    cells=1.0, out: np.ndarray | None = None) -> np.ndarray:
+    """s^a lam^b xi^p e^{-2 s phi} times `cells` for exponents (p, a, b):
+    every weighted kernel of the audit and of HUM.  xi^p e^{-2 s phi} comes
+    from log(xi) and -2 s phi, so it does not overflow near the horizon
+    ends; `cells` (quadrature weights, an omega indicator) joins s^a lam^b
+    before the product."""
+    p, a, b = exponents
+    return np.multiply(params.s**a * params.lam**b * cells,
+                       np.exp(p * log_xi + neg2s_phi), out=out)
+
+
 # the derivative ledger: (name, family, x-order i, t-order j) per entry; the
 # entry is bounded by lam^i xi^(1 + j/2)
 _X_ONLY = [(i, 0) for i in (1, 2, 3, 4)]
@@ -356,8 +374,8 @@ class WeightField:
     Arrays are time-major with shape (n_t, n_x); `ledger` maps each `LEDGER`
     name, in table order, to its derivative field.  Exponentials of phi are
     carried in the log domain: `neg2s_phi` stores -2*s*phi and `log_xi`
-    stores log(xi), so weighted kernels assemble as exp(p*log_xi - 2*s*phi)
-    without overflow near the horizon ends.
+    stores log(xi), from which `weighted_kernel` assembles every weighted
+    kernel.
     """
 
     eta: EtaProfile          # the sampled profiles
@@ -375,10 +393,6 @@ class WeightField:
     @property
     def domain(self) -> DomainSpec:
         return self.eta.domain
-
-    def kernel(self, xi_power: float) -> np.ndarray:
-        """exp(xi_power * log(xi) - 2 s phi), assembled in the log domain."""
-        return np.exp(xi_power * self.log_xi + self.neg2s_phi)
 
     def quad_weights(self) -> np.ndarray:
         """Space-time quadrature weights, shape (n_t, n_x)."""

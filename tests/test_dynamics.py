@@ -39,25 +39,24 @@ def smooth_data(grid, seed=0, max_mode=3, velocity=True):
 
 class TestSpectrum:
     def test_unit_normalization_k1(self):
-        pair = analytic_eigenpairs(1)
-        assert pair.lam_plus == pytest.approx((-1 + np.sqrt(3) * 1j) / 2)
-        assert pair.lam_minus == pytest.approx((-1 - np.sqrt(3) * 1j) / 2)
+        lam_plus, lam_minus = analytic_eigenpairs(1)
+        assert lam_plus == pytest.approx((-1 + np.sqrt(3) * 1j) / 2)
+        assert lam_minus == pytest.approx((-1 - np.sqrt(3) * 1j) / 2)
 
     def test_unit_normalization_k2(self):
-        pair = analytic_eigenpairs(2)
-        assert pair.lam_plus == pytest.approx(-2 + 2 * np.sqrt(3) * 1j)
+        lam_plus, _ = analytic_eigenpairs(2)
+        assert lam_plus == pytest.approx(-2 + 2 * np.sqrt(3) * 1j)
 
     def test_k0_double_zero(self):
-        pair = analytic_eigenpairs(0)
-        assert pair.lam_plus == 0 and pair.lam_minus == 0
+        assert analytic_eigenpairs(0) == (0, 0)
 
     def test_blocks_match_analytic_eigenvalues(self, grid):
         blocks = assemble_operator(grid)
         assert np.allclose(blocks[0], [[0.0, 1.0], [0.0, 0.0]])
         for k in range(grid.kappa.size):
             numeric = np.sort_complex(np.linalg.eigvals(blocks[k]))
-            pair = analytic_eigenpairs(k, circumference=grid.circumference)
-            exact = np.sort_complex(np.array([pair.lam_plus, pair.lam_minus]))
+            exact = np.sort_complex(np.array(analytic_eigenpairs(
+                k, circumference=grid.circumference)))
             denom = np.maximum(np.abs(exact), 1.0)
             assert np.max(np.abs(numeric - exact) / denom) < 1e-12
 
@@ -87,7 +86,7 @@ class TestPropagator:
     def test_single_mode_one_step_exact(self, grid):
         k = 2
         kap = grid.kappa[k]
-        lam = analytic_eigenpairs(k, circumference=grid.circumference).lam_plus
+        lam, _ = analytic_eigenpairs(k, circumference=grid.circumference)
         mode = np.exp(1j * kap * grid.nodes)
         dt = 0.17
         out = solve_forward(grid, np.real(mode), np.real(lam * mode),
@@ -117,7 +116,7 @@ class TestSolveForward:
     def test_single_mode_semigroup(self, grid):
         k = 1
         kap = grid.kappa[k]
-        lam = analytic_eigenpairs(k, circumference=grid.circumference).lam_plus
+        lam, _ = analytic_eigenpairs(k, circumference=grid.circumference)
         mode = np.exp(1j * kap * grid.nodes)
         times = np.linspace(0, 1.0, 129)
         traj = solve_forward(grid, np.real(mode), np.real(lam * mode), times)
@@ -547,6 +546,24 @@ class TestFixedPoint:
         assert report.converged
         diff = np.max(np.abs(fp.beta - direct.beta)) / np.max(np.abs(direct.beta))
         assert diff < 1e-6
+
+    def test_each_core_builds_its_tables_once(self, grid):
+        # marches with a potential at two step sizes build each step table
+        # once and no block matrix; a fixed-point solve, whose windows share
+        # one step, builds the block matrix once
+        tables = dynamics._step_tables, dynamics._block_matrix
+        for table in tables:
+            table.cache_clear()
+        b0, b1 = smooth_data(grid, seed=3)
+        for n in (128, 200, 128, 200):
+            times = np.linspace(0, 0.5, n + 1)
+            solve_forward(grid, b0, b1, times, a=np.ones((n + 1, grid.n)))
+        assert [t.cache_info()[:2] for t in tables] == [(2, 2), (0, 0)]
+        times = np.linspace(0, 0.5, 129)
+        _, report = fixed_point_solve(grid, b0, b1, times,
+                                      np.ones((129, grid.n)), 0.1)
+        assert report.converged and report.windows > 1
+        assert dynamics._block_matrix.cache_info().misses == 1
 
     def test_distances_decrease_in_contraction_regime(self, grid):
         b0, b1 = smooth_data(grid, seed=3)

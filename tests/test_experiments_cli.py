@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import beamctrl
+from beamctrl import dynamics
 from beamctrl.cli import main
 from beamctrl.config import ConfigError, load_config
 from beamctrl.dynamics import solve_forward
@@ -237,9 +238,13 @@ class TestConfig:
         # a one-ulp change to any output of the five numpy-only configs
         # changes its digest; control is held to its manifest rows, so its
         # large snapshots are neither exported nor hashed
+        dynamics._block_matrix.cache_clear()
         manifest = run(load_config(CONFIGS / name), out_root=tmp_path)
         run_dir = manifest.run_dir
         if manifest.kind == "control":
+            # every march of the run carries the potential, so none builds
+            # the potential-free core's block matrix
+            assert dynamics._block_matrix.cache_info().misses == 0
             rows = {key: value for key, value
                     in read_flat_report(run_dir / "manifest.txt").items()
                     if key != "wall_time_s" and not key.startswith("timing.")}

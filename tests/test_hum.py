@@ -9,6 +9,7 @@ from numpy.polynomial import Polynomial
 from scipy.interpolate import CubicSpline
 
 from beamctrl import dynamics
+from beamctrl.audit import LADDER, N_ROWS, kernel_stack
 from beamctrl.dynamics import BeamTrajectory, solve_forward
 from beamctrl.hum import (CGConvergenceError, CurvatureError,
                           FactorizationError, HumSolution, apply_stencil,
@@ -16,11 +17,12 @@ from beamctrl.hum import (CGConvergenceError, CurvatureError,
                           banded_preconditioner, build_theta1,
                           control_on_times, control_weight_factor,
                           fd_weights, free_source, minimize_J,
-                          not_a_knot_spline, synthesize_control,
+                          sample_pieces, spline_pieces, synthesize_control,
                           time_stencil, verify_null_control)
 from beamctrl.torus import SpatialGrid, TimeGrid, gauss_panels, \
     uniform_interior
-from beamctrl.weights import EtaProfile, eval_weights
+from beamctrl.weights import OBSERVATION, EtaProfile, eval_weights, \
+    weighted_kernel
 
 
 @pytest.fixture(scope="module")
@@ -555,7 +557,7 @@ class TestSpline:
         field = rng.standard_normal((256, 64))
         times = np.linspace(0.0, 4.0, 4097)
         ref = CubicSpline(nodes, field, axis=0)(times)
-        got = not_a_knot_spline(nodes, field, times)
+        got = sample_pieces(nodes, spline_pieces(nodes, field), times)
         assert got.shape == (4097, 64)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -563,14 +565,14 @@ class TestSpline:
         nodes = np.array([0.0, 0.3, 1.0, 1.2, 2.0])
         times = np.linspace(-0.5, 2.5, 31)
         cubic = np.polynomial.Polynomial([0.5, -1.0, 2.0, 0.75])
-        got = not_a_knot_spline(nodes, cubic(nodes)[:, None], times)
+        got = sample_pieces(nodes, spline_pieces(nodes, cubic(nodes)[:, None]),
+                            times)
         assert np.allclose(got[:, 0], cubic(times), rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_needs_four_nodes(self, n):
         with pytest.raises(ValueError, match="at least 4 nodes"):
-            not_a_knot_spline(np.arange(n, dtype=float), np.zeros((n, 2)),
-                              np.array([0.5]))
+            spline_pieces(np.arange(n, dtype=float), np.zeros((n, 2)))
 
 
 class TestVerification:
@@ -599,11 +601,28 @@ class TestVerification:
 
     def test_control_on_system_nodes_is_the_solution(self, small_system,
                                                      small_precond):
-        # control_weight_factor and the system's W2 share one weight formula
+        # every weighted kernel is the one weighted_kernel, bit for bit: the
+        # 11 kernel_stack rows, W1, W2 and control_weight_factor
         *_, source, system = small_system
+        w = system.weights
         nodes = system.t_grid.nodes
-        chi = system.weights.domain.in_omega(system.grid.nodes)
-        weight = control_weight_factor(system.weights, nodes)
+        chi = w.domain.in_omega(system.grid.nodes)
+
+        def kernel(exponents, cells=1.0):
+            return weighted_kernel(w.params, w.log_xi, w.neg2s_phi,
+                                   exponents, cells)
+
+        quad = w.quad_weights()
+        omega_quad = w.t_grid.weights[:, None] \
+            * w.domain.omega_cell_weights(w.grid.nodes, w.grid.h)
+        rows = [kernel(row[2:], quad) for row in LADDER]
+        rows += [kernel((0, 0, 0), quad), kernel(OBSERVATION, omega_quad)]
+        assert np.array_equal(kernel_stack(w)[0],
+                              np.reshape(rows, (N_ROWS, -1)))
+        assert np.array_equal(system.W1, kernel((0, 0, 0)))
+        assert np.array_equal(system.W2, kernel(OBSERVATION, chi))
+        weight = control_weight_factor(w, nodes)
+        assert np.array_equal(weight, kernel(OBSERVATION))
         assert np.array_equal(weight * chi, system.W2)
         sol = minimize_J(system, source, small_precond, tol=1e-10,
                          max_iter=2000)
@@ -636,7 +655,8 @@ class TestVerification:
         assert peak <= 2.0 * v.nbytes
         t = times[1:-1]
         whole = -control_weight_factor(system.weights, t) \
-            * not_a_knot_spline(system.t_grid.nodes, sol.psi_min, t) \
+            * sample_pieces(system.t_grid.nodes, spline_pieces(
+                system.t_grid.nodes, sol.psi_min), t) \
             * system.chi
         assert np.array_equal(v[1:-1], whole)
         assert np.all(v[[0, -1]] == 0.0)
