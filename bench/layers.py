@@ -18,9 +18,10 @@ of --repeats calls after one warm-up call:
 It times `dynamics.fixed_point_solve` on the perfbench forward workload's
 first config (T = 1, 1024 steps, random potential, fixed-point windows of
 0.2) the same way, in wall and CPU time and per sweep (`.iteration_ms`,
-the wall time over the sweeps of one call).  It then runs that config
---repeats times into a temporary directory and reports the median of each
-`timing.*` lap of its manifests.
+the wall time over the sweeps of one call), and reports its number of
+sweeps (`.iterations`), as a cut in the sweeps does not show per sweep.
+It then runs that config --repeats times into a temporary directory and
+reports the median of each `timing.*` lap of its manifests.
 
 With `--slice audit` the process builds the audit workload's first
 carleman-audit config (64 modes, 256 Gauss times, 64 + 64 samples of up to
@@ -33,12 +34,12 @@ workload's weights-audit config (lambda 1, 2, 4) --repeats times each and
 reports the median of the `kernels`, `samples`, `sweep` and `weights` laps
 of their manifests.
 
-All metrics are in ms, lower is better.  With --parent DIR the checkout at
-DIR runs in the same rounds, the two sides alternating which goes first.
-The summary gives, per metric, each side's median and quartiles, the
-parent's IQR, `change_wins` (rounds in which this checkout was faster than
-the parent in the same round) and the median ratio change / parent.  The
-JSON summary goes to --out, or stdout.
+All metrics but the sweep count are in ms, and lower is better.  With
+--parent DIR the checkout at DIR runs in the same rounds, the two sides
+alternating which goes first.  The summary gives, per metric, each side's
+median and quartiles, the parent's IQR, `change_wins` (rounds in which
+this checkout was lower than the parent in the same round) and the median
+ratio change / parent.  The JSON summary goes to --out, or stdout.
 """
 
 from __future__ import annotations
@@ -117,7 +118,6 @@ def measure_audit(repeats: int, config: bool) -> dict[str, float]:
     """The audit slice of one side, with its `beamctrl` imported."""
     from beamctrl.audit import TestFunctionFamily, audit_inequality
     from beamctrl.experiments import make_grid, make_potential_sampler
-    from beamctrl.torus import gauss_panels
     from beamctrl.weights import build_eta, build_theta
 
     cfg = load_text(AUDIT_CONFIGS["carleman_audit"], "carleman_audit")
@@ -125,8 +125,7 @@ def measure_audit(repeats: int, config: bool) -> dict[str, float]:
     grid = make_grid(cfg)
     params = cfg.carleman_params()
     theta = build_theta(params, dom.T)
-    t_grid = gauss_panels(dom.T, np.array(theta.junctions),
-                          cfg["grid"]["n_time"])
+    t_grid = theta.gauss_grid(cfg["grid"]["n_time"])
     a = make_potential_sampler(cfg, grid)(t_grid.nodes)
     fam_kw = dict(n_samples=aud["n_samples"], max_mode=aud["max_mode"],
                   T=dom.T, circumference=dom.circumference)
@@ -173,7 +172,8 @@ def measure_fixed_point(repeats: int) -> dict[str, float]:
     return {"fixed_point_solve_ms": 1e3 * wall,
             "fixed_point_solve.cpu_ms": 1e3 * cpu,
             "fixed_point_solve.iteration_ms":
-                1e3 * wall / report.iterations_total}
+                1e3 * wall / report.iterations_total,
+            "fixed_point_solve.iterations": report.iterations_total}
 
 
 def measure(src: str, slice_: str, steps: tuple[int, ...], repeats: int,

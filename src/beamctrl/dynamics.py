@@ -10,13 +10,13 @@ step-size restriction from the kappa^4 stiffness.
 The march keeps its state in rfft space, as the interleaved float view of
 the modes, one block of _GUARD_BLOCK steps at a time, whose states go back
 to nodes once the divergence guard has passed them.  Each of its two cores
-builds the tables it reads, cached per (grid, dt).  With a potential a step
-applies the real propagator to the pair (beta, beta_t), and a*beta at the
-stage points goes through real DFT matrices (`_step_tables`).  Without one
-a step is a fixed affine map per mode, and _SUB_BLOCK steps are one stacked
-product against the powers of the propagator (`_free_march` on
-`_block_matrix`); the fixed-point sweeps iterate a window's modal states on
-that same core.
+builds the tables it reads, cached per (grid, dt).  With a potential one
+stage table maps a step's (beta, beta_t, f - a beta) to the second-stage
+point and the next state, and a*beta at both goes through real DFT
+matrices (`_stage_table`).  Without one a step is a fixed affine map per
+mode, and _SUB_BLOCK steps are one stacked product against the powers of
+the propagator (`_free_march` on `_block_matrix`); the fixed-point sweeps
+march on that core, each window from the last one's converged overlap.
 """
 
 from __future__ import annotations
@@ -179,12 +179,14 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
     and transformed forcing.  How a block's states are found depends on the
     potential:
 
-    - With a potential, step by step.  A step applies the real modal
-      propagator (`_step_tables`) to the stacked pair (beta, beta_t) with
-      one multiply and one add, and forms a*beta through the real matrices
-      of irfft/rfft, no FFT: the second-stage point of step i and the beta
-      it stores both meet a_{i+1}, so one stacked synthesis and one
-      analysis product per step serve both.
+    - With a potential, step by step on rows (beta*, beta, beta_t, n0),
+      n0 = f - a beta, in about ten calls on views built once per march.
+      One multiply and two adds apply the stage table (`_stage_table`) to
+      a row's (beta, beta_t, n0), giving the next row's second-stage point
+      beta*, beta and the first stage of beta_t.  a*beta goes through the
+      real matrices of irfft/rfft, no FFT: beta* and beta both meet
+      a_{i+1}, so one stacked synthesis and one analysis product give the
+      second stage and the next n0.
     - Without one, a step is the same affine map of the state on every
       mode, so _SUB_BLOCK steps are one stacked matrix product (`_free_march`).
 
@@ -205,20 +207,26 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
     dt = float(times[1] - times[0])
     guard = _Guard(g, data, forcing, times, divergence_factor)
     # row 0 of a block is the last state of the previous one
-    U = np.empty((_GUARD_BLOCK + 1, n_b, 2, w))
-    U.view(complex)[0] = g.to_modes(data.transpose(1, 0, 2))
+    U = np.empty((_GUARD_BLOCK + 1, n_b, 2 if a is None else 4, w))
+    state = U if a is None else U[:, :, 1:3]
+    state.view(complex)[0] = g.to_modes(data.transpose(1, 0, 2))
     out = np.empty((2, n_b, n_t, g.n))
-    out[:, :, 0] = g.to_nodes(U.view(complex)[0].transpose(1, 0, 2))
-    peak_sq = guard.check(U[:1], None)[0]                   # (B,)
+    out[:, :, 0] = g.to_nodes(state.view(complex)[0].transpose(1, 0, 2))
+    peak_sq = guard.check(state[:1], None)[0]               # (B,)
     f_hat = (None if forcing is None
              else np.empty((_GUARD_BLOCK + 1, n_b, 1, w)))
     if a is not None:
-        E, lift, ahead, syn, ana = _step_tables(g, dt)
-        P = np.empty((n_b, 2, 2, w))
-        P0, P1 = P[:, :, 0], P[:, :, 1]
-        pair = U[:, :, None]           # (rows, B, 1, 2, w) against E
-        b_rows, bt_rows = U[:, :, :1], U[:, :, 1:]          # (rows, B, 1, w)
-        ab = (b_rows[0] @ syn * a[0]) @ ana                 # a*beta, modal
+        (T, syn, ana), hdt = _stage_table(g, dt), np.array(0.5 * dt)
+        P, S, Q = (np.empty((3, n_b, 3, w)), np.empty((n_b, 2, g.n)),
+                   np.empty((n_b, 2, w)))
+        Q0, Q1 = Q.transpose(1, 0, 2)   # Q0 then holds hdt (f - a beta*)
+        # the forcing rows; unforced, -0.0 - x is -x bit for bit
+        f_rows = ([np.full((n_b, w), -0.0)] * (_GUARD_BLOCK + 1)
+                  if f_hat is None else list(f_hat[:, :, 0]))
+        # per step: the row read, the row written and its parts
+        rows = list(zip(U[:-1, :, 1:].transpose(0, 2, 1, 3)[:, :, :, None],
+                        U[1:, :, :3], U[1:, :, :2], U[1:, :, 2], U[1:, :, 3],
+                        f_rows[1:]))
     with np.errstate(over="ignore", invalid="ignore"):
         for i0 in range(0, n_t - 1, _GUARD_BLOCK):
             n = min(_GUARD_BLOCK, n_t - 1 - i0)
@@ -230,22 +238,25 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
             if a is None:
                 norm_sq = _free_march(g, dt, U, f_hat, n, guard, i0)
             else:
-                for j in range(n):
-                    nxt, bt = U[j + 1], bt_rows[j + 1]
-                    np.multiply(pair[j], E, out=P)
-                    np.add(P0, P1, out=nxt)
-                    n0 = -ab if f_hat is None else f_hat[j] - ab
-                    pts = ahead * n0 + b_rows[j + 1]
-                    prod = (pts @ syn * a[i0 + j + 1]) @ ana    # (B, 2, w)
-                    ab = prod[:, 1:]
-                    n1 = (-prod[:, :1] if f_hat is None
-                          else f_hat[j + 1] - prod[:, :1])
-                    nxt += lift * n0
-                    bt += 0.5 * dt * n1
-                norm_sq = guard.check(U[1:n + 1], i0)
+                if not i0:             # row 0's n0 = f_0 - a_0 beta_0
+                    np.subtract(f_rows[0], ((U[0, :, 1:2] @ syn * a[0])
+                                            @ ana)[:, 0], out=U[0, :, 3])
+                for (src, nxt, pts, bt, n0, f), a_j in zip(
+                        rows[:n], a[i0 + 1:i0 + n + 1]):
+                    np.multiply(src, T, out=P)
+                    np.add(P[0], P[1], out=nxt)
+                    np.add(nxt, P[2], out=nxt)
+                    np.matmul(pts, syn, out=S)
+                    np.multiply(S, a_j, out=S)
+                    np.matmul(S, ana, out=Q)            # a*(beta*, beta)
+                    np.subtract(f, Q0, out=Q0)
+                    np.multiply(Q0, hdt, out=Q0)
+                    np.add(bt, Q0, out=bt)
+                    np.subtract(f, Q1, out=n0)
+                norm_sq = guard.check(state[1:n + 1], i0)
             np.maximum(peak_sq, norm_sq.max(axis=0), out=peak_sq)
             out[:, :, i0 + 1:i0 + n + 1] = g.to_nodes(
-                U.view(complex)[1:n + 1].transpose(2, 1, 0, 3))
+                state.view(complex)[1:n + 1].transpose(2, 1, 0, 3))
         margin = np.sqrt(peak_sq / guard.guard_sq)
     margin[guard.guard_sq == 0] = 0.0
 
@@ -357,17 +368,18 @@ def _pair_mult(g: SpatialGrid) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _step_tables(g: SpatialGrid, dt: float):
+def _stage_table(g: SpatialGrid, dt: float):
     """The tables of a march with a potential on the grid g with step dt,
-    on the interleaved float view of the modes: E (2, 2, w), where E[r, c]
-    multiplies component c of the pair (beta, beta_t) into component r; the
-    lift hdt E[:, 1], which adds the Lawson stage terms (hdt e01, hdt e11)
-    * n0; `ahead` = (dt e01, hdt e01), whose product with n0 plus e^{dt L}
-    beta is the second-stage point and, bit for bit, the beta the step
-    stores; and `dft_matrices`.  Every such march shares them."""
-    E = np.repeat(propagator(g, dt), 2, axis=0).transpose(1, 2, 0)
-    lift = 0.5 * dt * E[:, 1]
-    tables = E, lift, np.stack([dt * E[0, 1], lift[0]]), *dft_matrices(g)
+    on the interleaved float view of the modes: the stage table T (3, 1,
+    3, w), axis 1 for the members, and `dft_matrices`.  T[c, 0, r] takes
+    component c of a row's (beta, beta_t, n0 = f - a beta) into component
+    r of the next row's (beta*, beta, beta_t): rows (0, 0, 1) of e^{dt L}
+    and the Lawson stage terms (dt e01, hdt e01, hdt e11).  beta* is the
+    second stage's point; beta_t lacks that stage's hdt (f - a beta*)."""
+    E = np.repeat(propagator(g, dt), 2, axis=0).transpose(2, 1, 0)  # [c, r]
+    stage = np.stack([dt * E[1, 0], 0.5 * dt * E[1, 0], 0.5 * dt * E[1, 1]])
+    tables = (np.concatenate([E[:, [0, 0, 1]], stage[None]])[:, None],
+              *dft_matrices(g))
     for t in tables:
         t.flags.writeable = False
     return tables
@@ -431,7 +443,10 @@ def fixed_point_solve(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
     half (each restart reuses the state at the midpoint of the previous
     window).  Within each window the map beta_prev -> beta is iterated until
     the sup-in-time distance of successive iterates, measured on the state
-    pair (beta, beta_t) in L2 x L2, drops below tol.
+    pair (beta, beta_t) in L2 x L2, drops below tol.  The first window's
+    seed iterate is zero, so the report's distances are those from zero;
+    a later window's is its predecessor's converged nodes from the restart
+    on, held at their last row.
 
     An iterate is the window's modal states, marched by `_free_march` from
     one rfft of the source; one irfft gives the nodes for the distance and
@@ -458,6 +473,7 @@ def fixed_point_solve(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
     forcing_all, iterates = np.empty((rows, g.n)), np.empty((2, 2, rows, g.n))
     mult_sum = _pair_mult(g).sum()
     first_distances: list[float] = []
+    seed = np.zeros((2, 1, g.n))       # the first window's seed iterate
     total_iters = windows = start = 0
     converged = True
     while start < n_t - 1:
@@ -467,7 +483,7 @@ def fixed_point_solve(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
         rows = w_times.size
         U, f_hat, forcing = U_all[:rows], f_all[:rows], forcing_all[:rows]
         prev, nodes = iterates[:, :, :rows]
-        nodes.fill(0.0)                # the seed iterate
+        seed.take(np.arange(rows), axis=1, out=nodes, mode="clip")
         g.to_modes(data[:, 0], out=U.view(complex)[0, 0])
         dt = float(w_times[1] - w_times[0])
         dist_prev = None
@@ -501,7 +517,8 @@ def fixed_point_solve(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
             break
         keep = stop - start if stop == n_t - 1 else half
         out[:, start:start + keep + 1] = nodes[:, :keep + 1]
-        data = nodes[:, keep, None].copy()
+        seed = nodes[:, keep:].copy()
+        data = seed[:, :1]
         start += keep
 
     factors = [b / a_ for a_, b in zip(first_distances[:-1], first_distances[1:])]

@@ -31,7 +31,7 @@ from .dynamics import (analytic_eigenpairs, assemble_operator,
                        fixed_point_solve, solve_forward)
 from .io import (write_csv, write_field_csv, write_field_snapshot,
                  write_flat_report)
-from .torus import SpatialGrid, gauss_panels, uniform_interior
+from .torus import SpatialGrid, uniform_interior
 from .weights import (LEDGER, audit_derivative_bounds, build_eta, build_theta,
                       eval_weights, sweep_lambda_bounds)
 from .zeta import zeta_ledger
@@ -94,8 +94,7 @@ def make_data(cfg: ExperimentConfig, grid: SpatialGrid
         return from_modes(spec["beta0_modes"]), from_modes(spec["beta1_modes"])
 
     rng = np.random.default_rng(spec["seed"])
-    b0 = np.zeros(grid.n)
-    b1 = np.zeros(grid.n)
+    b0, b1 = np.zeros((2, grid.n))
     for k in range(spec["max_mode"] + 1):
         kap = grid.kappa[k]
         decay = 1.0 / (1.0 + k**2) ** 2
@@ -103,8 +102,7 @@ def make_data(cfg: ExperimentConfig, grid: SpatialGrid
                        + (rng.standard_normal() * np.sin(kap * x) if k else 0.0))
         b1 += 0.5 * decay * (rng.standard_normal() * np.cos(kap * x)
                              + (rng.standard_normal() * np.sin(kap * x) if k else 0.0))
-    scale = spec["amplitude"] / np.sqrt(grid.sobolev_sq(b0, 3)
-                                        + grid.sobolev_sq(b1, 1))
+    scale = spec["amplitude"] / grid.data_norm(b0, b1)
     return scale * b0, scale * b1
 
 
@@ -273,8 +271,7 @@ def _run_forward(cfg: ExperimentConfig, run_dir: Path):
 
 def _run_weights_audit(cfg: ExperimentConfig, run_dir: Path):
     dom, grid, eta, params, theta = _carleman_setup(cfg)
-    t_grid = gauss_panels(dom.T, np.array(theta.junctions),
-                          cfg["grid"]["n_time"])
+    t_grid = theta.gauss_grid(cfg["grid"]["n_time"])
 
     start = time.perf_counter()
     lams = cfg["audit"]["lambda_grid"]
@@ -325,8 +322,7 @@ def _run_weights_audit(cfg: ExperimentConfig, run_dir: Path):
 def _run_carleman_audit(cfg: ExperimentConfig, run_dir: Path):
     dom, grid, eta, params, theta = _carleman_setup(cfg)
     aud = cfg["audit"]
-    t_grid = gauss_panels(dom.T, np.array(theta.junctions),
-                          cfg["grid"]["n_time"])
+    t_grid = theta.gauss_grid(cfg["grid"]["n_time"])
 
     fam_kw = dict(n_samples=aud["n_samples"], max_mode=aud["max_mode"],
                   T=dom.T, circumference=dom.circumference)

@@ -813,8 +813,7 @@ def verify_null_control(beta0: np.ndarray, beta1: np.ndarray,
     uncontrolled_T = q_run.terminal_norm()
     suppression = controlled_T / uncontrolled_T if uncontrolled_T > 0 else 1.0
 
-    data_norm = float(np.sqrt(grid.sobolev_sq(beta0, 3)
-                              + grid.sobolev_sq(beta1, 1)))
+    data_norm = grid.data_norm(beta0, beta1)
 
     report = TerminalReport(
         controlled_terminal=controlled_T,

@@ -84,6 +84,10 @@ class SpatialGrid:
         return float(self.circumference * np.sum(
             self.mode_mult * weight * np.abs(u_hat) ** 2))
 
+    def data_norm(self, b0: np.ndarray, b1: np.ndarray) -> float:
+        """The H^3 x H^1 norm of the data (b0, b1)."""
+        return float(np.sqrt(self.sobolev_sq(b0, 3) + self.sobolev_sq(b1, 1)))
+
 
 @dataclass(frozen=True)
 class TimeGrid:

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from ._bumps import corner_blend
-from .torus import SpatialGrid, TimeGrid
+from .torus import SpatialGrid, TimeGrid, gauss_panels
 
 ETA_SCAN_SIZE = 8192
 POSITIVITY_OFFSET_FRACTION = 0.05
@@ -238,6 +238,10 @@ class ThetaProfile:
     @property
     def junctions(self) -> tuple[float, float, float, float]:
         return (self.T0, 2 * self.T0, self.T - 2 * self.T1, self.T - self.T1)
+
+    def gauss_grid(self, n_nodes: int) -> TimeGrid:
+        """The audits' time grid: Gauss panels split at the junctions."""
+        return gauss_panels(self.T, np.array(self.junctions), n_nodes)
 
     def eval(self, t: np.ndarray, order: int = 0) -> np.ndarray:
         if order > 4:

@@ -25,6 +25,7 @@ def test_layers_bench_smoke(tmp_path):
              for kind in ("free", "potential") for b in (1, 3)}
     names |= {f"fixed_point_solve{field}_ms"
               for field in ("", ".cpu", ".iteration")}
+    names.add("fixed_point_solve.iterations")
     assert set(result["summary"]) == names
     for entry in result["summary"].values():
         assert entry["change"]["median"] > 0 and entry["parent_iqr"] == 0.0

@@ -341,7 +341,7 @@ class TestSolveForward:
     @pytest.mark.parametrize("onset", [0, 100])
     def test_divergence_raised_at_first_failing_step(self, grid, onset):
         # the guard is checked per block of steps; the error must still name
-        # the first step whose norm exceeds it
+        # the first step whose norm exceeds it, as the per-step loop does
         b0, b1 = smooth_data(grid, seed=6)
         times = np.linspace(0, 2.0, 257)[:onset + 41]
         values = np.zeros((times.size, grid.n))
@@ -355,6 +355,29 @@ class TestSolveForward:
         assert 0 < step < times.size - 1
         with pytest.raises(SolverDivergenceError, match=f"at step {step},"):
             solve_forward(grid, b0, b1, times, a=a)
+        with pytest.raises(SolverDivergenceError) as want:
+            reference_potential_march(grid, b0, b1, times, a)
+        with pytest.raises(SolverDivergenceError,
+                           match=f"^{re.escape(str(want.value))}$"):
+            solve_forward(grid, b0, b1, times, a=a)
+
+    # one unforced member and three forced ones, over two whole guard
+    # blocks (129 nodes) and ending in a partial one (131)
+    @pytest.mark.parametrize("n_t", [129, 131])
+    @pytest.mark.parametrize("members", [None, 3])
+    def test_matches_per_step_loop_bit_for_bit(self, grid, n_t, members):
+        times = np.linspace(0, 1.0, n_t)
+        rng = np.random.default_rng(18)
+        shape = (grid.n,) if members is None else (members, grid.n)
+        b0, b1 = rng.standard_normal((2,) + shape)
+        f = (None if members is None
+             else rng.standard_normal((members, n_t, grid.n)))
+        a = 3.0 * np.cos(grid.kappa[1] * grid.nodes)[None, :] \
+            * np.cos(times)[:, None]
+        want = reference_potential_march(grid, b0, b1, times, a, f)
+        traj = solve_forward(grid, b0, b1, times, a=a, forcing=f)
+        for name in ("beta", "beta_t", "guard_margin"):
+            assert np.array_equal(getattr(traj, name), want[name])
 
     def test_nonfinite_state_in_block_raises_without_warning(self, grid):
         b0, b1 = smooth_data(grid, seed=6)
@@ -548,10 +571,10 @@ class TestFixedPoint:
         assert diff < 1e-6
 
     def test_each_core_builds_its_tables_once(self, grid):
-        # marches with a potential at two step sizes build each step table
+        # marches with a potential at two step sizes build each stage table
         # once and no block matrix; a fixed-point solve, whose windows share
         # one step, builds the block matrix once
-        tables = dynamics._step_tables, dynamics._block_matrix
+        tables = dynamics._stage_table, dynamics._block_matrix
         for table in tables:
             table.cache_clear()
         b0, b1 = smooth_data(grid, seed=3)
@@ -623,6 +646,24 @@ class TestFixedPoint:
             assert np.array_equal(fp.beta_t, want["beta_t"])
         assert want["converged"] == (max_iter == 60)
 
+    def test_later_windows_start_from_the_converged_overlap(self, grid):
+        # the first window keeps its zero seed, so its distances and
+        # observed factor are those of a run that seeds every window with
+        # zero; the later windows, seeded with their overlap, need fewer
+        # sweeps
+        b0, b1 = smooth_data(grid, seed=4)
+        times = np.linspace(0, 1.0, 257)
+        a = 2.0 * (1.0 + np.cos(grid.kappa[1] * grid.nodes)[None, :]
+                   * np.cos(3 * times)[:, None])
+        zero = reference_fixed_point(grid, b0, b1, times, a, 0.25,
+                                     seeded=False)
+        _, report = fixed_point_solve(grid, b0, b1, times, a, 0.25)
+        assert report.converged and report.windows == zero["windows"] > 2
+        assert report.distances == zero["distances"]
+        d = zero["distances"]
+        assert report.observed_factor == d[1] / d[0]
+        assert report.iterations_total < zero["iterations"]
+
     def test_rejects_bad_inputs_once(self, grid):
         b0, b1 = smooth_data(grid, seed=3)
         times = np.linspace(0, 0.5, 129)
@@ -642,10 +683,11 @@ class TestFixedPoint:
             fixed_point_solve(grid, np.stack([b0, b0]), np.stack([b1, b1]),
                               times, np.ones((129, grid.n)), 0.25)
 
-    # a potential near the float limit from t = 0.3 on: the second sweep of
-    # the second window overflows, so the error names a step within that
-    # window and the absolute time; and a top mode on a short circle, whose
-    # velocity outgrows 1e6 x the data's norm within the first window
+    # a potential near the float limit from t = 0.3 on: the first sweep of
+    # the second window, seeded with the first window's nodes, overflows,
+    # so the error names a step within that window and the absolute time;
+    # and a top mode on a short circle, whose velocity outgrows 1e6 x the
+    # data's norm within the first window
     @pytest.mark.parametrize("case", ["overflow", "guard"])
     def test_diverging_window_raises_where_one_solve_per_sweep_does(
             self, grid, case):
@@ -676,9 +718,11 @@ class TestFixedPoint:
 
 
 def reference_fixed_point(grid, beta0, beta1, times, a, kappa, max_iter=60,
-                          tol=1e-12):
+                          tol=1e-12, seeded=True):
     """The sweeps as one `solve_forward` per iteration, with the distance
-    taken on the returned nodes."""
+    taken on the returned nodes.  The first window starts from zero; with
+    `seeded` each later one starts from the previous window's converged
+    nodes from its restart row on, held at their last row, else from zero."""
     dt = times[1] - times[0]
     seg_steps = max(2, int(round(kappa / dt)))
     seg_steps += seg_steps % 2
@@ -686,13 +730,15 @@ def reference_fixed_point(grid, beta0, beta1, times, a, kappa, max_iter=60,
     n_t = times.size
     beta, beta_t = np.empty((2, n_t, grid.n))
     data = (beta0, beta1)
+    seed = np.zeros((2, 1, grid.n))
     distances = []
     iterations = windows = start = 0
     while start < n_t - 1:
         windows += 1
         stop = min(start + seg_steps, n_t - 1)
         w_a = a[start:stop + 1]
-        prev = prev_t = np.zeros((stop - start + 1, grid.n))
+        rows = np.minimum(np.arange(stop - start + 1), seed.shape[1] - 1)
+        prev, prev_t = seed[:, rows]
         dist_prev = None
         scale = max(float(grid.pair_norm(*data)), 1e-300)
         for it in range(max_iter):
@@ -714,6 +760,64 @@ def reference_fixed_point(grid, beta0, beta1, times, a, kappa, max_iter=60,
         beta[start:start + keep + 1] = traj.beta[:keep + 1]
         beta_t[start:start + keep + 1] = traj.beta_t[:keep + 1]
         data = (traj.beta[keep], traj.beta_t[keep])
+        seed = (np.stack([traj.beta[keep:], traj.beta_t[keep:]]) if seeded
+                else np.zeros((2, 1, grid.n)))
         start += keep
     return dict(converged=True, windows=windows, iterations=iterations,
                 distances=distances, beta=beta, beta_t=beta_t)
+
+
+def reference_potential_march(grid, beta0, beta1, times, a, forcing=None,
+                              divergence_factor=1e6):
+    """The march with a potential as a loop of steps on the pair (beta,
+    beta_t): the propagator, then the Lawson stage terms, with a*beta at
+    the second-stage point and at the stored beta from one stacked
+    synthesis and analysis product; the guard checked per block.  beta,
+    beta_t and guard_margin as `solve_forward` returns them."""
+    g = grid
+    times, data, a, forcing, batch = dynamics._checked_inputs(
+        g, times, beta0, beta1, a, forcing)
+    n_t, n_b = times.size, data.shape[1]
+    w, block = 2 * g.kappa.size, dynamics._GUARD_BLOCK
+    dt = float(times[1] - times[0])
+    guard = dynamics._Guard(g, data, forcing, times, divergence_factor)
+    E = np.repeat(propagator(g, dt), 2, axis=0).transpose(1, 2, 0)
+    lift = 0.5 * dt * E[:, 1]
+    ahead = np.stack([dt * E[0, 1], lift[0]])
+    syn, ana = dft_matrices(g)
+    U = np.empty((block + 1, n_b, 2, w))
+    U.view(complex)[0] = g.to_modes(data.transpose(1, 0, 2))
+    out = np.empty((2, n_b, n_t, g.n))
+    out[:, :, 0] = g.to_nodes(U.view(complex)[0].transpose(1, 0, 2))
+    peak_sq = guard.check(U[:1], None)[0]
+    f_hat = None if forcing is None else np.empty((block + 1, n_b, 1, w))
+    P = np.empty((n_b, 2, 2, w))
+    ab = (U[0, :, :1] @ syn * a[0]) @ ana
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0 in range(0, n_t - 1, block):
+            n = min(block, n_t - 1 - i0)
+            if i0:
+                U[0] = U[block]
+            if f_hat is not None:
+                f_hat.view(complex)[:n + 1, :, 0] = g.to_modes(
+                    forcing[:, i0:i0 + n + 1].transpose(1, 0, 2))
+            for j in range(n):
+                nxt, bt = U[j + 1], U[j + 1, :, 1:]
+                np.multiply(U[j, :, None], E, out=P)
+                np.add(P[:, :, 0], P[:, :, 1], out=nxt)
+                n0 = -ab if f_hat is None else f_hat[j] - ab
+                pts = ahead * n0 + U[j + 1, :, :1]
+                prod = (pts @ syn * a[i0 + j + 1]) @ ana
+                ab = prod[:, 1:]
+                n1 = (-prod[:, :1] if f_hat is None
+                      else f_hat[j + 1] - prod[:, :1])
+                nxt += lift * n0
+                bt += 0.5 * dt * n1
+            np.maximum(peak_sq, guard.check(U[1:n + 1], i0).max(axis=0),
+                       out=peak_sq)
+            out[:, :, i0 + 1:i0 + n + 1] = g.to_nodes(
+                U.view(complex)[1:n + 1].transpose(2, 1, 0, 3))
+        margin = np.sqrt(peak_sq / guard.guard_sq)
+    margin[guard.guard_sq == 0] = 0.0
+    beta, beta_t = out.reshape((2,) + batch + (n_t, g.n))
+    return dict(beta=beta, beta_t=beta_t, guard_margin=margin.reshape(batch))
