@@ -286,6 +286,7 @@ def integrals(psi: dict[str, np.ndarray], w: WeightField,
     return _contract(kernel_stack(w)[0][:, None], _squared_rows(rows, a))[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")     # raised as OverflowError
 def _family_integrals(kernels: np.ndarray,
                       samples: Sequence[SpaceTimeSample], x: np.ndarray,
                       t: np.ndarray, a: np.ndarray | None = None
@@ -348,6 +349,8 @@ def _family_integrals(kernels: np.ndarray,
             field += a * (t_table[0, :, cols] @ x_table[0, cols])
         np.square(field, out=field)
         values[:, smp, len(LADDER)] = kernels[len(LADDER)] @ field.ravel()
+    if not np.isfinite(values).all():
+        raise OverflowError("the audit integrals overflow to inf or nan")
     return values
 
 
@@ -423,7 +426,7 @@ def audit_inequality(calibration: TestFunctionFamily,
     and family maxima are array operations.  Rows come out in (s, lam,
     role, sample) order; ratios are deterministic given the family seeds.
     `timing` holds the wall seconds of the kernel stack (weights included)
-    and of the samples.
+    and of the samples.  Integrals too large for floats raise OverflowError.
     """
     start = time.perf_counter()
     x, t = grid.nodes, t_grid.nodes

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -27,8 +28,16 @@ class ConfigError(ValueError):
     """A configuration file failed validation; the message names the field."""
 
 
-def _parse_floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.replace(";", ",").split(",") if tok.strip())
+def _finite(raw: str) -> float:
+    """float(raw); ValueError on nan and +-inf, which no key admits."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(_finite(tok) for tok in raw.replace(";", ",").split(",") if tok.strip())
 
 
 def parse_modes(raw: str) -> list[tuple[int, float, float]]:
@@ -36,72 +45,83 @@ def parse_modes(raw: str) -> list[tuple[int, float, float]]:
     items = [item.split(":") for item in raw.split(";")] if raw else []
     if any(len(parts) != 3 for parts in items):
         raise ValueError(f"{raw!r} is not k:cos:sin;...")
-    return [(int(k), float(c), float(s)) for k, c, s in items]
+    return [(int(k), _finite(c), _finite(s)) for k, c, s in items]
 
 
-# schema: section -> key -> (parser, default or REQUIRED)
+def _one_of(names: tuple[str, ...]):
+    return f"be one of {', '.join(names)}", names.__contains__
+
+
+# bounds: (what `section.key` must do, test of the parsed value)
+_POSITIVE = ("be positive", lambda v: v > 0)
+_NONNEGATIVE = ("be nonnegative", lambda v: v >= 0)
+_LISTED = ("list at least one value", bool)
+
+# schema: section -> key -> (parser, default or _REQUIRED[, bound]); rules
+# that read more than one key are in `_validate`
 _REQUIRED = object()
 
 SCHEMA = {
     "experiment": {
-        "kind": (str, _REQUIRED),
+        "kind": (str, _REQUIRED, _one_of(EXPERIMENT_KINDS)),
         "seed": (int, 0),
     },
     "domain": {
-        "d": (float, _REQUIRED),
-        "L": (float, _REQUIRED),
-        "T": (float, _REQUIRED),
+        "d": (_finite, _REQUIRED),
+        "L": (_finite, _REQUIRED),
+        "T": (_finite, _REQUIRED),
     },
     "grid": {
-        "n_modes": (int, 64),
-        "n_time": (int, 128),
+        "n_modes": (int, 64, ("be even and at least 8",
+                              lambda n: n >= 8 and n % 2 == 0)),
+        "n_time": (int, 128, ("be at least 8", lambda n: n >= 8)),
     },
     "carleman": {
-        "s": (float, 4.0),
-        "lambda": (float, 2.0),
-        "T0": (float, 0.5),
-        "T1": (float, 0.5),
+        "s": (_finite, 4.0),
+        "lambda": (_finite, 2.0),
+        "T0": (_finite, 0.5),
+        "T1": (_finite, 0.5),
         "zeta": (Fraction, Fraction(1)),
-        "eta_scale": (float, 0.1),
-        "mollify_radius": (float, 0.0),   # 0 means the L/8 default
+        "eta_scale": (_finite, 0.1, _POSITIVE),
+        "mollify_radius": (_finite, 0.0),   # 0 means the L/8 default
     },
     "potential": {
-        "kind": (str, "zero"),
-        "amplitude": (float, 1.0),
+        "kind": (str, "zero", _one_of(POTENTIAL_KINDS)),
+        "amplitude": (_finite, 1.0),
         "seed": (int, 0),
         "max_mode": (int, 2),
         "space_mode": (int, 1),
         "time_mode": (int, 1),
     },
     "data": {
-        "kind": (str, "random"),
+        "kind": (str, "random", _one_of(DATA_KINDS)),
         "seed": (int, 1),
         "max_mode": (int, 4),
-        "amplitude": (float, 1.0),
+        "amplitude": (_finite, 1.0),
         "beta0_modes": (str, ""),
         "beta1_modes": (str, ""),
     },
     "hum": {
-        "tol": (float, 1e-10),
-        "max_iter": (int, 3000),
-        "eps_scale": (float, 1e-14),
-        "r0": (float, 0.3),
-        "r1": (float, 0.7),
-        "verify_steps": (int, 4096),
-        "suppression_target": (float, 1e-3),
+        "tol": (_finite, 1e-10, _POSITIVE),
+        "max_iter": (int, 3000, _POSITIVE),
+        "eps_scale": (_finite, 1e-14, _NONNEGATIVE),
+        "r0": (_finite, 0.3),
+        "r1": (_finite, 0.7),
+        "verify_steps": (int, 4096, _POSITIVE),
+        "suppression_target": (_finite, 1e-3),
     },
     "forward": {
-        "n_steps": (int, 2000),
-        "fixed_point_kappa": (float, 0.0),   # 0 disables the fixed-point pass
+        "n_steps": (int, 2000, _POSITIVE),
+        "fixed_point_kappa": (_finite, 0.0, _NONNEGATIVE),  # 0: no fixed point
     },
     "audit": {
-        "n_samples": (int, 32),
+        "n_samples": (int, 32, _POSITIVE),
         "calib_seed": (int, 11),
         "heldout_seed": (int, 202),
         "max_mode": (int, 16),
-        "s_grid": (_parse_floats, (4.0, 8.0)),
-        "lambda_grid": (_parse_floats, (2.0,)),
-        "heldout_factor": (float, 10.0),
+        "s_grid": (_floats, (4.0, 8.0), _LISTED),
+        "lambda_grid": (_floats, (2.0,), _LISTED),
+        "heldout_factor": (_finite, 10.0),
     },
 }
 
@@ -155,8 +175,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     """Parse, apply defaults, validate, and hash a configuration file."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str
-    read = parser.read(str(path))
-    if not read:
+    if not parser.read(str(path)):
         raise ConfigError(f"cannot read config file: {path}")
 
     for section in parser.sections():
@@ -169,11 +188,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
     values: dict[str, dict[str, object]] = {}
     for section, keys in SCHEMA.items():
         values[section] = {}
-        for key, (cast, default) in keys.items():
+        for key, (cast, default, *bound) in keys.items():
             if parser.has_option(section, key):
                 raw = parser.get(section, key)
                 try:
-                    values[section][key] = cast(raw)
+                    value = cast(raw)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ConfigError(
                         f"bad value for {section}.{key}: {raw!r} ({exc})"
@@ -181,7 +200,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
             elif default is _REQUIRED:
                 raise ConfigError(f"missing required key {section}.{key}")
             else:
-                values[section][key] = default
+                value = default
+            for must, holds in bound:
+                if not holds(value):
+                    raise ConfigError(f"{section}.{key} must {must}")
+            values[section][key] = value
 
     cfg = ExperimentConfig(kind=values["experiment"]["kind"], values=values,
                            config_hash=hash_config(values))
@@ -190,49 +213,32 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    kind, values = cfg.kind, cfg.values
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(
-            f"experiment.kind must be one of {', '.join(EXPERIMENT_KINDS)}")
-
+    values = cfg.values
     try:
         dom = cfg.domain()
     except ValueError as exc:
         raise ConfigError(f"invalid domain: {exc}") from exc
 
-    if kind in ("weights-audit", "carleman-audit", "control"):
-        car = values["carleman"]
+    if cfg.kind in ("weights-audit", "carleman-audit", "control"):
         try:
             cfg.carleman_params().validate_horizon(dom.T)
         except ValueError as exc:
             raise ConfigError(f"invalid carleman parameters: {exc}") from exc
-        if car["eta_scale"] <= 0:
-            raise ConfigError("carleman.eta_scale must be positive")
-        if not 0.0 <= car["mollify_radius"] < dom.L / 4.0:
+        if not 0.0 <= values["carleman"]["mollify_radius"] < dom.L / 4.0:
             raise ConfigError("carleman.mollify_radius must lie in [0, L/4) "
                               "(0 means the L/8 default)")
 
-    grid = values["grid"]
-    if grid["n_modes"] < 8 or grid["n_modes"] % 2:
-        raise ConfigError("grid.n_modes must be even and at least 8")
-    if grid["n_time"] < 8:
-        raise ConfigError("grid.n_time must be at least 8")
-
-    if values["potential"]["kind"] not in POTENTIAL_KINDS:
-        raise ConfigError(
-            f"potential.kind must be one of {', '.join(POTENTIAL_KINDS)}")
-    if values["data"]["kind"] not in DATA_KINDS:
-        raise ConfigError(f"data.kind must be one of {', '.join(DATA_KINDS)}")
-    if values["data"]["kind"] == "modal" and not values["data"]["beta0_modes"]:
+    data = values["data"]
+    if data["kind"] == "modal" and not data["beta0_modes"]:
         raise ConfigError("data.kind=modal requires data.beta0_modes")
 
     # mode indices address the rfft modes 0..n_modes/2 of the grid
-    top = grid["n_modes"] // 2
-    indices = [("data.max_mode", values["data"]["max_mode"]),
+    top = values["grid"]["n_modes"] // 2
+    indices = [("data.max_mode", data["max_mode"]),
                ("potential.space_mode", values["potential"]["space_mode"])]
     for key in ("beta0_modes", "beta1_modes"):
         try:
-            modes = parse_modes(values["data"][key])
+            modes = parse_modes(data[key])
         except ValueError as exc:
             raise ConfigError(f"bad value for data.{key}: {exc}") from exc
         indices += [(f"data.{key}", k) for k, _, _ in modes]
@@ -240,17 +246,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         if not 0 <= k <= top:
             raise ConfigError(f"{key}: mode {k} is outside 0..{top}")
 
-    for section, key in (("forward", "n_steps"), ("hum", "max_iter"),
-                         ("hum", "verify_steps"), ("audit", "n_samples")):
-        if values[section][key] < 1:
-            raise ConfigError(f"{section}.{key} must be positive")
-    for key in ("s_grid", "lambda_grid"):
-        if not values["audit"][key]:
-            raise ConfigError(f"audit.{key} must list at least one value")
     hum = values["hum"]
     if not 0.0 < hum["r0"] < hum["r1"] < 1.0:
         raise ConfigError("hum.r0 and hum.r1 must satisfy 0 < r0 < r1 < 1")
-    if not hum["tol"] > 0:
-        raise ConfigError("hum.tol must be positive")
-    if not hum["eps_scale"] >= 0.0:
-        raise ConfigError("hum.eps_scale must be nonnegative")

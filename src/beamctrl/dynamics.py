@@ -322,14 +322,15 @@ class _Guard:
         i0 + 1, ...: SolverDivergenceError at the first beyond the guard."""
         v = rows.reshape(len(rows), -1, 1, self.mult.size) / self.scale
         norm_sq = (np.multiply(v, v, out=v) @ self.mult)[..., 0]
-        bad = np.flatnonzero(~(norm_sq <= self.guard_sq).all(axis=1))
+        bad = np.argwhere(~(norm_sq <= self.guard_sq))    # (row, member)
         if bad.size and i0 is not None:        # None: step 0, unchecked
-            step = i0 + 1 + bad[0]
-            norm = np.max(np.sqrt(norm_sq[bad[0]]) * self.scale[:, 0, 0])
+            (row, m), step = bad[0], i0 + 1 + bad[0, 0]
+            norm, guard = self.scale[m, 0, 0] * np.sqrt(   # input's units
+                [norm_sq[row, m], self.guard_sq[m]])
             raise SolverDivergenceError(
-                f"norm grew to {norm:.3e} (>{self.factor:.0e} x (data norm "
-                f"+ forcing integral)) at step {step}, t = "
-                f"{self.times[step]:.6g}")
+                f"norm grew to {norm:.3e} (> guard {guard:.3e} = "
+                f"{self.factor:.0e} x (data norm + forcing integral)) at "
+                f"step {step}, t = {self.times[step]:.6g}")
         return norm_sq
 
 

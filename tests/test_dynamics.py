@@ -440,7 +440,10 @@ class TestFreeMarch:
         guard = 0.2 * (grid.pair_norm(b0, b1) + grid.l2(f) @ trap)
         step = np.flatnonzero(norms > guard)[0]
         assert 0 < step < times.size - 1
-        with pytest.raises(SolverDivergenceError, match=f"at step {step},"):
+        # the message prints the guard crossed, in the units of the norm
+        printed = (f"(> guard {guard:.3e} = 2e-01 x (data norm + forcing "
+                   f"integral)) at step {step},")
+        with pytest.raises(SolverDivergenceError, match=re.escape(printed)):
             solve_forward(grid, b0, b1, times, forcing=f,
                           divergence_factor=0.2)
 

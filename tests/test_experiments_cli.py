@@ -1,7 +1,10 @@
+import configparser
 import csv
 import hashlib
 import json
+import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -13,9 +16,11 @@ import pytest
 import beamctrl
 from beamctrl import dynamics
 from beamctrl.cli import main
-from beamctrl.config import ConfigError, load_config
-from beamctrl.dynamics import solve_forward
+from beamctrl.config import SCHEMA, ConfigError, load_config
+from beamctrl.dynamics import SolverDivergenceError, solve_forward
 from beamctrl.experiments import EXPECTED_FILES, emit_plot_data, run
+from beamctrl.hum import (CGConvergenceError, CurvatureError,
+                          FactorizationError)
 from beamctrl.io import (FIELD_MAGIC, export_field_csv, read_field_snapshot,
                          read_flat_report, write_field_csv,
                          write_field_snapshot, write_flat_report)
@@ -72,6 +77,21 @@ def write_cfg(tmp_path, kind, extra=""):
     path = tmp_path / f"{kind}.ini"
     path.write_text(BASE.format(kind=kind) + extra)
     return path
+
+
+def edit_cfg(source, out, changes):
+    """The config file source with changes {(section, key): value}, written
+    to out."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.optionxform = str
+    parser.read(source)
+    for (section, key), value in changes.items():
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, key, value)
+    with open(out, "w") as f:
+        parser.write(f)
+    return out
 
 
 def run_fresh(code: str) -> list[str]:
@@ -146,9 +166,11 @@ class TestConfig:
          "audit.lambda_grid"),
         ("carleman-audit", "s_grid = 4,8", "s_grid =", "audit.s_grid"),
         ("control", "tol = 1e-8", "tol = nan", "hum.tol"),
+        ("forward", "n_steps = 400", "n_steps = 400\nfixed_point_kappa = -0.1",
+         "forward.fixed_point_kappa"),
     ], ids=["n_steps", "verify_steps", "max_iter", "eps_scale", "n_samples_0",
             "n_samples_negative", "lambda_grid_empty", "s_grid_empty",
-            "tol_nan"])
+            "tol_nan", "fixed_point_kappa_negative"])
     def test_solver_sizes_rejected(self, tmp_path, kind, line, bad, key):
         path = tmp_path / "bad.ini"
         path.write_text(BASE.format(kind=kind).replace(line, bad))
@@ -205,6 +227,49 @@ class TestConfig:
                          extra=f"\n[carleman]\nmollify_radius = {radius}\n")
         with pytest.raises(ConfigError, match="carleman.mollify_radius"):
             load_config(path)
+
+    # every float key of SCHEMA, one member of each float list and one mode
+    # coefficient; most of these loaded and then failed inside the run, or
+    # ran to NaN metrics
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["control.ini", "carleman_audit.ini",
+                                      "weights_audit.ini", "forward.ini"])
+    def test_nonfinite_values_rejected(self, tmp_path, name, value):
+        cfg = load_config(CONFIGS / name)
+        cases = [({("data", "kind"): "modal",
+                   ("data", "beta0_modes"): f"1:{value}:0"},
+                  "data.beta0_modes")]
+        for section, keys in SCHEMA.items():
+            for key in keys:
+                old = cfg[section][key]
+                if isinstance(old, float):
+                    cases.append(({(section, key): value}, f"{section}.{key}"))
+                elif isinstance(old, tuple):
+                    cases.append(({(section, key): f"{old[0]!r},{value}"},
+                                  f"{section}.{key}"))
+        assert len(cases) >= 21
+        missed = []
+        for changes, key in cases:
+            path = edit_cfg(CONFIGS / name, tmp_path / name, changes)
+            try:
+                load_config(path)
+                missed.append((key, "loaded"))
+            except ConfigError as exc:
+                if not re.search(rf"\b{re.escape(key)}\b", str(exc)):
+                    missed.append((key, str(exc)))
+        assert missed == []
+
+    def test_readme_names_every_schema_key(self):
+        # the README's schema section has one bullet per section
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text().split("## Configuration schema")[1]
+        text = text.split("\n## ")[0]
+        bullets = {re.match(r"`\[(\w+)\]`", b)[1]: b
+                   for b in text.split("\n- ")[1:]}
+        assert set(bullets) == set(SCHEMA)
+        for section, keys in SCHEMA.items():
+            for key in keys:
+                assert f"`{key}`" in bullets[section], f"{section}.{key}"
 
     @pytest.mark.parametrize("name, kind, config_hash", [
         ("carleman_audit.ini", "carleman-audit", "119feba0d795"),
@@ -311,7 +376,62 @@ class TestImportBoundary:
         assert (manifest.run_dir / "trajectory.csv").exists()
 
 
+TINY = """
+[experiment]
+kind = {kind}
+[domain]
+d = 1.0
+L = 1.0
+T = 4.0
+[grid]
+n_modes = 8
+n_time = 16
+[potential]
+kind = separable
+[forward]
+n_steps = 16
+fixed_point_kappa = 0.2
+[audit]
+n_samples = 2
+max_mode = 2
+s_grid = 4
+[hum]
+verify_steps = 16
+suppression_target = 1e300
+"""
+
+# extreme finite settings of the float keys, and one step
+EXTREMES = [("potential", "amplitude", "1e6"),
+            ("potential", "amplitude", "1e300"), ("domain", "T", "1e-6"),
+            ("domain", "T", "1e3"), ("domain", "d", "1e-9"),
+            ("forward", "n_steps", "1"), ("carleman", "s", "40"),
+            ("hum", "eps_scale", "0"), ("hum", "eps_scale", "1e300"),
+            ("hum", "tol", "1e-300")]
+NAMED_FAILURES = (ConfigError, SolverDivergenceError, OverflowError,
+                  CGConvergenceError, CurvatureError, FactorizationError)
+
+
 class TestRuns:
+    # each run ends in a named error or with finite metrics; a
+    # carleman-audit run with amplitude 1e300 overflows its residual and
+    # once finished with NaN ratio maxima
+    @pytest.mark.parametrize("kind", ["spectrum", "zeta-ledger", "forward",
+                                      "weights-audit", "carleman-audit",
+                                      "control"])
+    def test_extreme_finite_values(self, tmp_path, kind):
+        base = tmp_path / "tiny.ini"
+        base.write_text(TINY.format(kind=kind))
+        for section, key, value in EXTREMES:
+            path = edit_cfg(base, tmp_path / "extreme.ini",
+                            {(section, key): value})
+            try:
+                manifest = run(load_config(path), out_root=tmp_path / "runs")
+            except NAMED_FAILURES:
+                continue
+            bad = [name for name, metric in manifest.metrics.items()
+                   if isinstance(metric, float) and not math.isfinite(metric)]
+            assert bad == [], f"{section}.{key} = {value}"
+
     @pytest.mark.parametrize("kind", ["spectrum", "zeta-ledger", "forward",
                                       "weights-audit", "carleman-audit",
                                       "control"])
