@@ -13,7 +13,9 @@ of --repeats calls after one warm-up call:
 
 - `free`: forced, without a potential, on the block-product core that the
   fixed-point sweeps also march on;
-- `potential`: unforced, with a potential, as in the direct march.
+- `potential`: unforced, with a potential, as in the direct march;
+- `potential_forced`: forced, with a potential, the shape of the control
+  verification's batched march.
 
 It times `dynamics.fixed_point_solve` on the perfbench forward workload's
 first config (T = 1, 1024 steps, random potential, fixed-point windows of
@@ -198,7 +200,8 @@ def measure(src: str, slice_: str, steps: tuple[int, ...], repeats: int,
                 else rng.standard_normal((2, grid.n))
             f = rng.standard_normal(data.shape[1:-1] + (n + 1, grid.n))
             for kind, kw in (("free", {"forcing": f}),
-                             ("potential", {"a": a})):
+                             ("potential", {"a": a}),
+                             ("potential_forced", {"a": a, "forcing": f})):
                 wall, _ = time_calls(lambda: solve_forward(
                     grid, data[0], data[1], times, **kw), repeats)
                 out[f"solve_forward.{kind}.m{b}.s{n}_ms"] = 1e3 * wall

@@ -212,18 +212,23 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return cfg
 
 
+def _keyed(keys: str, build):
+    """build(), with its ValueError raised as a ConfigError naming keys."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise ConfigError(f"{keys}: {exc}") from exc
+
+
 def _validate(cfg: ExperimentConfig) -> None:
     values = cfg.values
-    try:
-        dom = cfg.domain()
-    except ValueError as exc:
-        raise ConfigError(f"invalid domain: {exc}") from exc
+    dom = _keyed("domain.d, domain.L, domain.T", cfg.domain)
 
     if cfg.kind in ("weights-audit", "carleman-audit", "control"):
-        try:
-            cfg.carleman_params().validate_horizon(dom.T)
-        except ValueError as exc:
-            raise ConfigError(f"invalid carleman parameters: {exc}") from exc
+        params = _keyed("carleman.s, carleman.lambda, carleman.T0, "
+                        "carleman.T1", cfg.carleman_params)
+        _keyed("carleman.T0, carleman.T1, domain.T",
+               lambda: params.validate_horizon(dom.T))
         if not 0.0 <= values["carleman"]["mollify_radius"] < dom.L / 4.0:
             raise ConfigError("carleman.mollify_radius must lie in [0, L/4) "
                               "(0 means the L/8 default)")

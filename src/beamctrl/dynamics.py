@@ -8,15 +8,18 @@ second-order accuracy (Lawson two-stage scheme), so the integrator has no
 step-size restriction from the kappa^4 stiffness.
 
 The march keeps its state in rfft space, as the interleaved float view of
-the modes, one block of _GUARD_BLOCK steps at a time, whose states go back
-to nodes once the divergence guard has passed them.  Each of its two cores
-builds the tables it reads, cached per (grid, dt).  With a potential one
-stage table maps a step's (beta, beta_t, f - a beta) to the second-stage
-point and the next state, and a*beta at both goes through real DFT
-matrices (`_stage_table`).  Without one a step is a fixed affine map per
-mode, and _SUB_BLOCK steps are one stacked product against the powers of
-the propagator (`_free_march` on `_block_matrix`); the fixed-point sweeps
-march on that core, each window from the last one's converged overlap.
+the modes (width w), one block of _GUARD_BLOCK steps at a time, whose
+states go back to nodes once the divergence guard has passed them.  Each
+of its two cores builds the tables it reads, cached per (grid, dt).  With
+a potential a block's rows (rows, 4, B, w) are component-major: each of
+(beta*, beta, beta_t, n0 = f - a beta) is one (B, w) block of the batch.
+One stage table maps a row's (beta, beta_t, n0) to the next row's
+second-stage point beta* and state, and a*beta at both goes through real
+DFT matrices (`_stage_table`).  Without one the rows (rows, B, 2, w) are
+member-major, a step is a fixed affine map per mode, and _SUB_BLOCK steps
+are one stacked product against the powers of the propagator
+(`_free_march` on `_block_matrix`); the fixed-point sweeps march on that
+core, each window from the last one's converged overlap.
 """
 
 from __future__ import annotations
@@ -179,16 +182,15 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
     and transformed forcing.  How a block's states are found depends on the
     potential:
 
-    - With a potential, step by step on rows (beta*, beta, beta_t, n0),
-      n0 = f - a beta, in about ten calls on views built once per march.
-      One multiply and two adds apply the stage table (`_stage_table`) to
-      a row's (beta, beta_t, n0), giving the next row's second-stage point
-      beta*, beta and the first stage of beta_t.  a*beta goes through the
-      real matrices of irfft/rfft, no FFT: beta* and beta both meet
-      a_{i+1}, so one stacked synthesis and one analysis product give the
-      second stage and the next n0.
-    - Without one, a step is the same affine map of the state on every
-      mode, so _SUB_BLOCK steps are one stacked matrix product (`_free_march`).
+    - With a potential, step by step in about ten calls on views built
+      once per march.  The stage table's multiply and two adds give the
+      next row's beta*, beta and first stage of beta_t.  beta* and beta
+      meet a_{i+1} through the real matrices of irfft/rfft, no FFT: one
+      (2B, w) @ (w, n_x) synthesis serves the batch; the analysis is one
+      (2, n_x) @ (n_x, w) product per member, as one (2B, n_x) product
+      breaks member parity on OpenBLAS.  A step costs about 12, 19
+      and 22 us at 1, 3 and 4 forced members (64 nodes, `BENCH_28.json`).
+    - Without one, _SUB_BLOCK steps are one stacked product (`_free_march`).
 
     Each member's divergence guard is divergence_factor times its data norm
     plus the trapezoid integral of its forcing's L2 norm; a state whose norm
@@ -207,8 +209,9 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
     dt = float(times[1] - times[0])
     guard = _Guard(g, data, forcing, times, divergence_factor)
     # row 0 of a block is the last state of the previous one
-    U = np.empty((_GUARD_BLOCK + 1, n_b, 2 if a is None else 4, w))
-    state = U if a is None else U[:, :, 1:3]
+    U = np.empty((_GUARD_BLOCK + 1, n_b, 2, w) if a is None
+                 else (_GUARD_BLOCK + 1, 4, n_b, w))
+    state = U if a is None else U[:, 1:3].swapaxes(1, 2)   # (rows, B, 2, w)
     state.view(complex)[0] = g.to_modes(data.transpose(1, 0, 2))
     out = np.empty((2, n_b, n_t, g.n))
     out[:, :, 0] = g.to_nodes(state.view(complex)[0].transpose(1, 0, 2))
@@ -217,15 +220,17 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
              else np.empty((_GUARD_BLOCK + 1, n_b, 1, w)))
     if a is not None:
         (T, syn, ana), hdt = _stage_table(g, dt), np.array(0.5 * dt)
-        P, S, Q = (np.empty((3, n_b, 3, w)), np.empty((n_b, 2, g.n)),
-                   np.empty((n_b, 2, w)))
-        Q0, Q1 = Q.transpose(1, 0, 2)   # Q0 then holds hdt (f - a beta*)
+        P, S, Q = (np.empty((3, 3, n_b, w)), np.empty((2 * n_b, g.n)),
+                   np.empty((2, n_b, w)))
+        Q0, Q1 = Q                      # Q0 then holds hdt (f - a beta*)
+        # S and Q as per-member (B, 2, .) stacks, for the analysis
+        S_m, Q_m = S.reshape(2, n_b, -1).swapaxes(0, 1), Q.swapaxes(0, 1)
         # the forcing rows; unforced, -0.0 - x is -x bit for bit
         f_rows = ([np.full((n_b, w), -0.0)] * (_GUARD_BLOCK + 1)
                   if f_hat is None else list(f_hat[:, :, 0]))
         # per step: the row read, the row written and its parts
-        rows = list(zip(U[:-1, :, 1:].transpose(0, 2, 1, 3)[:, :, :, None],
-                        U[1:, :, :3], U[1:, :, :2], U[1:, :, 2], U[1:, :, 3],
+        rows = list(zip(U[:-1, 1:, None], U[1:, :3],
+                        U[1:, :2].reshape(-1, 2 * n_b, w), U[1:, 2], U[1:, 3],
                         f_rows[1:]))
     with np.errstate(over="ignore", invalid="ignore"):
         for i0 in range(0, n_t - 1, _GUARD_BLOCK):
@@ -239,8 +244,8 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
                 norm_sq = _free_march(g, dt, U, f_hat, n, guard, i0)
             else:
                 if not i0:             # row 0's n0 = f_0 - a_0 beta_0
-                    np.subtract(f_rows[0], ((U[0, :, 1:2] @ syn * a[0])
-                                            @ ana)[:, 0], out=U[0, :, 3])
+                    np.subtract(f_rows[0], ((U[0, 1, :, None] @ syn * a[0])
+                                            @ ana)[:, 0], out=U[0, 3])
                 for (src, nxt, pts, bt, n0, f), a_j in zip(
                         rows[:n], a[i0 + 1:i0 + n + 1]):
                     np.multiply(src, T, out=P)
@@ -248,7 +253,7 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
                     np.add(nxt, P[2], out=nxt)
                     np.matmul(pts, syn, out=S)
                     np.multiply(S, a_j, out=S)
-                    np.matmul(S, ana, out=Q)            # a*(beta*, beta)
+                    np.matmul(S_m, ana, out=Q_m)        # a*(beta*, beta)
                     np.subtract(f, Q0, out=Q0)
                     np.multiply(Q0, hdt, out=Q0)
                     np.add(bt, Q0, out=bt)
@@ -371,15 +376,15 @@ def _pair_mult(g: SpatialGrid) -> np.ndarray:
 @lru_cache(maxsize=4)
 def _stage_table(g: SpatialGrid, dt: float):
     """The tables of a march with a potential on the grid g with step dt,
-    on the interleaved float view of the modes: the stage table T (3, 1,
-    3, w), axis 1 for the members, and `dft_matrices`.  T[c, 0, r] takes
+    on the interleaved float view of the modes: the stage table T (3, 3,
+    1, w), axis 2 for the members, and `dft_matrices`.  T[c, r, 0] takes
     component c of a row's (beta, beta_t, n0 = f - a beta) into component
     r of the next row's (beta*, beta, beta_t): rows (0, 0, 1) of e^{dt L}
     and the Lawson stage terms (dt e01, hdt e01, hdt e11).  beta* is the
     second stage's point; beta_t lacks that stage's hdt (f - a beta*)."""
     E = np.repeat(propagator(g, dt), 2, axis=0).transpose(2, 1, 0)  # [c, r]
     stage = np.stack([dt * E[1, 0], 0.5 * dt * E[1, 0], 0.5 * dt * E[1, 1]])
-    tables = (np.concatenate([E[:, [0, 0, 1]], stage[None]])[:, None],
+    tables = (np.concatenate([E[:, [0, 0, 1]], stage[None]])[:, :, None],
               *dft_matrices(g))
     for t in tables:
         t.flags.writeable = False

@@ -22,7 +22,8 @@ def test_layers_bench_smoke(tmp_path):
                  "--no-config", "--parent", str(ROOT), "--out", str(out)])
     result = json.loads(out.read_text())
     names = {f"solve_forward.{kind}.m{b}.s8_ms"
-             for kind in ("free", "potential") for b in (1, 3)}
+             for kind in ("free", "potential", "potential_forced")
+             for b in (1, 3)}
     names |= {f"fixed_point_solve{field}_ms"
               for field in ("", ".cpu", ".iteration")}
     names.add("fixed_point_solve.iterations")

@@ -218,20 +218,27 @@ class TestSolveForward:
             solve_forward(grid, np.stack([b0, b0]), np.stack([b1, b1]), times,
                           forcing=np.zeros((3, 33, grid.n)))
 
-    # 129 nodes march two whole guard blocks, 131 end in a partial one
+    # 129 nodes march two whole guard blocks, 131 end in a partial one; the
+    # batch shares its synthesis product, and five members (more than
+    # four) would show a BLAS kernel that changes with the row count
     @pytest.mark.parametrize("n_t", [129, 131])
-    def test_batch_members_equal_unbatched_bit_for_bit(self, grid, n_t):
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("members", [2, 3, 5])
+    def test_batch_members_equal_unbatched_bit_for_bit(self, grid, n_t,
+                                                       forced, members):
         times = np.linspace(0, 1.0, n_t)
         rng = np.random.default_rng(11)
-        data = [smooth_data(grid, seed=s) for s in (1, 2, 3)]
+        data = [smooth_data(grid, seed=s) for s in range(1, members + 1)]
         b0 = np.stack([d[0] for d in data])
         b1 = np.stack([d[1] for d in data])
-        f = rng.standard_normal((3, n_t, grid.n))
+        f = (rng.standard_normal((members, n_t, grid.n)) if forced
+             else None)
         a = (
             np.cos(grid.kappa[1] * grid.nodes)[None, :] * np.cos(times)[:, None])
         batch = solve_forward(grid, b0, b1, times, a=a, forcing=f)
-        for i in range(3):
-            one = solve_forward(grid, b0[i], b1[i], times, a=a, forcing=f[i])
+        for i in range(members):
+            one = solve_forward(grid, b0[i], b1[i], times, a=a,
+                                forcing=None if f is None else f[i])
             member = batch.member(i)
             for name in ("beta", "beta_t", "energy", "dissipation",
                          "guard_margin"):
@@ -361,10 +368,10 @@ class TestSolveForward:
                            match=f"^{re.escape(str(want.value))}$"):
             solve_forward(grid, b0, b1, times, a=a)
 
-    # one unforced member and three forced ones, over two whole guard
+    # one unforced member and batches of forced ones, over two whole guard
     # blocks (129 nodes) and ending in a partial one (131)
     @pytest.mark.parametrize("n_t", [129, 131])
-    @pytest.mark.parametrize("members", [None, 3])
+    @pytest.mark.parametrize("members", [None, 2, 3, 5])
     def test_matches_per_step_loop_bit_for_bit(self, grid, n_t, members):
         times = np.linspace(0, 1.0, n_t)
         rng = np.random.default_rng(18)

@@ -203,6 +203,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             load_config(path)
 
+    # the domain and Carleman types' errors named no config key
+    @pytest.mark.parametrize("kind, changes, keys", [
+        ("spectrum", {("domain", "d"): "-1.0"}, ["domain.d"]),
+        ("control", {("domain", "T"): "1e-6"},
+         ["domain.T", "carleman.T0", "carleman.T1"]),
+        ("weights-audit", {("carleman", "lambda"): "0.5"},
+         ["carleman.lambda"]),
+    ], ids=["negative_d", "horizon_below_junctions", "lambda_below_one"])
+    def test_domain_and_carleman_errors_name_their_keys(self, tmp_path, kind,
+                                                        changes, keys):
+        path = edit_cfg(write_cfg(tmp_path, kind), tmp_path / "bad.ini",
+                        changes)
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        for key in keys:
+            assert re.search(rf"\b{re.escape(key)}\b", str(exc.value))
+
     def test_hash_ignores_formatting(self, tmp_path):
         a = load_config(write_cfg(tmp_path, "spectrum"))
         reordered = tmp_path / "b.ini"
