@@ -1,5 +1,5 @@
-"""Layer timings of beamctrl's forward march and Carleman audit, and their
-workloads' laps.
+"""Layer timings of beamctrl's forward march, and the stage laps of the
+forward and audit workloads' runs.
 
 Run from the root of a checkout (standard library and numpy only):
 
@@ -7,9 +7,10 @@ Run from the root of a checkout (standard library and numpy only):
                            [--repeats 5] [--parent DIR] [--out FILE]
 
 Each round starts one fresh process per checkout.  With `--slice forward`
-(the default) the process times `dynamics.solve_forward` on a 64-node grid
-with 1 and 3 members at 206, 1024 and 4096 steps of 1/1024, each the median
-of --repeats calls after one warm-up call:
+(the default) the process times `dynamics.solve_forward`, a layer no run
+laps on its own, on a 64-node grid with 1 and 3 members at 206, 1024 and
+4096 steps of 1/1024, each the median of --repeats calls after one warm-up
+call:
 
 - `free`: forced, without a potential, on the block-product core that the
   fixed-point sweeps also march on;
@@ -17,24 +18,17 @@ of --repeats calls after one warm-up call:
 - `potential_forced`: forced, with a potential, the shape of the control
   verification's batched march.
 
-It times `dynamics.fixed_point_solve` on the perfbench forward workload's
-first config (T = 1, 1024 steps, random potential, fixed-point windows of
-0.2) the same way, in wall and CPU time and per sweep (`.iteration_ms`,
-the wall time over the sweeps of one call), and reports its number of
-sweeps (`.iterations`), as a cut in the sweeps does not show per sweep.
-It then runs that config --repeats times into a temporary directory and
-reports the median of each `timing.*` lap of its manifests.
-
-With `--slice audit` the process builds the audit workload's first
-carleman-audit config (64 modes, 256 Gauss times, 64 + 64 samples of up to
-16 modes, s = 4, 8 at lambda 2, separable potential) and times
-`weights.build_eta` and `audit.audit_inequality` on it, each the median of
---repeats calls after one warm-up call, in wall time (`_ms`) and in the
-process's CPU time over all threads (`.cpu_ms`), so a threaded or stalled
-product shows as the two drifting apart.  It then runs that config and the
-workload's weights-audit config (lambda 1, 2, 4) --repeats times each and
-reports the median of the `kernels`, `samples`, `sweep` and `weights` laps
-of their manifests.
+Every other number comes from the manifests of --repeats runs of the
+workloads' pool entry 0 configs, read from perfbench's workload module:
+the median of each `timing.*` lap, wall and CPU (`_cpu`), which tile the
+run from its `setup` lap on.  `--slice forward` runs the forward config (T
+= 1, 1024 steps, random potential, fixed-point windows of 0.2) and adds
+the time per fixed-point sweep (`fixed_point_solve.iteration_ms`, the
+`fixed_point` lap over `metrics.fp_iterations`) and the sweep count
+(`fixed_point_solve.iterations`), as a cut in the sweeps does not show per
+sweep.  `--slice audit` runs the carleman-audit config (64 modes, 256 Gauss
+times, 64 + 64 samples of up to 16 modes, s = 4, 8 at lambda 2, separable
+potential) and the weights-audit config (lambda 1, 2, 4).
 
 All metrics but the sweep count are in ms, and lower is better.  With
 --parent DIR the checkout at DIR runs in the same rounds, the two sides
@@ -70,121 +64,54 @@ FORWARD_CONFIG = _workloads.CONFIGS["forward"](0)["forward"]
 AUDIT_CONFIGS = {kind.replace("-", "_"): text for kind, text
                  in _workloads.CONFIGS["audit"](0).items()
                  if kind in ("carleman-audit", "weights-audit")}
-# the manifest laps each audit config contributes
-AUDIT_LAPS = {"carleman_audit": ("kernels", "samples"),
-              "weights_audit": ("sweep", "weights")}
 
 STEPS = (206, 1024, 4096)
 MEMBERS = (1, 3)
 
 
-def load_text(text: str, name: str):
-    """The config of the INI text, loaded through a temporary file."""
+def config_runs(text: str, name: str, repeats: int) -> list[dict[str, str]]:
+    """The manifest rows of `repeats` runs of the config of the INI text."""
     from beamctrl.config import load_config
+    from beamctrl.experiments import run
+    from beamctrl.io import read_flat_report
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"{name}.ini"
         path.write_text(text)
-        return load_config(path)
+        cfg = load_config(path)
+        return [read_flat_report(run(cfg, out_root=Path(tmp) / f"runs{k}")
+                                 .run_dir / "manifest.txt")
+                for k in range(repeats)]
 
 
-def run_config(text: str, name: str, repeats: int) -> dict[str, float]:
-    """The median over `repeats` runs of the config of each `timing.<lap>_s`
-    manifest row, in s by lap."""
-    from beamctrl.experiments import run
-    from beamctrl.io import read_flat_report
-    cfg = load_text(text, name)
-    laps = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for k in range(repeats):
-            manifest = run(cfg, out_root=Path(tmp) / f"runs{k}")
-            rows = read_flat_report(manifest.run_dir / "manifest.txt")
-            laps.append({key[len("timing."):-2]: float(value)
-                         for key, value in rows.items()
-                         if key.startswith("timing.")})
-    return {lap: float(np.median([run_laps[lap] for run_laps in laps]))
-            for lap in laps[0]}
+def lap_medians(name: str, runs: list[dict[str, str]]) -> dict[str, float]:
+    """`<name>_config.timing.<lap>_ms`: the median over the runs of each
+    `timing.<lap>_s` manifest row, in ms."""
+    return {f"{name}_config.{key[:-2]}_ms":
+            1e3 * float(np.median([float(rows[key]) for rows in runs]))
+            for key in runs[0] if key.startswith("timing.")}
 
 
-def time_calls(call, repeats: int) -> tuple[float, float]:
-    """Median wall and CPU seconds of `repeats` calls after a warm-up."""
+def time_calls(call, repeats: int) -> float:
+    """Median wall seconds of `repeats` calls after a warm-up."""
     call()
     laps = []
     for _ in range(repeats):
-        wall, cpu = time.perf_counter(), time.process_time()
+        start = time.perf_counter()
         call()
-        laps.append((time.perf_counter() - wall, time.process_time() - cpu))
-    return tuple(float(v) for v in np.median(laps, axis=0))
+        laps.append(time.perf_counter() - start)
+    return float(np.median(laps))
 
 
-def measure_audit(repeats: int, config: bool) -> dict[str, float]:
-    """The audit slice of one side, with its `beamctrl` imported."""
-    from beamctrl.audit import TestFunctionFamily, audit_inequality
-    from beamctrl.experiments import make_grid, make_potential_sampler
-    from beamctrl.weights import build_eta, build_theta
-
-    cfg = load_text(AUDIT_CONFIGS["carleman_audit"], "carleman_audit")
-    dom, car, aud = cfg.domain(), cfg["carleman"], cfg["audit"]
-    grid = make_grid(cfg)
-    params = cfg.carleman_params()
-    theta = build_theta(params, dom.T)
-    t_grid = theta.gauss_grid(cfg["grid"]["n_time"])
-    a = make_potential_sampler(cfg, grid)(t_grid.nodes)
-    fam_kw = dict(n_samples=aud["n_samples"], max_mode=aud["max_mode"],
-                  T=dom.T, circumference=dom.circumference)
-    families = [TestFunctionFamily(role, seed=aud[f"{key}_seed"], **fam_kw)
-                for role, key in (("calibration", "calib"),
-                                  ("heldout", "heldout"))]
-
-    def eta():
-        return build_eta(dom, car["eta_scale"], car["mollify_radius"])
-
-    profile = eta()
-    calls = {"build_eta": eta,
-             "audit_inequality": lambda: audit_inequality(
-                 *families, profile, theta, params, aud["s_grid"],
-                 aud["lambda_grid"], grid, t_grid, a=a)}
-    out = {}
-    for name, call in calls.items():
-        wall, cpu = time_calls(call, repeats)
-        out[f"{name}_ms"], out[f"{name}.cpu_ms"] = 1e3 * wall, 1e3 * cpu
-    if config:
-        for name, laps in AUDIT_LAPS.items():
-            timing = run_config(AUDIT_CONFIGS[name], name, repeats)
-            for lap in laps:
-                out[f"{name}_config.timing.{lap}_ms"] = 1e3 * timing[lap]
-    return out
-
-
-def measure_fixed_point(repeats: int) -> dict[str, float]:
-    """`fixed_point_solve` on the forward workload's config, as its run
-    calls it."""
-    from beamctrl.dynamics import fixed_point_solve
-    from beamctrl.experiments import (make_data, make_grid,
-                                      make_potential_sampler)
-
-    cfg = load_text(FORWARD_CONFIG, "forward")
-    grid = make_grid(cfg)
-    b0, b1 = make_data(cfg, grid)
-    times = np.linspace(0.0, cfg.domain().T, cfg["forward"]["n_steps"] + 1)
-    a = make_potential_sampler(cfg, grid)(times)
-    kappa = cfg["forward"]["fixed_point_kappa"]
-    _, report = fixed_point_solve(grid, b0, b1, times, a, kappa)
-    wall, cpu = time_calls(
-        lambda: fixed_point_solve(grid, b0, b1, times, a, kappa), repeats)
-    return {"fixed_point_solve_ms": 1e3 * wall,
-            "fixed_point_solve.cpu_ms": 1e3 * cpu,
-            "fixed_point_solve.iteration_ms":
-                1e3 * wall / report.iterations_total,
-            "fixed_point_solve.iterations": report.iterations_total}
-
-
-def measure(src: str, slice_: str, steps: tuple[int, ...], repeats: int,
-            config: bool) -> dict[str, float]:
+def measure(src: str, slice_: str, steps: tuple[int, ...], repeats: int
+            ) -> dict[str, float]:
     """One side of a round, in this process: the checkout's `src` on the
     import path first."""
     sys.path.insert(0, src)
     if slice_ == "audit":
-        return measure_audit(repeats, config)
+        out = {}
+        for name, text in AUDIT_CONFIGS.items():
+            out.update(lap_medians(name, config_runs(text, name, repeats)))
+        return out
     from beamctrl.dynamics import solve_forward
     from beamctrl.torus import SpatialGrid
 
@@ -202,14 +129,16 @@ def measure(src: str, slice_: str, steps: tuple[int, ...], repeats: int,
             for kind, kw in (("free", {"forcing": f}),
                              ("potential", {"a": a}),
                              ("potential_forced", {"a": a, "forcing": f})):
-                wall, _ = time_calls(lambda: solve_forward(
-                    grid, data[0], data[1], times, **kw), repeats)
-                out[f"solve_forward.{kind}.m{b}.s{n}_ms"] = 1e3 * wall
-    out.update(measure_fixed_point(repeats))
-    if config:
-        for lap, seconds in run_config(FORWARD_CONFIG, "forward",
-                                       repeats).items():
-            out[f"forward_config.timing.{lap}_ms"] = 1e3 * seconds
+                out[f"solve_forward.{kind}.m{b}.s{n}_ms"] = 1e3 * time_calls(
+                    lambda: solve_forward(grid, data[0], data[1], times,
+                                          **kw), repeats)
+    runs = config_runs(FORWARD_CONFIG, "forward", repeats)
+    out.update(lap_medians("forward", runs))
+    sweeps = [int(rows["metrics.fp_iterations"]) for rows in runs]
+    out["fixed_point_solve.iteration_ms"] = 1e3 * float(np.median(
+        [float(rows["timing.fixed_point_s"]) / n
+         for rows, n in zip(runs, sweeps)]))
+    out["fixed_point_solve.iterations"] = sweeps[0]
     return out
 
 
@@ -219,8 +148,6 @@ def run_side(root: Path, args) -> dict[str, float]:
            str(root / "src"), "--slice", args.slice,
            "--repeats", str(args.repeats),
            "--steps", ",".join(map(str, args.steps))]
-    if args.no_config:
-        cmd.append("--no-config")
     done = subprocess.run(cmd, capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": ""})
     return json.loads(done.stdout.splitlines()[-1])
@@ -232,18 +159,22 @@ def quartiles(values: list[float]) -> dict[str, float]:
 
 
 def summarize(change: list[dict], parent: list[dict] | None) -> dict:
-    """Per metric: medians and quartiles of each side, and with a parent
-    the paired wins, the parent's IQR and the median ratio."""
+    """Per metric: medians and quartiles of each side that has it (a lap
+    one checkout does not take is on one side only), the parent's IQR, and
+    with both sides the paired wins and the median ratio."""
     summary = {}
-    for name in change[0]:
-        c = [r[name] for r in change]
-        entry = {"change": quartiles(c)}
-        if parent is not None:
+    for name in change[0] | (parent[0] if parent else {}):
+        entry = {}
+        if name in change[0]:
+            c = [r[name] for r in change]
+            entry["change"] = quartiles(c)
+        if parent is not None and name in parent[0]:
             p = [r[name] for r in parent]
             q = entry["parent"] = quartiles(p)
             entry["parent_iqr"] = q["p75"] - q["p25"]
-            entry["change_wins"] = sum(ci < pi for ci, pi in zip(c, p))
-            entry["ratio"] = entry["change"]["median"] / q["median"]
+            if "change" in entry:
+                entry["change_wins"] = sum(ci < pi for ci, pi in zip(c, p))
+                entry["ratio"] = entry["change"]["median"] / q["median"]
         summary[name] = entry
     return summary
 
@@ -258,14 +189,12 @@ def main(argv: list[str] | None = None) -> dict | None:
                     type=lambda s: tuple(int(v) for v in s.split(",")))
     ap.add_argument("--parent", type=Path,
                     help="root of the parent checkout, run alternately")
-    ap.add_argument("--no-config", action="store_true",
-                    help="skip the workload's config runs")
     ap.add_argument("--out", type=Path)
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
         print(json.dumps(measure(args.child, args.slice, args.steps,
-                                 args.repeats, not args.no_config)))
+                                 args.repeats)))
         return None
 
     root = Path(__file__).resolve().parents[1]

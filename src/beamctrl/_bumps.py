@@ -1,12 +1,11 @@
 """Compactly supported C-infinity bump kernels and smoothstep utilities.
 
-The standard bump g(u) = exp(-1/(1-u^2)) on (-1,1) underlies three
+The standard bump g(u) = exp(-1/(1-u^2)) on (-1,1) underlies two
 constructions in this package: the mollifier that rounds the corners of the
-spatial weight profile, localized test functions supported in the control
-collar, and the smooth time cutoff used by the control synthesis.  With
-w = 1 - u^2 its derivatives are g^(j) = p_j(u) g / w^(2j), where p_0 = 1 and
-p_{j+1} = p_j' w^2 - 2 u p_j + 4 j u w p_j; the smoothstep and its first two
-derivatives are written in closed form.
+spatial weight profile, and the smooth time cutoff used by the control
+synthesis.  With w = 1 - u^2 its derivatives are g^(j) = p_j(u) g /
+w^(2j), where p_0 = 1 and p_{j+1} = p_j' w^2 - 2 u p_j + 4 j u w p_j; the
+smoothstep and its first two derivatives are written in closed form.
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ reporting rather than hiding violations.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from itertools import groupby
 from operator import itemgetter
@@ -36,7 +35,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._bumps import bump
+from .io import StageClock
 from .torus import SpatialGrid, TimeGrid
 from .weights import OBSERVATION, CarlemanParams, EtaProfile, \
     ThetaProfile, WeightField, eval_weights, weighted_kernel
@@ -78,10 +77,9 @@ _SERIAL_MNK = 4 * 65536
 class SeparableTerm:
     """One product term p(x) * mu(t); `derivative_tables` differentiates it.
 
-    p is a trigonometric polynomial, or with `x_bump` the bump of that
-    center and halfwidth; mu is the envelope exp(-gamma T / t - gamma T /
-    (T - t)), which vanishes to all orders at both horizon ends, times the
-    polynomial sum_i t_poly[i] (t / T)^i.
+    p is a trigonometric polynomial; mu is the envelope exp(-gamma T / t -
+    gamma T / (T - t)), which vanishes to all orders at both horizon ends,
+    times the polynomial sum_i t_poly[i] (t / T)^i.
     """
 
     x_coeffs_cos: np.ndarray     # (max_mode + 1,)
@@ -90,7 +88,6 @@ class SeparableTerm:
     gamma: float                 # envelope sharpness
     t_poly: np.ndarray           # low-degree modulation in t/T
     T: float
-    x_bump: tuple[float, float] | None = None   # (center, halfwidth) variant
 
 
 def derivative_tables(samples: Sequence[SpaceTimeSample], x: np.ndarray,
@@ -100,37 +97,31 @@ def derivative_tables(samples: Sequence[SpaceTimeSample], x: np.ndarray,
     Returns the x table, shape (5, K, n_x), whose [i, k] is the i-th
     x-derivative of term k's profile, and the t table, shape (3, n_t, K),
     whose [j, :, k] is the j-th t-derivative of its envelope times
-    polynomial.  Trigonometric terms of one circumference share one cos/sin
-    phase table, so each x-derivative order is one product over all of them.
+    polynomial.  The terms share one cos/sin phase table, so each
+    x-derivative order is one product over all of them; terms of more than
+    one circumference raise ValueError.
     """
     terms = [term for smp in samples for term in smp.terms]
+    circumferences = {term.circumference for term in terms}
+    if len(circumferences) > 1:
+        raise ValueError("the terms differ in circumference: "
+                         f"{sorted(circumferences)}")
     x = np.asarray(x, dtype=float)
-    x_table = np.empty((5, len(terms), x.size))
-    trig: dict[float, list[int]] = {}
+    n_modes = max(max(term.x_coeffs_cos.size, term.x_coeffs_sin.size)
+                  for term in terms)
+    kap = 2.0 * np.pi * np.arange(n_modes) / circumferences.pop()
+    phase = kap[:, None] * x[None, :]
+    # coefficients on [cos | sin]; d/dx maps (cos_c, sin_c) to
+    # kap (sin_c, -cos_c)
+    coef = np.zeros((5, len(terms), 2, n_modes))
     for k, term in enumerate(terms):
-        if term.x_bump is None:
-            trig.setdefault(term.circumference, []).append(k)
-            continue
-        c, w = term.x_bump
-        for i in range(5):
-            x_table[i, k] = bump((x - c) / w, i) / w**i
-    for circumference, idx in trig.items():
-        n_modes = max(max(terms[k].x_coeffs_cos.size,
-                          terms[k].x_coeffs_sin.size) for k in idx)
-        kap = 2.0 * np.pi * np.arange(n_modes) / circumference
-        phase = kap[:, None] * x[None, :]
-        # coefficients on [cos | sin]; d/dx maps (cos_c, sin_c) to
-        # kap (sin_c, -cos_c)
-        coef = np.zeros((5, len(idx), 2, n_modes))
-        for row, k in enumerate(idx):
-            cos_c, sin_c = terms[k].x_coeffs_cos, terms[k].x_coeffs_sin
-            coef[0, row, 0, :cos_c.size] = cos_c
-            coef[0, row, 1, :sin_c.size] = sin_c
-        for i in range(4):
-            coef[i + 1, :, 0] = kap * coef[i, :, 1]
-            coef[i + 1, :, 1] = -kap * coef[i, :, 0]
-        x_table[:, idx] = coef.reshape(5, len(idx), -1) @ np.concatenate(
-            [np.cos(phase), np.sin(phase)])
+        coef[0, k, 0, :term.x_coeffs_cos.size] = term.x_coeffs_cos
+        coef[0, k, 1, :term.x_coeffs_sin.size] = term.x_coeffs_sin
+    for i in range(4):
+        coef[i + 1, :, 0] = kap * coef[i, :, 1]
+        coef[i + 1, :, 1] = -kap * coef[i, :, 0]
+    x_table = coef.reshape(5, len(terms), -1) @ np.concatenate(
+        [np.cos(phase), np.sin(phase)])
 
     T = np.array([term.T for term in terms])
     gT = np.array([term.gamma for term in terms]) * T
@@ -384,7 +375,7 @@ class RatioReport:
     s_grid: list[float]
     lam_grid: list[float]
     kernel_underflow_frac: float   # largest share of e^{-2 s phi} == 0
-    # wall seconds per stage, kept out of the ratios
+    # StageClock laps, kept out of the ratios
     timing: dict[str, float] = field(default_factory=dict)
 
     def heldout_within(self, factor: float = 10.0) -> bool:
@@ -425,17 +416,18 @@ def audit_inequality(calibration: TestFunctionFamily,
     11) array, calibration samples first, from which the left sides, ratios
     and family maxima are array operations.  Rows come out in (s, lam,
     role, sample) order; ratios are deterministic given the family seeds.
-    `timing` holds the wall seconds of the kernel stack (weights included)
-    and of the samples.  Integrals too large for floats raise OverflowError.
+    `timing` holds the `StageClock` laps of the kernel stack (weights
+    included) and of the samples.  Integrals too large for floats raise
+    OverflowError.
     """
-    start = time.perf_counter()
+    clock = StageClock()
     x, t = grid.nodes, t_grid.nodes
     points = [(float(s), float(lam)) for s in s_grid for lam in lam_grid]
     kernels = np.empty((N_ROWS, len(points), t.size * x.size))
     underflow = max(kernel_stack(eval_weights(
         eta, theta, replace(params, s=s, lam=lam), grid, t_grid),
         out=kernels[:, p])[1] for p, (s, lam) in enumerate(points))
-    stacked = time.perf_counter()
+    clock.lap("kernels")
 
     fams = {"calibration": calibration.generate(),
             "heldout": heldout.generate()}
@@ -452,10 +444,9 @@ def audit_inequality(calibration: TestFunctionFamily,
     table = np.stack([lhs, values[..., -2], values[..., -1], ratio], axis=-1)
     rows = [RatioRow(*key, *cols) for key, cols
             in zip(keys, table.reshape(-1, 4).tolist())]
-    timing = {"kernels": stacked - start,
-              "samples": time.perf_counter() - stacked}
+    clock.lap("samples")
     return RatioReport(rows=rows, calibration_max=maxima[0],
                        heldout_max=maxima[1],
                        s_grid=[float(s) for s in s_grid],
                        lam_grid=[float(lam) for lam in lam_grid],
-                       kernel_underflow_frac=underflow, timing=timing)
+                       kernel_underflow_frac=underflow, timing=clock.timing)

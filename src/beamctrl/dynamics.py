@@ -188,8 +188,8 @@ def solve_forward(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
       meet a_{i+1} through the real matrices of irfft/rfft, no FFT: one
       (2B, w) @ (w, n_x) synthesis serves the batch; the analysis is one
       (2, n_x) @ (n_x, w) product per member, as one (2B, n_x) product
-      breaks member parity on OpenBLAS.  A step costs about 12, 19
-      and 22 us at 1, 3 and 4 forced members (64 nodes, `BENCH_28.json`).
+      breaks member parity on OpenBLAS.  Its cost per step at 1, 3 and 4
+      members is in `BENCH_28.json` (`in_process_step.us_per_step`).
     - Without one, _SUB_BLOCK steps are one stacked product (`_free_march`).
 
     Each member's divergence guard is divergence_factor times its data norm

@@ -5,9 +5,10 @@ outputs land in a directory named by the configuration hash.  Space-time
 fields (trajectories, the control, the weights) are written once, as binary
 field snapshots that `beamctrl export` turns into CSV; small tables are CSV
 and reports flat text.  A manifest next to them records the headline
-metrics, the pass/fail state of the attached assertion suite and the wall
-time of each stage (`timing.*` rows, outside the metrics; a control run
-adds each stage's CPU time as `timing.<stage>_cpu_s`).  Identical
+metrics, the pass/fail state of the attached assertion suite and the
+`StageClock` laps of the run (`timing.<stage>_s` and `timing.<stage>_cpu_s`
+rows, outside the metrics), which tile its `wall_time_s` from the `setup`
+lap (config to grid, profiles, data and sampler) on.  Identical
 configurations reproduce identical metrics bit for bit: all randomness is
 seeded from the configuration and reductions run in fixed order.
 
@@ -18,7 +19,6 @@ kinds do not pay for it.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,8 +29,8 @@ from .audit import TestFunctionFamily, audit_inequality
 from .config import ExperimentConfig, parse_modes
 from .dynamics import (analytic_eigenpairs, assemble_operator,
                        fixed_point_solve, solve_forward)
-from .io import (write_csv, write_field_csv, write_field_snapshot,
-                 write_flat_report)
+from .io import (StageClock, write_csv, write_field_csv,
+                 write_field_snapshot, write_flat_report)
 from .torus import SpatialGrid, uniform_interior
 from .weights import (LEDGER, audit_derivative_bounds, build_eta, build_theta,
                       eval_weights, sweep_lambda_bounds)
@@ -50,7 +50,7 @@ class RunManifest:
     outputs: list[str]
     metrics: dict[str, object]
     assertions: dict[str, bool]
-    timing: dict[str, float]   # seconds per stage, kept out of metrics
+    timing: dict[str, float]   # StageClock laps, kept out of metrics
 
     @property
     def overall_pass(self) -> bool:
@@ -165,9 +165,9 @@ def make_potential_sampler(cfg: ExperimentConfig, grid: SpatialGrid):
 
 # experiment kinds -------------------------------------------------------------
 
-def _run_spectrum(cfg: ExperimentConfig, run_dir: Path):
+def _run_spectrum(cfg: ExperimentConfig, run_dir: Path, clock: StageClock):
     grid = make_grid(cfg)
-    start = time.perf_counter()
+    clock.lap("setup")
     blocks = assemble_operator(grid)
     rows = []
     worst = 0.0
@@ -180,24 +180,24 @@ def _run_spectrum(cfg: ExperimentConfig, run_dir: Path):
         worst = max(worst, err)
         rows.append((k, kap, numeric[0].real, numeric[0].imag,
                      exact[0].real, exact[0].imag, err))
+    clock.lap("spectrum")
     files = [write_csv(run_dir / "spectrum.csv",
                        ["k", "kappa", "re_numeric", "im_numeric",
                         "re_exact", "im_exact", "rel_error"], rows)]
-    timing = {"spectrum": time.perf_counter() - start}
     metrics = {"max_rel_eigenvalue_error": worst, "n_modes": grid.n}
     assertions = {"spectrum_matches_1e-10": worst < 1e-10}
-    return metrics, assertions, files, timing
+    return metrics, assertions, files
 
 
-def _run_zeta(cfg: ExperimentConfig, run_dir: Path):
-    start = time.perf_counter()
+def _run_zeta(cfg: ExperimentConfig, run_dir: Path, clock: StageClock):
+    clock.lap("setup")
     witness = zeta_ledger(cfg["carleman"]["zeta"])
+    clock.lap("ledger")
     files = [
         write_csv(run_dir / "zeta_witness.csv", ["field", "value"],
                   witness.rows()),
         write_flat_report(run_dir / "zeta_witness.txt", witness.rows()),
     ]
-    timing = {"ledger": time.perf_counter() - start}
     metrics = {
         "zeta": str(witness.zeta),
         "admissible": str(witness.admissible).lower(),
@@ -208,10 +208,10 @@ def _run_zeta(cfg: ExperimentConfig, run_dir: Path):
     consistent = (witness.admissible == (witness.quotients is not None
                                          and all(q < 1 for q in witness.quotients)))
     assertions = {"witness_internally_consistent": consistent}
-    return metrics, assertions, files, timing
+    return metrics, assertions, files
 
 
-def _run_forward(cfg: ExperimentConfig, run_dir: Path):
+def _run_forward(cfg: ExperimentConfig, run_dir: Path, clock: StageClock):
     dom = cfg.domain()
     grid = make_grid(cfg)
     b0, b1 = make_data(cfg, grid)
@@ -219,19 +219,9 @@ def _run_forward(cfg: ExperimentConfig, run_dir: Path):
     n_steps = cfg["forward"]["n_steps"]
     times = np.linspace(0.0, dom.T, n_steps + 1)
     a = sampler(times) if sampler else None
+    clock.lap("setup")
 
-    start = time.perf_counter()
     traj = solve_forward(grid, b0, b1, times, a=a)
-    marched = time.perf_counter()
-    files = [
-        write_field_csv(run_dir / "energy.csv", {
-            "t": traj.times, "energy": traj.energy,
-            "dissipation": traj.dissipation}),
-        write_field_snapshot(run_dir / "trajectory.bin", grid, traj.times,
-                             {"beta": traj.beta, "beta_t": traj.beta_t}),
-    ]
-    timing = {"march": marched - start,
-              "output": time.perf_counter() - marched}
     dt = times[1] - times[0]
     dE = np.diff(traj.energy) / dt
     davg = 0.5 * (traj.dissipation[:-1] + traj.dissipation[1:])
@@ -251,12 +241,11 @@ def _run_forward(cfg: ExperimentConfig, run_dir: Path):
         assertions["energy_nonincreasing"] = monotone
         assertions["energy_defect_small"] = \
             defect <= 1e-3 * max(traj.energy[0], 1e-300)
+    clock.lap("march")
 
     kappa = cfg["forward"]["fixed_point_kappa"]
     if kappa > 0 and a is not None:
-        start = time.perf_counter()
         fp, report = fixed_point_solve(grid, b0, b1, times, a, kappa)
-        timing["fixed_point"] = time.perf_counter() - start
         metrics["fp_observed_factor"] = report.observed_factor
         metrics["fp_converged"] = str(report.converged).lower()
         metrics["fp_windows"] = report.windows
@@ -266,24 +255,32 @@ def _run_forward(cfg: ExperimentConfig, run_dir: Path):
             diff = np.max(np.abs(fp.beta - traj.beta)) \
                 / max(np.max(np.abs(traj.beta)), 1e-300)
             metrics["fp_vs_direct_rel"] = float(diff)
-    return metrics, assertions, files, timing
+        clock.lap("fixed_point")
+    files = [
+        write_field_csv(run_dir / "energy.csv", {
+            "t": traj.times, "energy": traj.energy,
+            "dissipation": traj.dissipation}),
+        write_field_snapshot(run_dir / "trajectory.bin", grid, traj.times,
+                             {"beta": traj.beta, "beta_t": traj.beta_t}),
+    ]
+    return metrics, assertions, files
 
 
-def _run_weights_audit(cfg: ExperimentConfig, run_dir: Path):
+def _run_weights_audit(cfg: ExperimentConfig, run_dir: Path,
+                       clock: StageClock):
     dom, grid, eta, params, theta = _carleman_setup(cfg)
     t_grid = theta.gauss_grid(cfg["grid"]["n_time"])
+    clock.lap("setup")
 
-    start = time.perf_counter()
     lams = cfg["audit"]["lambda_grid"]
     sweep = sweep_lambda_bounds(eta, theta, params, lams, grid, t_grid)
-    swept = time.perf_counter()
     if sweep.base is None:
         w = eval_weights(eta, theta, params, grid, t_grid)
         base = audit_derivative_bounds(w)
     else:   # the sweep's point at params.lam
         w = sweep.base
         base = sweep.reports[sweep.lams.index(params.lam)]
-    weighted = time.perf_counter()
+    clock.lap("sweep")
 
     files = []
     for lam, report in zip(sweep.lams, sweep.reports):
@@ -301,8 +298,6 @@ def _run_weights_audit(cfg: ExperimentConfig, run_dir: Path):
         run_dir / "weights_field.bin", grid, t_grid.nodes,
         {"phi": w.phi, "xi": w.xi,
          **{name: w.ledger[name] for name, *_ in columns}}))
-    timing = {"sweep": swept - start, "weights": weighted - swept,
-              "output": time.perf_counter() - weighted}
 
     metrics = {
         "max_growth_factor": max(sweep.growth.values()),
@@ -316,10 +311,11 @@ def _run_weights_audit(cfg: ExperimentConfig, run_dir: Path):
         "phi_xi_identity": base.identity_defect
         <= 1e-10 * float(np.max(np.abs(w.ledger["xi_x4"]))),
     }
-    return metrics, assertions, files, timing
+    return metrics, assertions, files
 
 
-def _run_carleman_audit(cfg: ExperimentConfig, run_dir: Path):
+def _run_carleman_audit(cfg: ExperimentConfig, run_dir: Path,
+                        clock: StageClock):
     dom, grid, eta, params, theta = _carleman_setup(cfg)
     aud = cfg["audit"]
     t_grid = theta.gauss_grid(cfg["grid"]["n_time"])
@@ -332,11 +328,12 @@ def _run_carleman_audit(cfg: ExperimentConfig, run_dir: Path):
 
     sampler = make_potential_sampler(cfg, grid)
     a_vals = sampler(t_grid.nodes) if sampler else None
+    clock.lap("setup")
     report = audit_inequality(calibration, heldout, eta, theta, params,
                               aud["s_grid"], aud["lambda_grid"], grid, t_grid,
                               a=a_vals)
+    clock.merge(report.timing)
 
-    start = time.perf_counter()
     files = [
         write_csv(run_dir / "ratio_rows.csv",
                   ["family", "sample", "s", "lambda", "lhs", "residual",
@@ -347,7 +344,6 @@ def _run_carleman_audit(cfg: ExperimentConfig, run_dir: Path):
                     report.heldout_max[(s, lam)])
                    for s in report.s_grid for lam in report.lam_grid)),
     ]
-    timing = {**report.timing, "output": time.perf_counter() - start}
     base_key = (report.s_grid[0], report.lam_grid[0])
     growth = max(
         (f for lam in report.lam_grid for f in report.s_growth_factors(lam)),
@@ -362,10 +358,10 @@ def _run_carleman_audit(cfg: ExperimentConfig, run_dir: Path):
         "heldout_within_10x": report.heldout_within(aud["heldout_factor"]),
         "ratio_growth_under_s_doubling": growth <= 2.0,
     }
-    return metrics, assertions, files, timing
+    return metrics, assertions, files
 
 
-def _run_control(cfg: ExperimentConfig, run_dir: Path):
+def _run_control(cfg: ExperimentConfig, run_dir: Path, clock: StageClock):
     from .hum import build_theta1, synthesize_control   # control runs only
 
     dom, grid, eta, params, theta = _carleman_setup(cfg)
@@ -373,13 +369,14 @@ def _run_control(cfg: ExperimentConfig, run_dir: Path):
     theta1 = build_theta1(dom.T, hum["r0"], hum["r1"])
     t_grid = uniform_interior(dom.T, cfg["grid"]["n_time"])
     b0, b1 = make_data(cfg, grid)
+    sampler = make_potential_sampler(cfg, grid)
+    clock.lap("setup")
     system, sol, report, runs, timing = synthesize_control(
-        grid, t_grid, eta, theta, params, theta1, b0, b1,
-        a_sampler=make_potential_sampler(cfg, grid),
+        grid, t_grid, eta, theta, params, theta1, b0, b1, a_sampler=sampler,
         eps_scale=hum["eps_scale"], tol=hum["tol"], max_iter=hum["max_iter"],
         verify_steps=hum["verify_steps"])
+    clock.merge(timing)
 
-    start, cpu = time.perf_counter(), time.process_time()
     controlled = runs["controlled"]
     norms = {name: grid.pair_norm(runs[name].beta, runs[name].beta_t)
              for name in ("controlled", "uncontrolled")}
@@ -395,8 +392,6 @@ def _run_control(cfg: ExperimentConfig, run_dir: Path):
                              controlled.times, {"beta": controlled.beta,
                                                 "beta_t": controlled.beta_t}),
     ]
-    timing["output"] = time.perf_counter() - start
-    timing["output_cpu"] = time.process_time() - cpu
     metrics = dict(report.rows())
     metrics.update({
         "cg_iterations": sol.iterations,
@@ -420,7 +415,7 @@ def _run_control(cfg: ExperimentConfig, run_dir: Path):
         <= hum["suppression_target"],
         "J_nonpositive": sol.J_value <= 0.0,
     }
-    return metrics, assertions, files, timing
+    return metrics, assertions, files
 
 
 _RUNNERS = {
@@ -447,15 +442,17 @@ def run(cfg: ExperimentConfig, out_root: str | Path = "runs") -> RunManifest:
     """Execute the configured experiment and write its run directory."""
     run_dir = Path(out_root) / cfg.config_hash
     run_dir.mkdir(parents=True, exist_ok=True)
-    start = time.perf_counter()
-    metrics, assertions, files, timing = _RUNNERS[cfg.kind](cfg, run_dir)
-    wall = time.perf_counter() - start
+    clock = StageClock()
+    metrics, assertions, files = _RUNNERS[cfg.kind](cfg, run_dir, clock)
+    # each kind's last stage, its files and metrics, ends once its runner
+    # has returned and freed its fields
+    wall = clock.lap("output")
 
     manifest = RunManifest(
         config_hash=cfg.config_hash, kind=cfg.kind, version=__version__,
         seed=cfg.seed, wall_time_s=wall, run_dir=run_dir,
         outputs=sorted(Path(f).name for f in files),
-        metrics=metrics, assertions=assertions, timing=timing,
+        metrics=metrics, assertions=assertions, timing=clock.timing,
     )
     write_flat_report(run_dir / "manifest.txt", manifest.rows())
     return manifest

@@ -38,13 +38,13 @@ and is the one place that times them.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._bumps import smoothstep
 from .dynamics import BeamTrajectory, solve_forward
+from .io import StageClock
 from .torus import SpatialGrid, TimeGrid, trapezoid_weights
 from .weights import OBSERVATION, CarlemanParams, EtaProfile, \
     ThetaProfile, WeightField, eval_weights, weight_formulas, weighted_kernel
@@ -697,7 +697,8 @@ def sample_pieces(x: np.ndarray, pieces: np.ndarray, t: np.ndarray
 
 
 # times sampled together by control_on_times: its temporaries stay a few
-# chunks of rows, not several copies of the result
+# chunks of rows, not several copies of the result, which raised the peak
+# RSS of a process's later control runs by 4 MB at configs/control.ini size
 _CONTROL_CHUNK = 256
 
 
@@ -844,43 +845,33 @@ def synthesize_control(grid: SpatialGrid, t_grid: TimeGrid, eta: EtaProfile,
     a_sampler maps times to potential samples (None for a zero potential).
     Returns (system, solution, report, runs, timing): the normal operator,
     the minimizer with the control on t_grid, the forward verification, and
-    the wall seconds of each stage (weights, free march with its source,
-    assembly with the norm estimate, band, factor, CG, verification), each
-    followed by its CPU seconds, summed over the process's threads, as
-    `<stage>_cpu`.  The factor's products are of n_x x n_x blocks, which
-    OpenBLAS runs on one thread; a stall, two BLAS threads time-sliced on
-    one CPU, shows as a factor lap many times its usual length with as many
-    CPU seconds (measured in `BENCH_19.json`).  The band is as wide as the
-    weights reach (`QuadraticSystem.band_shape`): 5 n_x rows at
-    configs/control.ini, half-bandwidth 319 and 41.9 MB.  The band and the
-    factor are released before the verification march.
+    the `StageClock` laps of each stage (weights, free march with its
+    source, assembly with the norm estimate, band, factor, CG,
+    verification), in wall and CPU seconds.  The factor's products are of
+    n_x x n_x blocks, which OpenBLAS runs on one thread; a stall, two BLAS
+    threads time-sliced on one CPU, shows as a factor lap many times its
+    usual length with as many CPU seconds (measured in `BENCH_19.json`).
+    The band is as wide as the weights reach (`QuadraticSystem.band_shape`):
+    5 n_x rows at configs/control.ini, half-bandwidth 319 and 41.9 MB.  The
+    band and the factor are released before the verification march.
     """
-    timing = {}
-    start = time.perf_counter(), time.process_time()
-
-    def lap(stage):
-        nonlocal start
-        now = time.perf_counter(), time.process_time()
-        timing[stage] = now[0] - start[0]
-        timing[f"{stage}_cpu"] = now[1] - start[1]
-        start = now
-
+    clock = StageClock()
     w = eval_weights(eta, theta, params, grid, t_grid)
-    lap("weights")
+    clock.lap("weights")
     source = free_source(w, theta1, beta0, beta1, a_sampler)
-    lap("free_march")
+    clock.lap("free_march")
     a_vals = a_sampler(t_grid.nodes) if a_sampler else None
     system = assemble_hum_system(w, a_vals=a_vals, eps_scale=eps_scale)
-    lap("assembly")
+    clock.lap("assembly")
     ab = system.normal_band()
-    lap("band")
+    clock.lap("band")
     precond = banded_preconditioner(system, ab)
-    lap("factor")
+    clock.lap("factor")
     sol = minimize_J(system, source, precond, tol=tol, max_iter=max_iter)
-    lap("cg")
+    clock.lap("cg")
     del ab, precond
     report, runs = verify_null_control(beta0, beta1, theta1, sol, system,
                                        a_sampler=a_sampler,
                                        n_steps=verify_steps)
-    lap("verification")
-    return system, sol, report, runs, timing
+    clock.lap("verification")
+    return system, sol, report, runs, clock.timing

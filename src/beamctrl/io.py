@@ -3,13 +3,15 @@
 Each space-time field is recorded once, in the binary field snapshot
 format (`write_field_snapshot`); `export_field_csv` turns such a file into
 exact CSV text on request.  Small tables are written as CSV, manifests and
-reports as flat  key = value  text.
+reports as flat  key = value  text.  `StageClock` takes the stage laps a
+manifest records.
 """
 
 from __future__ import annotations
 
 import csv
 import struct
+import time
 from itertools import islice
 from pathlib import Path
 
@@ -21,6 +23,33 @@ FIELD_MAGIC = b"BEAMFLD1"
 FIELD_VERSION = 2
 # version, n_t, n_x, field count, name bytes, circumference, x0
 _HEADER = "<IIIIIdd"
+
+
+class StageClock:
+    """Wall and CPU seconds of consecutive stages, from the clock's start.
+
+    `lap(stage)` closes the stage begun at the previous lap, `merge` or
+    the start, records its wall seconds as `timing[stage]` and its CPU
+    seconds, summed over the process's threads, as `timing[stage_cpu]`,
+    and returns the wall seconds since the start.
+    """
+
+    def __init__(self):
+        self.timing: dict[str, float] = {}
+        self._start = self._mark = (time.perf_counter(), time.process_time())
+
+    def lap(self, stage: str) -> float:
+        now = time.perf_counter(), time.process_time()
+        self.timing[stage] = now[0] - self._mark[0]
+        self.timing[f"{stage}_cpu"] = now[1] - self._mark[1]
+        self._mark = now
+        return now[0] - self._start[0]
+
+    def merge(self, laps: dict[str, float]) -> None:
+        """Record the laps of a callee's own clock, which timed the call
+        made since the previous lap, and begin the next stage now."""
+        self.timing.update(laps)
+        self._mark = (time.perf_counter(), time.process_time())
 
 
 def write_csv(path: Path, header: list[str], rows) -> Path:

@@ -1,16 +1,18 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beamctrl._bumps import bump
 from beamctrl.audit import (_SERIAL_MNK, DERIV_KEYS, LADDER, N_ROWS,
                             SeparableTerm, SpaceTimeSample,
                             TestFunctionFamily, _family_integrals,
                             adjoint_residual, audit_inequality,
                             derivative_tables, integrals, kernel_stack,
-                            lhs_total, sample_fields)
+                            lhs_total)
 from beamctrl.torus import TimeGrid, gauss_panels
 from beamctrl.weights import CarlemanParams, eval_weights
 
@@ -26,17 +28,18 @@ def single_mode_sample(domain, k=2, gamma=0.05):
     return SpaceTimeSample(terms=(term,))
 
 
-def omega_bump_sample(domain, gamma=0.05):
-    # supported in the right collar interval (d, d + L)
+def omega_bump_fields(domain, x, t):
+    """DERIV_KEYS fields of bump(x) * mu(t), the bump supported in the
+    right collar interval (d, d + L) and mu the samples' envelope."""
     a, b = domain.omega[1]
-    center = 0.5 * (a + b)
-    term = SeparableTerm(
-        x_coeffs_cos=np.zeros(1), x_coeffs_sin=np.zeros(1),
-        circumference=domain.circumference, gamma=gamma,
-        t_poly=np.array([1.0, 0.0, 0.0]), T=domain.T,
-        x_bump=(center, 0.3 * (b - a)),
-    )
-    return SpaceTimeSample(terms=(term,))
+    center, halfwidth = 0.5 * (a + b), 0.3 * (b - a)
+    _, t_table = derivative_tables([single_mode_sample(domain)], x, t)
+    fields = {}
+    for key in DERIV_KEYS:
+        i, j = int(key[0]), int(key[1])
+        profile = bump((x - center) / halfwidth, i) / halfwidth**i
+        fields[key] = t_table[j, :, :1] * profile
+    return fields
 
 
 class TestSampleDerivatives:
@@ -71,25 +74,14 @@ class TestSampleDerivatives:
                 scale = sum(np.max(np.abs(d[key])) for d in singles)
                 assert np.max(np.abs(full[key] - parts)) <= 1e-14 * scale
 
-    def test_bump_sample_fields_equal_its_chunk_slice(self, domain, grid64,
-                                                      tgrid128):
-        # a one-term bump sample's table entries are elementwise formulas
-        # and its fields one outer product each, so no neighbour in the
-        # chunk may change a bit of them
-        fam = TestFunctionFamily("m", seed=9, n_samples=2, max_mode=8,
-                                 T=domain.T,
-                                 circumference=domain.circumference,
-                                 n_terms=(2, 3))
-        first, last = fam.generate()
-        bump_smp = omega_bump_sample(domain)
-        x, t = grid64.nodes, tgrid128.nodes
-        x_table, t_table = derivative_tables([first, bump_smp, last], x, t)
-        col = slice(len(first.terms), len(first.terms) + 1)
-        fields = sample_fields(x_table[:, col], t_table[:, :, col])
-        alone = bump_smp.derivs(x, t)
-        assert list(alone) == list(DERIV_KEYS)
-        for key, values in zip(DERIV_KEYS, fields):
-            assert alone[key].tobytes() == values.tobytes()
+    def test_terms_of_two_circumferences_rejected(self, domain, grid64,
+                                                  tgrid128):
+        # the terms of one call share one phase table
+        smp = single_mode_sample(domain)
+        other = replace(smp.terms[0], circumference=2 * domain.circumference)
+        with pytest.raises(ValueError, match="circumference"):
+            derivative_tables([smp, SpaceTimeSample(terms=(other,))],
+                              grid64.nodes, tgrid128.nodes)
 
     def test_envelope_vanishes_at_horizon_ends(self, domain):
         smp = single_mode_sample(domain)
@@ -201,8 +193,7 @@ class TestLhsRhs:
 
     def test_omega_supported_sample_observation_equals_first_term(
             self, domain, grid64, weights64):
-        smp = omega_bump_sample(domain)
-        psi = smp.derivs(grid64.nodes, weights64.t_grid.nodes)
+        psi = omega_bump_fields(domain, grid64.nodes, weights64.t_grid.nodes)
         values = integrals(psi, weights64)
         assert values[-1] == pytest.approx(values[0], rel=1e-12)
         # the observation then dominates, so the ratio stays small

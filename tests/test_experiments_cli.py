@@ -459,6 +459,22 @@ class TestRuns:
         assert {f.name for f in files} == set(EXPECTED_FILES[kind])
         assert (manifest.run_dir / "manifest.txt").exists()
 
+    @pytest.mark.parametrize("kind", ["spectrum", "zeta-ledger", "forward",
+                                      "weights-audit", "carleman-audit",
+                                      "control"])
+    def test_laps_tile_the_wall_time(self, tmp_path, kind):
+        # the clock starts with the setup lap, every lap has its CPU twin
+        # and the wall laps leave no part of the run untimed
+        path = tmp_path / "tiny.ini"
+        path.write_text(TINY.format(kind=kind))
+        manifest = run(load_config(path), out_root=tmp_path / "runs")
+        stages = [key for key in manifest.timing if not key.endswith("_cpu")]
+        assert stages[0] == "setup"
+        assert list(manifest.timing) == [f"{s}{clock}" for s in stages
+                                         for clock in ("", "_cpu")]
+        wall = sum(manifest.timing[s] for s in stages)
+        assert abs(wall - manifest.wall_time_s) <= 1e-3
+
     @pytest.mark.parametrize("kind", ["forward", "control", "carleman-audit"])
     def test_determinism_bit_for_bit(self, tmp_path, kind):
         cfg = load_config(write_cfg(tmp_path, kind))
@@ -563,8 +579,8 @@ class TestCli:
     def test_report_shows_control_stage_times(self, tmp_path, capsys):
         # each stage's wall seconds, then its CPU seconds
         stages = [f"{s}{clock}" for s in (
-            "weights", "free_march", "assembly", "band", "factor", "cg",
-            "verification", "output") for clock in ("", "_cpu")]
+            "setup", "weights", "free_march", "assembly", "band", "factor",
+            "cg", "verification", "output") for clock in ("", "_cpu")]
         manifest = run(load_config(write_cfg(tmp_path, "control")),
                        out_root=tmp_path / "runs")
         main(["report", str(manifest.run_dir)])
@@ -578,16 +594,18 @@ class TestCli:
         assert not names & set(manifest.metrics)
 
     @pytest.mark.parametrize("kind, stages", [
-        ("carleman-audit", ("kernels", "samples", "output")),
-        ("weights-audit", ("sweep", "weights", "output")),
-        ("forward", ("march", "output")),
-        ("spectrum", ("spectrum",)),
-        ("zeta-ledger", ("ledger",))])
+        ("carleman-audit", ("setup", "kernels", "samples", "output")),
+        ("weights-audit", ("setup", "sweep", "output")),
+        ("forward", ("setup", "march", "output")),
+        ("spectrum", ("setup", "spectrum", "output")),
+        ("zeta-ledger", ("setup", "ledger", "output"))])
     def test_audit_runs_report_stage_times(self, tmp_path, capsys, kind,
                                            stages):
+        # each stage's wall seconds, then its CPU seconds
+        stages = [f"{s}{clock}" for s in stages for clock in ("", "_cpu")]
         manifest = run(load_config(write_cfg(tmp_path, kind)),
                        out_root=tmp_path / "runs")
-        assert list(manifest.timing) == list(stages)
+        assert list(manifest.timing) == stages
         main(["report", str(manifest.run_dir)])
         timed = [line.split(" = ") for line in capsys.readouterr().out
                  .splitlines() if line.startswith("timing.")]
@@ -612,7 +630,9 @@ max_mode = 2
         assert keys[keys.index("fp_windows") + 1] == "fp_iterations"
         assert manifest.metrics["fp_iterations"] \
             >= manifest.metrics["fp_windows"] > 1
-        assert list(manifest.timing) == ["march", "output", "fixed_point"]
+        assert list(manifest.timing) == [
+            f"{s}{clock}" for s in ("setup", "march", "fixed_point", "output")
+            for clock in ("", "_cpu")]
         assert all(seconds >= 0.0 for seconds in manifest.timing.values())
         main(["report", str(manifest.run_dir)])
         out = capsys.readouterr().out
