@@ -11,7 +11,8 @@ forward and 16 audit entries of four kinds each) and the six
 manifest row but `wall_time_s` and the `timing.*` laps, the SHA-256 digest
 of every other file of its run directory, and the error a run raised.  It
 lists each of these values that differs between the two sides, or is on
-one side only, as JSON to --out or stdout, and exits 1 if any does.
+one side only, as JSON to --out or stdout, and exits 1 if any does.  The
+JSON also gives each side's `wc -l src/beamctrl/*.py` line count.
 """
 
 from __future__ import annotations
@@ -83,6 +84,12 @@ def run_side(root: Path, configs_file: Path) -> dict[str, dict[str, str]]:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def src_lines(root: Path) -> int:
+    """`wc -l src/beamctrl/*.py` of the checkout at root."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (root / "src" / "beamctrl").glob("*.py"))
+
+
 def differences(change: dict, parent: dict) -> list[dict]:
     """Each value of a config that differs between the sides, with None
     for a side that lacks it."""
@@ -106,6 +113,8 @@ def compare(parent: Path, configs: list[tuple[str, str]]) -> dict:
         base = run_side(parent.resolve(), configs_file)
     return {"configs": len(configs),
             "values": sum(len(values) for values in change.values()),
+            "src_lines": {"change": src_lines(ROOT),
+                          "parent": src_lines(parent)},
             "differences": differences(change, base)}
 
 

@@ -61,41 +61,33 @@ def mollifier(y: np.ndarray, radius: float, order: int = 0) -> np.ndarray:
     return scale * bump(y / radius, order)
 
 
-def _gauss_integral(lo: np.ndarray, hi: np.ndarray, f) -> np.ndarray:
-    """Vectorized fixed-order Gauss quadrature of f over [lo, hi] per entry."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = mid[..., None] + half[..., None] * _GAUSS_NODES
-    vals = f(nodes)
-    return half * (vals @ _GAUSS_WEIGHTS)
-
-
-def corner_blend(z: np.ndarray, radius: float, order: int = 0) -> np.ndarray:
-    """Derivatives of B = H - max(z, 0), H = mollifier * max(z, 0) the
-    smoothed hinge; B is zero for |z| >= radius, where the unit mass and
-    zero first moment of the kernel make H = max(z, 0) exactly.
+def corner_blend(z: np.ndarray, radius: float, max_order: int = 0) -> np.ndarray:
+    """Derivatives of orders 0..max_order of B = H - max(z, 0), stacked as
+    (z.size, max_order + 1); H = mollifier * max(z, 0) is the smoothed
+    hinge.  B vanishes for |z| >= radius, where the unit mass and zero first
+    moment of the kernel make H = max(z, 0) exactly.  Orders 0 and 1 share
+    one 64-point Gauss table of the mollifier on [-radius, z]; order j >= 2
+    is the mollifier's derivative of order j - 2.
 
     Adding `jump * B(x - c)` to a piecewise-linear function whose slope jumps
     by `jump` at the corner c replaces the corner with a C-infinity blend and
     leaves the function untouched at distance >= radius.
     """
-    z = np.asarray(z, dtype=float)
-    if order >= 2:
-        return mollifier(z, radius, order - 2)
-    out = np.zeros(z.shape)
+    z = np.ravel(np.asarray(z, dtype=float))
+    out = np.zeros((z.size, max(max_order, 1) + 1))
     trans = np.abs(z) < radius
     if np.any(trans):
         zt = z[trans]
-        lo = np.full_like(zt, -radius)
-        if order == 0:
-            hinge = _gauss_integral(
-                lo, zt, lambda y: mollifier(y, radius) * (zt[..., None] - y))
-        else:
-            hinge = _gauss_integral(lo, zt, lambda y: mollifier(y, radius))
-        out[trans] = hinge - np.where(zt > 0, zt if order == 0 else 1.0, 0.0)
-    return out
+        half = 0.5 * (zt + radius)
+        nodes = (0.5 * (zt - radius))[:, None] + half[:, None] * _GAUSS_NODES
+        kernel = mollifier(nodes, radius)
+        out[trans, 0] = half * ((kernel * (zt[:, None] - nodes))
+                                @ _GAUSS_WEIGHTS) - np.where(zt > 0, zt, 0.0)
+        out[trans, 1] = half * (kernel @ _GAUSS_WEIGHTS) \
+            - np.where(zt > 0, 1.0, 0.0)
+    for j in range(2, max_order + 1):
+        out[:, j] = mollifier(z, radius, j - 2)
+    return out[:, :max_order + 1]
 
 
 def _expit(x: np.ndarray) -> np.ndarray:

@@ -417,8 +417,8 @@ def audit_inequality(calibration: TestFunctionFamily,
     and family maxima are array operations.  Rows come out in (s, lam,
     role, sample) order; ratios are deterministic given the family seeds.
     `timing` holds the `StageClock` laps of the kernel stack (weights
-    included) and of the samples.  Integrals too large for floats raise
-    OverflowError.
+    included) and of the samples, which also frees the stack and the
+    samples' tables.  Integrals too large for floats raise OverflowError.
     """
     clock = StageClock()
     x, t = grid.nodes, t_grid.nodes
@@ -444,6 +444,7 @@ def audit_inequality(calibration: TestFunctionFamily,
     table = np.stack([lhs, values[..., -2], values[..., -1], ratio], axis=-1)
     rows = [RatioRow(*key, *cols) for key, cols
             in zip(keys, table.reshape(-1, 4).tolist())]
+    del kernels, fams, values, keys, table   # freed inside the samples lap
     clock.lap("samples")
     return RatioReport(rows=rows, calibration_max=maxima[0],
                        heldout_max=maxima[1],

@@ -32,8 +32,7 @@ from .dynamics import (analytic_eigenpairs, assemble_operator,
 from .io import (StageClock, write_csv, write_field_csv,
                  write_field_snapshot, write_flat_report)
 from .torus import SpatialGrid, uniform_interior
-from .weights import (LEDGER, audit_derivative_bounds, build_eta, build_theta,
-                      eval_weights, sweep_lambda_bounds)
+from .weights import LEDGER, build_eta, build_theta, sweep_lambda_bounds
 from .zeta import zeta_ledger
 
 
@@ -274,12 +273,7 @@ def _run_weights_audit(cfg: ExperimentConfig, run_dir: Path,
 
     lams = cfg["audit"]["lambda_grid"]
     sweep = sweep_lambda_bounds(eta, theta, params, lams, grid, t_grid)
-    if sweep.base is None:
-        w = eval_weights(eta, theta, params, grid, t_grid)
-        base = audit_derivative_bounds(w)
-    else:   # the sweep's point at params.lam
-        w = sweep.base
-        base = sweep.reports[sweep.lams.index(params.lam)]
+    w, base = sweep.base, sweep.base_report
     clock.lap("sweep")
 
     files = []

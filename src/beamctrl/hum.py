@@ -434,11 +434,13 @@ def assemble_hum_system(w: WeightField, a_vals: np.ndarray | None = None,
     The time stencils need a uniform time grid (`uniform_interior`); any
     other raises ValueError naming it.  The Tikhonov level is eps_scale
     times a power-iteration estimate of the operator norm.  It must stay
-    tiny, because the terminal residual of the verified control grows about
-    linearly with it: configs/control.ini gives suppression_ratio 1.008e-6
-    at eps_scale 1e-14, 4.166e-4 at 1e-12 and 3.665e-2 at 1e-10, with
-    control_l2_norm 16.52, 16.50 and 14.50.  A non-finite potential or
-    kernel (W1, W2) raises ValueError naming it.
+    tiny: configs/control.ini gives suppression_ratio 1.008e-6 at eps_scale
+    1e-14, 4.166e-4 at 1e-12 (413 times higher for 100 times the eps) and
+    3.665e-2 at 1e-10, with control_l2_norm 16.52, 16.50 and 14.50.  Below
+    1e-14 the eps bias no longer sets it: from 1e-15 to 1e-17 the march
+    error of `free_source` holds suppression_ratio at 3.1-3.5e-6, and at
+    1e-14 the two errors partly cancel.  A non-finite potential or kernel
+    (W1, W2) raises ValueError naming it.
     """
     if eps_scale < 0:
         raise ValueError("eps_scale must be nonnegative")

@@ -139,7 +139,8 @@ class EtaProfile:
         return (-0.5 * self.domain.L, self.domain.d + 0.5 * self.domain.L)
 
     def derivs(self, x: np.ndarray, max_order: int = 6) -> np.ndarray:
-        """Stack eta, eta', ..., eta^(max_order) at x; shape (len(x), order+1)."""
+        """Stack eta, eta', ..., eta^(max_order) at x, shape (len(x),
+        max_order + 1): the tent plus one `corner_blend` stack per corner."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         dom = self.domain
         M = dom.circumference
@@ -149,30 +150,19 @@ class EtaProfile:
         c0, c1 = self.corners
         p = np.mod(x - c0, M)
         rising = p <= rise
-        out = np.zeros((x.size, max_order + 1))
-
         tent = np.where(rising, s_up * p, 1.0 - s_dn * (p - rise))
         tent_d1 = np.where(rising, s_up, -s_dn)
         jump = s_up + s_dn
-        z0 = _wrap_sym(x - c0, M)
-        z1 = _wrap_sym(x - c1, M)
         r = self.mollify_radius
-        out[:, 0] = tent + jump * (corner_blend(z0, r) - corner_blend(z1, r))
-        if max_order >= 1:
-            out[:, 1] = tent_d1 + jump * (
-                corner_blend(z0, r, 1) - corner_blend(z1, r, 1)
-            )
-        for j in range(2, max_order + 1):
-            out[:, j] = jump * (corner_blend(z0, r, j) - corner_blend(z1, r, j))
-
+        # each corner's displacement, wrapped into (-M/2, M/2]
+        z0, z1 = (z - M * np.round(z / M) for z in (x - c0, x - c1))
+        out = jump * (corner_blend(z0, r, max_order)
+                      - corner_blend(z1, r, max_order))
+        for j, piece in enumerate((tent, tent_d1)[:max_order + 1]):
+            out[:, j] += piece
         out *= self.scale
         out[:, 0] += self.shift
         return out
-
-
-def _wrap_sym(z: np.ndarray, period: float) -> np.ndarray:
-    """Wrap displacements into (-period/2, period/2]."""
-    return z - period * np.round(np.asarray(z, dtype=float) / period)
 
 
 def build_eta(domain: DomainSpec, eta_scale: float = 0.1,
@@ -501,11 +491,13 @@ def audit_derivative_bounds(w: WeightField) -> BoundReport:
 
     The phi and xi families share the same majorants; positivity of the
     spatial xi-derivatives is scanned on the beam interior [0, d] only, where
-    the profile construction guarantees a strictly positive floor.  The
-    maximizer (x_at, t_at) is the smallest x, then the earliest t, among the
-    nodes within `_TIE_ULPS` ulps of the constant (among the non-finite
-    nodes for a non-finite constant): |eta'| is constant on the linear
-    pieces of eta, so whole runs of nodes tie up to rounding.
+    the profile construction guarantees a strictly positive floor.  Nodes
+    within `_TIE_ULPS` ulps of the constant tie with it (the non-finite
+    nodes, for a non-finite constant): |eta'| is constant on the linear
+    pieces of eta, so whole runs of nodes tie up to rounding.  The
+    maximizer (x_at, t_at) is the first column holding a tie, then that
+    column's first tied row; both node arrays increase, so it is the
+    smallest x, then the earliest t, among the tied nodes.
     """
     lam = w.params.lam
     x_nodes, t_nodes = w.grid.nodes, w.t_grid.nodes
@@ -516,13 +508,13 @@ def audit_derivative_bounds(w: WeightField) -> BoundReport:
         c = float(np.max(ratio))
         tie = ratio >= c - _TIE_ULPS * np.spacing(c) if np.isfinite(c) \
             else ~np.isfinite(ratio)
-        rows, cols = np.nonzero(tie)
-        k = np.lexsort((t_nodes[rows], x_nodes[cols]))[0]
+        col = np.argmax(tie.any(axis=0))
         # theta cancels from the x-only ratios, so no time row is the maximizer
         records.append(BoundRecord(
             inequality=name, constant=c, passed=bool(np.isfinite(c)),
-            x_at=float(x_nodes[cols[k]]),
-            t_at=float("nan") if j == 0 else float(t_nodes[rows[k]]),
+            x_at=float(x_nodes[col]),
+            t_at=float("nan") if j == 0
+            else float(t_nodes[np.argmax(tie[:, col])]),
         ))
 
     interior = (x_nodes >= 0.0) & (x_nodes <= w.domain.d)
@@ -542,13 +534,15 @@ def audit_derivative_bounds(w: WeightField) -> BoundReport:
 
 @dataclass(frozen=True)
 class LambdaSweep:
-    """Bound audits across a lam sweep, with per-inequality growth factors."""
+    """Bound audits across a lam sweep, with per-inequality growth factors,
+    and the weight field and bound audit at params.lam."""
 
     lams: list[float]
     reports: list[BoundReport]
     growth: dict[str, float]          # max over adjacent lam pairs of C_hi/C_lo
     positivity_threshold: float | None  # smallest lam with all floors positive
-    base: WeightField | None = None   # the field at params.lam, if swept
+    base: WeightField                 # the field at params.lam
+    base_report: BoundReport          # its bound audit
 
     def stable(self, factor: float = 2.0) -> bool:
         return all(g < factor for g in self.growth.values())
@@ -560,15 +554,17 @@ def sweep_lambda_bounds(eta: EtaProfile, theta: ThetaProfile,
     """Audit the bound ledger for each lam and flag any growing constant.
 
     Point lam samples the weights with `replace(params, lam=lam)` on grid
-    and t_grid, once per distinct lam.  params.lam, when swept, comes last,
-    and its field is kept as `base`, so no other field outlives its point.
+    and t_grid, once per distinct lam.  params.lam, swept or not, comes
+    last; its field and audit are kept as `base` and `base_report`, so no
+    other field outlives its point.  `reports` holds the swept lams only.
     A constant growing without bound along the sweep signals a defect in
     the eta/theta construction; the reported growth factor is the largest
     adjacent-step increase.
     """
     lams = sorted(float(l) for l in lams)
     by_lam = {}
-    for lam in sorted(dict.fromkeys(lams), key=lambda lam: lam == params.lam):
+    for lam in [*dict.fromkeys(l for l in lams if l != params.lam),
+                params.lam]:
         w = eval_weights(eta, theta, replace(params, lam=lam), grid, t_grid)
         by_lam[lam] = audit_derivative_bounds(w)
     reports = [by_lam[lam] for lam in lams]
@@ -587,5 +583,5 @@ def sweep_lambda_bounds(eta: EtaProfile, theta: ThetaProfile,
             threshold = lam
             break
     return LambdaSweep(lams=lams, reports=reports, growth=growth,
-                       positivity_threshold=threshold,
-                       base=w if params.lam in by_lam else None)
+                       positivity_threshold=threshold, base=w,
+                       base_report=by_lam[params.lam])

@@ -26,6 +26,10 @@ def test_equivalence_smoke():
     assert result["configs"] == 2 and result["differences"] == []
     # spectrum.csv, the ledger's two files and their manifest rows, no error
     assert result["values"] > 2 * 8
+    # both sides are this checkout, so both count its lines as wc -l does
+    lines = sum(len(path.read_text().splitlines())
+                for path in (ROOT / "src" / "beamctrl").glob("*.py"))
+    assert result["src_lines"] == {"change": lines, "parent": lines}
 
 
 def test_differences_name_each_value():

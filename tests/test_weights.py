@@ -131,6 +131,18 @@ class TestEta:
             bound = 2.0 * h * np.max(np.abs(d[:, j + 1])) + 1e-12
             assert jumps.max() < bound
 
+    def test_low_orders_do_not_depend_on_max_order(self, eta, domain):
+        # the seam (both ends of the fundamental domain), each corner's
+        # transition band and its edges, and points off omega
+        (c0, c1), r = eta.corners, eta.mollify_radius
+        xs = np.array([-domain.L, domain.d + domain.L,
+                       c0 - r, c0 - 0.5 * r, c0, c0 + 0.3 * r, c0 + r,
+                       c1 - r, c1 - 0.7 * r, c1, c1 + 0.5 * r, c1 + r,
+                       0.0, 0.3, 0.8, domain.d])
+        full = eta.derivs(xs, 6)
+        for k in range(6):
+            assert eta.derivs(xs, k).tobytes() == full[:, :k + 1].tobytes()
+
     def test_rejects_wide_mollifier(self, domain):
         with pytest.raises(ValueError):
             build_eta(domain, 0.1, mollify_radius=domain.L)
@@ -224,7 +236,8 @@ class TestBoundAudit:
 
     def test_x_only_entries_report_no_time(self, weights64):
         # theta cancels from |d^i_x phi| / (lam^i xi), so no time row is
-        # the maximizer; every constant is still the plain grid maximum
+        # the maximizer; every constant is still the plain grid maximum, and
+        # its maximizer the lexicographic (x, t) minimum of the tied nodes
         w = weights64
         lam = w.params.lam
         report = audit_derivative_bounds(w)
@@ -236,8 +249,13 @@ class TestBoundAudit:
         for r, (name, _, i, j) in zip(report.records, LEDGER):
             majorant = lam**i * (w.xi if j == 0
                                  else w.xi ** (1.5 if j == 1 else 2))
-            lhs = w.ledger[name]
-            assert r.constant == float(np.max(np.abs(lhs) / majorant))
+            ratio = np.abs(w.ledger[name]) / majorant
+            assert r.constant == float(np.max(ratio))
+            rows, cols = np.nonzero(
+                ratio >= r.constant - weights._TIE_ULPS * np.spacing(r.constant))
+            k = np.lexsort((rows, cols))[0]
+            assert r.x_at == w.grid.nodes[cols[k]]
+            assert j == 0 or r.t_at == w.t_grid.nodes[rows[k]]
 
     @pytest.mark.parametrize("lam", [1.0, 2.0, 4.0])
     def test_maximizer_is_tie_stable(self, eta, theta, grid64, tgrid128, lam):
@@ -272,8 +290,9 @@ class TestBoundAudit:
     def test_lambda_sweep_evaluates_each_lambda_once(self, eta, theta,
                                                      params, grid64,
                                                      tgrid128, monkeypatch):
-        # params.lam (2) comes last and its field is kept; a repeated lam
-        # is evaluated once and reported at each of its places
+        # params.lam (2) comes last, swept or not, and its field and audit
+        # are kept; a repeated lam is evaluated once and reported at each of
+        # its places, and reports cover the swept lams only
         seen = []
         real = weights.eval_weights
 
@@ -282,20 +301,27 @@ class TestBoundAudit:
             return real(eta, theta, params, *grids)
 
         monkeypatch.setattr(weights, "eval_weights", counted)
-        sweep = sweep_lambda_bounds(eta, theta, params, [4.0, 2.0, 1.0, 4.0],
-                                    grid64, tgrid128)
-        assert seen == [1.0, 4.0, 2.0]
-        assert sweep.lams == [1.0, 2.0, 4.0, 4.0]
-        assert sweep.reports[2] is sweep.reports[3]
         w = real(eta, theta, params, grid64, tgrid128)
-        assert sweep.base.params == params
-        for name in ("phi", "xi", "log_xi", "neg2s_phi"):
-            assert getattr(sweep.base, name).tobytes() \
-                == getattr(w, name).tobytes()
-        # repr, since a NaN t_at is unequal to itself
-        assert repr(sweep.reports[1]) == repr(audit_derivative_bounds(w))
-        assert sweep_lambda_bounds(eta, theta, params, [1.0, 4.0], grid64,
-                                   tgrid128).base is None
+        for swept, order in (([4.0, 2.0, 1.0, 4.0], [1.0, 4.0, 2.0]),
+                             ([4.0, 1.0], [1.0, 4.0, 2.0])):
+            seen.clear()
+            sweep = sweep_lambda_bounds(eta, theta, params, swept, grid64,
+                                        tgrid128)
+            assert seen == order
+            assert sweep.lams == sorted(swept)
+            assert [r.lam for r in sweep.reports] == sweep.lams
+            assert sweep.base.params == params
+            for name in ("phi", "xi", "log_xi", "neg2s_phi", "eta_nodes"):
+                assert getattr(sweep.base, name).tobytes() \
+                    == getattr(w, name).tobytes()
+            for name, field in w.ledger.items():
+                assert sweep.base.ledger[name].tobytes() == field.tobytes()
+            # repr, since a NaN t_at is unequal to itself
+            assert repr(sweep.base_report) \
+                == repr(audit_derivative_bounds(w))
+            if params.lam in swept:
+                assert sweep.reports[1] is sweep.base_report
+                assert sweep.reports[2] is sweep.reports[3]
 
     def test_constants_stabilize_under_refinement(self, eta, theta, params,
                                                   domain):
