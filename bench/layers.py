@@ -6,119 +6,85 @@ Run from the root of a checkout (standard library and numpy only):
     python bench/layers.py [--slice forward|audit] [--rounds 10]
                            [--repeats 5] [--parent DIR] [--out FILE]
 
-Each round starts one fresh process per checkout.  With `--slice forward`
-(the default) the process times `dynamics.solve_forward`, a layer no run
-laps on its own, on a 64-node grid with 1 and 3 members at 206, 1024 and
-4096 steps of 1/1024, each the median of --repeats calls after one warm-up
-call:
+This checkout, and the one at --parent DIR, are loaded side by side into
+this process (`checkout.load_beamctrl`).  After one untimed call of each
+measurement per side, each round goes --repeats times through the
+measurements, calling each on both sides in turn; the side that goes first
+changes by round.  A round's sample of a metric is each side's median.
 
-- `free`: forced, without a potential, on the block-product core that the
-  fixed-point sweeps also march on;
-- `potential`: unforced, with a potential, as in the direct march;
-- `potential_forced`: forced, with a potential, the shape of the control
-  verification's batched march.
+`--slice forward` (the default) times `dynamics.solve_forward`, a layer no
+run laps on its own, on a 64-node grid with 1 and 3 members at 206, 1024
+and 4096 steps of 1/1024: `free` (forced, no potential: the block-product
+core of the fixed-point sweeps), `potential` (unforced, as in the direct
+march) and `potential_forced` (the control verification's batched march).
+Every other metric is a `timing.*` lap, wall and CPU (`_cpu`), of a run of
+a config of perfbench's workload pool entry 0: the forward config, with
+the time per fixed-point sweep (`fixed_point_solve.iteration_ms`) and the
+sweep count (`fixed_point_solve.iterations`), or with `--slice audit` the
+carleman-audit and weights-audit configs.
 
-Every other number comes from the manifests of --repeats runs of the
-workloads' pool entry 0 configs, read from perfbench's workload module:
-the median of each `timing.*` lap, wall and CPU (`_cpu`), which tile the
-run from its `setup` lap on.  `--slice forward` runs the forward config (T
-= 1, 1024 steps, random potential, fixed-point windows of 0.2) and adds
-the time per fixed-point sweep (`fixed_point_solve.iteration_ms`, the
-`fixed_point` lap over `metrics.fp_iterations`) and the sweep count
-(`fixed_point_solve.iterations`), as a cut in the sweeps does not show per
-sweep.  `--slice audit` runs the carleman-audit config (64 modes, 256 Gauss
-times, 64 + 64 samples of up to 16 modes, s = 4, 8 at lambda 2, separable
-potential) and the weights-audit config (lambda 1, 2, 4).
-
-All metrics but the sweep count are in ms, and lower is better.  With
---parent DIR the checkout at DIR runs in the same rounds, the two sides
-alternating which goes first.  The summary gives, per metric, each side's
-median and quartiles, the parent's IQR, `change_wins` (rounds in which
-this checkout was lower than the parent in the same round) and the median
-ratio change / parent.  The JSON summary goes to --out, or stdout.
+All metrics but the sweep count are in ms; lower is better.  The summary
+gives, per metric, each side's median and quartiles over the rounds, the
+parent's IQR, `change_wins` (rounds in which this checkout was lower) and
+the median ratio change / parent.  The JSON, with the load average before
+and after the rounds, goes to --out or stdout.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
-import json
+import functools
 import os
 import platform
-import subprocess
-import sys
 import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
-# the configs are pool entry 0 of perfbench's forward and audit workloads,
-# read from its workload module, which this script leaves as it is
-_spec = importlib.util.spec_from_file_location(
-    "workloads", Path(__file__).resolve().parents[1] / "perfbench"
-    / "workloads.py")
-_workloads = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_workloads)
-FORWARD_CONFIG = _workloads.CONFIGS["forward"](0)["forward"]
+from checkout import ROOT, WORKLOADS, load_beamctrl, run_config, write_json
+
+FORWARD_CONFIG = WORKLOADS.CONFIGS["forward"](0)["forward"]
 AUDIT_CONFIGS = {kind.replace("-", "_"): text for kind, text
-                 in _workloads.CONFIGS["audit"](0).items()
+                 in WORKLOADS.CONFIGS["audit"](0).items()
                  if kind in ("carleman-audit", "weights-audit")}
 
 STEPS = (206, 1024, 4096)
 MEMBERS = (1, 3)
+SUBMODULES = ("config", "dynamics", "experiments", "io", "torus")
 
 
-def config_runs(text: str, name: str, repeats: int) -> list[dict[str, str]]:
-    """The manifest rows of `repeats` runs of the config of the INI text."""
-    from beamctrl.config import load_config
-    from beamctrl.experiments import run
-    from beamctrl.io import read_flat_report
+def config_laps(side, name: str, text: str) -> dict[str, float]:
+    """`<name>_config.timing.<lap>_ms` of one run of the config of the INI
+    text, and for the forward config the sweep time and count."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / f"{name}.ini"
-        path.write_text(text)
-        cfg = load_config(path)
-        return [read_flat_report(run(cfg, out_root=Path(tmp) / f"runs{k}")
-                                 .run_dir / "manifest.txt")
-                for k in range(repeats)]
+        _, rows = run_config(side, text, Path(tmp))
+    out = {f"{name}_config.{key[:-2]}_ms": 1e3 * float(value)
+           for key, value in rows.items() if key.startswith("timing.")}
+    if name == "forward":
+        sweeps = int(rows["metrics.fp_iterations"])
+        out["fixed_point_solve.iteration_ms"] = \
+            1e3 * float(rows["timing.fixed_point_s"]) / sweeps
+        out["fixed_point_solve.iterations"] = sweeps
+    return out
 
 
-def lap_medians(name: str, runs: list[dict[str, str]]) -> dict[str, float]:
-    """`<name>_config.timing.<lap>_ms`: the median over the runs of each
-    `timing.<lap>_s` manifest row, in ms."""
-    return {f"{name}_config.{key[:-2]}_ms":
-            1e3 * float(np.median([float(rows[key]) for rows in runs]))
-            for key in runs[0] if key.startswith("timing.")}
+def time_call(name: str, call, *args, **kwargs) -> dict[str, float]:
+    start = time.perf_counter()
+    call(*args, **kwargs)
+    return {name: 1e3 * (time.perf_counter() - start)}
 
 
-def time_calls(call, repeats: int) -> float:
-    """Median wall seconds of `repeats` calls after a warm-up."""
-    call()
-    laps = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        call()
-        laps.append(time.perf_counter() - start)
-    return float(np.median(laps))
-
-
-def measure(src: str, slice_: str, steps: tuple[int, ...], repeats: int
-            ) -> dict[str, float]:
-    """One side of a round, in this process: the checkout's `src` on the
-    import path first."""
-    sys.path.insert(0, src)
+def measurements(side, slice_: str, steps: tuple[int, ...]) -> list:
+    """The calls of one side of a round, in order; each returns its
+    metrics."""
     if slice_ == "audit":
-        out = {}
-        for name, text in AUDIT_CONFIGS.items():
-            out.update(lap_medians(name, config_runs(text, name, repeats)))
-        return out
-    from beamctrl.dynamics import solve_forward
-    from beamctrl.torus import SpatialGrid
-
-    grid = SpatialGrid(64, 2.0, x0=-1.0)
+        return [functools.partial(config_laps, side, name, text)
+                for name, text in AUDIT_CONFIGS.items()]
+    grid = side.torus.SpatialGrid(64, 2.0, x0=-1.0)
     rng = np.random.default_rng(0)
     x = grid.nodes
-    out = {}
+    calls = []
     for n in steps:
         times = np.arange(n + 1) / 1024
         a = np.cos(grid.kappa[1] * x)[None, :] * np.cos(times)[:, None]
@@ -129,28 +95,37 @@ def measure(src: str, slice_: str, steps: tuple[int, ...], repeats: int
             for kind, kw in (("free", {"forcing": f}),
                              ("potential", {"a": a}),
                              ("potential_forced", {"a": a, "forcing": f})):
-                out[f"solve_forward.{kind}.m{b}.s{n}_ms"] = 1e3 * time_calls(
-                    lambda: solve_forward(grid, data[0], data[1], times,
-                                          **kw), repeats)
-    runs = config_runs(FORWARD_CONFIG, "forward", repeats)
-    out.update(lap_medians("forward", runs))
-    sweeps = [int(rows["metrics.fp_iterations"]) for rows in runs]
-    out["fixed_point_solve.iteration_ms"] = 1e3 * float(np.median(
-        [float(rows["timing.fixed_point_s"]) / n
-         for rows, n in zip(runs, sweeps)]))
-    out["fixed_point_solve.iterations"] = sweeps[0]
-    return out
+                calls.append(functools.partial(
+                    time_call, f"solve_forward.{kind}.m{b}.s{n}_ms",
+                    side.dynamics.solve_forward, grid, data[0], data[1],
+                    times, **kw))
+    return calls + [functools.partial(config_laps, side, "forward",
+                                      FORWARD_CONFIG)]
 
 
-def run_side(root: Path, args) -> dict[str, float]:
-    """One side of a round in a fresh process."""
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--child",
-           str(root / "src"), "--slice", args.slice,
-           "--repeats", str(args.repeats),
-           "--steps", ",".join(map(str, args.steps))]
-    done = subprocess.run(cmd, capture_output=True, text=True, check=True,
-                          env={**os.environ, "PYTHONPATH": ""})
-    return json.loads(done.stdout.splitlines()[-1])
+def measure(sides: dict[str, list], rounds: int, repeats: int) -> dict:
+    """Per side, one sample per round: each metric's median over the
+    side's calls of that round, the sides alternating call by call."""
+    names = list(sides)
+    for calls in zip(*sides.values()):   # one untimed call each
+        for call in calls:
+            call()
+    runs = {name: [] for name in names}
+    for k in range(rounds):
+        order = names[k % 2:] + names[:k % 2]
+        values = {name: {} for name in names}
+        for _ in range(repeats):
+            for calls in zip(*(sides[name] for name in order)):
+                # a call that follows another measurement runs up to 30%
+                # slower, so an untimed call by the side going second leads
+                calls[-1]()
+                for name, call in zip(order, calls):
+                    for metric, value in call().items():
+                        values[name].setdefault(metric, []).append(value)
+        for name in names:
+            runs[name].append({metric: float(np.median(v))
+                               for metric, v in values[name].items()})
+    return runs
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -179,7 +154,7 @@ def summarize(change: list[dict], parent: list[dict] | None) -> dict:
     return summary
 
 
-def main(argv: list[str] | None = None) -> dict | None:
+def main(argv: list[str] | None = None) -> dict:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--slice", choices=("forward", "audit"),
                     default="forward")
@@ -190,39 +165,26 @@ def main(argv: list[str] | None = None) -> dict | None:
     ap.add_argument("--parent", type=Path,
                     help="root of the parent checkout, run alternately")
     ap.add_argument("--out", type=Path)
-    ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    if args.child:
-        print(json.dumps(measure(args.child, args.slice, args.steps,
-                                 args.repeats)))
-        return None
 
-    root = Path(__file__).resolve().parents[1]
-    change = []
-    parent = [] if args.parent else None
-    for k in range(args.rounds):
-        sides = [("change", root, change)]
-        if args.parent:
-            sides.append(("parent", args.parent.resolve(), parent))
-            if k % 2:
-                sides.reverse()
-        for _, where, into in sides:
-            into.append(run_side(where, args))
+    roots = {"change": ROOT} | ({"parent": args.parent} if args.parent else {})
+    sides = {name: measurements(load_beamctrl(root, *SUBMODULES),
+                                args.slice, args.steps)
+             for name, root in roots.items()}
+    before = os.getloadavg()
+    runs = measure(sides, args.rounds, args.repeats)
     result = {
         "machine": {"nproc": os.cpu_count(),
                     "python": platform.python_version(),
                     "numpy": np.__version__},
+        "loadavg": {"before": before, "after": os.getloadavg()},
         "slice": args.slice, "rounds": args.rounds, "repeats": args.repeats,
         **({"steps": list(args.steps), "members": list(MEMBERS)}
            if args.slice == "forward" else {}),
-        "summary": summarize(change, parent),
-        "runs": {"change": change, **({"parent": parent} if parent else {})},
+        "summary": summarize(runs["change"], runs.get("parent")),
+        "runs": runs,
     }
-    text = json.dumps(result, indent=1)
-    if args.out:
-        args.out.write_text(text + "\n")
-    else:
-        print(text)
+    write_json(result, args.out)
     return result
 
 

@@ -378,7 +378,7 @@ class RatioReport:
     # StageClock laps, kept out of the ratios
     timing: dict[str, float] = field(default_factory=dict)
 
-    def heldout_within(self, factor: float = 10.0) -> bool:
+    def heldout_within(self, factor: float) -> bool:
         return all(
             self.heldout_max[key] <= factor * self.calibration_max[key]
             for key in self.calibration_max

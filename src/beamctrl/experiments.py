@@ -349,7 +349,8 @@ def _run_carleman_audit(cfg: ExperimentConfig, run_dir: Path,
         "kernel_underflow_frac": report.kernel_underflow_frac,
     }
     assertions = {
-        "heldout_within_10x": report.heldout_within(aud["heldout_factor"]),
+        f"heldout_within_{aud['heldout_factor']:g}x":
+            report.heldout_within(aud["heldout_factor"]),
         "ratio_growth_under_s_doubling": growth <= 2.0,
     }
     return metrics, assertions, files

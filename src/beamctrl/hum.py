@@ -555,7 +555,7 @@ class HumSolution:
 
 
 def minimize_J(sys: QuadraticSystem, f: np.ndarray, precond,
-               tol: float = 1e-10, max_iter: int = 5000) -> HumSolution:
+               tol: float = 1e-10, max_iter: int = 3000) -> HumSolution:
     """Preconditioned conjugate-gradient solve of A psi = b to relative tol.
 
     b = M f pairs the commutator source f (`free_source`, shape (n_t, n_x))
@@ -758,8 +758,8 @@ class TerminalReport:
 
 def verify_null_control(beta0: np.ndarray, beta1: np.ndarray,
                         theta1: Theta1Cutoff, sol: HumSolution,
-                        sys: QuadraticSystem, a_sampler=None,
-                        n_steps: int = 2048
+                        sys: QuadraticSystem, a_sampler=None, *,
+                        n_steps: int
                         ) -> tuple[TerminalReport, dict[str, BeamTrajectory]]:
     """Forward-simulate the control and audit the decomposition.
 
@@ -840,7 +840,7 @@ def synthesize_control(grid: SpatialGrid, t_grid: TimeGrid, eta: EtaProfile,
                        theta1: Theta1Cutoff, beta0: np.ndarray,
                        beta1: np.ndarray, a_sampler=None,
                        eps_scale: float = 1e-14, tol: float = 1e-10,
-                       max_iter: int = 5000, verify_steps: int = 2048):
+                       max_iter: int = 3000, *, verify_steps: int):
     """Synthesize the null control of (beta0, beta1) and verify it.
 
     t_grid is the midpoint grid of the functional (`uniform_interior`);

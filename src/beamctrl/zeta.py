@@ -35,12 +35,6 @@ class ZetaWitness:
     admissible: bool
     violation: str | None
 
-    def margins(self) -> tuple[Fraction, ...] | None:
-        """Exact margins 1 - quotient, all positive iff admissible."""
-        if self.quotients is None:
-            return None
-        return tuple(1 - q for q in self.quotients)
-
     def rows(self):
         yield ("zeta", str(self.zeta))
         for i, c in enumerate(self.coefficients, start=1):

@@ -1,16 +1,11 @@
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def load_layers():
-    spec = importlib.util.spec_from_file_location("layers",
-                                                  ROOT / "bench" / "layers.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+sys.path.insert(0, str(ROOT / "bench"))   # the scripts import `checkout`
+import layers  # noqa: E402
 
 
 def laps(name, stages):
@@ -21,7 +16,6 @@ def laps(name, stages):
 def test_layers_bench_smoke(tmp_path):
     # one round of tiny marches and one run of the workload's forward
     # config on both sides, this checkout as its own parent
-    layers = load_layers()
     out = tmp_path / "layers.json"
     layers.main(["--rounds", "1", "--repeats", "1", "--steps", "8",
                  "--parent", str(ROOT), "--out", str(out)])
@@ -41,7 +35,6 @@ def test_layers_bench_smoke(tmp_path):
 def test_layers_bench_audit_slice_smoke(tmp_path):
     # one round of the audit slice on both sides: one run of each audit
     # config, every lap in wall and CPU time
-    layers = load_layers()
     out = tmp_path / "layers.json"
     layers.main(["--slice", "audit", "--rounds", "1", "--repeats", "1",
                  "--parent", str(ROOT), "--out", str(out)])
@@ -56,7 +49,6 @@ def test_layers_bench_audit_slice_smoke(tmp_path):
 
 def test_audit_configs_are_the_workload_entry():
     # the audit slice runs the perfbench audit workload's pool entry 0
-    layers = load_layers()
     spec = importlib.util.spec_from_file_location(
         "workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -68,7 +60,6 @@ def test_audit_configs_are_the_workload_entry():
 
 
 def test_summary_pairs_rounds():
-    layers = load_layers()
     change = [{"m": 1.0, "new": 1.0}, {"m": 3.0, "new": 1.0},
               {"m": 2.0, "new": 1.0}]
     parent = [{"m": 2.0, "old": 1.0}, {"m": 2.0, "old": 1.0},

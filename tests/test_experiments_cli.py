@@ -650,6 +650,19 @@ max_mode = 2
                     if l.startswith("metrics.kernel_underflow_frac = "))
         assert 0.0 < float(line.split(" = ")[1]) < 1.0
 
+    @pytest.mark.parametrize("factor, name", [("5", "heldout_within_5x"),
+                                              ("10", "heldout_within_10x")])
+    def test_heldout_assertion_names_its_factor(self, tmp_path, factor,
+                                                name):
+        path = edit_cfg(write_cfg(tmp_path, "carleman-audit"),
+                        tmp_path / "factor.ini",
+                        {("audit", "heldout_factor"): factor})
+        manifest = run(load_config(path), out_root=tmp_path / "runs")
+        assert [key for key in manifest.assertions
+                if key.startswith("heldout")] == [name]
+        rows = read_flat_report(manifest.run_dir / "manifest.txt")
+        assert f"assert.{name}" in rows
+
 
 class TestExport:
     @pytest.mark.parametrize("kind", ["forward", "weights-audit", "control"])
