@@ -12,15 +12,13 @@ run it keeps every manifest row but `wall_time_s` and the `timing.*` laps,
 the SHA-256 digest of every other file of its run directory, and the error
 a run raised.  Each of these values that differs between the sides, or is
 on one side only, is listed as JSON to --out or stdout, with each side's
-`wc -l src/beamctrl/*.py` count and the load average before and after;
-the exit code is 1 if any value differs.
+`wc -l src/beamctrl/*.py` count; the exit code is 1 if any value differs.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -82,11 +80,9 @@ def differences(change: dict, parent: dict) -> list[dict]:
 
 def compare(parent: Path, configs: list[tuple[str, str]]) -> dict:
     """Run the configs on this checkout and the one at parent."""
-    before = os.getloadavg()
     change = run_configs(ROOT, configs)
     base = run_configs(parent, configs)
-    return {"loadavg": {"before": before, "after": os.getloadavg()},
-            "configs": len(configs),
+    return {"configs": len(configs),
             "values": sum(len(values) for values in change.values()),
             "src_lines": {"change": src_lines(ROOT),
                           "parent": src_lines(parent)},

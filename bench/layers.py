@@ -26,8 +26,7 @@ carleman-audit and weights-audit configs.
 All metrics but the sweep count are in ms; lower is better.  The summary
 gives, per metric, each side's median and quartiles over the rounds, the
 parent's IQR, `change_wins` (rounds in which this checkout was lower) and
-the median ratio change / parent.  The JSON, with the load average before
-and after the rounds, goes to --out or stdout.
+the median ratio change / parent.  The JSON goes to --out or stdout.
 """
 
 from __future__ import annotations
@@ -171,13 +170,11 @@ def main(argv: list[str] | None = None) -> dict:
     sides = {name: measurements(load_beamctrl(root, *SUBMODULES),
                                 args.slice, args.steps)
              for name, root in roots.items()}
-    before = os.getloadavg()
     runs = measure(sides, args.rounds, args.repeats)
     result = {
         "machine": {"nproc": os.cpu_count(),
                     "python": platform.python_version(),
                     "numpy": np.__version__},
-        "loadavg": {"before": before, "after": os.getloadavg()},
         "slice": args.slice, "rounds": args.rounds, "repeats": args.repeats,
         **({"steps": list(args.steps), "members": list(MEMBERS)}
            if args.slice == "forward" else {}),

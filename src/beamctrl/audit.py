@@ -8,18 +8,18 @@ localized observation term.  Samples are sums of separable terms,
 trigonometric polynomial x envelope, so every derivative is analytic; no
 numerical differentiation enters.
 
-Each formula has one home, which every caller goes through:
-`derivative_tables` differentiates all terms of any number of samples at
-once and `kernel_stack` weights the kernel of every integral at one (s, lam)
+Each formula has one home: `derivative_tables` differentiates all terms
+of any number of samples at once, `ADJOINT` declares the adjoint operator
+and `kernel_stack` weights the kernel of every integral at one (s, lam)
 point, each row one `weights.weighted_kernel` like HUM's weights.  One
-sample's integrals (`integrals`) form its fields with `sample_fields`,
-square them and contract them with `_contract`; that path is the
-reference.  A family's (`audit_inequality`) expand each squared field of
-a sum of separable terms as a quadratic form over the sample's term pairs,
-so each product runs over the whole family; only the residual, which mixes
-derivatives and the potential, is still formed as one field per sample.  Results stay in one form: an (..., 11) array of integrals in
+sample's `integrals`, the reference, square its fields and contract them
+with the kernel stack.  A family's (`audit_inequality`) expand each
+squared field of a sum of separable terms as a quadratic form over the
+sample's term pairs, so each product runs over the whole family; only the
+residual, which mixes derivatives and the potential, is one field per
+sample.  Results stay in one form: an (..., 11) array of integrals in
 `kernel_stack` row order, the LADDER rows, then the residual, then the
-observation.  `lhs_total` sums the left side of any such array.
+observation; `lhs_total` sums the left side of any such array.
 
 The audit is a falsification harness: it calibrates an empirical constant on
 one family and checks held-out families and parameter sweeps against it,
@@ -59,6 +59,8 @@ DERIV_KEYS = tuple(row[1] for row in LADDER)
 # x- and t-derivative order of each DERIV_KEYS field
 _X_ORDER = [int(key[0]) for key in DERIV_KEYS]
 _T_ORDER = [int(key[1]) for key in DERIV_KEYS]
+# the adjoint operator dtt + dtxx + dxxxx, as (t order, x order) pairs
+ADJOINT = ((2, 0), (1, 2), (0, 4))
 # kernel_stack rows: the LADDER, the adjoint residual, the omega observation
 N_ROWS = len(LADDER) + 2
 # LADDER row indices by xi power, the powers in order of first appearance
@@ -150,16 +152,6 @@ def derivative_tables(samples: Sequence[SpaceTimeSample], x: np.ndarray,
     return x_table, t_table
 
 
-def sample_fields(x_table: np.ndarray, t_table: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """The (9, n_t, n_x) DERIV_KEYS fields of one sample's table slices.
-
-    Field "ij" is the (n_t, k) @ (k, n_x) product of its k terms' j-th t- and
-    i-th x-derivatives; the nine are one stacked matmul.
-    """
-    return np.matmul(t_table[_T_ORDER], x_table[_X_ORDER], out=out)
-
-
 @dataclass(frozen=True)
 class SpaceTimeSample:
     """Sum of separable terms; each derivative is one matrix product over them."""
@@ -168,9 +160,10 @@ class SpaceTimeSample:
     label: str = ""
 
     def derivs(self, x: np.ndarray, t: np.ndarray) -> dict[str, np.ndarray]:
-        """(n_t, n_x) fields by DERIV_KEYS, from `sample_fields`."""
+        """(n_t, n_x) fields by DERIV_KEYS, one stacked matmul of tables."""
+        x_table, t_table = derivative_tables([self], x, t)
         return dict(zip(DERIV_KEYS,
-                        sample_fields(*derivative_tables([self], x, t))))
+                        np.matmul(t_table[_T_ORDER], x_table[_X_ORDER])))
 
 
 @dataclass(frozen=True)
@@ -217,8 +210,9 @@ def adjoint_residual(psi: dict[str, np.ndarray],
     The damping term enters with the adjoint (+) sign; the forward beam
     operator carries the opposite one.
     """
-    res = np.add(psi["02"], psi["21"], out=out)
-    res += psi["40"]
+    first, second, third = (psi[f"{i}{j}"] for j, i in ADJOINT)
+    res = np.add(first, second, out=out)
+    res += third
     if a is not None:
         res += a * psi["00"]
     return res
@@ -252,29 +246,17 @@ def kernel_stack(w: WeightField, out: np.ndarray | None = None
     return out, underflow
 
 
-def _squared_rows(rows: np.ndarray, a: np.ndarray | None = None
-                  ) -> np.ndarray:
-    """Turn rows[:9], the DERIV_KEYS fields, into the 11 squared densities
-    of the kernel_stack rows, in place; rows has shape (11, n_t, n_x)."""
-    adjoint_residual(dict(zip(DERIV_KEYS, rows)), a, out=rows[len(LADDER)])
-    np.square(rows[:-1], out=rows[:-1])
-    rows[-1] = rows[0]
-    return rows
-
-
-def _contract(kernels: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(points, 11) integrals of squared rows against an (11, points, N)
-    kernel stack: one stacked BLAS product over every point."""
-    return np.matmul(kernels, rows.reshape(N_ROWS, -1, 1))[..., 0].T
-
-
 def integrals(psi: dict[str, np.ndarray], w: WeightField,
               a: np.ndarray | None = None) -> np.ndarray:
     """The (11,) kernel_stack integrals of one sample, whose `psi` maps
     DERIV_KEYS to fields: the LADDER rows, the residual, the observation."""
     rows = np.empty((N_ROWS, *psi["00"].shape))
     np.stack([psi[key] for key in DERIV_KEYS], out=rows[:len(DERIV_KEYS)])
-    return _contract(kernel_stack(w)[0][:, None], _squared_rows(rows, a))[0]
+    adjoint_residual(psi, a, out=rows[len(LADDER)])
+    np.square(rows[:-1], out=rows[:-1])
+    rows[-1] = rows[0]
+    return np.matmul(kernel_stack(w)[0][:, None],
+                     rows.reshape(N_ROWS, -1, 1))[:, 0, 0]
 
 
 @np.errstate(over="ignore", invalid="ignore")     # raised as OverflowError
@@ -328,14 +310,14 @@ def _family_integrals(kernels: np.ndarray,
                 values[p, :, r] = np.add.reduceat(
                     np.einsum("ij,ij->i", part[:n_pairs], x_pairs), starts)
 
-    # the residual's (t order, x order) pairs (2, 0), (1, 2), (0, 4)
-    t_res = t_table[::-1].transpose(1, 0, 2)
-    x_res = x_table[0::2]
+    # the residual: each sample's ADJOINT slices, (n_t, 3 m) @ (3 m, n_x)
+    t_orders, x_orders = zip(*ADJOINT)
+    t_res = t_table.transpose(1, 0, 2)
     field = np.empty((n_t, n_x))
     for smp, (o, m) in enumerate(zip(offsets, sizes)):
         cols = slice(o, o + m)
-        np.matmul(t_res[:, :, cols].reshape(n_t, 3 * m),
-                  x_res[:, cols].reshape(3 * m, n_x), out=field)
+        np.matmul(np.take(t_res[:, :, cols], t_orders, 1).reshape(n_t, 3 * m),
+                  x_table[x_orders, cols].reshape(3 * m, n_x), out=field)
         if a is not None:
             field += a * (t_table[0, :, cols] @ x_table[0, cols])
         np.square(field, out=field)

@@ -175,13 +175,17 @@ def load_config(path: str | Path) -> ExperimentConfig:
     """Parse, apply defaults, validate, and hash a configuration file."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str
-    if not parser.read(str(path)):
-        raise ConfigError(f"cannot read config file: {path}")
+    try:
+        if not parser.read(str(path)):
+            raise ConfigError(f"cannot read config file: {path}")
+        given = {sec: dict(parser[sec]) for sec in parser.sections()}
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
 
-    for section in parser.sections():
+    for section, entries in given.items():
         if section not in SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
+        for key in entries:
             if key not in SCHEMA[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
 
@@ -189,8 +193,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     for section, keys in SCHEMA.items():
         values[section] = {}
         for key, (cast, default, *bound) in keys.items():
-            if parser.has_option(section, key):
-                raw = parser.get(section, key)
+            if key in given.get(section, {}):
+                raw = given[section][key]
                 try:
                     value = cast(raw)
                 except (ValueError, ZeroDivisionError) as exc:

@@ -459,9 +459,9 @@ def fixed_point_solve(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
     the next source.  It equals `solve_forward` of the window bit for bit
     and diverges where that would, but the inputs are checked once.
 
-    A non-contracting window (distances growing) is an expected outcome for
-    kappa too large: the returned trajectory is None and the report carries
-    the observed factor >= 1.
+    A window that does not contract (distances growing), an expected
+    outcome for kappa too large, or that spends max_iter sweeps above tol
+    returns None as the trajectory, and the report has converged False.
     """
     g = grid
     times, data, a, _, batch = _checked_inputs(g, times, beta0, beta1, a)
@@ -492,7 +492,7 @@ def fixed_point_solve(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
         seed.take(np.arange(rows), axis=1, out=nodes, mode="clip")
         g.to_modes(data[:, 0], out=U.view(complex)[0, 0])
         dt = float(w_times[1] - w_times[0])
-        dist_prev = None
+        dist_prev, converged = None, False
         scale = max(float(g.pair_norm(*data)[0]), 1e-300)
         floor = 0.25 * (_DIVERGENCE_FACTOR * scale) ** 2
         for it in range(max_iter):
@@ -514,9 +514,9 @@ def fixed_point_solve(grid: SpatialGrid, beta0: np.ndarray, beta1: np.ndarray,
             if windows == 1:
                 first_distances.append(dist)
             if dist <= tol * scale:
+                converged = True
                 break
             if dist_prev is not None and dist > dist_prev and it >= 2:
-                converged = False
                 break
             dist_prev = dist
         if not converged:

@@ -257,13 +257,12 @@ class ThetaProfile:
 
 def _inv_sq(t: np.ndarray, order: int) -> np.ndarray:
     """order-th derivative of 1/t^2."""
-    sign = (-1.0) ** order
-    return sign * math.factorial(order + 1) / t ** (order + 2)
+    return (-1.0) ** order * math.factorial(order + 1) / t ** (order + 2)
 
 
 def _inv_sq_mirror(T: float, t: np.ndarray, order: int) -> np.ndarray:
     """order-th derivative of 1/(T-t)^2 (all derivatives positive)."""
-    return math.factorial(order + 1) / (T - t) ** (order + 2)
+    return (-1.0) ** order * _inv_sq(T - t, order)
 
 
 def _hermite_blend(a: float, b: float, left, right) -> Polynomial:

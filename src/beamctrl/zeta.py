@@ -57,12 +57,9 @@ def _quotients(z: Fraction, a1: Fraction, a2: Fraction):
     """The four absorption quotients; denominators use |.| of the negative
     coefficients, which are positive inside the admissible range."""
     c32 = 32 + 12 * z
-    return (
-        c32 / (2 * a1 * abs(-66 - 36 * z)),
-        c32 * a1 / (2 * abs(-3 - 6 * z)),
-        Fraction(12) * a2 / 14,
-        Fraction(12) / (2 * a2 * abs(-12 + 6 * z)),
-    )
+    _, e2, e3, e4 = map(abs, _coefficients(z))
+    return (c32 / (2 * a1 * e2), c32 * a1 / (2 * e4),
+            Fraction(12) * a2 / 14, Fraction(12) / (2 * a2 * e3))
 
 
 def zeta_ledger(zeta) -> ZetaWitness:

@@ -620,6 +620,21 @@ class TestFixedPoint:
         else:
             assert report.converged
 
+    def test_sweeps_running_out_are_not_converged(self, grid):
+        # the distances shrink but stay above tol after max_iter sweeps: the
+        # window has not converged, so no trajectory comes back
+        b0, b1 = smooth_data(grid, seed=3)
+        times = np.linspace(0, 1.0, 1025)
+        a = np.cos(grid.kappa[1] * grid.nodes)[None, :] \
+            * np.cos(2 * times)[:, None]
+        traj, report = fixed_point_solve(grid, b0, b1, times, a, 0.2,
+                                         max_iter=3)
+        assert not report.converged and traj is None
+        assert report.iterations_total == len(report.distances) == 3
+        assert report.distances[-1] > 1e-12 * grid.pair_norm(b0, b1)
+        traj, report = fixed_point_solve(grid, b0, b1, times, a, 0.2)
+        assert report.converged and traj is not None
+
     def test_computes_no_energy(self, grid, monkeypatch):
         calls = []
         monkeypatch.setattr(dynamics, "trajectory_energy",
@@ -766,6 +781,9 @@ def reference_fixed_point(grid, beta0, beta1, times, a, kappa, max_iter=60,
                             iterations=iterations, distances=distances)
             dist_prev = dist
             prev, prev_t = traj.beta, traj.beta_t
+        else:
+            return dict(converged=False, windows=windows,
+                        iterations=iterations, distances=distances)
         keep = stop - start if stop == n_t - 1 else half
         beta[start:start + keep + 1] = traj.beta[:keep + 1]
         beta_t[start:start + keep + 1] = traj.beta_t[:keep + 1]

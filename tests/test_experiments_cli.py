@@ -288,6 +288,19 @@ class TestConfig:
             for key in keys:
                 assert f"`{key}`" in bullets[section], f"{section}.{key}"
 
+    def test_readme_library_quick_start_runs(self, capsys):
+        # the quick start's two python blocks, the second on the first's
+        # names
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"```python\n(.*?)```", readme.read_text(),
+                            re.DOTALL)
+        assert len(blocks) == 2
+        names = {}
+        for block in blocks:
+            exec(compile(block, str(readme), "exec"), names)
+        assert float(capsys.readouterr().out) < 1.0
+        assert names["sol"].v.shape == names["f"].shape
+
     @pytest.mark.parametrize("name, kind, config_hash", [
         ("carleman_audit.ini", "carleman-audit", "119feba0d795"),
         ("control.ini", "control", "5fa53cd416f0"),
@@ -551,6 +564,25 @@ class TestCli:
         path = tmp_path / "bad.ini"
         path.write_text("[experiment]\nkind = spectrum\n[domain]\nd = 1\nL = 1\n")
         assert main(["validate", str(path)]) == 1
+
+    # configparser's own errors: a key given twice in one section, a key
+    # before any section header, a "%" that is no interpolation
+    @pytest.mark.parametrize("text, message", [
+        ("[experiment]\nkind = spectrum\nkind = spectrum\n",
+         "option 'kind' in section 'experiment' already exists"),
+        ("seed = 3\n[experiment]\nkind = spectrum\n", "no section headers"),
+        ("[experiment]\nkind = spectrum\n[data]\nbeta0_modes = 1:0.5%:0\n",
+         "'%' must be followed by '%' or '('"),
+    ], ids=["duplicate_key", "no_section_header", "percent"])
+    def test_validate_reports_parser_errors(self, tmp_path, capsys, text,
+                                            message):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(path)
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid: cannot parse config file {path}: ")
 
     def test_run_and_report_exit_codes(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "spectrum")
